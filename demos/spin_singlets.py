@@ -15,7 +15,6 @@ import numpy as np
 from bellchsh import (
     AngleSet,
     chsh_value,
-    expectation,
     optimize_angles,
     singlet,
     spin_hamiltonian,
@@ -36,9 +35,10 @@ def main():
             print(f"  index {i}: {amp.real:+.6f}")
 
     h = spin_hamiltonian()
-    print(f"energy <H> = {expectation(state.ket, h).real:+.12f}  (singlet sits at -2)")
+    energy = state.ket.overlap(h.apply(state.ket)).real
+    print(f"energy <H> = {energy:+.12f}  (singlet sits at -2)")
 
-    # the quadruple of phase flips is hermitian, involutive and cross-commuting
+    # the phase flips are hermitian and involutive; A and B act on different factors
     quadruple = spin_quadruple(SPIN_ONE, SPIN_ONE_VIOLATION_ANGLES)
     print(validate_quadruple(quadruple).summary())
 

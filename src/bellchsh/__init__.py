@@ -13,14 +13,13 @@ from .chsh import (
     ClosedFormCorrelator,
     TSIRELSON_BOUND,
     ValidationReport,
-    chsh_operator,
     chsh_value,
     optimize_angles,
+    phase_flip,
     validate_quadruple,
     wrap_angle,
 )
 from .errors import (
-    CapacityError,
     ConfigError,
     ConsistencyError,
     DegenerateInputError,
@@ -32,6 +31,7 @@ from .errors import (
 from .fock import (
     BogoliubovPair,
     FockSpace,
+    MAX_CUTOFF,
     MAX_VIOLATION_ANGLES,
     SqueezedState,
     bogoliubov_pair,
@@ -40,7 +40,6 @@ from .fock import (
     correlator_closed,
     fock_quadruple,
     ladder_matrices,
-    pair_flip,
     squeezed_closed_form,
     squeezed_hamiltonian,
     squeezed_state,
@@ -57,13 +56,9 @@ from .kleingordon import (
 )
 from .linalg import (
     DenseOperator,
+    FactoredOperator,
     Ket,
-    MAX_TENSOR_DIM,
     STRUCTURE_TOL,
-    adjoint,
-    expectation,
-    tensor,
-    tensor_ket,
 )
 from .rindler import (
     RindlerModeSet,
@@ -82,7 +77,6 @@ from .spin import (
     SingletState,
     SpinBasisLabel,
     TSIRELSON_ANGLES,
-    flip_operator,
     singlet,
     spin_half_chsh_closed,
     spin_half_pair_correlator,

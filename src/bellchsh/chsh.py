@@ -1,24 +1,26 @@
-"""Bell-CHSH operator assembly, validation and measurement-phase search.
+"""Bell-CHSH quadruples, validation, correlator and measurement-phase search.
 
 The central object is a quadruple of hermitian involutions
-``(A1, A2, B1, B2)`` with every A commuting with every B.  The CHSH
-combination is
+``(A1, A2, B1, B2)``, the A pair acting on H_A and the B pair on H_B,
+so every A commutes with every B by construction.  The CHSH
+combination on ``H_A (x) H_B`` is
 
-    C = (A1 + A2) B1 + (A1 - A2) B2
+    C = (A1 + A2) (x) B1 + (A1 - A2) (x) B2
 
 and local hidden-variable models obey ``|<C>| <= 2`` while quantum
-states reach at most ``2*sqrt(2)`` (the Tsirelson bound).
+states reach at most ``2*sqrt(2)`` (the Tsirelson bound).  In every
+setting the four operators are level-pair phase flips (``phase_flip``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, ShapeError
+from .errors import ConsistencyError, DomainError, ShapeError
 from .linalg import DenseOperator, Ket
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -35,7 +37,8 @@ class AngleSet:
 
     Angles are reduced to [-pi, pi) on construction; all correlators in
     this package depend on them only through cosines of sums, so the
-    reduction never changes a value.
+    reduction never changes a value.  A non-finite phase raises
+    ``DomainError``.
     """
 
     alpha1: float
@@ -45,21 +48,44 @@ class AngleSet:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"phase {name} must be finite, got {value!r}")
+            object.__setattr__(self, name, wrap_angle(value))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
 
+def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
+               phase: float) -> DenseOperator:
+    """Level-pair phase flip on one factor: the measurement operator of
+    every setting in this package.
+
+    Each ``(src, dst)`` pair of levels (one row of ``pairs``) is swapped
+    with ``<dst|M|src> = e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``;
+    every level outside the (disjoint) pairs is fixed, with 1 on the
+    diagonal.  The result is hermitian and an exact involution.
+    """
+    up = complex(np.exp(1j * phase))
+    src, dst = np.array(pairs).T
+    m = np.eye(dim, dtype=complex)
+    m[src, src] = m[dst, dst] = 0.0
+    m[dst, src] = up
+    m[src, dst] = up.conjugate()
+    return DenseOperator(m, hermitian=True)
+
+
 @dataclass(frozen=True, eq=False)
 class ChshQuadruple:
-    """CHSH operator quadruple on the full bipartite space.
+    """CHSH quadruple kept as local factors: ``a1``, ``a2`` on H_A and
+    ``b1``, ``b2`` on H_B.
 
-    The four operators are expected to be hermitian, square to the
-    identity, and A-side operators must commute with B-side operators.
-    Construction does not enforce this (``validate_quadruple`` reports
-    deviations), so deliberately corrupted quadruples can be built as
-    negative controls.
+    The four operators are expected to be hermitian and to square to the
+    identity; A/B commutation holds by construction.  Construction does
+    not enforce the axioms (``validate_quadruple`` reports deviations),
+    so deliberately corrupted quadruples can be built as negative
+    controls.
 
     ``angles`` records the phases when the quadruple comes from one of
     the phase-flip constructions.
@@ -76,35 +102,38 @@ class ChshQuadruple:
         return {"a1": self.a1, "a2": self.a2, "b1": self.b1, "b2": self.b2}
 
     @property
-    def dim(self) -> int:
-        dims = {op.dim for op in (self.a1, self.a2, self.b1, self.b2)}
-        if len(dims) != 1:
-            raise ShapeError(f"quadruple operators have mixed dims {sorted(dims)}")
-        return dims.pop()
+    def dims(self) -> tuple[int, int]:
+        """Factor dimensions ``(dim_A, dim_B)``."""
+        dims = []
+        for side in ((self.a1, self.a2), (self.b1, self.b2)):
+            side_dims = {op.dim for op in side}
+            if len(side_dims) != 1:
+                raise ShapeError(f"quadruple side has mixed dims {sorted(side_dims)}")
+            dims.append(side_dims.pop())
+        return dims[0], dims[1]
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structural deviations of a quadruple, and the pass verdict.
+    """Structural deviations of a quadruple's local factors, and the verdict.
 
-    Deviations are entrywise maxima: ``hermiticity[k] = max|M - M^dag|``,
-    ``involution[k] = max|M^2 - I|`` and ``commutation["ai,bk"] =
-    max|[A_i, B_k]|``.  The quadruple passes iff every deviation is at
-    most ``tolerance`` (1e-12 scaled by the space dimension, absorbing
-    float accumulation on larger truncated spaces).
+    Deviations are entrywise maxima over each factor matrix:
+    ``hermiticity[k] = max|M - M^dag|`` and ``involution[k] =
+    max|M^2 - I|``.  A/B commutation needs no check, since the two sides
+    act on different factors.  The quadruple passes iff every deviation
+    is at most ``tolerance``: 1e-12 scaled by the product dimension
+    ``dim = dim_A * dim_B``, absorbing float accumulation on larger
+    truncated spaces.
     """
 
     dim: int
     tolerance: float
     hermiticity: dict[str, float]
     involution: dict[str, float]
-    commutation: dict[str, float]
 
     @property
     def max_deviation(self) -> float:
-        devs = (list(self.hermiticity.values()) + list(self.involution.values())
-                + list(self.commutation.values()))
-        return max(devs)
+        return max(list(self.hermiticity.values()) + list(self.involution.values()))
 
     @property
     def passed(self) -> bool:
@@ -117,63 +146,51 @@ class ValidationReport:
             + ("PASS" if self.passed else "FAIL")
         ]
         for label, table in (("hermiticity", self.hermiticity),
-                             ("involution", self.involution),
-                             ("commutation", self.commutation)):
+                             ("involution", self.involution)):
             worst = max(table, key=table.get)
             lines.append(f"  {label:<12} max {table[worst]:.3e} ({worst})")
         return "\n".join(lines)
 
 
 def validate_quadruple(q: ChshQuadruple) -> ValidationReport:
-    """Check the structural axioms of a CHSH quadruple.
+    """Check hermiticity and involution (M^2 = I) of the four factors.
 
-    Returns a report with the maximal deviations from hermiticity,
-    involution (M^2 = I) and cross-commutation ([A_i, B_k] = 0); it
-    never raises on a failing quadruple.
+    Returns a report with the maximal deviations; it never raises on a
+    failing quadruple.
     """
-    dim = q.dim
-    eye = np.eye(dim)
+    dim_a, dim_b = q.dims
     ops = q.operators()
     herm = {k: op.hermiticity_deviation for k, op in ops.items()}
     inv = {
-        k: float(np.abs(op.entries @ op.entries - eye).max())
+        k: float(np.abs(op.entries @ op.entries - np.eye(op.dim)).max())
         for k, op in ops.items()
     }
-    comm = {}
-    for ka in ("a1", "a2"):
-        for kb in ("b1", "b2"):
-            a, b = ops[ka].entries, ops[kb].entries
-            comm[f"{ka},{kb}"] = float(np.abs(a @ b - b @ a).max())
+    dim = dim_a * dim_b
     return ValidationReport(
         dim=dim,
         tolerance=1e-12 * dim,
         hermiticity=herm,
         involution=inv,
-        commutation=comm,
     )
 
 
-def chsh_operator(q: ChshQuadruple) -> DenseOperator:
-    """Assemble C = (A1 + A2) B1 + (A1 - A2) B2 as a dense matrix."""
-    dim = q.dim  # raises ShapeError on mixed dims
-    c = (q.a1 + q.a2) @ q.b1 + (q.a1 - q.a2) @ q.b2
-    assert c.dim == dim
-    return c
-
-
 def chsh_value(psi: Ket, q: ChshQuadruple) -> float:
-    """CHSH correlator <psi|C|psi> for a normalized state.
+    """CHSH correlator <psi|C|psi> for a normalized bipartite state.
 
-    Evaluated through matrix-vector products only, so it stays cheap on
-    the larger truncated spaces.  The result of a valid quadruple is
-    real; an imaginary residue above 1e-10 raises ``ConsistencyError``.
+    With ``Psi`` the ``dim_A x dim_B`` amplitude matrix of ``psi``,
+    ``<C> = tr(Psi^dag [A1 Psi (B1 + B2)^T + A2 Psi (B1 - B2)^T])``:
+    four factor-sized matrix products.  The result of a valid quadruple
+    is real; an imaginary residue above 1e-10 raises
+    ``ConsistencyError``.
     """
-    if psi.dim != q.dim:
-        raise ShapeError(f"state dim {psi.dim} vs quadruple dim {q.dim}")
-    y1 = q.b1.apply(psi).amplitudes
-    y2 = q.b2.apply(psi).amplitudes
+    dim_a, dim_b = q.dims
+    if psi.dim != dim_a * dim_b:
+        raise ShapeError(f"state dim {psi.dim} vs quadruple dims {dim_a}x{dim_b}")
+    mat = psi.amplitudes.reshape(dim_a, dim_b)
+    y1 = mat @ q.b1.entries.T
+    y2 = mat @ q.b2.entries.T
     c_psi = (q.a1.entries @ (y1 + y2)) + (q.a2.entries @ (y1 - y2))
-    value = np.vdot(psi.amplitudes, c_psi)
+    value = np.vdot(mat, c_psi)
     if abs(value.imag) > 1e-10:
         raise ConsistencyError(
             f"CHSH correlator has imaginary residue {value.imag:.3e}"

@@ -121,12 +121,6 @@ def parse_quad(text: str) -> tuple[int, int]:
     return radial, angular
 
 
-def check_cutoff(n: int) -> int:
-    if n < 4 or n % 2 != 0:
-        raise ConfigError(f"--cutoff must be an even integer >= 4, got {n}")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # output
 
@@ -230,7 +224,8 @@ def cmd_spin(args) -> int:
 
 
 def cmd_squeeze_scan(args) -> int:
-    cutoff = check_cutoff(args.cutoff)
+    space = fock.FockSpace(args.cutoff)  # bounds the cutoff before any allocation
+    cutoff = space.cutoff
     angles = parse_angles(args.angles) if args.angles else fock.MAX_VIOLATION_ANGLES
     grid = parse_range(args.eta_range, "--eta-range")
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
@@ -238,7 +233,6 @@ def cmd_squeeze_scan(args) -> int:
             f"--eta-range must stay inside the open interval (0, 1), got {args.eta_range!r}"
         )
     config = RunConfig(fmt=args.format, out=args.out)
-    space = fock.FockSpace(cutoff)
     window_lo, _ = fock.violation_window()
 
     entries: list[tuple[float, str]] = [(float(e), "") for e in grid]
@@ -385,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("squeeze-scan", help="squeezed-oscillator CHSH scan")
     p.add_argument("--eta-range", default="0.1:0.9:9", metavar="LO:HI:STEPS")
     p.add_argument("--cutoff", type=int, default=fock.DEFAULT_CUTOFF,
-                   help="per-mode Fock cutoff (even, >= 4; default 40)")
+                   help=f"per-mode Fock cutoff (even, 4 to {fock.MAX_CUTOFF}; "
+                        "default 40)")
     p.add_argument("--angles", default=None, metavar="a1,a2,b1,b2")
     _add_output_options(p)
     p.set_defaults(handler=cmd_squeeze_scan)

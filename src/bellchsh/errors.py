@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operand dimensions are incompatible."""
 
 
-class CapacityError(ValueError):
-    """A tensor product would exceed the configured dimension budget."""
-
-
 class DomainError(ValueError):
     """A numeric parameter lies outside its admissible domain."""
 

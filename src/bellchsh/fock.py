@@ -1,9 +1,14 @@
 """Truncated two-mode Fock space: squeezed states and their CHSH physics.
 
 The two bosonic modes are truncated to ``cutoff`` levels each (total
-dimension ``cutoff**2``).  The cutoff must be even so the parity-pair
-flip operators, which swap levels ``2n <-> 2n+1``, close on the
-truncated space and square exactly to the identity.
+dimension ``cutoff**2``).  A state is stored as its ``cutoff**2``
+amplitudes, which reshape to the ``cutoff x cutoff`` matrix ``Psi``;
+every operator is kept as per-mode ``cutoff x cutoff`` factors (a
+local flip, or a ``FactoredOperator`` of ladder products), so memory
+and time grow as ``cutoff**2`` to ``cutoff**3``, never ``cutoff**4``.
+The cutoff must be even so the parity-pair flip operators, which swap
+levels ``2n <-> 2n+1``, close on the truncated space and square
+exactly to the identity.
 
 The two-mode squeezed state with parameter ``eta`` has amplitudes
 proportional to ``eta**n`` on the diagonal pair states |n, n>.  For an
@@ -20,21 +25,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .chsh import AngleSet, ChshQuadruple, ClosedFormCorrelator
+from .chsh import (AngleSet, ChshQuadruple, ClosedFormCorrelator, chsh_value,
+                   phase_flip)
 from .errors import ConsistencyError, DomainError
-from .linalg import DenseOperator, Ket, tensor
+from .linalg import FactoredOperator, Ket
 
 #: Phase choice turning the squeezed closed form into 2 * (2 sqrt(2) eta
 #: / (1 + eta^2)): the cosine combination saturates at 2 sqrt(2).
 MAX_VIOLATION_ANGLES = AngleSet(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 
-#: Default per-mode cutoff: eta**(2*40) <= 1e-7 up to eta ~ 0.82 while the
-#: product space stays a manageable 1600 dimensions.
+#: Default per-mode cutoff: eta**(2*40) <= 1e-7 up to eta ~ 0.82, with
+#: 40 x 40 operator factors and a 40 x 40 amplitude matrix.
 DEFAULT_CUTOFF = 40
+
+#: Largest per-mode cutoff: the amplitude matrix then holds 2048**2
+#: complex numbers (64 MB), and each operator factor as much again.
+MAX_CUTOFF = 2048
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,8 @@ class FockSpace:
     def __post_init__(self):
         if self.cutoff < 4:
             raise DomainError(f"cutoff must be >= 4, got {self.cutoff}")
+        if self.cutoff > MAX_CUTOFF:
+            raise DomainError(f"cutoff must be <= {MAX_CUTOFF}, got {self.cutoff}")
         if self.cutoff % 2 != 0:
             raise DomainError(
                 f"cutoff must be even so flip pairs (2n, 2n+1) close, got {self.cutoff}"
@@ -73,9 +84,9 @@ def _mode_lowering(cutoff: int) -> np.ndarray:
     return m
 
 
-def ladder_matrices(space: FockSpace) -> tuple[DenseOperator, DenseOperator,
-                                               DenseOperator, DenseOperator]:
-    """Truncated ladder operators (a, a_dag, b, b_dag) on the full space.
+def ladder_matrices(space: FockSpace) -> tuple[FactoredOperator, FactoredOperator,
+                                               FactoredOperator, FactoredOperator]:
+    """Truncated ladder operators (a, a_dag, b, b_dag) as per-mode factors.
 
     Within the cutoff they satisfy the canonical algebra; the only
     truncation artifact sits on the top level of each mode, where
@@ -84,8 +95,8 @@ def ladder_matrices(space: FockSpace) -> tuple[DenseOperator, DenseOperator,
     """
     low = _mode_lowering(space.cutoff)
     eye = np.eye(space.cutoff)
-    a = DenseOperator(np.kron(low, eye))
-    b = DenseOperator(np.kron(eye, low))
+    a = FactoredOperator(((1.0, low, eye),))
+    b = FactoredOperator(((1.0, eye, low),))
     return a, a.adjoint(), b, b.adjoint()
 
 
@@ -126,8 +137,8 @@ class BogoliubovPair:
     """
 
     eta: float
-    alpha: DenseOperator
-    beta: DenseOperator
+    alpha: FactoredOperator
+    beta: FactoredOperator
 
 
 def bogoliubov_pair(eta: float, space: FockSpace) -> BogoliubovPair:
@@ -142,7 +153,7 @@ def bogoliubov_pair(eta: float, space: FockSpace) -> BogoliubovPair:
     )
 
 
-def squeezed_hamiltonian(eta: float, space: FockSpace) -> DenseOperator:
+def squeezed_hamiltonian(eta: float, space: FockSpace) -> FactoredOperator:
     """Quadratic Hamiltonian whose ground state is the squeezed state.
 
     H = (1+eta^2)/(1-eta^2) (a_dag a + b_dag b)
@@ -150,8 +161,8 @@ def squeezed_hamiltonian(eta: float, space: FockSpace) -> DenseOperator:
         + 2 eta^2/(1-eta^2)
 
     The constant term is fixed by H = alpha_dag alpha + beta_dag beta,
-    which makes H |eta> vanish up to the cutoff residue.  Built from
-    per-mode factors, so no large matrix products are formed.
+    which makes H |eta> vanish up to the cutoff residue.  Kept as five
+    per-mode factor products.
     """
     eta = _check_eta(eta)
     n = space.cutoff
@@ -160,44 +171,31 @@ def squeezed_hamiltonian(eta: float, space: FockSpace) -> DenseOperator:
     num = np.diag(np.arange(n)).astype(complex)
     eye = np.eye(n)
     one_minus = 1.0 - eta * eta
-    h = ((1.0 + eta * eta) / one_minus) * (np.kron(num, eye) + np.kron(eye, num))
-    h -= (2.0 * eta / one_minus) * (np.kron(raz, raz) + np.kron(low, low))
-    h += (2.0 * eta * eta / one_minus) * np.eye(space.dim)
-    return DenseOperator(h, hermitian=True)
-
-
-def pair_flip(space: FockSpace, side: str, phase: float) -> DenseOperator:
-    """Parity-pair flip operator on one mode, identity on the other.
-
-    On the designated mode it maps |2n> -> e^{i phase} |2n+1> and
-    |2n+1> -> e^{-i phase} |2n>, so the matrix element
-    <2n+1|F|2n> equals e^{i phase}.  Hermitian and an exact involution
-    (the even cutoff leaves no dangling level).
-    """
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-    n = space.cutoff
-    if n % 2 != 0:
-        raise DomainError("pair flip requires an even cutoff")
-    local = np.zeros((n, n), dtype=complex)
-    up = complex(np.exp(1j * phase))
-    evens = np.arange(0, n, 2)
-    local[evens + 1, evens] = up
-    local[evens, evens + 1] = up.conjugate()
-    local_op = DenseOperator(local, hermitian=True)
-    eye = DenseOperator.identity(n)
-    if side == "A":
-        return tensor(local_op, eye)
-    return tensor(eye, local_op)
+    number = (1.0 + eta * eta) / one_minus
+    pair = -2.0 * eta / one_minus
+    return FactoredOperator((
+        (number, num, eye),
+        (number, eye, num),
+        (pair, raz, raz),
+        (pair, low, low),
+        (2.0 * eta * eta / one_minus, eye, eye),
+    ))
 
 
 def fock_quadruple(space: FockSpace, angles: AngleSet) -> ChshQuadruple:
-    """Phase-flip CHSH quadruple on the truncated two-mode space."""
+    """Phase-flip CHSH quadruple on the truncated two-mode space.
+
+    Each side flips every parity pair ``|2n> -> e^{i phase} |2n+1>`` of
+    its own mode; the even cutoff leaves no dangling level, so every
+    factor is an exact involution.
+    """
+    n = space.cutoff
+    pairs = np.arange(n).reshape(-1, 2)  # rows (2k, 2k + 1)
     return ChshQuadruple(
-        a1=pair_flip(space, "A", angles.alpha1),
-        a2=pair_flip(space, "A", angles.alpha2),
-        b1=pair_flip(space, "B", angles.beta1),
-        b2=pair_flip(space, "B", angles.beta2),
+        a1=phase_flip(n, pairs, angles.alpha1),
+        a2=phase_flip(n, pairs, angles.alpha2),
+        b1=phase_flip(n, pairs, angles.beta1),
+        b2=phase_flip(n, pairs, angles.beta2),
         angles=angles,
     )
 
@@ -256,50 +254,12 @@ def violation_window(tol: float = 1e-10) -> tuple[float, float]:
     return analytic, 1.0
 
 
-@lru_cache(maxsize=4)
-def _pair_shift_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray, np.ndarray]:
-    """Full-space raising parts of the flips: (K, K_dag, L, L_dag).
-
-    K moves mode A from |2n> to |2n+1| (identity on mode B), L does the
-    same on mode B, so any flip operator is e^{i phase} K + e^{-i phase}
-    K_dag.  Cached because cutoff 40 matrices weigh ~40 MB each.
-    """
-    up = np.zeros((cutoff, cutoff), dtype=complex)
-    evens = np.arange(0, cutoff, 2)
-    up[evens + 1, evens] = 1.0
-    eye = np.eye(cutoff)
-    shift_a = np.kron(up, eye)
-    shift_b = np.kron(eye, up)
-    return shift_a, shift_a.conj().T, shift_b, shift_b.conj().T
-
-
 def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     """CHSH value of the squeezed state from the explicit flip matrices.
 
-    Matrix route, independent of the closed form: the four shift
-    matrices act once on the state vector and the four pair
-    expectations <A_k psi | B_i psi> are assembled by linearity in the
-    phases.  Cost is four dim^2 matrix-vector products per call, which
-    keeps cutoff-40 sweeps cheap.
+    Matrix route, independent of the closed form: ``chsh_value`` of the
+    truncated squeezed state against the four ``cutoff x cutoff`` flip
+    factors of ``fock_quadruple``, evaluated on the amplitude matrix
+    ``Psi`` with four factor-sized matrix products.
     """
-    psi = squeezed_state(eta, space).ket.amplitudes
-    shift_a, shift_a_dag, shift_b, shift_b_dag = _pair_shift_matrices(space.cutoff)
-    x_up, x_dn = shift_a @ psi, shift_a_dag @ psi
-    y_up, y_dn = shift_b @ psi, shift_b_dag @ psi
-
-    def a_side(alpha: float) -> np.ndarray:
-        return np.exp(1j * alpha) * x_up + np.exp(-1j * alpha) * x_dn
-
-    def b_side(beta: float) -> np.ndarray:
-        return np.exp(1j * beta) * y_up + np.exp(-1j * beta) * y_dn
-
-    a1, a2 = a_side(angles.alpha1), a_side(angles.alpha2)
-    b1, b2 = b_side(angles.beta1), b_side(angles.beta2)
-    value = (np.vdot(a1, b1) + np.vdot(a2, b1)
-             + np.vdot(a1, b2) - np.vdot(a2, b2))
-    if abs(value.imag) > 1e-10:
-        raise ConsistencyError(
-            f"matrix CHSH value has imaginary residue {value.imag:.3e}"
-        )
-    return float(value.real)
+    return chsh_value(squeezed_state(eta, space).ket, fock_quadruple(space, angles))

@@ -1,14 +1,17 @@
-"""Dense complex linear algebra for finite-dimensional quantum states.
+"""Complex linear algebra on one factor and on a two-party product space.
 
-Kets are complex vectors, operators are dense complex square matrices.
-Bipartite systems use the row-major composite index convention
+Kets are complex vectors.  A ``DenseOperator`` is a dense square matrix
+on one factor.  A two-party operator on ``H_A (x) H_B`` is a
+``FactoredOperator``: the Kronecker factors of ``sum_k c_k L_k (x) R_k``.
+Bipartite kets use the row-major composite index convention
 
     index = i_left * dim_right + i_right
 
-(the left factor is the slow index), which is exactly the ordering
-produced by ``numpy.kron``.  Every object is immutable after
-construction, so all operations are pure functions and safe to evaluate
-concurrently.
+(the left factor is the slow index), so reshaping the amplitudes to
+``(dim_left, dim_right)`` gives the amplitude matrix ``Psi`` and
+``L (x) R`` acts as ``L Psi R^T``.  No matrix on the full product space
+is ever built.  Every object is immutable after construction, so all
+operations are pure functions and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -17,20 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
+from .errors import ShapeError
 
 #: Entrywise tolerance for structural checks (hermiticity, unitarity,
 #: normalization): about 100x double-precision epsilon accumulation at
 #: the matrix sizes in scope.
 STRUCTURE_TOL = 1e-12
 
-#: Largest composite dimension ``tensor`` will produce by default.
-MAX_TENSOR_DIM = 16384
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _square(entries) -> np.ndarray:
+    arr = np.array(entries, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ShapeError(f"operator entries must be square, got {arr.shape}")
+    return _readonly(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +90,7 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """A dense complex square matrix acting on a ``Ket`` of equal dim.
+    """A dense complex square matrix on one factor space.
 
     Parameters
     ----------
@@ -98,10 +105,7 @@ class DenseOperator:
     hermitian: bool = False
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ShapeError(f"operator entries must be square, got {arr.shape}")
-        object.__setattr__(self, "entries", _readonly(arr))
+        object.__setattr__(self, "entries", _square(self.entries))
         if self.hermitian:
             dev = self.hermiticity_deviation
             if dev > STRUCTURE_TOL:
@@ -130,87 +134,59 @@ class DenseOperator:
             raise ShapeError(f"operator dim {self.dim} vs ket dim {psi.dim}")
         return Ket(self.entries @ psi.amplitudes)
 
-    # Operator arithmetic stays in matrix land; results carry no flags.
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dim != other.dim:
-            raise ShapeError(f"operator dims differ: {self.dim} vs {other.dim}")
-        return DenseOperator(self.entries @ other.entries)
 
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dim != other.dim:
-            raise ShapeError(f"operator dims differ: {self.dim} vs {other.dim}")
-        return DenseOperator(self.entries + other.entries)
+@dataclass(frozen=True, eq=False)
+class FactoredOperator:
+    """Two-party operator ``sum_k c_k L_k (x) R_k`` kept as its factors.
 
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dim != other.dim:
-            raise ShapeError(f"operator dims differ: {self.dim} vs {other.dim}")
-        return DenseOperator(self.entries - other.entries)
+    Parameters
+    ----------
+    terms : sequence of (coefficient, left, right)
+        ``left`` is a square matrix on H_A and ``right`` one on H_B;
+        every term has the same two factor dimensions.
 
-    def __mul__(self, scalar: complex) -> "DenseOperator":
-        return DenseOperator(self.entries * scalar)
+    Memory and ``apply`` cost grow with the factor dimensions, never
+    with the square of the product dimension.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        terms = tuple((complex(c), _square(left), _square(right))
+                      for c, left, right in self.terms)
+        if not terms:
+            raise ShapeError("a factored operator needs at least one term")
+        dims = {(left.shape[0], right.shape[0]) for _, left, right in terms}
+        if len(dims) != 1:
+            raise ShapeError(f"terms have mixed factor dims {sorted(dims)}")
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        _, left, right = self.terms[0]
+        return left.shape[0], right.shape[0]
+
+    def apply(self, psi: Ket) -> Ket:
+        """Action on a bipartite ket: ``sum_k c_k L_k Psi R_k^T``."""
+        dim_a, dim_b = self.dims
+        if psi.dim != dim_a * dim_b:
+            raise ShapeError(f"operator dims {dim_a}x{dim_b} vs ket dim {psi.dim}")
+        mat = psi.amplitudes.reshape(dim_a, dim_b)
+        out = sum(c * (left @ mat @ right.T) for c, left, right in self.terms)
+        return Ket(out.ravel())
+
+    def adjoint(self) -> "FactoredOperator":
+        return FactoredOperator(tuple((c.conjugate(), left.conj().T, right.conj().T)
+                                      for c, left, right in self.terms))
+
+    def __add__(self, other: "FactoredOperator") -> "FactoredOperator":
+        return FactoredOperator(self.terms + other.terms)
+
+    def __sub__(self, other: "FactoredOperator") -> "FactoredOperator":
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar: complex) -> "FactoredOperator":
+        return FactoredOperator(tuple((scalar * c, left, right)
+                                      for c, left, right in self.terms))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "DenseOperator":
-        return DenseOperator(-self.entries)
-
-
-def tensor(a: DenseOperator, b: DenseOperator,
-           max_dim: int = MAX_TENSOR_DIM) -> DenseOperator:
-    """Kronecker product ``a (x) b`` in the fixed composite-index order.
-
-    Satisfies ``(a (x) b)(u (x) v) = (a u) (x) (b v)`` with the left
-    factor as the slow index.
-
-    Parameters
-    ----------
-    a, b : DenseOperator
-        Factors; the result acts on the ``a.dim * b.dim`` product space.
-    max_dim : int, optional
-        Capacity guard; a product dimension beyond it raises
-        ``CapacityError`` instead of allocating.
-    """
-    total = a.dim * b.dim
-    if total > max_dim:
-        raise CapacityError(
-            f"tensor product dim {a.dim}x{b.dim} = {total} exceeds budget {max_dim}"
-        )
-    return DenseOperator(np.kron(a.entries, b.entries))
-
-
-def tensor_ket(u: Ket, v: Ket, max_dim: int = MAX_TENSOR_DIM) -> Ket:
-    """Product state ``u (x) v`` in the same composite-index order."""
-    total = u.dim * v.dim
-    if total > max_dim:
-        raise CapacityError(
-            f"tensor product dim {u.dim}x{v.dim} = {total} exceeds budget {max_dim}"
-        )
-    return Ket(np.kron(u.amplitudes, v.amplitudes))
-
-
-def adjoint(m: DenseOperator) -> DenseOperator:
-    """Conjugate transpose."""
-    return m.adjoint()
-
-
-def expectation(psi: Ket, m: DenseOperator) -> complex:
-    """Expectation value <psi|M|psi> for a normalized state.
-
-    Parameters
-    ----------
-    psi : Ket
-        State vector; must be normalized to within 1e-9.
-    m : DenseOperator
-        Operator of matching dimension.
-
-    Returns
-    -------
-    complex
-        <psi|M|psi>.  For hermitian ``m`` the imaginary part is a
-        float-level residue (below ~1e-12 at the sizes in scope).
-    """
-    if psi.dim != m.dim:
-        raise ShapeError(f"ket dim {psi.dim} vs operator dim {m.dim}")
-    if abs(psi.norm - 1.0) > 1e-9:
-        raise ValueError(f"expectation requires a normalized state, ||psi|| = {psi.norm!r}")
-    return complex(np.vdot(psi.amplitudes, m.entries @ psi.amplitudes))

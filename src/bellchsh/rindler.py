@@ -11,8 +11,8 @@ turns the squeezed-oscillator prefactor into a thermal form factor
 
     tau(T) = sum_i 1 / cosh(omega_i / (2 T)),    T = a / (2 pi),
 
-and at the maximal-violation phase choice the CHSH value is
-``2 sqrt(2) tau(T)``.  The per-mode factor lies in (0, 1); a summed
+and at the maximal-violation phase choice
+(``fock.MAX_VIOLATION_ANGLES``) the CHSH value is ``2 sqrt(2) tau(T)``.  The per-mode factor lies in (0, 1); a summed
 multi-mode tau can exceed 1, in which case the literal value is
 reported and the row is flagged supra-Tsirelson rather than clamped.
 """
@@ -23,12 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .chsh import AngleSet, TSIRELSON_BOUND
+from .chsh import TSIRELSON_BOUND
 from .errors import DomainError
-
-#: Phase choice at which the squeezed closed form saturates its cosine
-#: combination; identical to the oscillator maximal-violation phases.
-RINDLER_ANGLES = AngleSet(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 
 
 @dataclass(frozen=True)

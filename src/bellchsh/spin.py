@@ -7,8 +7,10 @@ Basis conventions, fixed once:
 
 The side-A flip operator swaps a fixed pair of levels with opposite
 phases ``e^{+i phi}`` / ``e^{-i phi}`` and leaves the remaining level
-alone; side B swaps the mirrored pair.  Each flip is hermitian and an
-involution, so any two phases per side form a valid CHSH quadruple.
+alone; side B swaps the mirrored pair (``_FLIP_PAIRS``).  Each flip is
+hermitian and an involution, so any two phases per side form a valid
+CHSH quadruple.  Two-particle operators are kept as single-particle
+factors (``FactoredOperator``).
 """
 
 from __future__ import annotations
@@ -18,14 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import AngleSet, ChshQuadruple
+from .chsh import AngleSet, ChshQuadruple, phase_flip
 from .errors import DomainError
-from .linalg import DenseOperator, Ket, tensor
+from .linalg import FactoredOperator, Ket
 
 SPIN_HALF = "half"
 SPIN_ONE = "one"
 
 _LEVELS = {SPIN_HALF: 2, SPIN_ONE: 3}
+
+#: Level pairs ``(src, dst)`` flipped on sides A and B, with
+#: ``<dst|F|src> = e^{i phase}``.  Spin 1/2: |+> <-> |->.  Spin 1: side A
+#: swaps |-1> <-> |0> with |1> fixed, side B swaps |1> <-> |0> with |-1>
+#: fixed.
+_FLIP_PAIRS = {
+    SPIN_HALF: (((0, 1),), ((0, 1),)),
+    SPIN_ONE: (((2, 1),), ((0, 1),)),
+}
 
 #: Phases recovering the Tsirelson bound 2*sqrt(2) on the spin-1/2 singlet.
 TSIRELSON_ANGLES = AngleSet(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
@@ -102,67 +113,37 @@ def singlet(spin: str) -> SingletState:
     return SingletState(spin=spin, ket=Ket(amp, normalized=True))
 
 
-def total_spin_squared(spin: str) -> DenseOperator:
+def total_spin_squared(spin: str) -> FactoredOperator:
     """(S_A + S_B)^2 on the product space; annihilates the singlet."""
     levels = _check_spin(spin)
     eye = np.eye(levels)
-    out = np.zeros((levels * levels, levels * levels), dtype=complex)
+    terms = []
     for si in spin_matrices(spin):
-        tot = np.kron(si, eye) + np.kron(eye, si)
-        out += tot @ tot
-    return DenseOperator(out, hermitian=True)
+        terms += [(1.0, si @ si, eye), (2.0, si, si), (1.0, eye, si @ si)]
+    return FactoredOperator(tuple(terms))
 
 
-def spin_hamiltonian() -> DenseOperator:
-    """The 9x9 spin-1 coupling S_A . S_B = (S_A + S_B)^2 / 2 - 2.
+def spin_hamiltonian() -> FactoredOperator:
+    """The spin-1 coupling S_A . S_B = (S_A + S_B)^2 / 2 - 2.
 
     The singlet is its ground state with eigenvalue -2.
     """
-    sx, sy, sz = spin_matrices(SPIN_ONE)
-    h = sum(np.kron(si, si) for si in (sx, sy, sz))
-    return DenseOperator(h, hermitian=True)
-
-
-def flip_operator(spin: str, side: str, phase: float) -> DenseOperator:
-    """Phase-flip measurement operator embedded in the product space.
-
-    Spin 1/2 (either side): |+> <-> |-> with phases e^{+-i phase}.
-    Spin 1, side A: |-1> <-> |0> with phases, |1> fixed.
-    Spin 1, side B: |1> <-> |0> with phases, |-1> fixed.
-
-    The matrix element of the raising direction carries ``e^{i phase}``
-    (for spin 1, side A: <0|A|-1> = e^{i phase}).
-    """
-    levels = _check_spin(spin)
-    if side not in ("A", "B"):
-        raise DomainError(f"side must be 'A' or 'B', got {side!r}")
-    local = np.zeros((levels, levels), dtype=complex)
-    up = complex(np.exp(1j * phase))
-    if spin == SPIN_HALF:
-        local[1, 0] = up
-        local[0, 1] = up.conjugate()
-    elif side == "A":
-        local[0, 0] = 1.0           # |1> fixed
-        local[1, 2] = up            # |-1> -> e^{i phase} |0>
-        local[2, 1] = up.conjugate()
-    else:
-        local[2, 2] = 1.0           # |-1> fixed
-        local[1, 0] = up            # |1> -> e^{i phase} |0>
-        local[0, 1] = up.conjugate()
-    local_op = DenseOperator(local, hermitian=True)
-    eye = DenseOperator.identity(levels)
-    if side == "A":
-        return tensor(local_op, eye)
-    return tensor(eye, local_op)
+    return FactoredOperator(tuple((1.0, si, si) for si in spin_matrices(SPIN_ONE)))
 
 
 def spin_quadruple(spin: str, angles: AngleSet) -> ChshQuadruple:
-    """Build the phase-flip CHSH quadruple for the given phases."""
+    """Build the phase-flip CHSH quadruple for the given phases.
+
+    The raising direction of each flip carries ``e^{i phase}`` (for
+    spin 1, side A: <0|A|-1> = e^{i phase}).
+    """
+    levels = _check_spin(spin)
+    pairs_a, pairs_b = _FLIP_PAIRS[spin]
     return ChshQuadruple(
-        a1=flip_operator(spin, "A", angles.alpha1),
-        a2=flip_operator(spin, "A", angles.alpha2),
-        b1=flip_operator(spin, "B", angles.beta1),
-        b2=flip_operator(spin, "B", angles.beta2),
+        a1=phase_flip(levels, pairs_a, angles.alpha1),
+        a2=phase_flip(levels, pairs_a, angles.alpha2),
+        b1=phase_flip(levels, pairs_b, angles.beta1),
+        b2=phase_flip(levels, pairs_b, angles.beta2),
         angles=angles,
     )
 

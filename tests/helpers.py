@@ -1,8 +1,51 @@
-"""Shared test oracles, independent of the library code paths they check."""
+"""Shared test oracles, independent of the library code paths they check.
+
+The library keeps two-party operators as local factors.  The oracle
+here builds the full-space Kronecker matrices instead; it is meant for
+small spaces (spin, and Fock cutoffs up to about 8).
+"""
 
 import numpy as np
 
-from bellchsh import ChshQuadruple, DenseOperator, Ket
+from bellchsh import ChshQuadruple, DenseOperator, FactoredOperator, Ket
+from bellchsh.errors import ShapeError
+
+
+def dense(op: FactoredOperator) -> DenseOperator:
+    """Full-space matrix sum_k c_k kron(L_k, R_k) of a factored operator."""
+    return DenseOperator(sum(c * np.kron(left, right) for c, left, right in op.terms))
+
+
+def full_quadruple(q: ChshQuadruple) -> dict[str, np.ndarray]:
+    """The quadruple embedded in the full space: A (x) I and I (x) B."""
+    dim_a, dim_b = q.dims  # raises ShapeError on mixed dims
+    eye_a, eye_b = np.eye(dim_a), np.eye(dim_b)
+    return {
+        "a1": np.kron(q.a1.entries, eye_b), "a2": np.kron(q.a2.entries, eye_b),
+        "b1": np.kron(eye_a, q.b1.entries), "b2": np.kron(eye_a, q.b2.entries),
+    }
+
+
+def chsh_operator(q: ChshQuadruple) -> DenseOperator:
+    """Assemble C = (A1 + A2) B1 + (A1 - A2) B2 as a dense full-space matrix."""
+    full = full_quadruple(q)
+    a1, a2, b1, b2 = full["a1"], full["a2"], full["b1"], full["b2"]
+    return DenseOperator((a1 + a2) @ b1 + (a1 - a2) @ b2)
+
+
+def adjoint(m: DenseOperator) -> DenseOperator:
+    """Conjugate transpose."""
+    return m.adjoint()
+
+
+def expectation(psi: Ket, m: DenseOperator) -> complex:
+    """Expectation value <psi|M|psi> of a dense operator, normalized state."""
+    if psi.dim != m.dim:
+        raise ShapeError(f"ket dim {psi.dim} vs operator dim {m.dim}")
+    if abs(psi.norm - 1.0) > 1e-9:
+        raise ValueError(f"expectation requires a normalized state, "
+                         f"||psi|| = {psi.norm!r}")
+    return complex(np.vdot(psi.amplitudes, m.entries @ psi.amplitudes))
 
 
 def power_iteration_norm(matrix: np.ndarray, iters: int = 2000,
@@ -49,8 +92,9 @@ def random_involution_quadruple(rng: np.random.Generator, dim_a: int,
     """A generic valid quadruple: conjugated sign matrices on each side.
 
     U diag(+-1) U^dag is hermitian and squares to the identity for any
-    unitary U, and A (x) I commutes with I (x) B, so the quadruple
-    satisfies the CHSH axioms without being a phase-flip construction.
+    unitary U, and the A and B sides act on different factors, so the
+    quadruple satisfies the CHSH axioms without being a phase-flip
+    construction.
     """
 
     def side(dim: int) -> np.ndarray:
@@ -60,12 +104,11 @@ def random_involution_quadruple(rng: np.random.Generator, dim_a: int,
             signs[0] = -signs[0]  # avoid the trivial +-identity
         return u @ np.diag(signs) @ u.conj().T
 
-    eye_a, eye_b = np.eye(dim_a), np.eye(dim_b)
     ops = {}
     for name in ("a1", "a2"):
-        ops[name] = DenseOperator(np.kron(side(dim_a), eye_b))
+        ops[name] = DenseOperator(side(dim_a))
     for name in ("b1", "b2"):
-        ops[name] = DenseOperator(np.kron(eye_a, side(dim_b)))
+        ops[name] = DenseOperator(side(dim_b))
     return ChshQuadruple(**ops)
 
 

@@ -22,7 +22,7 @@ from bellchsh import (
     validate_quadruple,
 )
 from bellchsh import fock, kleingordon, spin
-from helpers import random_involution_quadruple, random_state
+from helpers import full_quadruple, random_involution_quadruple, random_state
 
 ROOT2 = math.sqrt(2.0)
 
@@ -134,9 +134,16 @@ def test_criterion_07_quadruple_axioms():
     for build in builders.values():
         for _ in range(20):
             angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
-            rep = validate_quadruple(build(angles))
-            ok = ok and rep.passed
-            worst = max(worst, rep.max_deviation / rep.tolerance)
+            quadruple = build(angles)
+            rep = validate_quadruple(quadruple)
+            # A/B commutation, checked on the dense full-space oracle
+            full = full_quadruple(quadruple)
+            commutation = max(
+                float(np.abs(full[a] @ full[b] - full[b] @ full[a]).max())
+                for a in ("a1", "a2") for b in ("b1", "b2"))
+            ok = ok and rep.passed and commutation <= rep.tolerance
+            worst = max(worst, rep.max_deviation / rep.tolerance,
+                        commutation / rep.tolerance)
     report(7, "hermiticity, involution and commutation hold for all three "
               "constructions over 20 random phase sets each", ok,
            f"worst deviation/tolerance = {worst:.2e}")

@@ -9,19 +9,25 @@ from bellchsh import (
     ClosedFormCorrelator,
     ConsistencyError,
     DenseOperator,
+    DomainError,
     Ket,
     ShapeError,
     TSIRELSON_BOUND,
-    chsh_operator,
     chsh_value,
-    expectation,
     optimize_angles,
     singlet,
     spin_quadruple,
     validate_quadruple,
 )
 from bellchsh import fock, spin
-from helpers import power_iteration_norm, random_involution_quadruple, random_state
+from helpers import (
+    chsh_operator,
+    expectation,
+    full_quadruple,
+    power_iteration_norm,
+    random_involution_quadruple,
+    random_state,
+)
 
 ROOT2 = math.sqrt(2.0)
 
@@ -38,10 +44,18 @@ class TestAngleSet:
         form = ClosedFormCorrelator(1.0, (1.0, 1.0, 1.0, -1.0))
         assert form.value(a) == pytest.approx(form.value(b), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phases(self, bad):
+        for position in range(4):
+            phases = [0.0, 0.0, 0.0, 0.0]
+            phases[position] = bad
+            with pytest.raises(DomainError):
+                AngleSet(*phases)
+
 
 class TestChshOperator:
     def test_identity_quadruple_gives_twice_identity(self):
-        eye = DenseOperator.identity(4)
+        eye = DenseOperator.identity(2)
         q = ChshQuadruple(a1=eye, a2=eye, b1=eye, b2=eye)
         assert np.abs(chsh_operator(q).entries - 2 * np.eye(4)).max() == 0.0
 
@@ -59,9 +73,13 @@ class TestChshOperator:
 
     def test_mixed_dims_raise(self):
         q = ChshQuadruple(
-            a1=DenseOperator.identity(4), a2=DenseOperator.identity(4),
-            b1=DenseOperator.identity(4), b2=DenseOperator.identity(9),
+            a1=DenseOperator.identity(2), a2=DenseOperator.identity(2),
+            b1=DenseOperator.identity(2), b2=DenseOperator.identity(3),
         )
+        with pytest.raises(ShapeError):
+            chsh_value(Ket(np.eye(4)[0], normalized=True), q)
+        with pytest.raises(ShapeError):
+            validate_quadruple(q)
         with pytest.raises(ShapeError):
             chsh_operator(q)
 
@@ -75,10 +93,11 @@ class TestChshValue:
         for _ in range(20):
             q = spin_quadruple(spin.SPIN_HALF,
                                AngleSet(*rng.uniform(-math.pi, math.pi, 4)))
-            # independent assembly: four pairwise expectations
+            # independent assembly: four pairwise full-space expectations
+            full = full_quadruple(q)
             pairwise = [
-                expectation(psi, q.a1 @ q.b1), expectation(psi, q.a2 @ q.b1),
-                expectation(psi, q.a1 @ q.b2), expectation(psi, q.a2 @ q.b2),
+                expectation(psi, DenseOperator(full[a] @ full[b]))
+                for a, b in (("a1", "b1"), ("a2", "b1"), ("a1", "b2"), ("a2", "b2"))
             ]
             direct = (pairwise[0] + pairwise[1] + pairwise[2] - pairwise[3]).real
             value = chsh_value(psi, q)
@@ -108,10 +127,10 @@ class TestChshValue:
 
     def test_imaginary_residue_raises(self):
         rng = np.random.default_rng(37)
-        entries = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        entries = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         bad = ChshQuadruple(
-            a1=DenseOperator(entries), a2=DenseOperator.identity(4),
-            b1=DenseOperator.identity(4), b2=DenseOperator.identity(4),
+            a1=DenseOperator(entries), a2=DenseOperator.identity(2),
+            b1=DenseOperator.identity(2), b2=DenseOperator.identity(2),
         )
         with pytest.raises(ConsistencyError):
             chsh_value(random_state(rng, 4), bad)
@@ -119,7 +138,7 @@ class TestChshValue:
 
 class TestValidation:
     def test_identity_quadruple_all_zero(self):
-        eye = DenseOperator.identity(4)
+        eye = DenseOperator.identity(2)
         report = validate_quadruple(ChshQuadruple(a1=eye, a2=eye, b1=eye, b2=eye))
         assert report.max_deviation == 0.0
         assert report.passed

@@ -110,6 +110,22 @@ class TestSqueezeScan:
         code, _, _ = run(capsys, "squeeze-scan", "--cutoff", "9")
         assert code == 2
 
+    def test_huge_cutoff_rejected_before_allocation(self, capsys):
+        code, out, err = run(capsys, "squeeze-scan", "--cutoff", "1000000000")
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("squeeze-scan", "--angles", "nan,0,0,0"),
+        ("spin", "--angles", "0,inf,0,0"),
+    ])
+    def test_non_finite_angles_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "Traceback" not in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "squeeze-scan", "--cutoff", "8",
                            "--eta-range", "0.3:0.6:2", "--format", "json")

@@ -5,13 +5,14 @@ import pytest
 
 from bellchsh import (
     AngleSet,
+    DenseOperator,
     DomainError,
     chsh_value,
-    expectation,
     validate_quadruple,
 )
 from bellchsh.fock import (
     FockSpace,
+    MAX_CUTOFF,
     MAX_VIOLATION_ANGLES,
     bogoliubov_pair,
     chsh_closed,
@@ -19,15 +20,53 @@ from bellchsh.fock import (
     correlator_closed,
     fock_quadruple,
     ladder_matrices,
-    pair_flip,
     squeezed_closed_form,
     squeezed_hamiltonian,
     squeezed_state,
     violation_window,
 )
-from helpers import series_squeezed_state
+from helpers import (
+    chsh_operator,
+    dense,
+    expectation,
+    full_quadruple,
+    series_squeezed_state,
+)
 
 ROOT2 = math.sqrt(2.0)
+ZERO_PHASES = AngleSet(0.0, 0.0, 0.0, 0.0)
+
+
+def kron_flip(cutoff: int, side: str, phase: float) -> np.ndarray:
+    """Parity-pair flip built densely as the full-space Kronecker product
+    of a per-mode flip and the identity, <2n+1|F|2n> = e^{i phase}."""
+    local = np.zeros((cutoff, cutoff), dtype=complex)
+    up = complex(np.exp(1j * phase))
+    evens = np.arange(0, cutoff, 2)
+    local[evens + 1, evens] = up
+    local[evens, evens + 1] = up.conjugate()
+    eye = np.eye(cutoff)
+    return np.kron(local, eye) if side == "A" else np.kron(eye, local)
+
+
+def kron_bogoliubov_and_hamiltonian(eta: float, cutoff: int):
+    """(alpha, beta, H) built densely on the full space from Kronecker
+    products of the per-mode ladder matrices."""
+    low = np.zeros((cutoff, cutoff), dtype=complex)
+    n = np.arange(1, cutoff)
+    low[n - 1, n] = np.sqrt(n)
+    raz = low.conj().T
+    eye = np.eye(cutoff)
+    a, b = np.kron(low, eye), np.kron(eye, low)
+    scale = 1.0 / math.sqrt(1.0 - eta * eta)
+    alpha = scale * (a - eta * b.conj().T)
+    beta = scale * (b - eta * a.conj().T)
+    num = np.diag(np.arange(cutoff)).astype(complex)
+    one_minus = 1.0 - eta * eta
+    h = ((1.0 + eta * eta) / one_minus) * (np.kron(num, eye) + np.kron(eye, num))
+    h -= (2.0 * eta / one_minus) * (np.kron(raz, raz) + np.kron(low, low))
+    h += (2.0 * eta * eta / one_minus) * np.eye(cutoff * cutoff)
+    return alpha, beta, h
 
 
 def interior_block(matrix: np.ndarray, cutoff: int, margin: int) -> np.ndarray:
@@ -49,6 +88,12 @@ class TestFockSpace:
         with pytest.raises(DomainError):
             FockSpace(bad)
 
+    @pytest.mark.parametrize("bad", [MAX_CUTOFF + 2, 10**9])
+    def test_rejects_cutoffs_above_the_cap(self, bad):
+        # checked in the constructor, before anything is allocated
+        with pytest.raises(DomainError):
+            FockSpace(bad)
+
 
 class TestLadderMatrices:
     def test_annihilates_vacuum(self):
@@ -56,27 +101,27 @@ class TestLadderMatrices:
         a, _, b, _ = ladder_matrices(space)
         vacuum = np.zeros(space.dim)
         vacuum[0] = 1.0
-        assert np.abs(a.entries @ vacuum).max() == 0.0
-        assert np.abs(b.entries @ vacuum).max() == 0.0
+        assert np.abs(dense(a).entries @ vacuum).max() == 0.0
+        assert np.abs(dense(b).entries @ vacuum).max() == 0.0
 
     def test_single_excitation_matrix_element(self):
         space = FockSpace(6)
         _, a_dag, _, _ = ladder_matrices(space)
         # <1, 0| a_dag |0, 0> = 1
-        assert a_dag.entries[1 * 6 + 0, 0] == 1.0
+        assert dense(a_dag).entries[1 * 6 + 0, 0] == 1.0
 
     def test_cross_mode_commutators_vanish_exactly(self):
         space = FockSpace(8)
-        a, a_dag, b, b_dag = ladder_matrices(space)
+        a, a_dag, b, b_dag = (dense(op).entries for op in ladder_matrices(space))
         for left, right in ((a, b_dag), (a, b), (a_dag, b_dag)):
-            comm = left.entries @ right.entries - right.entries @ left.entries
+            comm = left @ right - right @ left
             assert np.abs(comm).max() == 0.0
 
     def test_same_mode_commutator_structure(self):
         space = FockSpace(8)
         n = space.cutoff
-        a, a_dag, _, _ = ladder_matrices(space)
-        comm = a.entries @ a_dag.entries - a_dag.entries @ a.entries
+        a, a_dag, _, _ = (dense(op).entries for op in ladder_matrices(space))
+        comm = a @ a_dag - a_dag @ a
         expected = np.kron(np.diag([1.0] * (n - 1) + [1.0 - n]), np.eye(n))
         assert np.abs(comm - expected).max() <= 1e-13
 
@@ -147,14 +192,14 @@ class TestBogoliubov:
         space = FockSpace(8)
         a, _, b, _ = ladder_matrices(space)
         pair = bogoliubov_pair(1e-9, space)
-        assert np.abs(pair.alpha.entries - a.entries).max() <= 1e-8
-        assert np.abs(pair.beta.entries - b.entries).max() <= 1e-8
+        assert np.abs(dense(pair.alpha).entries - dense(a).entries).max() <= 1e-8
+        assert np.abs(dense(pair.beta).entries - dense(b).entries).max() <= 1e-8
 
     def test_canonical_commutators_on_interior(self):
         space = FockSpace(12)
         n = space.cutoff
         pair = bogoliubov_pair(0.6, space)
-        alpha, beta = pair.alpha.entries, pair.beta.entries
+        alpha, beta = dense(pair.alpha).entries, dense(pair.beta).entries
         alpha_dag = alpha.conj().T
         same = alpha @ alpha_dag - alpha_dag @ alpha - np.eye(space.dim)
         cross = alpha @ beta - beta @ alpha
@@ -188,7 +233,7 @@ class TestSqueezedHamiltonian:
 
     def test_small_eta_limit_is_number_operator(self):
         space = FockSpace(6)
-        h = squeezed_hamiltonian(1e-10, space)
+        h = dense(squeezed_hamiltonian(1e-10, space))
         levels = np.arange(6)
         number = np.diag(np.add.outer(levels, levels).ravel().astype(float))
         assert np.abs(h.entries - number).max() <= 1e-8
@@ -197,14 +242,15 @@ class TestSqueezedHamiltonian:
         space = FockSpace(12)
         eta = 0.55
         pair = bogoliubov_pair(eta, space)
-        alpha, beta = pair.alpha.entries, pair.beta.entries
+        alpha, beta = dense(pair.alpha).entries, dense(pair.beta).entries
         built = alpha.conj().T @ alpha + beta.conj().T @ beta
-        closed = squeezed_hamiltonian(eta, space).entries
+        closed = dense(squeezed_hamiltonian(eta, space)).entries
         diff = interior_block(built - closed, space.cutoff, 2)
         assert np.abs(diff).max() <= 1e-12
 
     def test_hermitian(self):
-        assert squeezed_hamiltonian(0.4, FockSpace(8)).hermiticity_deviation <= 1e-13
+        h = dense(squeezed_hamiltonian(0.4, FockSpace(8)))
+        assert h.hermiticity_deviation <= 1e-13
 
 
 class TestPairFlip:
@@ -213,32 +259,35 @@ class TestPairFlip:
         space = FockSpace(4)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         expected = np.kron(np.eye(2), swap)
-        a = pair_flip(space, "A", 0.0)
-        assert np.array_equal(a.entries, np.kron(expected, np.eye(4)))
-        b = pair_flip(space, "B", 0.0)
-        assert np.array_equal(b.entries, np.kron(np.eye(4), expected))
+        q = fock_quadruple(space, ZERO_PHASES)
+        assert np.array_equal(q.a1.entries, expected)
+        assert np.array_equal(q.b1.entries, expected)
+        full = full_quadruple(q)
+        assert np.array_equal(full["a1"], np.kron(expected, np.eye(4)))
+        assert np.array_equal(full["b1"], np.kron(np.eye(4), expected))
 
     def test_raising_matrix_element_phase(self):
         space = FockSpace(6)
-        phi = -0.61
-        a = pair_flip(space, "A", phi)
+        angles = AngleSet(-0.61, 0.0, 0.0, 0.0)
+        a = full_quadruple(fock_quadruple(space, angles))["a1"]
         for pair_base in (0, 2, 4):
             for spectator in range(6):
                 row = (pair_base + 1) * 6 + spectator
                 col = pair_base * 6 + spectator
-                assert a.entries[row, col] == pytest.approx(np.exp(1j * phi), abs=0)
+                assert a[row, col] == pytest.approx(np.exp(1j * angles.alpha1), abs=0)
 
     def test_involution_and_hermiticity_exact(self):
         space = FockSpace(8)
-        for side in ("A", "B"):
-            f = pair_flip(space, side, 1.234)
-            assert f.hermiticity_deviation == 0.0
-            assert np.abs(f.entries @ f.entries - np.eye(space.dim)).max() <= 1e-15
+        full = full_quadruple(fock_quadruple(space, AngleSet(1.234, 0.0, 1.234, 0.0)))
+        for side in ("a1", "b1"):
+            f = full[side]
+            assert DenseOperator(f).hermiticity_deviation == 0.0
+            assert np.abs(f @ f - np.eye(space.dim)).max() <= 1e-15
 
     def test_sides_commute_exactly(self):
         space = FockSpace(6)
-        a = pair_flip(space, "A", 0.3).entries
-        b = pair_flip(space, "B", -1.1).entries
+        full = full_quadruple(fock_quadruple(space, AngleSet(0.3, 0.0, -1.1, 0.0)))
+        a, b = full["a1"], full["b1"]
         assert np.abs(a @ b - b @ a).max() <= 1e-15
 
     def test_quadruple_validates(self):
@@ -247,6 +296,53 @@ class TestPairFlip:
         for _ in range(5):
             q = fock_quadruple(space, AngleSet(*rng.uniform(-math.pi, math.pi, 4)))
             assert validate_quadruple(q).passed
+
+
+class TestKroneckerOracle:
+    """The factored operators expanded by ``helpers.dense`` against the
+    full-space Kronecker construction."""
+
+    @pytest.mark.parametrize("cutoff", [4, 6, 8])
+    def test_flips_match_exactly(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        for _ in range(5):
+            angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
+            full = full_quadruple(fock_quadruple(FockSpace(cutoff), angles))
+            for name, side, phase in (("a1", "A", angles.alpha1),
+                                      ("a2", "A", angles.alpha2),
+                                      ("b1", "B", angles.beta1),
+                                      ("b2", "B", angles.beta2)):
+                assert np.array_equal(full[name], kron_flip(cutoff, side, phase))
+
+    @pytest.mark.parametrize("cutoff", [4, 6, 8])
+    def test_bogoliubov_and_hamiltonian_match(self, cutoff):
+        space = FockSpace(cutoff)
+        for eta in (0.1, 0.5, 0.9):
+            alpha, beta, h = kron_bogoliubov_and_hamiltonian(eta, cutoff)
+            pair = bogoliubov_pair(eta, space)
+            assert np.abs(dense(pair.alpha).entries - alpha).max() <= 1e-15
+            assert np.abs(dense(pair.beta).entries - beta).max() <= 1e-15
+            # H entries reach ~140 at eta = 0.9: 1e-15 relative to the largest
+            built = dense(squeezed_hamiltonian(eta, space)).entries
+            assert np.abs(built - h).max() <= 1e-15 * np.abs(h).max()
+
+
+class TestLargeCutoff:
+    def test_cutoff_two_hundred(self):
+        # a dense full-space matrix would hold 200**4 complex entries (25.6 GB)
+        space = FockSpace(200)
+        n = space.cutoff
+        rng = np.random.default_rng(200)
+        for eta in (0.5, 0.9):
+            angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
+            delta = abs(chsh_matrix(eta, space, angles) - chsh_closed(eta, angles))
+            assert delta <= max(1e-8, 20.0 * eta ** (2 * n))
+            assert validate_quadruple(fock_quadruple(space, angles)).passed
+            state = squeezed_state(eta, space)
+            pair = bogoliubov_pair(eta, space)
+            bound = 10.0 * eta ** (n - 1)
+            assert pair.alpha.apply(state.ket).norm <= bound
+            assert pair.beta.apply(state.ket).norm <= bound
 
 
 class TestClosedForms:
@@ -258,11 +354,12 @@ class TestClosedForms:
             assert abs(correlator_closed(eta, math.pi / 4, math.pi / 4)) <= 1e-16
 
     def test_pair_correlator_matches_matrix_oracle(self):
-        space = FockSpace(40)
+        # even cutoffs reproduce the closed form exactly, so the dense
+        # oracle runs at a small one
+        space = FockSpace(8)
         psi = squeezed_state(0.5, space).ket
-        a = pair_flip(space, "A", 0.3)
-        b = pair_flip(space, "B", -0.7)
-        value = expectation(psi, a @ b).real
+        full = full_quadruple(fock_quadruple(space, AngleSet(0.3, 0.0, -0.7, 0.0)))
+        value = expectation(psi, DenseOperator(full["a1"] @ full["b1"])).real
         assert abs(value - correlator_closed(0.5, 0.3, -0.7)) <= 1e-8
 
     def test_window_endpoint_value(self):
@@ -308,16 +405,17 @@ class TestViolationWindow:
 
 class TestMatrixEvaluation:
     def test_matches_generic_quadruple_path(self):
+        # the factored evaluation against the dense full-space operator
         rng = np.random.default_rng(79)
-        for cutoff in (8, 12):
+        for cutoff in (6, 8):
             space = FockSpace(cutoff)
             for _ in range(5):
                 eta = float(rng.uniform(0.1, 0.9))
                 angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
                 fast = chsh_matrix(eta, space, angles)
-                generic = chsh_value(squeezed_state(eta, space).ket,
-                                     fock_quadruple(space, angles))
-                assert abs(fast - generic) <= 1e-12
+                generic = expectation(squeezed_state(eta, space).ket,
+                                      chsh_operator(fock_quadruple(space, angles)))
+                assert abs(fast - generic.real) <= 1e-12
 
     def test_against_closed_form_at_moderate_cutoff(self):
         rng = np.random.default_rng(83)
@@ -329,7 +427,7 @@ class TestMatrixEvaluation:
             assert delta <= max(1e-8, 20.0 * eta ** (2 * space.cutoff))
 
     def test_full_quadruple_path_at_cutoff_forty(self):
-        # one direct spot check of the dumb path at the scan cutoff
+        # chsh_value on the quadruple itself at the scan cutoff
         space = FockSpace(40)
         eta = 0.55
         angles = AngleSet(0.9, -2.1, 0.4, 1.7)

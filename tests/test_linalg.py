@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from bellchsh import (
-    CapacityError,
     DenseOperator,
+    FactoredOperator,
     Ket,
     ShapeError,
-    adjoint,
-    expectation,
-    tensor,
-    tensor_ket,
 )
-from helpers import random_state, random_unitary
+from helpers import adjoint, dense, expectation, random_state, random_unitary
 
 
 def op(arr):
     return DenseOperator(np.asarray(arr, dtype=complex))
+
+
+def product(a, b, coef=1.0):
+    """The single-term factored operator coef * a (x) b."""
+    return FactoredOperator(((coef, a, b),))
 
 
 class TestConstruction:
@@ -45,51 +46,93 @@ class TestConstruction:
 
 
 class TestTensor:
+    """Tensor-product structure of factored two-party operators."""
+
     def test_identity_times_identity(self):
-        eye2 = DenseOperator.identity(2)
-        assert np.array_equal(tensor(eye2, eye2).entries, np.eye(4))
+        eye2 = np.eye(2)
+        assert np.array_equal(dense(product(eye2, eye2)).entries, np.eye(4))
+        psi = random_state(np.random.default_rng(5), 4)
+        assert np.array_equal(product(eye2, eye2).apply(psi).amplitudes,
+                              psi.amplitudes)
 
     def test_mixed_product_identity(self):
+        # (a (x) I)(I (x) b) = a (x) b, applied to a generic state
         rng = np.random.default_rng(7)
-        a = op(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        b = op(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        eye = DenseOperator.identity(3)
-        left = tensor(a, eye) @ tensor(eye, b)
-        assert np.abs(left.entries - tensor(a, b).entries).max() <= 1e-13
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        eye = np.eye(3)
+        psi = random_state(rng, 9)
+        left = product(a, eye).apply(product(eye, b).apply(psi)).amplitudes
+        assert np.abs(left - product(a, b).apply(psi).amplitudes).max() <= 1e-13
 
     def test_embedded_sides_commute(self):
-        # spin-1 flip on the A factor against a flip on the B factor
-        from bellchsh import flip_operator
+        # a spin-1 flip on the A factor against a flip on the B factor
+        from bellchsh import SPIN_ONE, AngleSet, spin_quadruple
 
-        a1 = flip_operator("one", "A", 0.37)
-        b1 = flip_operator("one", "B", -1.2)
-        direct = a1.entries @ b1.entries - b1.entries @ a1.entries
-        assert np.abs(direct).max() <= 1e-13
+        q = spin_quadruple(SPIN_ONE, AngleSet(0.37, 0.0, -1.2, 0.0))
+        a1 = product(q.a1.entries, np.eye(3))
+        b1 = product(np.eye(3), q.b1.entries)
+        psi = random_state(np.random.default_rng(9), 9)
+        ab = a1.apply(b1.apply(psi)).amplitudes
+        ba = b1.apply(a1.apply(psi)).amplitudes
+        assert np.abs(ab - ba).max() <= 1e-13
 
     def test_associativity_up_to_relabeling(self):
+        # (a (x) b) (x) c and a (x) (b (x) c) split the same composite
+        # index differently; both must act identically
         rng = np.random.default_rng(11)
-        a = op(rng.normal(size=(2, 2)))
-        b = op(rng.normal(size=(3, 3)))
-        c = op(rng.normal(size=(2, 2)))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.abs(left.entries - right.entries).max() <= 1e-13
+        a = rng.normal(size=(2, 2))
+        b = rng.normal(size=(3, 3))
+        c = rng.normal(size=(2, 2))
+        psi = random_state(rng, 12)
+        left = product(np.kron(a, b), c).apply(psi).amplitudes
+        right = product(a, np.kron(b, c)).apply(psi).amplitudes
+        assert np.abs(left - right).max() <= 1e-13
 
     def test_action_factorizes_on_product_states(self):
         rng = np.random.default_rng(13)
-        a = op(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        b = op(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u, v = random_state(rng, 3), random_state(rng, 2)
-        left = tensor(a, b).apply(tensor_ket(u, v)).amplitudes
-        right = np.kron(a.apply(u).amplitudes, b.apply(v).amplitudes)
+        left = product(a, b).apply(Ket(np.kron(u.amplitudes, v.amplitudes))).amplitudes
+        right = np.kron(a @ u.amplitudes, b @ v.amplitudes)
         assert np.abs(left - right).max() <= 1e-13
 
-    def test_capacity_guard(self):
-        big = DenseOperator.identity(150)
-        with pytest.raises(CapacityError):
-            tensor(big, big)
-        with pytest.raises(CapacityError):
-            tensor_ket(Ket(np.ones(150)), Ket(np.ones(150)), max_dim=1000)
+    def test_matches_dense_kronecker_sum(self):
+        rng = np.random.default_rng(15)
+        terms = tuple((complex(rng.normal(), rng.normal()),
+                       rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+                       rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+                      for _ in range(3))
+        factored = FactoredOperator(terms)
+        psi = random_state(rng, 12)
+        via_dense = dense(factored).apply(psi).amplitudes
+        assert np.abs(factored.apply(psi).amplitudes - via_dense).max() <= 1e-13
+        adj = dense(factored.adjoint()).entries
+        assert np.abs(adj - dense(factored).entries.conj().T).max() <= 1e-15
+        first = FactoredOperator(terms[:1])
+        combo = dense(2.0 * factored - first).entries
+        expected = 2.0 * dense(factored).entries - dense(first).entries
+        assert np.abs(combo - expected).max() <= 1e-13
+
+    def test_no_capacity_limit_past_old_dense_budget(self):
+        # 150 x 150 factors: the product dimension 22500 is past the old
+        # 16384 budget for dense full-space matrices; the factors are small
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(150, 150))
+        b = rng.normal(size=(150, 150))
+        u, v = random_state(rng, 150), random_state(rng, 150)
+        image = product(a, b).apply(Ket(np.kron(u.amplitudes, v.amplitudes)))
+        expected = np.kron(a @ u.amplitudes, b @ v.amplitudes)
+        assert np.abs(image.amplitudes - expected).max() <= 1e-12
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            FactoredOperator(())
+        with pytest.raises(ShapeError):
+            FactoredOperator(((1.0, np.eye(2), np.eye(3)), (1.0, np.eye(3), np.eye(2))))
+        with pytest.raises(ShapeError):
+            product(np.eye(2), np.eye(3)).apply(Ket(np.ones(5)))
 
 
 class TestAdjoint:
@@ -136,11 +179,13 @@ class TestExpectation:
     def test_squeezed_pair_correlator_value(self):
         # <eta|A1 B1|eta> = 2 eta/(1+eta^2) cos(a1+b1) = 0.8 at eta=0.5,
         # zero phases (cutoff-independent for even cutoffs)
-        from bellchsh import FockSpace, pair_flip, squeezed_state
+        from bellchsh import AngleSet, FockSpace, fock_quadruple, squeezed_state
+        from helpers import full_quadruple
 
-        space = FockSpace(16)
+        space = FockSpace(8)
         psi = squeezed_state(0.5, space).ket
-        ab = pair_flip(space, "A", 0.0) @ pair_flip(space, "B", 0.0)
+        full = full_quadruple(fock_quadruple(space, AngleSet(0.0, 0.0, 0.0, 0.0)))
+        ab = DenseOperator(full["a1"] @ full["b1"])
         assert abs(expectation(psi, ab) - 0.8) <= 1e-12
 
     def test_requires_matching_dims(self):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bellchsh import (
+    ClosedFormCorrelator,
     DomainError,
     RindlerModeSet,
+    TSIRELSON_BOUND,
     mode_squeezing,
     rindler_chsh,
     tau,
@@ -14,7 +16,7 @@ from bellchsh import (
     unruh_temperature,
 )
 from bellchsh import fock
-from bellchsh.rindler import RINDLER_ANGLES, ScanRow
+from bellchsh.rindler import ScanRow
 
 TWO_PI = 2.0 * math.pi
 ROOT2 = math.sqrt(2.0)
@@ -110,7 +112,11 @@ class TestTau:
 
 class TestRindlerChsh:
     def test_angles_match_oscillator_choice(self):
-        assert RINDLER_ANGLES == fock.MAX_VIOLATION_ANGLES
+        # rindler_chsh = 2 sqrt(2) tau assumes the oscillator's maximal-
+        # violation phases saturate the cosine combination at 2 sqrt(2)
+        pattern = ClosedFormCorrelator(1.0, (1.0, 1.0, 1.0, -1.0))
+        value = pattern.value(fock.MAX_VIOLATION_ANGLES)
+        assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-15)
 
     def test_form_factor_point_nine(self):
         # pick T so that 1/cosh(w/2T) = 0.9, then CHSH = 2 sqrt(2) * 0.9

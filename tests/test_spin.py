@@ -8,7 +8,7 @@ from bellchsh import (
     DomainError,
     SpinBasisLabel,
     chsh_value,
-    flip_operator,
+    phase_flip,
     singlet,
     spin_half_chsh_closed,
     spin_half_pair_correlator,
@@ -25,9 +25,37 @@ from bellchsh.spin import (
     SPIN_ONE_VIOLATION_ANGLES,
     TSIRELSON_ANGLES,
 )
+from helpers import dense, full_quadruple
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
+
+
+def flips(kind, phase_a, phase_b):
+    """Full-space A1 and B1 of a spin quadruple with the given phases."""
+    full = full_quadruple(spin_quadruple(kind, AngleSet(phase_a, 0.0, phase_b, 0.0)))
+    return full["a1"], full["b1"]
+
+
+def kron_flip(kind, side, phase):
+    """Spin flip built densely as the full-space Kronecker product of the
+    single-particle flip and the identity."""
+    levels = 2 if kind == SPIN_HALF else 3
+    local = np.zeros((levels, levels), dtype=complex)
+    up = complex(np.exp(1j * phase))
+    if kind == SPIN_HALF:
+        local[1, 0] = up
+        local[0, 1] = up.conjugate()
+    elif side == "A":
+        local[0, 0] = 1.0           # |1> fixed
+        local[1, 2] = up            # |-1> -> e^{i phase} |0>
+        local[2, 1] = up.conjugate()
+    else:
+        local[2, 2] = 1.0           # |-1> fixed
+        local[1, 0] = up            # |1> -> e^{i phase} |0>
+        local[0, 1] = up.conjugate()
+    eye = np.eye(levels)
+    return np.kron(local, eye) if side == "A" else np.kron(eye, local)
 
 
 class TestSinglet:
@@ -94,37 +122,35 @@ class TestHamiltonian:
         assert np.abs(residual).max() <= 1e-12
 
     def test_hermitian(self):
-        assert spin_hamiltonian().hermiticity_deviation <= 1e-15
+        assert dense(spin_hamiltonian()).hermiticity_deviation <= 1e-15
 
     def test_traceless(self):
-        assert abs(np.trace(spin_hamiltonian().entries)) <= 1e-13
+        assert abs(np.trace(dense(spin_hamiltonian()).entries)) <= 1e-13
 
 
 class TestFlipOperators:
     def test_phase_zero_spin_half_is_pauli_x(self):
         pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a = flip_operator(SPIN_HALF, "A", 0.0)
-        assert np.array_equal(a.entries, np.kron(pauli_x, np.eye(2)))
-        b = flip_operator(SPIN_HALF, "B", 0.0)
-        assert np.array_equal(b.entries, np.kron(np.eye(2), pauli_x))
+        a, b = flips(SPIN_HALF, 0.0, 0.0)
+        assert np.array_equal(a, np.kron(pauli_x, np.eye(2)))
+        assert np.array_equal(b, np.kron(np.eye(2), pauli_x))
 
     def test_spin_one_raising_matrix_element(self):
-        phi = 0.83
-        a = flip_operator(SPIN_ONE, "A", phi)
+        angles = AngleSet(0.83, 0.0, 0.0, 0.0)
+        a, _ = flips(SPIN_ONE, angles.alpha1, 0.0)
         # <0_A, m_B | A | -1_A, m_B> = e^{i phi} for every spectator m_B
         for m in range(3):
-            assert a.entries[1 * 3 + m, 2 * 3 + m] == pytest.approx(
-                np.exp(1j * phi), abs=1e-15)
+            assert a[1 * 3 + m, 2 * 3 + m] == pytest.approx(
+                np.exp(1j * angles.alpha1), abs=1e-15)
 
     def test_fixed_levels(self):
-        a = flip_operator(SPIN_ONE, "A", 1.1)
-        b = flip_operator(SPIN_ONE, "B", -0.4)
+        a, b = flips(SPIN_ONE, 1.1, -0.4)
         up_a = np.zeros(9)
         up_a[0 * 3 + 1] = 1.0  # |1>_A (x) |0>_B
-        assert np.array_equal(a.entries @ up_a, up_a)
+        assert np.array_equal(a @ up_a, up_a)
         down_b = np.zeros(9)
         down_b[1 * 3 + 2] = 1.0  # |0>_A (x) |-1>_B
-        assert np.array_equal(b.entries @ down_b, down_b)
+        assert np.array_equal(b @ down_b, down_b)
 
     @pytest.mark.parametrize("kind", [SPIN_HALF, SPIN_ONE])
     def test_quadruples_validate_at_random_phases(self, kind):
@@ -133,9 +159,23 @@ class TestFlipOperators:
             q = spin_quadruple(kind, AngleSet(*rng.uniform(-math.pi, math.pi, 4)))
             assert validate_quadruple(q).passed
 
-    def test_bad_side_rejected(self):
-        with pytest.raises(DomainError):
-            flip_operator(SPIN_ONE, "C", 0.0)
+    @pytest.mark.parametrize("kind", [SPIN_HALF, SPIN_ONE])
+    def test_match_kronecker_construction_exactly(self, kind):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
+            full = full_quadruple(spin_quadruple(kind, angles))
+            for name, side, phase in (("a1", "A", angles.alpha1),
+                                      ("a2", "A", angles.alpha2),
+                                      ("b1", "B", angles.beta1),
+                                      ("b2", "B", angles.beta2)):
+                assert np.array_equal(full[name], kron_flip(kind, side, phase))
+
+    def test_builder_fixes_levels_outside_the_pairs(self):
+        flip = phase_flip(4, [(0, 3)], 0.5).entries
+        assert flip[3, 0] == np.exp(0.5j) and flip[0, 3] == np.exp(-0.5j)
+        assert flip[1, 1] == flip[2, 2] == 1.0
+        assert flip[0, 0] == flip[3, 3] == 0.0
 
 
 class TestClosedForms:
@@ -160,9 +200,8 @@ class TestClosedForms:
         psi = singlet(SPIN_HALF).ket
         for _ in range(50):
             alpha, beta = rng.uniform(-math.pi, math.pi, 2)
-            a = flip_operator(SPIN_HALF, "A", alpha)
-            b = flip_operator(SPIN_HALF, "B", beta)
-            pair = np.vdot(psi.amplitudes, a.entries @ (b.entries @ psi.amplitudes))
+            a, b = flips(SPIN_HALF, alpha, beta)
+            pair = np.vdot(psi.amplitudes, a @ (b @ psi.amplitudes))
             assert abs(pair.imag) <= 1e-13
             assert abs(pair.real - spin_half_pair_correlator(alpha, beta)) <= 1e-12
 
