@@ -27,9 +27,9 @@ def main():
     separation = 4 * math.sqrt(2.0)
     f = GaussianPacket.on_shell(mass, (0.0, 0.0, +separation), width=1.0)
     g = GaussianPacket.on_shell(mass, (0.0, 0.0, -separation), width=1.0)
-    quad = ShellQuadrature.for_packets(f, g, radial=96, angular=64)
-    print(f"mass-shell quadrature: {quad.radial} radial x {quad.angular} "
-          f"angular nodes, k_max = {quad.k_max:.2f}")
+    quad = ShellQuadrature.for_packets(f, g, radial=96)
+    print(f"mass-shell quadrature: {quad.radial} radial nodes "
+          f"(closed-form angular factor), k_max = {quad.k_max:.2f}")
 
     estimate = test_norm(f, quad)
     print(f"\n||f||^2 = {estimate.value:.10e}  "

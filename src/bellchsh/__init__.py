@@ -66,7 +66,6 @@ from .rindler import (
     mode_squeezing,
     rindler_chsh,
     tau,
-    tau_exponential_form,
     temperature_scan,
     unruh_temperature,
 )

@@ -40,7 +40,7 @@ from .chsh import (
     optimize_angles,
     validate_quadruple,
 )
-from .errors import ConfigError, DomainError, PrecisionError
+from .errors import ConfigError, DegenerateInputError, DomainError, PrecisionError
 from .linalg import DenseOperator
 
 OUT_DIR_ENV = "BELLCHSH_OUT_DIR"
@@ -94,6 +94,8 @@ def parse_range(text: str, name: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise ConfigError(f"cannot parse {name} {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name} bounds must be finite, got {text!r}")
     if steps < 1:
         raise ConfigError(f"{name} needs at least 1 step, got {steps}")
     if hi < lo:
@@ -290,12 +292,18 @@ def cmd_optimize(args) -> int:
 def cmd_kg_norm(args) -> int:
     config = RunConfig(fmt=args.format, out=args.out)
     center = parse_floats(args.center, "--center")
-    if len(center) != 3:
-        raise ConfigError(f"--center needs cx,cy,cz, got {args.center!r}")
-    if args.width <= 0.0:
-        raise ConfigError(f"--width must be positive, got {args.width}")
-    if args.mass < 0.0:
-        raise ConfigError(f"--mass must be non-negative, got {args.mass}")
+    if len(center) != 3 or not all(map(math.isfinite, center)):
+        raise ConfigError(f"--center needs finite cx,cy,cz, got {args.center!r}")
+    if not 0.0 < args.width < math.inf:
+        raise ConfigError(f"--width must be positive and finite, got {args.width}")
+    if not 0.0 <= args.mass < math.inf:
+        raise ConfigError(f"--mass must be non-negative and finite, got {args.mass}")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    for flag, value in (("--center-energy", args.center_energy),
+                        ("--amplitude", args.amplitude)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     radial, angular = parse_quad(args.quad)
 
     packet = kleingordon.GaussianPacket.on_shell(
@@ -312,6 +320,8 @@ def cmd_kg_norm(args) -> int:
     )
 
     estimate = kleingordon.test_norm(packet, quad)
+    if not estimate.value > 0.0:
+        raise DegenerateInputError(f"test function norm is degenerate: {estimate.value!r}")
     rows = [
         {"quantity": "norm_sq", "value": estimate.value},
         {"quantity": "error_estimate", "value": estimate.error},
@@ -401,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the on-shell center energy")
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--quad", default="128,32", metavar="RADIAL,ANGULAR")
+    p.add_argument("--quad", default="128,32", metavar="RADIAL,ANGULAR",
+                   help="quadrature node counts; the radial rule uses RADIAL only")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--normalize", action="store_true",
                    help="also rescale to unit norm and report the recheck")
@@ -423,10 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except DomainError as err:
+    except (ConfigError, DomainError, DegenerateInputError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return _EXIT_CONFIG
     except PrecisionError as err:

@@ -9,14 +9,22 @@ with omega_k = sqrt(k^2 + m^2).  Test functions are Gaussian wave
 packets in momentum space: their transforms are analytic and decay
 super-polynomially, so the quadrature error is certifiable, unlike for
 compactly supported bump profiles which have no closed-form transform.
-A pair of unit-norm, mutually orthogonal packets (f, g) smearing the
-two field species realizes an independent oscillator pair, which
-reduces the squeezed-state CHSH correlator to the closed form of the
-two-mode oscillator with the same squeezing parameter.
+Their angular integral is closed-form as well,
+
+    integral dOmega exp(k . b) = 4 pi sinh(k |b|) / (k |b|),    b = sigma_f^2 c_f + sigma_g^2 c_g,
+
+so <f|g> is a radial Gauss-Legendre rule on [0, k_max], with a
+certified tail beyond k_max and a self-convergence error bar from
+doubling the radial nodes.  A pair of unit-norm, mutually orthogonal
+packets (f, g) smearing the two field species realizes an independent
+oscillator pair, which reduces the squeezed-state CHSH correlator to
+the closed form of the two-mode oscillator with the same squeezing
+parameter.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,11 +69,15 @@ class GaussianPacket:
         if len(self.center) != 4:
             raise DomainError(f"center must be a four-momentum, got {self.center!r}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not self.width > 0.0:
-            raise DomainError(f"width must be positive, got {self.width}")
-        if self.mass < 0.0:
-            raise DomainError(f"mass must be non-negative, got {self.mass}")
+        if not all(math.isfinite(c) for c in self.center):
+            raise DomainError(f"center must be finite, got {self.center!r}")
+        if not 0.0 < self.width < math.inf:
+            raise DomainError(f"width must be positive and finite, got {self.width}")
+        if not 0.0 <= self.mass < math.inf:
+            raise DomainError(f"mass must be non-negative and finite, got {self.mass}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
+        if not cmath.isfinite(self.amplitude):
+            raise DomainError(f"amplitude must be finite, got {self.amplitude}")
 
     @classmethod
     def on_shell(cls, mass: float, spatial_center: tuple[float, float, float],
@@ -89,22 +101,15 @@ class GaussianPacket:
         return GaussianPacket(center=self.center, width=self.width,
                               mass=self.mass, amplitude=self.amplitude * factor)
 
-    def profile(self, omega, kx, ky, kz):
-        """Evaluate fhat at on-shell momentum arrays."""
-        c0, cx, cy, cz = self.center
-        s2 = self.width * self.width
-        q = (omega - c0) ** 2 + (kx - cx) ** 2 + (ky - cy) ** 2 + (kz - cz) ** 2
-        return self.amplitude * np.exp(-0.5 * s2 * q)
-
 
 @dataclass(frozen=True)
 class ShellQuadrature:
-    """Spherical product rule for the mass-shell measure.
+    """Radial Gauss-Legendre rule on [0, k_max] for the mass-shell measure.
 
-    Gauss-Legendre nodes in the radial momentum on [0, k_max] and in
-    cos(theta); uniform (trapezoidal) nodes in the azimuth, which is
-    spectrally exact for the periodic direction.  ``angular`` counts the
-    cos(theta) nodes; the azimuth gets twice as many.
+    The angular integral of a Gaussian pair is closed-form, so
+    :func:`shell_inner_product` ignores ``angular``; the count is still
+    validated and refined so that the same rule can size a spherical
+    product rule.
     """
 
     k_max: float
@@ -115,10 +120,10 @@ class ShellQuadrature:
     def __post_init__(self):
         if self.radial < 2 or self.angular < 2:
             raise DomainError("quadrature needs at least 2 nodes per direction")
-        if not self.k_max > 0.0:
-            raise DomainError(f"k_max must be positive, got {self.k_max}")
-        if not self.tol > 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.k_max < math.inf:
+            raise DomainError(f"k_max must be positive and finite, got {self.k_max}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, got {self.tol}")
 
     @classmethod
     def for_packets(cls, *packets: GaussianPacket, radial: int = 128,
@@ -134,30 +139,6 @@ class ShellQuadrature:
         """Same cutoff with every node count multiplied by ``factor``."""
         return ShellQuadrature(k_max=self.k_max, radial=self.radial * factor,
                                angular=self.angular * factor, tol=self.tol)
-
-    def grid(self, mass: float):
-        """Flattened (omega, kx, ky, kz, weight) arrays for the measure.
-
-        The weight already contains k^2 / ((2 pi)^3 2 omega_k).
-        """
-        xr, wr = np.polynomial.legendre.leggauss(self.radial)
-        k = 0.5 * (xr + 1.0) * self.k_max
-        wk = 0.5 * self.k_max * wr
-        u, wu = np.polynomial.legendre.leggauss(self.angular)
-        n_phi = 2 * self.angular
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        w_phi = 2.0 * np.pi / n_phi
-
-        kg, ug, pg = np.meshgrid(k, u, phi, indexing="ij")
-        sin_theta = np.sqrt(1.0 - ug * ug)
-        kx = kg * sin_theta * np.cos(pg)
-        ky = kg * sin_theta * np.sin(pg)
-        kz = kg * ug
-        omega = np.sqrt(kg * kg + mass * mass)
-        weight = (wk[:, None, None] * wu[None, :, None] * w_phi
-                  * kg * kg / (2.0 * omega)) / (2.0 * np.pi) ** 3
-        flat = (a.ravel() for a in (omega, kx, ky, kz, weight))
-        return tuple(flat)
 
     def tail_bound(self, f: GaussianPacket, g: GaussianPacket) -> float:
         """Upper bound on the integral mass beyond k_max (Gaussian decay).
@@ -190,9 +171,13 @@ def shell_inner_product(f: GaussianPacket, g: GaussianPacket,
                         q: ShellQuadrature) -> complex:
     """Lorentz-invariant inner product <f|g> on the mass shell.
 
-    Linear in ``f``, antilinear in ``g``; conjugate-symmetric within
-    quadrature accuracy.  Raises ``PrecisionError`` when the Gaussian
-    tail beyond ``q.k_max`` cannot be certified below ``q.tol / 10``.
+    Linear in ``f``, antilinear in ``g``, and exactly conjugate-symmetric:
+    the radial sum is real and symmetric in (f, g), and the amplitudes
+    multiply it once at the end.  The angular factor sinh(k|b|) / (k|b|)
+    enters as exp(k|b|) (1 - exp(-2k|b|)) / (2k|b|), with exp(k|b|)
+    folded into the Gaussian exponent, so it cannot overflow.  Raises
+    ``PrecisionError`` when the Gaussian tail beyond ``q.k_max`` cannot
+    be certified below ``q.tol / 10``.
     """
     if f.mass != g.mass:
         raise DomainError(f"mass mismatch: {f.mass} vs {g.mass}")
@@ -202,17 +187,34 @@ def shell_inner_product(f: GaussianPacket, g: GaussianPacket,
             f"quadrature tail beyond k_max = {q.k_max} estimated at {tail:.3e}, "
             f"exceeds tol/10 = {q.tol / 10.0:.3e}"
         )
-    omega, kx, ky, kz, weight = q.grid(f.mass)
-    integrand = f.profile(omega, kx, ky, kz) * np.conj(g.profile(omega, kx, ky, kz))
+    nodes, weights = np.polynomial.legendre.leggauss(q.radial)
+    k = 0.5 * (nodes + 1.0) * q.k_max
+    omega = np.sqrt(k * k + f.mass * f.mass)
+
+    def scaled_square_distance(p: GaussianPacket):
+        # sigma^2 ((omega - c0)^2 + k^2 + |c|^2): |k - c|^2 without the k . c term
+        c0, cx, cy, cz = p.center
+        return p.width ** 2 * ((omega - c0) ** 2 + k * k + (cx * cx + cy * cy + cz * cz))
+
+    s_f, s_g = f.width ** 2, g.width ** 2
+    b_norm = math.hypot(*(s_f * cf + s_g * cg
+                          for cf, cg in zip(f.center[1:], g.center[1:])))
+    kb = k * b_norm
+    angular_factor = np.ones_like(k)  # (1 - e^{-2kb}) / (2kb) -> 1 as kb -> 0
+    np.divide(-np.expm1(-2.0 * kb), 2.0 * kb, out=angular_factor, where=kb > 0.0)
+    exponent = kb - 0.5 * (scaled_square_distance(f) + scaled_square_distance(g))
+    weight = 0.5 * q.k_max * weights * k * k / (2.0 * omega)
     # np.sum reduces pairwise in a fixed order, so results are bit-stable.
-    return complex(np.sum(integrand * weight))
+    radial_sum = float(np.sum(weight * np.exp(exponent) * angular_factor))
+    return f.amplitude * g.amplitude.conjugate() * (
+        radial_sum * 4.0 * math.pi / (2.0 * math.pi) ** 3)
 
 
 def test_norm(f: GaussianPacket, q: ShellQuadrature) -> NormEstimate:
     """Squared norm ||f||^2 = <f|f> with a self-convergence error bar.
 
     The error estimate is the difference against the same integral with
-    all node counts doubled.
+    the radial nodes doubled.
     """
     value = shell_inner_product(f, f, q).real
     refined = shell_inner_product(f, f, q.refined(2)).real

@@ -39,13 +39,13 @@ class RindlerModeSet:
         object.__setattr__(self, "frequencies", freqs)
         if not freqs:
             raise DomainError("mode set needs at least one frequency")
-        if any(w <= 0.0 for w in freqs):
-            raise DomainError(f"frequencies must be positive, got {freqs}")
+        if not all(0.0 < w < math.inf for w in freqs):
+            raise DomainError(f"frequencies must be positive and finite, got {freqs}")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise DomainError(f"frequencies must be strictly ascending, got {freqs}")
-        if not self.acceleration > 0.0:
+        if not 0.0 < self.acceleration < math.inf:
             raise DomainError(
-                f"acceleration must be positive, got {self.acceleration}"
+                f"acceleration must be positive and finite, got {self.acceleration}"
             )
 
     @property
@@ -84,23 +84,6 @@ def tau(modes: RindlerModeSet) -> float:
     """Thermal form factor sum_i 1 / cosh(omega_i / (2 T))."""
     t = modes.temperature
     return sum(_sech(w / (2.0 * t)) for w in modes.frequencies)
-
-
-def tau_exponential_form(modes: RindlerModeSet) -> float:
-    """The form factor written with explicit exponentials,
-
-        sum_i 2 (e^{pi w/a} - e^{-pi w/a}) / (e^{2 pi w/a} - e^{-2 pi w/a}),
-
-    algebraically identical to :func:`tau`; kept literal so the two
-    evaluations can be compared numerically.
-    """
-    a = modes.acceleration
-    total = 0.0
-    for w in modes.frequencies:
-        x = math.pi * w / a
-        total += 2.0 * (math.exp(x) - math.exp(-x)) \
-            / (math.exp(2.0 * x) - math.exp(-2.0 * x))
-    return total
 
 
 def rindler_chsh(modes: RindlerModeSet) -> float:

@@ -3,11 +3,25 @@
 The library keeps two-party operators as local factors.  The oracle
 here builds the full-space Kronecker matrices instead; it is meant for
 small spaces (spin, and Fock cutoffs up to about 8).
+
+The library integrates the mass-shell inner product with a radial rule
+and a closed-form angular factor.  The oracle here is the full
+spherical product rule over (|k|, cos theta, phi).
 """
+
+import math
 
 import numpy as np
 
-from bellchsh import ChshQuadruple, DenseOperator, FactoredOperator, Ket
+from bellchsh import (
+    ChshQuadruple,
+    DenseOperator,
+    FactoredOperator,
+    GaussianPacket,
+    Ket,
+    RindlerModeSet,
+    ShellQuadrature,
+)
 from bellchsh.errors import ShapeError
 
 
@@ -46,6 +60,65 @@ def expectation(psi: Ket, m: DenseOperator) -> complex:
         raise ValueError(f"expectation requires a normalized state, "
                          f"||psi|| = {psi.norm!r}")
     return complex(np.vdot(psi.amplitudes, m.entries @ psi.amplitudes))
+
+
+def shell_grid(q: ShellQuadrature, mass: float):
+    """Flattened (omega, kx, ky, kz, weight) arrays of the spherical product rule.
+
+    Gauss-Legendre nodes in |k| on [0, k_max] and in cos(theta);
+    uniform (trapezoidal) nodes in the azimuth, twice as many as in
+    cos(theta).  The weight already contains k^2 / ((2 pi)^3 2 omega_k).
+    """
+    xr, wr = np.polynomial.legendre.leggauss(q.radial)
+    k = 0.5 * (xr + 1.0) * q.k_max
+    wk = 0.5 * q.k_max * wr
+    u, wu = np.polynomial.legendre.leggauss(q.angular)
+    n_phi = 2 * q.angular
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    w_phi = 2.0 * np.pi / n_phi
+
+    kg, ug, pg = np.meshgrid(k, u, phi, indexing="ij")
+    sin_theta = np.sqrt(1.0 - ug * ug)
+    kx = kg * sin_theta * np.cos(pg)
+    ky = kg * sin_theta * np.sin(pg)
+    kz = kg * ug
+    omega = np.sqrt(kg * kg + mass * mass)
+    weight = (wk[:, None, None] * wu[None, :, None] * w_phi
+              * kg * kg / (2.0 * omega)) / (2.0 * np.pi) ** 3
+    return tuple(a.ravel() for a in (omega, kx, ky, kz, weight))
+
+
+def packet_profile(p: GaussianPacket, omega, kx, ky, kz):
+    """fhat(omega, k) of a Gaussian packet at on-shell momentum arrays."""
+    c0, cx, cy, cz = p.center
+    q = (omega - c0) ** 2 + (kx - cx) ** 2 + (ky - cy) ** 2 + (kz - cz) ** 2
+    return p.amplitude * np.exp(-0.5 * p.width ** 2 * q)
+
+
+def product_rule_inner_product(f: GaussianPacket, g: GaussianPacket,
+                               q: ShellQuadrature) -> complex:
+    """<f|g> on the full 3-D product rule, with no angular reduction."""
+    omega, kx, ky, kz, weight = shell_grid(q, f.mass)
+    integrand = (packet_profile(f, omega, kx, ky, kz)
+                 * np.conj(packet_profile(g, omega, kx, ky, kz)))
+    return complex(np.sum(integrand * weight))
+
+
+def tau_exponential_form(modes: RindlerModeSet) -> float:
+    """The form factor written with explicit exponentials,
+
+        sum_i 2 (e^{pi w/a} - e^{-pi w/a}) / (e^{2 pi w/a} - e^{-2 pi w/a}),
+
+    algebraically identical to ``bellchsh.tau``; kept literal so the two
+    evaluations can be compared numerically.
+    """
+    a = modes.acceleration
+    total = 0.0
+    for w in modes.frequencies:
+        x = math.pi * w / a
+        total += 2.0 * (math.exp(x) - math.exp(-x)) \
+            / (math.exp(2.0 * x) - math.exp(-2.0 * x))
+    return total
 
 
 def power_iteration_norm(matrix: np.ndarray, iters: int = 2000,

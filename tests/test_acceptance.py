@@ -17,12 +17,16 @@ from bellchsh import (
     spin_one_chsh_closed,
     spin_quadruple,
     tau,
-    tau_exponential_form,
     temperature_scan,
     validate_quadruple,
 )
 from bellchsh import fock, kleingordon, spin
-from helpers import full_quadruple, random_involution_quadruple, random_state
+from helpers import (
+    full_quadruple,
+    random_involution_quadruple,
+    random_state,
+    tau_exponential_form,
+)
 
 ROOT2 = math.sqrt(2.0)
 

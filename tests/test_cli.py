@@ -184,6 +184,26 @@ class TestKgNorm:
         code, _, _ = run(capsys, "kg-norm", "--width", "0.0")
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--mass", "nan"),
+        ("--width", "inf"),
+        ("--center", "nan,0,0"),
+        ("--center-energy", "inf"),
+        ("--tol", "nan"),
+        ("--amplitude", "nan"),
+    ])
+    def test_non_finite_input_rejected(self, capsys, flag, value):
+        code, out, err = run(capsys, "kg-norm", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag in err and "Traceback" not in err
+
+    def test_zero_amplitude_is_degenerate(self, capsys):
+        code, out, err = run(capsys, "kg-norm", "--amplitude", "0")
+        assert code == 2
+        assert out == ""
+        assert "degenerate" in err and len(err.strip().splitlines()) == 1
+
 
 class TestRindlerScan:
     def test_default_single_mode_sweep(self, capsys):
@@ -223,6 +243,24 @@ class TestRindlerScan:
         code, _, err = run(capsys, "rindler-scan", "--modes", "0.0,1.0")
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rindler-scan", "--temp-range", "nan:1:3"),
+        ("rindler-scan", "--temp-range", "0.5:inf:3"),
+        ("squeeze-scan", "--eta-range", "nan:0.5:3"),
+    ])
+    def test_non_finite_range_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert argv[1] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("modes", ["nan", "1,inf"])
+    def test_non_finite_frequency_rejected(self, capsys, modes):
+        code, out, err = run(capsys, "rindler-scan", "--modes", modes)
+        assert code == 2
+        assert out == ""
+        assert "configuration error" in err and "Traceback" not in err
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "rindler-scan", "--temp-range", "0.5:1.5:3",

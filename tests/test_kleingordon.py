@@ -19,6 +19,8 @@ from bellchsh import fock
 # aliased so pytest does not collect the library function as a test
 from bellchsh.kleingordon import test_norm as norm_with_error
 
+from helpers import product_rule_inner_product
+
 ROOT2 = math.sqrt(2.0)
 
 # moderate resolution: plenty for the gentle packet geometries below
@@ -54,6 +56,30 @@ class TestPacket:
     def test_center_must_be_four_momentum(self):
         with pytest.raises(DomainError):
             GaussianPacket(center=(1, 0, 0), width=1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(center=(1, math.nan, 0, 0), width=1.0),
+        dict(center=(math.inf, 0, 0, 0), width=1.0),
+        dict(center=(1, 0, 0, 0), width=math.inf),
+        dict(center=(1, 0, 0, 0), width=math.nan),
+        dict(center=(1, 0, 0, 0), width=1.0, mass=math.nan),
+        dict(center=(1, 0, 0, 0), width=1.0, mass=math.inf),
+        dict(center=(1, 0, 0, 0), width=1.0, amplitude=complex(1.0, math.nan)),
+        dict(center=(1, 0, 0, 0), width=1.0, amplitude=math.inf),
+    ])
+    def test_non_finite_fields_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            GaussianPacket(**kwargs)
+
+
+class TestShellQuadrature:
+    @pytest.mark.parametrize("kwargs", [
+        dict(k_max=math.inf), dict(k_max=math.nan),
+        dict(k_max=5.0, tol=math.inf), dict(k_max=5.0, tol=math.nan),
+    ])
+    def test_non_finite_fields_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            ShellQuadrature(**kwargs)
 
 
 class TestInnerProduct:
@@ -124,6 +150,59 @@ class TestInnerProduct:
         q = ShellQuadrature(k_max=1.0, radial=32, angular=8, tol=1e-9)
         with pytest.raises(PrecisionError):
             shell_inner_product(f, f, q)
+
+
+class TestRadialRule:
+    """The radial rule with its closed-form angular factor."""
+
+    @pytest.mark.parametrize("radial,angular", [(64, 16), (128, 32)])
+    def test_matches_product_rule_oracle(self, radial, angular):
+        rng = np.random.default_rng(113)
+        for _ in range(6):
+            f, g = random_packet(rng), random_packet(rng)
+            assert f.width != g.width and f.center != g.center
+            q = ShellQuadrature.for_packets(f, g, radial=radial, angular=angular)
+            value = shell_inner_product(f, g, q)
+            oracle = product_rule_inner_product(f, g, q)
+            assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
+    def test_centred_pair_against_1d_radial_oracle(self):
+        # |b| = 0: the angular factor is exactly 1
+        f = packet((0.0, 0.0, 0.0), width=0.9, amplitude=0.6 - 0.8j)
+        g = packet((0.0, 0.0, 0.0), width=1.2, amplitude=1.5 + 0.5j)
+        q = ShellQuadrature.for_packets(f, g)
+        value = shell_inner_product(f, g, q)
+
+        nodes, weights = np.polynomial.legendre.leggauss(10 * q.radial)
+        k = 0.5 * (nodes + 1.0) * q.k_max
+        wk = 0.5 * q.k_max * weights
+        omega = np.sqrt(k * k + 1.0)
+        s = f.width ** 2 + g.width ** 2
+        envelope = np.exp(-0.5 * s * ((omega - 1.0) ** 2 + k * k))
+        oracle = (f.amplitude * np.conj(g.amplitude)
+                  * float(np.sum(wk * k * k / (2 * omega) * envelope))
+                  * 4 * math.pi / (2 * math.pi) ** 3)
+        assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
+    def test_exact_conjugate_symmetry(self):
+        rng = np.random.default_rng(127)
+        for _ in range(6):
+            f, g = random_packet(rng), random_packet(rng)
+            q = ShellQuadrature.for_packets(f, g, **FAST)
+            assert shell_inner_product(f, g, q) == np.conj(shell_inner_product(g, f, q))
+
+    def test_narrow_off_centre_packet_does_not_overflow(self):
+        # |b| = 2 * 36 * 10, so k |b| reaches ~8e3 and a naive sinh(k |b|)
+        # overflows; folded into the Gaussian exponent it stays finite
+        f = packet((0.0, 0.0, 10.0), width=6.0)
+        values = []
+        for radial in (256, 512):
+            q = ShellQuadrature.for_packets(f, radial=radial)
+            with np.errstate(over="raise", invalid="raise"):
+                value = shell_inner_product(f, f, q)
+            assert math.isfinite(value.real) and value.real > 0.0
+            values.append(value.real)
+        assert abs(values[0] - values[1]) <= 1e-10 * values[1]
 
 
 class TestNorm:

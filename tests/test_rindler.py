@@ -11,12 +11,13 @@ from bellchsh import (
     mode_squeezing,
     rindler_chsh,
     tau,
-    tau_exponential_form,
     temperature_scan,
     unruh_temperature,
 )
 from bellchsh import fock
 from bellchsh.rindler import ScanRow
+
+from helpers import tau_exponential_form
 
 TWO_PI = 2.0 * math.pi
 ROOT2 = math.sqrt(2.0)
@@ -41,6 +42,17 @@ class TestModeSet:
     def test_invalid_acceleration(self):
         with pytest.raises(DomainError):
             RindlerModeSet((1.0,), acceleration=0.0)
+
+    @pytest.mark.parametrize("freqs", [(math.nan,), (1.0, math.inf),
+                                       (math.nan, 1.0)])
+    def test_non_finite_frequencies(self, freqs):
+        with pytest.raises(DomainError):
+            RindlerModeSet(freqs, acceleration=1.0)
+
+    @pytest.mark.parametrize("acceleration", [math.nan, math.inf])
+    def test_non_finite_acceleration(self, acceleration):
+        with pytest.raises(DomainError):
+            RindlerModeSet((1.0,), acceleration=acceleration)
 
 
 class TestUnruhTemperature:
