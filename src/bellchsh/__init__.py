@@ -14,6 +14,7 @@ from .chsh import (
     TSIRELSON_BOUND,
     ValidationReport,
     chsh_value,
+    flip_quadruple,
     optimize_angles,
     phase_flip,
     validate_quadruple,
@@ -37,7 +38,6 @@ from .fock import (
     bogoliubov_pair,
     chsh_closed,
     chsh_matrix,
-    correlator_closed,
     fock_quadruple,
     ladder_matrices,
     squeezed_closed_form,
@@ -47,6 +47,7 @@ from .fock import (
 )
 from .kleingordon import (
     GaussianPacket,
+    MAX_RADIAL,
     NormEstimate,
     ShellQuadrature,
     normalize,
@@ -55,7 +56,6 @@ from .kleingordon import (
     test_norm,
 )
 from .linalg import (
-    DenseOperator,
     FactoredOperator,
     Ket,
     STRUCTURE_TOL,
@@ -74,7 +74,6 @@ from .spin import (
     SPIN_ONE,
     SPIN_ONE_VIOLATION_ANGLES,
     SingletState,
-    SpinBasisLabel,
     TSIRELSON_ANGLES,
     singlet,
     spin_half_chsh_closed,
@@ -84,7 +83,6 @@ from .spin import (
     spin_one_chsh_closed,
     spin_one_closed_form,
     spin_quadruple,
-    total_spin_squared,
 )
 
 __version__ = "0.1.0"

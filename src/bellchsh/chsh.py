@@ -8,20 +8,22 @@ combination on ``H_A (x) H_B`` is
     C = (A1 + A2) (x) B1 + (A1 - A2) (x) B2
 
 and local hidden-variable models obey ``|<C>| <= 2`` while quantum
-states reach at most ``2*sqrt(2)`` (the Tsirelson bound).  In every
-setting the four operators are level-pair phase flips (``phase_flip``).
+states reach at most ``2*sqrt(2)`` (the Tsirelson bound).  Each of the
+four operators is a read-only complex matrix on its factor.  In every
+setting they are level-pair phase flips, and ``flip_quadruple`` is the
+one builder of a quadruple from the flipped level pairs of each side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, ShapeError
-from .linalg import DenseOperator, Ket
+from .linalg import STRUCTURE_TOL, Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -57,15 +59,21 @@ class AngleSet:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
 
+def _hermiticity_deviation(m: np.ndarray) -> float:
+    return float(np.abs(m - m.conj().T).max())
+
+
 def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
-               phase: float) -> DenseOperator:
+               phase: float) -> np.ndarray:
     """Level-pair phase flip on one factor: the measurement operator of
     every setting in this package.
 
     Each ``(src, dst)`` pair of levels (one row of ``pairs``) is swapped
     with ``<dst|M|src> = e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``;
     every level outside the (disjoint) pairs is fixed, with 1 on the
-    diagonal.  The result is hermitian and an exact involution.
+    diagonal.  The result is a read-only complex matrix, hermitian and an
+    exact involution; pairs that break hermiticity (a level paired with
+    itself) or a non-finite phase raise ``ValueError``.
     """
     up = complex(np.exp(1j * phase))
     src, dst = np.array(pairs).T
@@ -73,32 +81,36 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     m[src, src] = m[dst, dst] = 0.0
     m[dst, src] = up
     m[src, dst] = up.conjugate()
-    return DenseOperator(m, hermitian=True)
+    dev = _hermiticity_deviation(m)
+    if not dev <= STRUCTURE_TOL:  # also catches a non-finite phase
+        raise ValueError(f"phase flip is not hermitian: max|M - M^dag| = {dev:.3e}")
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class ChshQuadruple:
     """CHSH quadruple kept as local factors: ``a1``, ``a2`` on H_A and
-    ``b1``, ``b2`` on H_B.
+    ``b1``, ``b2`` on H_B, each coerced to a read-only square complex
+    matrix (a non-square one raises ``ShapeError``).
 
     The four operators are expected to be hermitian and to square to the
     identity; A/B commutation holds by construction.  Construction does
     not enforce the axioms (``validate_quadruple`` reports deviations),
     so deliberately corrupted quadruples can be built as negative
     controls.
-
-    ``angles`` records the phases when the quadruple comes from one of
-    the phase-flip constructions.
     """
 
-    a1: DenseOperator
-    a2: DenseOperator
-    b1: DenseOperator
-    b2: DenseOperator
+    a1: np.ndarray
+    a2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
 
-    angles: Optional[AngleSet] = None
+    def __post_init__(self):
+        for name, op in self.operators().items():
+            object.__setattr__(self, name, square_matrix(op))
 
-    def operators(self) -> dict[str, DenseOperator]:
+    def operators(self) -> dict[str, np.ndarray]:
         return {"a1": self.a1, "a2": self.a2, "b1": self.b1, "b2": self.b2}
 
     @property
@@ -106,11 +118,27 @@ class ChshQuadruple:
         """Factor dimensions ``(dim_A, dim_B)``."""
         dims = []
         for side in ((self.a1, self.a2), (self.b1, self.b2)):
-            side_dims = {op.dim for op in side}
+            side_dims = {op.shape[0] for op in side}
             if len(side_dims) != 1:
                 raise ShapeError(f"quadruple side has mixed dims {sorted(side_dims)}")
             dims.append(side_dims.pop())
         return dims[0], dims[1]
+
+
+def flip_quadruple(dims: tuple[int, int], pairs: tuple, angles: AngleSet) -> ChshQuadruple:
+    """The phase-flip quadruple of every setting in this package.
+
+    ``dims = (dim_A, dim_B)`` and ``pairs = (pairs_A, pairs_B)``: each
+    side flips its own level pairs (see ``phase_flip``), A1/A2 with the
+    phases ``alpha1``/``alpha2`` and B1/B2 with ``beta1``/``beta2``.
+    """
+    (dim_a, dim_b), (pairs_a, pairs_b) = dims, pairs
+    return ChshQuadruple(
+        a1=phase_flip(dim_a, pairs_a, angles.alpha1),
+        a2=phase_flip(dim_a, pairs_a, angles.alpha2),
+        b1=phase_flip(dim_b, pairs_b, angles.beta1),
+        b2=phase_flip(dim_b, pairs_b, angles.beta2),
+    )
 
 
 @dataclass(frozen=True)
@@ -160,9 +188,9 @@ def validate_quadruple(q: ChshQuadruple) -> ValidationReport:
     """
     dim_a, dim_b = q.dims
     ops = q.operators()
-    herm = {k: op.hermiticity_deviation for k, op in ops.items()}
+    herm = {k: _hermiticity_deviation(op) for k, op in ops.items()}
     inv = {
-        k: float(np.abs(op.entries @ op.entries - np.eye(op.dim)).max())
+        k: float(np.abs(op @ op - np.eye(op.shape[0])).max())
         for k, op in ops.items()
     }
     dim = dim_a * dim_b
@@ -187,9 +215,9 @@ def chsh_value(psi: Ket, q: ChshQuadruple) -> float:
     if psi.dim != dim_a * dim_b:
         raise ShapeError(f"state dim {psi.dim} vs quadruple dims {dim_a}x{dim_b}")
     mat = psi.amplitudes.reshape(dim_a, dim_b)
-    y1 = mat @ q.b1.entries.T
-    y2 = mat @ q.b2.entries.T
-    c_psi = (q.a1.entries @ (y1 + y2)) + (q.a2.entries @ (y1 - y2))
+    y1 = mat @ q.b1.T
+    y2 = mat @ q.b2.T
+    c_psi = (q.a1 @ (y1 + y2)) + (q.a2 @ (y1 - y2))
     value = np.vdot(mat, c_psi)
     if abs(value.imag) > 1e-10:
         raise ConsistencyError(
@@ -250,12 +278,19 @@ def _grid_argmax(cf: ClosedFormCorrelator, points: int) -> tuple[float, ...]:
     return tuple(float(g[i]) for i in best)
 
 
-def optimize_angles(cf: ClosedFormCorrelator, grid_points: int = 24,
-                    value_tol: float = 1e-9,
-                    max_sweeps: int = 200) -> tuple[AngleSet, float]:
+#: Coarse grid of the phase search: 24 points per angle (15 degrees).
+_GRID_POINTS = 24
+
+#: The sweeps stop once |cf| changes by less than this between sweeps,
+#: or after ``_MAX_SWEEPS`` sweeps.
+_VALUE_TOL = 1e-9
+_MAX_SWEEPS = 200
+
+
+def optimize_angles(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
     """Maximize |cf(angles)| over the four measurement phases.
 
-    A coarse grid (default 24 points per angle, 15 degree spacing) locates
+    A coarse grid (24 points per angle, 15 degree spacing) locates
     the basin of the global maximum; coordinate sweeps then polish it.
     Each single-angle restriction of ``cf`` is exactly sinusoidal,
     ``A cos(t) + B sin(t) + rest``, so every coordinate update is solved
@@ -265,16 +300,16 @@ def optimize_angles(cf: ClosedFormCorrelator, grid_points: int = 24,
     -------
     (AngleSet, float)
         The maximizing phases and the maximal |value|, accurate to about
-        1e-6 for the closed forms in scope (``value_tol`` bounds the
+        1e-6 for the closed forms in scope (``_VALUE_TOL`` bounds the
         sweep-to-sweep change at convergence).
     """
-    ang = list(_grid_argmax(cf, grid_points))
+    ang = list(_grid_argmax(cf, _GRID_POINTS))
 
     def f(values):
         return cf.value(AngleSet(*values))
 
     best = abs(f(ang))
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         previous = best
         for i in range(4):
             saved = ang[i]
@@ -295,6 +330,6 @@ def optimize_angles(cf: ClosedFormCorrelator, grid_points: int = 24,
             # cos(t - phase) = sign(rest) (either sign when rest == 0)
             ang[i] = wrap_angle(phase if rest >= 0.0 else phase + math.pi)
         best = abs(f(ang))
-        if abs(best - previous) < value_tol:
+        if abs(best - previous) < _VALUE_TOL:
             break
     return AngleSet(*ang), best

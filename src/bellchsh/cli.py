@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .chsh import (
     validate_quadruple,
 )
 from .errors import ConfigError, DegenerateInputError, DomainError, PrecisionError
-from .linalg import DenseOperator
 
 OUT_DIR_ENV = "BELLCHSH_OUT_DIR"
 
@@ -127,18 +126,6 @@ def parse_quad(text: str) -> tuple[int, int]:
 # output
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared output options of a subcommand run."""
-
-    fmt: str
-    out: str | None
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"--format must be csv or json, got {self.fmt!r}")
-
-
 def _fmt_value(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
@@ -147,9 +134,10 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def emit(config: RunConfig, fields: list[str], rows: list[dict]) -> None:
-    """Render rows as CSV or JSON and write them to stdout or --out."""
-    if config.fmt == "csv":
+def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None:
+    """Render rows as CSV or JSON (``fmt``) and write them to stdout, or
+    to the file ``out``."""
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
@@ -159,10 +147,10 @@ def emit(config: RunConfig, fields: list[str], rows: list[dict]) -> None:
     else:
         text = json.dumps({"fields": fields, "rows": rows}, indent=2) + "\n"
 
-    if config.out is None:
+    if out is None:
         sys.stdout.write(text)
         return
-    path = config.out
+    path = out
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
@@ -176,7 +164,6 @@ def emit(config: RunConfig, fields: list[str], rows: list[dict]) -> None:
 
 def cmd_spin(args) -> int:
     override = parse_angles(args.angles) if args.angles else None
-    config = RunConfig(fmt=args.format, out=args.out)
 
     rows: list[dict] = []
 
@@ -197,11 +184,7 @@ def cmd_spin(args) -> int:
         quadruple = spin.spin_quadruple(kind, angles)
         if args.debug_corrupt_phase:
             # non-unitary flip: breaks the involution, keeps hermiticity
-            quadruple = type(quadruple)(
-                a1=DenseOperator(quadruple.a1.entries * 1.01),
-                a2=quadruple.a2, b1=quadruple.b1, b2=quadruple.b2,
-                angles=angles,
-            )
+            quadruple = dataclasses.replace(quadruple, a1=quadruple.a1 * 1.01)
         report = validate_quadruple(quadruple)
         add(f"{name}_validation_max_deviation", report.max_deviation)
         add(f"{name}_validation_passed", int(report.passed))
@@ -217,7 +200,7 @@ def cmd_spin(args) -> int:
                             best_angles.as_tuple()):
         add(f"spin_one_optimal_{label}", value)
 
-    emit(config, ["quantity", "value"], rows)
+    emit(args.format, args.out, ["quantity", "value"], rows)
     if not ok:
         print("quadruple validation failed; see *_validation_* rows",
               file=sys.stderr)
@@ -234,7 +217,6 @@ def cmd_squeeze_scan(args) -> int:
         raise ConfigError(
             f"--eta-range must stay inside the open interval (0, 1), got {args.eta_range!r}"
         )
-    config = RunConfig(fmt=args.format, out=args.out)
     window_lo, _ = fock.violation_window()
 
     entries: list[tuple[float, str]] = [(float(e), "") for e in grid]
@@ -260,8 +242,8 @@ def cmd_squeeze_scan(args) -> int:
         "abs_difference": None, "note": "window-upper-endpoint-limit",
     })
 
-    emit(config, ["eta", "chsh_closed", "chsh_matrix", "abs_difference", "note"],
-         rows)
+    emit(args.format, args.out,
+         ["eta", "chsh_closed", "chsh_matrix", "abs_difference", "note"], rows)
     if not ok:
         print("closed form and matrix value disagree beyond tolerance",
               file=sys.stderr)
@@ -270,7 +252,6 @@ def cmd_squeeze_scan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = RunConfig(fmt=args.format, out=args.out)
     if args.closed_form == "spin-one":
         form = spin.spin_one_closed_form()
         rows = [{"quantity": "closed_form", "value": "spin-one"}]
@@ -285,12 +266,11 @@ def cmd_optimize(args) -> int:
                             angles.as_tuple()):
         rows.append({"quantity": label, "value": value})
     rows.append({"quantity": "optimum", "value": best})
-    emit(config, ["quantity", "value"], rows)
+    emit(args.format, args.out, ["quantity", "value"], rows)
     return _EXIT_OK
 
 
 def cmd_kg_norm(args) -> int:
-    config = RunConfig(fmt=args.format, out=args.out)
     center = parse_floats(args.center, "--center")
     if len(center) != 3 or not all(map(math.isfinite, center)):
         raise ConfigError(f"--center needs finite cx,cy,cz, got {args.center!r}")
@@ -333,12 +313,11 @@ def cmd_kg_norm(args) -> int:
             "quantity": "normalized_norm_sq",
             "value": kleingordon.test_norm(unit, quad).value,
         })
-    emit(config, ["quantity", "value"], rows)
+    emit(args.format, args.out, ["quantity", "value"], rows)
     return _EXIT_OK
 
 
 def cmd_rindler_scan(args) -> int:
-    config = RunConfig(fmt=args.format, out=args.out)
     frequencies = parse_floats(args.modes, "--modes")
     if args.temp_range and args.accel_range:
         raise ConfigError("--temp-range and --accel-range are mutually exclusive")
@@ -346,16 +325,13 @@ def cmd_rindler_scan(args) -> int:
         grid = parse_range(args.accel_range, "--accel-range") / (2.0 * math.pi)
     else:
         grid = parse_range(args.temp_range or "0.02:2.0:50", "--temp-range")
-    try:
-        modes = rindler.RindlerModeSet(frequencies, acceleration=1.0)
-        scan = rindler.temperature_scan(modes, grid)
-    except DomainError as err:
-        raise ConfigError(str(err)) from err
+    modes = rindler.RindlerModeSet(frequencies, acceleration=1.0)
+    scan = rindler.temperature_scan(modes, grid)
     rows = [
         {"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
         for r in scan
     ]
-    emit(config, ["T", "tau", "chsh", "flag"], rows)
+    emit(args.format, args.out, ["T", "tau", "chsh", "flag"], rows)
     return _EXIT_OK
 
 
@@ -412,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--quad", default="128,32", metavar="RADIAL,ANGULAR",
-                   help="quadrature node counts; the radial rule uses RADIAL only")
+                   help="quadrature node counts; the radial rule uses RADIAL only, "
+                        "and doubles it for the error estimate (at most "
+                        f"{kleingordon.MAX_RADIAL} after doubling)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--normalize", action="store_true",
                    help="also rescale to unit norm and report the recheck")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import (AngleSet, ChshQuadruple, ClosedFormCorrelator, chsh_value,
-                   phase_flip)
+                   flip_quadruple)
 from .errors import ConsistencyError, DomainError
 from .linalg import FactoredOperator, Ket
 
@@ -191,19 +191,7 @@ def fock_quadruple(space: FockSpace, angles: AngleSet) -> ChshQuadruple:
     """
     n = space.cutoff
     pairs = np.arange(n).reshape(-1, 2)  # rows (2k, 2k + 1)
-    return ChshQuadruple(
-        a1=phase_flip(n, pairs, angles.alpha1),
-        a2=phase_flip(n, pairs, angles.alpha2),
-        b1=phase_flip(n, pairs, angles.beta1),
-        b2=phase_flip(n, pairs, angles.beta2),
-        angles=angles,
-    )
-
-
-def correlator_closed(eta: float, alpha_k: float, beta_i: float) -> float:
-    """Closed-form pair correlator 2 eta/(1+eta^2) * cos(alpha_k + beta_i)."""
-    eta = _check_eta(eta)
-    return 2.0 * eta / (1.0 + eta * eta) * math.cos(alpha_k + beta_i)
+    return flip_quadruple((n, n), (pairs, pairs), angles)
 
 
 def squeezed_closed_form(eta: float) -> ClosedFormCorrelator:
@@ -225,12 +213,17 @@ def chsh_closed(eta: float, angles: AngleSet) -> float:
     return squeezed_closed_form(eta).value(angles)
 
 
-def violation_window(tol: float = 1e-10) -> tuple[float, float]:
+#: Agreement required between the bisected and the analytic lower
+#: endpoint of the violation window.
+WINDOW_TOL = 1e-10
+
+
+def violation_window() -> tuple[float, float]:
     """Squeezing interval on which the CHSH bound 2 is exceeded.
 
     Returns (sqrt(2) - 1, 1).  The lower endpoint is additionally
     recovered by bisecting ``chsh_closed(., MAX_VIOLATION_ANGLES) - 2``;
-    a disagreement beyond ``tol`` raises ``ConsistencyError``.
+    a disagreement beyond ``WINDOW_TOL`` raises ``ConsistencyError``.
     """
     analytic = math.sqrt(2.0) - 1.0
 
@@ -240,16 +233,16 @@ def violation_window(tol: float = 1e-10) -> tuple[float, float]:
     lo, hi = 0.01, 0.99
     if not excess(lo) < 0.0 < excess(hi):
         raise ConsistencyError("violation-window bracket lost its sign change")
-    while hi - lo > 0.25 * tol:
+    while hi - lo > 0.25 * WINDOW_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0.0:
             lo = mid
         else:
             hi = mid
     root = 0.5 * (lo + hi)
-    if abs(root - analytic) > tol:
+    if abs(root - analytic) > WINDOW_TOL:
         raise ConsistencyError(
-            f"bisection endpoint {root!r} deviates from sqrt(2)-1 by more than {tol}"
+            f"bisection endpoint {root!r} deviates from sqrt(2)-1 by more than {WINDOW_TOL}"
         )
     return analytic, 1.0
 

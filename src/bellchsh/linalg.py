@@ -1,9 +1,10 @@
 """Complex linear algebra on one factor and on a two-party product space.
 
-Kets are complex vectors.  A ``DenseOperator`` is a dense square matrix
-on one factor.  A two-party operator on ``H_A (x) H_B`` is a
-``FactoredOperator``: the Kronecker factors of ``sum_k c_k L_k (x) R_k``.
-Bipartite kets use the row-major composite index convention
+Kets are complex vectors.  An operator on one factor is a read-only
+complex square ``ndarray`` (``square_matrix``).  A two-party operator
+on ``H_A (x) H_B`` is a ``FactoredOperator``: the Kronecker factors of
+``sum_k c_k L_k (x) R_k``.  Bipartite kets use the row-major composite
+index convention
 
     index = i_left * dim_right + i_right
 
@@ -33,7 +34,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _square(entries) -> np.ndarray:
+def square_matrix(entries) -> np.ndarray:
+    """Coerce to a read-only, non-empty, square complex matrix: the form
+    of every one-factor operator."""
     arr = np.array(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ShapeError(f"operator entries must be square, got {arr.shape}")
@@ -89,53 +92,6 @@ class Ket:
 
 
 @dataclass(frozen=True, eq=False)
-class DenseOperator:
-    """A dense complex square matrix on one factor space.
-
-    Parameters
-    ----------
-    entries : array_like
-        Square complex matrix; coerced to a read-only 2-D complex array.
-    hermitian : bool, optional
-        Declare the operator hermitian.  When True, construction fails
-        unless ``max|M - M^dag| <= STRUCTURE_TOL`` entrywise.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _square(self.entries))
-        if self.hermitian:
-            dev = self.hermiticity_deviation
-            if dev > STRUCTURE_TOL:
-                raise ValueError(
-                    f"operator flagged hermitian but max|M - M^dag| = {dev:.3e}"
-                )
-
-    @classmethod
-    def identity(cls, dim: int) -> "DenseOperator":
-        return cls(np.eye(dim, dtype=complex), hermitian=True)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def hermiticity_deviation(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def adjoint(self) -> "DenseOperator":
-        return DenseOperator(self.entries.conj().T)
-
-    def apply(self, psi: Ket) -> Ket:
-        """Matrix-vector action M|psi> (result is not renormalized)."""
-        if self.dim != psi.dim:
-            raise ShapeError(f"operator dim {self.dim} vs ket dim {psi.dim}")
-        return Ket(self.entries @ psi.amplitudes)
-
-
-@dataclass(frozen=True, eq=False)
 class FactoredOperator:
     """Two-party operator ``sum_k c_k L_k (x) R_k`` kept as its factors.
 
@@ -152,7 +108,7 @@ class FactoredOperator:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((complex(c), _square(left), _square(right))
+        terms = tuple((complex(c), square_matrix(left), square_matrix(right))
                       for c, left, right in self.terms)
         if not terms:
             raise ShapeError("a factored operator needs at least one term")

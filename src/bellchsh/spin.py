@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import AngleSet, ChshQuadruple, phase_flip
+from .chsh import AngleSet, ChshQuadruple, flip_quadruple
 from .errors import DomainError
 from .linalg import FactoredOperator, Ket
 
@@ -50,26 +50,6 @@ def _check_spin(spin: str) -> int:
     if spin not in _LEVELS:
         raise DomainError(f"spin must be one of {sorted(_LEVELS)}, got {spin!r}")
     return _LEVELS[spin]
-
-
-@dataclass(frozen=True)
-class SpinBasisLabel:
-    """A single-particle basis label |s, m> and its vector index."""
-
-    spin: str
-    m: float
-
-    def __post_init__(self):
-        levels = _check_spin(self.spin)
-        s = (levels - 1) / 2.0
-        allowed = [s - k for k in range(levels)]
-        if not any(abs(self.m - a) < 1e-12 for a in allowed):
-            raise DomainError(f"m = {self.m} not in {allowed} for spin {self.spin}")
-
-    @property
-    def index(self) -> int:
-        s = (_LEVELS[self.spin] - 1) / 2.0
-        return int(round(s - self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +93,6 @@ def singlet(spin: str) -> SingletState:
     return SingletState(spin=spin, ket=Ket(amp, normalized=True))
 
 
-def total_spin_squared(spin: str) -> FactoredOperator:
-    """(S_A + S_B)^2 on the product space; annihilates the singlet."""
-    levels = _check_spin(spin)
-    eye = np.eye(levels)
-    terms = []
-    for si in spin_matrices(spin):
-        terms += [(1.0, si @ si, eye), (2.0, si, si), (1.0, eye, si @ si)]
-    return FactoredOperator(tuple(terms))
-
-
 def spin_hamiltonian() -> FactoredOperator:
     """The spin-1 coupling S_A . S_B = (S_A + S_B)^2 / 2 - 2.
 
@@ -138,14 +108,7 @@ def spin_quadruple(spin: str, angles: AngleSet) -> ChshQuadruple:
     spin 1, side A: <0|A|-1> = e^{i phase}).
     """
     levels = _check_spin(spin)
-    pairs_a, pairs_b = _FLIP_PAIRS[spin]
-    return ChshQuadruple(
-        a1=phase_flip(levels, pairs_a, angles.alpha1),
-        a2=phase_flip(levels, pairs_a, angles.alpha2),
-        b1=phase_flip(levels, pairs_b, angles.beta1),
-        b2=phase_flip(levels, pairs_b, angles.beta2),
-        angles=angles,
-    )
+    return flip_quadruple((levels, levels), _FLIP_PAIRS[spin], angles)
 
 
 def spin_one_closed_form():

@@ -2,7 +2,9 @@
 
 The library keeps two-party operators as local factors.  The oracle
 here builds the full-space Kronecker matrices instead; it is meant for
-small spaces (spin, and Fock cutoffs up to about 8).
+small spaces (spin, and Fock cutoffs up to about 8).  The closed forms
+only tests use (the total spin, the squeezed pair correlator) live here
+too.
 
 The library integrates the mass-shell inner product with a radial rule
 and a closed-form angular factor.  The oracle here is the full
@@ -15,19 +17,24 @@ import numpy as np
 
 from bellchsh import (
     ChshQuadruple,
-    DenseOperator,
     FactoredOperator,
     GaussianPacket,
     Ket,
     RindlerModeSet,
     ShellQuadrature,
+    spin_matrices,
 )
 from bellchsh.errors import ShapeError
 
 
-def dense(op: FactoredOperator) -> DenseOperator:
+def dense(op: FactoredOperator) -> np.ndarray:
     """Full-space matrix sum_k c_k kron(L_k, R_k) of a factored operator."""
-    return DenseOperator(sum(c * np.kron(left, right) for c, left, right in op.terms))
+    return sum(c * np.kron(left, right) for c, left, right in op.terms)
+
+
+def hermiticity_deviation(m: np.ndarray) -> float:
+    """Entrywise max|M - M^dag|."""
+    return float(np.abs(m - m.conj().T).max())
 
 
 def full_quadruple(q: ChshQuadruple) -> dict[str, np.ndarray]:
@@ -35,31 +42,41 @@ def full_quadruple(q: ChshQuadruple) -> dict[str, np.ndarray]:
     dim_a, dim_b = q.dims  # raises ShapeError on mixed dims
     eye_a, eye_b = np.eye(dim_a), np.eye(dim_b)
     return {
-        "a1": np.kron(q.a1.entries, eye_b), "a2": np.kron(q.a2.entries, eye_b),
-        "b1": np.kron(eye_a, q.b1.entries), "b2": np.kron(eye_a, q.b2.entries),
+        "a1": np.kron(q.a1, eye_b), "a2": np.kron(q.a2, eye_b),
+        "b1": np.kron(eye_a, q.b1), "b2": np.kron(eye_a, q.b2),
     }
 
 
-def chsh_operator(q: ChshQuadruple) -> DenseOperator:
+def chsh_operator(q: ChshQuadruple) -> np.ndarray:
     """Assemble C = (A1 + A2) B1 + (A1 - A2) B2 as a dense full-space matrix."""
     full = full_quadruple(q)
     a1, a2, b1, b2 = full["a1"], full["a2"], full["b1"], full["b2"]
-    return DenseOperator((a1 + a2) @ b1 + (a1 - a2) @ b2)
+    return (a1 + a2) @ b1 + (a1 - a2) @ b2
 
 
-def adjoint(m: DenseOperator) -> DenseOperator:
-    """Conjugate transpose."""
-    return m.adjoint()
-
-
-def expectation(psi: Ket, m: DenseOperator) -> complex:
-    """Expectation value <psi|M|psi> of a dense operator, normalized state."""
-    if psi.dim != m.dim:
-        raise ShapeError(f"ket dim {psi.dim} vs operator dim {m.dim}")
+def expectation(psi: Ket, m: np.ndarray) -> complex:
+    """Expectation value <psi|M|psi> of a dense matrix, normalized state."""
+    if psi.dim != m.shape[0]:
+        raise ShapeError(f"ket dim {psi.dim} vs operator dim {m.shape[0]}")
     if abs(psi.norm - 1.0) > 1e-9:
         raise ValueError(f"expectation requires a normalized state, "
                          f"||psi|| = {psi.norm!r}")
-    return complex(np.vdot(psi.amplitudes, m.entries @ psi.amplitudes))
+    return complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
+
+
+def total_spin_squared(spin: str) -> FactoredOperator:
+    """(S_A + S_B)^2 on the product space; annihilates the singlet."""
+    matrices = spin_matrices(spin)
+    eye = np.eye(matrices[0].shape[0])
+    terms = []
+    for si in matrices:
+        terms += [(1.0, si @ si, eye), (2.0, si, si), (1.0, eye, si @ si)]
+    return FactoredOperator(tuple(terms))
+
+
+def correlator_closed(eta: float, alpha_k: float, beta_i: float) -> float:
+    """Closed-form squeezed pair correlator 2 eta/(1+eta^2) * cos(alpha_k + beta_i)."""
+    return 2.0 * eta / (1.0 + eta * eta) * math.cos(alpha_k + beta_i)
 
 
 def shell_grid(q: ShellQuadrature, mass: float):
@@ -177,12 +194,8 @@ def random_involution_quadruple(rng: np.random.Generator, dim_a: int,
             signs[0] = -signs[0]  # avoid the trivial +-identity
         return u @ np.diag(signs) @ u.conj().T
 
-    ops = {}
-    for name in ("a1", "a2"):
-        ops[name] = DenseOperator(side(dim_a))
-    for name in ("b1", "b2"):
-        ops[name] = DenseOperator(side(dim_b))
-    return ChshQuadruple(**ops)
+    return ChshQuadruple(a1=side(dim_a), a2=side(dim_a),
+                         b1=side(dim_b), b2=side(dim_b))
 
 
 def series_squeezed_state(eta: float, cutoff: int) -> np.ndarray:

@@ -81,7 +81,7 @@ def test_criterion_04_violation_window():
     endpoint_value = fock.chsh_closed(ROOT2 - 1.0, angles)
     ok = abs(endpoint_value - 2.0) <= 1e-12
 
-    lo, hi = fock.violation_window(tol=1e-10)  # raises if bisection drifts
+    lo, hi = fock.violation_window()  # raises if bisection drifts
     ok = ok and abs(lo - (ROOT2 - 1.0)) <= 1e-10 and hi == 1.0
 
     interior = np.linspace(lo, hi, 102)[1:-1]

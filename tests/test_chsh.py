@@ -8,7 +8,6 @@ from bellchsh import (
     ChshQuadruple,
     ClosedFormCorrelator,
     ConsistencyError,
-    DenseOperator,
     DomainError,
     Ket,
     ShapeError,
@@ -55,9 +54,9 @@ class TestAngleSet:
 
 class TestChshOperator:
     def test_identity_quadruple_gives_twice_identity(self):
-        eye = DenseOperator.identity(2)
+        eye = np.eye(2)
         q = ChshQuadruple(a1=eye, a2=eye, b1=eye, b2=eye)
-        assert np.abs(chsh_operator(q).entries - 2 * np.eye(4)).max() == 0.0
+        assert np.abs(chsh_operator(q) - 2 * np.eye(4)).max() == 0.0
 
     def test_tsirelson_recovery_on_spin_half_singlet(self):
         q = spin_quadruple(spin.SPIN_HALF, spin.TSIRELSON_ANGLES)
@@ -68,14 +67,11 @@ class TestChshOperator:
         rng = np.random.default_rng(23)
         for _ in range(10):
             q = random_involution_quadruple(rng, 3, 3)
-            lam = power_iteration_norm(chsh_operator(q).entries)
+            lam = power_iteration_norm(chsh_operator(q))
             assert lam <= TSIRELSON_BOUND + 1e-9
 
     def test_mixed_dims_raise(self):
-        q = ChshQuadruple(
-            a1=DenseOperator.identity(2), a2=DenseOperator.identity(2),
-            b1=DenseOperator.identity(2), b2=DenseOperator.identity(3),
-        )
+        q = ChshQuadruple(a1=np.eye(2), a2=np.eye(2), b1=np.eye(2), b2=np.eye(3))
         with pytest.raises(ShapeError):
             chsh_value(Ket(np.eye(4)[0], normalized=True), q)
         with pytest.raises(ShapeError):
@@ -96,7 +92,7 @@ class TestChshValue:
             # independent assembly: four pairwise full-space expectations
             full = full_quadruple(q)
             pairwise = [
-                expectation(psi, DenseOperator(full[a] @ full[b]))
+                expectation(psi, full[a] @ full[b])
                 for a, b in (("a1", "b1"), ("a2", "b1"), ("a1", "b2"), ("a2", "b2"))
             ]
             direct = (pairwise[0] + pairwise[1] + pairwise[2] - pairwise[3]).real
@@ -128,17 +124,14 @@ class TestChshValue:
     def test_imaginary_residue_raises(self):
         rng = np.random.default_rng(37)
         entries = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        bad = ChshQuadruple(
-            a1=DenseOperator(entries), a2=DenseOperator.identity(2),
-            b1=DenseOperator.identity(2), b2=DenseOperator.identity(2),
-        )
+        bad = ChshQuadruple(a1=entries, a2=np.eye(2), b1=np.eye(2), b2=np.eye(2))
         with pytest.raises(ConsistencyError):
             chsh_value(random_state(rng, 4), bad)
 
 
 class TestValidation:
     def test_identity_quadruple_all_zero(self):
-        eye = DenseOperator.identity(2)
+        eye = np.eye(2)
         report = validate_quadruple(ChshQuadruple(a1=eye, a2=eye, b1=eye, b2=eye))
         assert report.max_deviation == 0.0
         assert report.passed
@@ -153,8 +146,7 @@ class TestValidation:
 
     def test_corrupted_phase_fails(self):
         q = spin_quadruple(spin.SPIN_ONE, spin.SPIN_ONE_VIOLATION_ANGLES)
-        bad = ChshQuadruple(a1=DenseOperator(q.a1.entries * 1.01),
-                            a2=q.a2, b1=q.b1, b2=q.b2)
+        bad = ChshQuadruple(a1=q.a1 * 1.01, a2=q.a2, b1=q.b1, b2=q.b2)
         report = validate_quadruple(bad)
         assert max(report.involution.values()) > 1e-6
         assert not report.passed

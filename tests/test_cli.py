@@ -198,6 +198,12 @@ class TestKgNorm:
         assert out == ""
         assert flag in err and "Traceback" not in err
 
+    def test_huge_radial_count_rejected_before_allocation(self, capsys):
+        code, out, err = run(capsys, "kg-norm", "--quad", "100000000,2")
+        assert code == 2
+        assert out == ""
+        assert "radial" in err and "Traceback" not in err
+
     def test_zero_amplitude_is_degenerate(self, capsys):
         code, out, err = run(capsys, "kg-norm", "--amplitude", "0")
         assert code == 2

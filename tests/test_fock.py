@@ -5,7 +5,6 @@ import pytest
 
 from bellchsh import (
     AngleSet,
-    DenseOperator,
     DomainError,
     chsh_value,
     validate_quadruple,
@@ -14,10 +13,10 @@ from bellchsh.fock import (
     FockSpace,
     MAX_CUTOFF,
     MAX_VIOLATION_ANGLES,
+    WINDOW_TOL,
     bogoliubov_pair,
     chsh_closed,
     chsh_matrix,
-    correlator_closed,
     fock_quadruple,
     ladder_matrices,
     squeezed_closed_form,
@@ -27,9 +26,11 @@ from bellchsh.fock import (
 )
 from helpers import (
     chsh_operator,
+    correlator_closed,
     dense,
     expectation,
     full_quadruple,
+    hermiticity_deviation,
     series_squeezed_state,
 )
 
@@ -101,18 +102,18 @@ class TestLadderMatrices:
         a, _, b, _ = ladder_matrices(space)
         vacuum = np.zeros(space.dim)
         vacuum[0] = 1.0
-        assert np.abs(dense(a).entries @ vacuum).max() == 0.0
-        assert np.abs(dense(b).entries @ vacuum).max() == 0.0
+        assert np.abs(dense(a) @ vacuum).max() == 0.0
+        assert np.abs(dense(b) @ vacuum).max() == 0.0
 
     def test_single_excitation_matrix_element(self):
         space = FockSpace(6)
         _, a_dag, _, _ = ladder_matrices(space)
         # <1, 0| a_dag |0, 0> = 1
-        assert dense(a_dag).entries[1 * 6 + 0, 0] == 1.0
+        assert dense(a_dag)[1 * 6 + 0, 0] == 1.0
 
     def test_cross_mode_commutators_vanish_exactly(self):
         space = FockSpace(8)
-        a, a_dag, b, b_dag = (dense(op).entries for op in ladder_matrices(space))
+        a, a_dag, b, b_dag = (dense(op) for op in ladder_matrices(space))
         for left, right in ((a, b_dag), (a, b), (a_dag, b_dag)):
             comm = left @ right - right @ left
             assert np.abs(comm).max() == 0.0
@@ -120,7 +121,7 @@ class TestLadderMatrices:
     def test_same_mode_commutator_structure(self):
         space = FockSpace(8)
         n = space.cutoff
-        a, a_dag, _, _ = (dense(op).entries for op in ladder_matrices(space))
+        a, a_dag, _, _ = (dense(op) for op in ladder_matrices(space))
         comm = a @ a_dag - a_dag @ a
         expected = np.kron(np.diag([1.0] * (n - 1) + [1.0 - n]), np.eye(n))
         assert np.abs(comm - expected).max() <= 1e-13
@@ -192,14 +193,14 @@ class TestBogoliubov:
         space = FockSpace(8)
         a, _, b, _ = ladder_matrices(space)
         pair = bogoliubov_pair(1e-9, space)
-        assert np.abs(dense(pair.alpha).entries - dense(a).entries).max() <= 1e-8
-        assert np.abs(dense(pair.beta).entries - dense(b).entries).max() <= 1e-8
+        assert np.abs(dense(pair.alpha) - dense(a)).max() <= 1e-8
+        assert np.abs(dense(pair.beta) - dense(b)).max() <= 1e-8
 
     def test_canonical_commutators_on_interior(self):
         space = FockSpace(12)
         n = space.cutoff
         pair = bogoliubov_pair(0.6, space)
-        alpha, beta = dense(pair.alpha).entries, dense(pair.beta).entries
+        alpha, beta = dense(pair.alpha), dense(pair.beta)
         alpha_dag = alpha.conj().T
         same = alpha @ alpha_dag - alpha_dag @ alpha - np.eye(space.dim)
         cross = alpha @ beta - beta @ alpha
@@ -236,21 +237,21 @@ class TestSqueezedHamiltonian:
         h = dense(squeezed_hamiltonian(1e-10, space))
         levels = np.arange(6)
         number = np.diag(np.add.outer(levels, levels).ravel().astype(float))
-        assert np.abs(h.entries - number).max() <= 1e-8
+        assert np.abs(h - number).max() <= 1e-8
 
     def test_equals_bogoliubov_number_operator_on_interior(self):
         space = FockSpace(12)
         eta = 0.55
         pair = bogoliubov_pair(eta, space)
-        alpha, beta = dense(pair.alpha).entries, dense(pair.beta).entries
+        alpha, beta = dense(pair.alpha), dense(pair.beta)
         built = alpha.conj().T @ alpha + beta.conj().T @ beta
-        closed = dense(squeezed_hamiltonian(eta, space)).entries
+        closed = dense(squeezed_hamiltonian(eta, space))
         diff = interior_block(built - closed, space.cutoff, 2)
         assert np.abs(diff).max() <= 1e-12
 
     def test_hermitian(self):
         h = dense(squeezed_hamiltonian(0.4, FockSpace(8)))
-        assert h.hermiticity_deviation <= 1e-13
+        assert hermiticity_deviation(h) <= 1e-13
 
 
 class TestPairFlip:
@@ -260,8 +261,8 @@ class TestPairFlip:
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         expected = np.kron(np.eye(2), swap)
         q = fock_quadruple(space, ZERO_PHASES)
-        assert np.array_equal(q.a1.entries, expected)
-        assert np.array_equal(q.b1.entries, expected)
+        assert np.array_equal(q.a1, expected)
+        assert np.array_equal(q.b1, expected)
         full = full_quadruple(q)
         assert np.array_equal(full["a1"], np.kron(expected, np.eye(4)))
         assert np.array_equal(full["b1"], np.kron(np.eye(4), expected))
@@ -281,7 +282,7 @@ class TestPairFlip:
         full = full_quadruple(fock_quadruple(space, AngleSet(1.234, 0.0, 1.234, 0.0)))
         for side in ("a1", "b1"):
             f = full[side]
-            assert DenseOperator(f).hermiticity_deviation == 0.0
+            assert hermiticity_deviation(f) == 0.0
             assert np.abs(f @ f - np.eye(space.dim)).max() <= 1e-15
 
     def test_sides_commute_exactly(self):
@@ -320,10 +321,10 @@ class TestKroneckerOracle:
         for eta in (0.1, 0.5, 0.9):
             alpha, beta, h = kron_bogoliubov_and_hamiltonian(eta, cutoff)
             pair = bogoliubov_pair(eta, space)
-            assert np.abs(dense(pair.alpha).entries - alpha).max() <= 1e-15
-            assert np.abs(dense(pair.beta).entries - beta).max() <= 1e-15
+            assert np.abs(dense(pair.alpha) - alpha).max() <= 1e-15
+            assert np.abs(dense(pair.beta) - beta).max() <= 1e-15
             # H entries reach ~140 at eta = 0.9: 1e-15 relative to the largest
-            built = dense(squeezed_hamiltonian(eta, space)).entries
+            built = dense(squeezed_hamiltonian(eta, space))
             assert np.abs(built - h).max() <= 1e-15 * np.abs(h).max()
 
 
@@ -359,7 +360,7 @@ class TestClosedForms:
         space = FockSpace(8)
         psi = squeezed_state(0.5, space).ket
         full = full_quadruple(fock_quadruple(space, AngleSet(0.3, 0.0, -0.7, 0.0)))
-        value = expectation(psi, DenseOperator(full["a1"] @ full["b1"])).real
+        value = expectation(psi, full["a1"] @ full["b1"]).real
         assert abs(value - correlator_closed(0.5, 0.3, -0.7)) <= 1e-8
 
     def test_window_endpoint_value(self):
@@ -383,7 +384,7 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             chsh_closed(0.0, MAX_VIOLATION_ANGLES)
         with pytest.raises(DomainError):
-            correlator_closed(1.0, 0.0, 0.0)
+            squeezed_closed_form(1.0)
 
 
 class TestViolationWindow:
@@ -393,8 +394,9 @@ class TestViolationWindow:
         assert abs(lo - (ROOT2 - 1.0)) <= 1e-15
 
     def test_bisection_consistency_tolerance(self):
-        # the call itself bisects and raises on disagreement > 1e-10
-        lo, _ = violation_window(tol=1e-10)
+        # the call itself bisects and raises on disagreement > WINDOW_TOL
+        assert WINDOW_TOL == 1e-10
+        lo, _ = violation_window()
         assert abs(lo - 0.4142135624) <= 1e-9
 
     def test_continuity_bracket(self):

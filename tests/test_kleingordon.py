@@ -8,6 +8,7 @@ from bellchsh import (
     DegenerateInputError,
     DomainError,
     GaussianPacket,
+    MAX_RADIAL,
     PreconditionError,
     PrecisionError,
     ShellQuadrature,
@@ -81,6 +82,15 @@ class TestShellQuadrature:
         with pytest.raises(DomainError):
             ShellQuadrature(**kwargs)
 
+    def test_radial_count_bounded_before_allocation(self):
+        # no rule is built: both raise in the constructor
+        with pytest.raises(DomainError):
+            ShellQuadrature(k_max=1.0, radial=MAX_RADIAL + 1)
+        with pytest.raises(DomainError):
+            ShellQuadrature(k_max=1.0, radial=MAX_RADIAL).refined()
+        assert ShellQuadrature(k_max=1.0, radial=64, angular=8).refined() == \
+            ShellQuadrature(k_max=1.0, radial=128, angular=16)
+
 
 class TestInnerProduct:
     def test_norm_real_and_positive(self):
@@ -129,7 +139,7 @@ class TestInnerProduct:
         ratio = abs(shell_inner_product(f, g, q)) / math.sqrt(
             shell_inner_product(f, f, q).real * shell_inner_product(g, g, q).real)
         assert ratio <= 1e-6
-        refined = q.refined(2)
+        refined = q.refined()
         ratio2 = abs(shell_inner_product(f, g, refined)) / math.sqrt(
             shell_inner_product(f, f, refined).real
             * shell_inner_product(g, g, refined).real)

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from bellchsh import (
-    DenseOperator,
+    ChshQuadruple,
     FactoredOperator,
     Ket,
     ShapeError,
+    phase_flip,
 )
-from helpers import adjoint, dense, expectation, random_state, random_unitary
-
-
-def op(arr):
-    return DenseOperator(np.asarray(arr, dtype=complex))
+from helpers import dense, expectation, random_state, random_unitary
 
 
 def product(a, b, coef=1.0):
@@ -32,17 +29,32 @@ class TestConstruction:
             Ket(np.eye(2))
 
     def test_operator_must_be_square(self):
+        # every one-factor matrix: a quadruple operator or a Kronecker factor
+        eye = np.eye(2)
         with pytest.raises(ShapeError):
-            DenseOperator(np.ones((2, 3)))
+            ChshQuadruple(a1=np.ones((2, 3)), a2=eye, b1=eye, b2=eye)
+        with pytest.raises(ShapeError):
+            FactoredOperator(((1.0, eye, np.ones((2, 3))),))
 
-    def test_hermitian_flag_rejects_non_hermitian(self):
+    def test_phase_flip_rejects_non_hermitian(self):
+        # a level paired with itself ends up with e^{-i phase} on the diagonal
         with pytest.raises(ValueError):
-            DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
+            phase_flip(2, [(0, 0)], 0.5)
+        with pytest.raises(ValueError):
+            phase_flip(2, [(0, 1)], float("nan"))
 
     def test_values_are_immutable(self):
         k = Ket(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             k.amplitudes[0] = 2.0
+        source = np.eye(2)
+        q = ChshQuadruple(a1=source, a2=source, b1=source, b2=source)
+        source[0, 0] = 2.0  # the quadruple holds its own copy
+        assert q.a1[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            q.a1[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            phase_flip(2, [(0, 1)], 0.5)[0, 0] = 2.0
 
 
 class TestTensor:
@@ -50,7 +62,7 @@ class TestTensor:
 
     def test_identity_times_identity(self):
         eye2 = np.eye(2)
-        assert np.array_equal(dense(product(eye2, eye2)).entries, np.eye(4))
+        assert np.array_equal(dense(product(eye2, eye2)), np.eye(4))
         psi = random_state(np.random.default_rng(5), 4)
         assert np.array_equal(product(eye2, eye2).apply(psi).amplitudes,
                               psi.amplitudes)
@@ -70,8 +82,8 @@ class TestTensor:
         from bellchsh import SPIN_ONE, AngleSet, spin_quadruple
 
         q = spin_quadruple(SPIN_ONE, AngleSet(0.37, 0.0, -1.2, 0.0))
-        a1 = product(q.a1.entries, np.eye(3))
-        b1 = product(np.eye(3), q.b1.entries)
+        a1 = product(q.a1, np.eye(3))
+        b1 = product(np.eye(3), q.b1)
         psi = random_state(np.random.default_rng(9), 9)
         ab = a1.apply(b1.apply(psi)).amplitudes
         ba = b1.apply(a1.apply(psi)).amplitudes
@@ -106,13 +118,13 @@ class TestTensor:
                       for _ in range(3))
         factored = FactoredOperator(terms)
         psi = random_state(rng, 12)
-        via_dense = dense(factored).apply(psi).amplitudes
+        via_dense = dense(factored) @ psi.amplitudes
         assert np.abs(factored.apply(psi).amplitudes - via_dense).max() <= 1e-13
-        adj = dense(factored.adjoint()).entries
-        assert np.abs(adj - dense(factored).entries.conj().T).max() <= 1e-15
+        adj = dense(factored.adjoint())
+        assert np.abs(adj - dense(factored).conj().T).max() <= 1e-15
         first = FactoredOperator(terms[:1])
-        combo = dense(2.0 * factored - first).entries
-        expected = 2.0 * dense(factored).entries - dense(first).entries
+        combo = dense(2.0 * factored - first)
+        expected = 2.0 * dense(factored) - dense(first)
         assert np.abs(combo - expected).max() <= 1e-13
 
     def test_no_capacity_limit_past_old_dense_budget(self):
@@ -136,14 +148,18 @@ class TestTensor:
 
 
 class TestAdjoint:
+    """``FactoredOperator.adjoint`` against independently built matrices."""
+
     def test_identity(self):
-        eye = DenseOperator.identity(4)
-        assert np.array_equal(adjoint(eye).entries, np.eye(4))
+        eye = product(np.eye(2), np.eye(2))
+        assert np.array_equal(dense(eye.adjoint()), np.eye(4))
 
     def test_involution(self):
         rng = np.random.default_rng(3)
-        m = op(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        assert np.array_equal(adjoint(adjoint(m)).entries, m.entries)
+        m = product(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+                    rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                    coef=complex(rng.normal(), rng.normal()))
+        assert np.array_equal(dense(m.adjoint().adjoint()), dense(m))
 
     def test_ladder_pair_on_truncated_space(self):
         # the creation matrix sqrt(n) |n><n-1| is the adjoint of the
@@ -154,13 +170,14 @@ class TestAdjoint:
         for level in range(1, n):
             lowering[level - 1, level] = np.sqrt(level)
             raising[level, level - 1] = np.sqrt(level)
-        assert np.array_equal(adjoint(op(raising)).entries, lowering)
+        # a 1 x 1 right factor makes the factored operator the matrix itself
+        assert np.array_equal(dense(product(raising, np.eye(1)).adjoint()), lowering)
 
 
 class TestExpectation:
     def test_basis_state_identity(self):
         e0 = Ket(np.array([1.0, 0.0, 0.0]), normalized=True)
-        assert expectation(e0, DenseOperator.identity(3)) == 1.0 + 0.0j
+        assert expectation(e0, np.eye(3)) == 1.0 + 0.0j
 
     def test_spin_one_singlet_energy(self):
         # independent 9x9 construction: S_A . S_B from the standard
@@ -173,7 +190,7 @@ class TestExpectation:
         amp = np.zeros(9, dtype=complex)
         amp[2], amp[4], amp[6] = 1.0, -1.0, 1.0
         psi = Ket(amp / np.sqrt(3.0), normalized=True)
-        value = expectation(psi, DenseOperator(h, hermitian=True))
+        value = expectation(psi, h)
         assert abs(value - (-2.0)) <= 1e-12
 
     def test_squeezed_pair_correlator_value(self):
@@ -185,26 +202,24 @@ class TestExpectation:
         space = FockSpace(8)
         psi = squeezed_state(0.5, space).ket
         full = full_quadruple(fock_quadruple(space, AngleSet(0.0, 0.0, 0.0, 0.0)))
-        ab = DenseOperator(full["a1"] @ full["b1"])
-        assert abs(expectation(psi, ab) - 0.8) <= 1e-12
+        assert abs(expectation(psi, full["a1"] @ full["b1"]) - 0.8) <= 1e-12
 
     def test_requires_matching_dims(self):
         with pytest.raises(ShapeError):
-            expectation(Ket(np.array([1.0, 0.0]), normalized=True),
-                        DenseOperator.identity(3))
+            expectation(Ket(np.array([1.0, 0.0]), normalized=True), np.eye(3))
 
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
-            expectation(Ket(np.array([2.0, 0.0])), DenseOperator.identity(2))
+            expectation(Ket(np.array([2.0, 0.0])), np.eye(2))
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             dim = int(rng.integers(2, 8))
             psi = random_state(rng, dim)
-            m = op(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             lhs = np.conj(expectation(psi, m))
-            rhs = expectation(psi, m.adjoint())
+            rhs = expectation(psi, m.conj().T)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_unitaries_preserve_norm(self):
@@ -214,4 +229,4 @@ class TestExpectation:
             u = random_unitary(rng, dim)
             assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-12
             psi = random_state(rng, dim)
-            assert abs(DenseOperator(u).apply(psi).norm - psi.norm) <= 1e-12
+            assert abs(np.linalg.norm(u @ psi.amplitudes) - psi.norm) <= 1e-12
