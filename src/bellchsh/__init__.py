@@ -20,15 +20,7 @@ from .chsh import (
     validate_quadruple,
     wrap_angle,
 )
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DegenerateInputError,
-    DomainError,
-    PreconditionError,
-    PrecisionError,
-    ShapeError,
-)
+from .errors import DomainError, PrecisionError, ShapeError
 from .fock import (
     BogoliubovPair,
     FockSpace,

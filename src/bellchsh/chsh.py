@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, ShapeError
+from .errors import DomainError, PrecisionError, ShapeError
 from .linalg import STRUCTURE_TOL, Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -73,7 +73,7 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     every level outside the (disjoint) pairs is fixed, with 1 on the
     diagonal.  The result is a read-only complex matrix, hermitian and an
     exact involution; pairs that break hermiticity (a level paired with
-    itself) or a non-finite phase raise ``ValueError``.
+    itself) or a non-finite phase raise ``DomainError``.
     """
     up = complex(np.exp(1j * phase))
     src, dst = np.array(pairs).T
@@ -83,7 +83,7 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     m[src, dst] = up.conjugate()
     dev = _hermiticity_deviation(m)
     if not dev <= STRUCTURE_TOL:  # also catches a non-finite phase
-        raise ValueError(f"phase flip is not hermitian: max|M - M^dag| = {dev:.3e}")
+        raise DomainError(f"phase flip is not hermitian: max|M - M^dag| = {dev:.3e}")
     m.setflags(write=False)
     return m
 
@@ -209,7 +209,7 @@ def chsh_value(psi: Ket, q: ChshQuadruple) -> float:
     ``<C> = tr(Psi^dag [A1 Psi (B1 + B2)^T + A2 Psi (B1 - B2)^T])``:
     four factor-sized matrix products.  The result of a valid quadruple
     is real; an imaginary residue above 1e-10 raises
-    ``ConsistencyError``.
+    ``PrecisionError``.
     """
     dim_a, dim_b = q.dims
     if psi.dim != dim_a * dim_b:
@@ -220,7 +220,7 @@ def chsh_value(psi: Ket, q: ChshQuadruple) -> float:
     c_psi = (q.a1 @ (y1 + y2)) + (q.a2 @ (y1 - y2))
     value = np.vdot(mat, c_psi)
     if abs(value.imag) > 1e-10:
-        raise ConsistencyError(
+        raise PrecisionError(
             f"CHSH correlator has imaginary residue {value.imag:.3e}"
         )
     return float(value.real)
@@ -256,11 +256,10 @@ class ClosedFormCorrelator:
             + s[3] * math.cos(a2 + b2)
         )
 
-    __call__ = value
-
 
 def _grid_argmax(cf: ClosedFormCorrelator, points: int) -> tuple[float, ...]:
-    """Lexicographically smallest grid tuple maximizing |cf|."""
+    """Lexicographically smallest grid tuple maximizing |cf|: the first
+    hit of the tie mask in C order."""
     g = -np.pi + 2.0 * np.pi * np.arange(points) / points
     a1 = g[:, None, None, None]
     a2 = g[None, :, None, None]
@@ -273,8 +272,8 @@ def _grid_argmax(cf: ClosedFormCorrelator, points: int) -> tuple[float, ...]:
         + s[2] * np.cos(a1 + b2) + s[3] * np.cos(a2 + b2)
     ))
     peak = vals.max()
-    ties = np.argwhere(vals >= peak - 1e-12 * max(1.0, peak))
-    best = min(map(tuple, ties))  # deterministic tie-break
+    ties = vals >= peak - 1e-12 * max(1.0, peak)
+    best = np.unravel_index(np.argmax(ties), ties.shape)
     return tuple(float(g[i]) for i in best)
 
 

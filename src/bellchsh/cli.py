@@ -14,8 +14,12 @@ is CSV (header row, 17 significant digits) or JSON records; identical
 configs produce bit-identical output.  A relative ``--out`` path is
 resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
 
-Exit codes: 0 success, 2 configuration error, 3 validation or
-tolerance failure.
+Exit codes: 0 success; 2 configuration error, raised as ``DomainError``
+(a flag outside its domain, including a ``LO:HI:STEPS`` range of more
+than ``MAX_STEPS`` points, or a degenerate test function) or by argparse
+for an unknown flag; 3 validation or tolerance failure, a failed check
+in ``spin``/``squeeze-scan`` or a ``PrecisionError`` from a numerical
+certificate.
 """
 
 from __future__ import annotations
@@ -40,9 +44,17 @@ from .chsh import (
     optimize_angles,
     validate_quadruple,
 )
-from .errors import ConfigError, DegenerateInputError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 
 OUT_DIR_ENV = "BELLCHSH_OUT_DIR"
+
+#: Most points of a ``LO:HI:STEPS`` grid, checked before it is allocated.
+MAX_STEPS = 100_000
+_STEPS_HELP = f"inclusive grid of STEPS points, at most {MAX_STEPS}"
+
+#: Largest ``--quad`` RADIAL: ``test_norm`` doubles it for its error
+#: estimate, and a rule has at most ``kleingordon.MAX_RADIAL`` nodes.
+MAX_QUAD_RADIAL = kleingordon.MAX_RADIAL // 2
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -72,14 +84,14 @@ def parse_angle(token: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse angle {token!r}") from None
+        raise DomainError(f"cannot parse angle {token!r}") from None
 
 
 def parse_angles(text: str) -> AngleSet:
     """Parse 'a1,a2,b1,b2' into an AngleSet."""
     parts = text.split(",")
     if len(parts) != 4:
-        raise ConfigError(f"--angles needs 4 comma-separated values, got {text!r}")
+        raise DomainError(f"--angles needs 4 comma-separated values, got {text!r}")
     return AngleSet(*(parse_angle(p) for p in parts))
 
 
@@ -87,18 +99,20 @@ def parse_range(text: str, name: str) -> np.ndarray:
     """Parse 'LO:HI:STEPS' into an inclusive grid of STEPS points."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"{name} must look like LO:HI:STEPS, got {text!r}")
+        raise DomainError(f"{name} must look like LO:HI:STEPS, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         steps = int(parts[2])
     except ValueError:
-        raise ConfigError(f"cannot parse {name} {text!r}") from None
+        raise DomainError(f"cannot parse {name} {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{name} bounds must be finite, got {text!r}")
+        raise DomainError(f"{name} bounds must be finite, got {text!r}")
     if steps < 1:
-        raise ConfigError(f"{name} needs at least 1 step, got {steps}")
+        raise DomainError(f"{name} needs at least 1 step, got {steps}")
+    if steps > MAX_STEPS:
+        raise DomainError(f"{name} allows at most {MAX_STEPS} steps, got {steps}")
     if hi < lo:
-        raise ConfigError(f"{name} range is empty: {lo} > {hi}")
+        raise DomainError(f"{name} range is empty: {lo} > {hi}")
     return np.linspace(lo, hi, steps)
 
 
@@ -106,19 +120,22 @@ def parse_floats(text: str, name: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise ConfigError(f"cannot parse {name} {text!r}") from None
+        raise DomainError(f"cannot parse {name} {text!r}") from None
 
 
 def parse_quad(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"--quad must look like RADIAL,ANGULAR, got {text!r}")
+        raise DomainError(f"--quad must look like RADIAL,ANGULAR, got {text!r}")
     try:
         radial, angular = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ConfigError(f"cannot parse --quad {text!r}") from None
+        raise DomainError(f"cannot parse --quad {text!r}") from None
     if radial < 2 or angular < 2:
-        raise ConfigError(f"--quad needs at least 2 nodes per direction, got {text!r}")
+        raise DomainError(f"--quad needs at least 2 nodes per direction, got {text!r}")
+    if radial > MAX_QUAD_RADIAL:
+        raise DomainError(f"--quad radial node count must be <= {MAX_QUAD_RADIAL} "
+                          f"(doubled for the error estimate), got {radial}")
     return radial, angular
 
 
@@ -214,7 +231,7 @@ def cmd_squeeze_scan(args) -> int:
     angles = parse_angles(args.angles) if args.angles else fock.MAX_VIOLATION_ANGLES
     grid = parse_range(args.eta_range, "--eta-range")
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
-        raise ConfigError(
+        raise DomainError(
             f"--eta-range must stay inside the open interval (0, 1), got {args.eta_range!r}"
         )
     window_lo, _ = fock.violation_window()
@@ -257,7 +274,7 @@ def cmd_optimize(args) -> int:
         rows = [{"quantity": "closed_form", "value": "spin-one"}]
     else:
         if not 0.0 < args.eta < 1.0:
-            raise ConfigError(f"--eta must lie in (0, 1), got {args.eta}")
+            raise DomainError(f"--eta must lie in (0, 1), got {args.eta}")
         form = fock.squeezed_closed_form(args.eta)
         rows = [{"quantity": "closed_form", "value": "squeezed"},
                 {"quantity": "eta", "value": args.eta}]
@@ -273,17 +290,17 @@ def cmd_optimize(args) -> int:
 def cmd_kg_norm(args) -> int:
     center = parse_floats(args.center, "--center")
     if len(center) != 3 or not all(map(math.isfinite, center)):
-        raise ConfigError(f"--center needs finite cx,cy,cz, got {args.center!r}")
+        raise DomainError(f"--center needs finite cx,cy,cz, got {args.center!r}")
     if not 0.0 < args.width < math.inf:
-        raise ConfigError(f"--width must be positive and finite, got {args.width}")
+        raise DomainError(f"--width must be positive and finite, got {args.width}")
     if not 0.0 <= args.mass < math.inf:
-        raise ConfigError(f"--mass must be non-negative and finite, got {args.mass}")
+        raise DomainError(f"--mass must be non-negative and finite, got {args.mass}")
     if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+        raise DomainError(f"--tol must be positive and finite, got {args.tol}")
     for flag, value in (("--center-energy", args.center_energy),
                         ("--amplitude", args.amplitude)):
         if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
+            raise DomainError(f"{flag} must be finite, got {value}")
     radial, angular = parse_quad(args.quad)
 
     packet = kleingordon.GaussianPacket.on_shell(
@@ -301,7 +318,7 @@ def cmd_kg_norm(args) -> int:
 
     estimate = kleingordon.test_norm(packet, quad)
     if not estimate.value > 0.0:
-        raise DegenerateInputError(f"test function norm is degenerate: {estimate.value!r}")
+        raise DomainError(f"test function norm is degenerate: {estimate.value!r}")
     rows = [
         {"quantity": "norm_sq", "value": estimate.value},
         {"quantity": "error_estimate", "value": estimate.error},
@@ -320,7 +337,7 @@ def cmd_kg_norm(args) -> int:
 def cmd_rindler_scan(args) -> int:
     frequencies = parse_floats(args.modes, "--modes")
     if args.temp_range and args.accel_range:
-        raise ConfigError("--temp-range and --accel-range are mutually exclusive")
+        raise DomainError("--temp-range and --accel-range are mutually exclusive")
     if args.accel_range:
         grid = parse_range(args.accel_range, "--accel-range") / (2.0 * math.pi)
     else:
@@ -363,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_spin)
 
     p = sub.add_parser("squeeze-scan", help="squeezed-oscillator CHSH scan")
-    p.add_argument("--eta-range", default="0.1:0.9:9", metavar="LO:HI:STEPS")
+    p.add_argument("--eta-range", default="0.1:0.9:9", metavar="LO:HI:STEPS",
+                   help=_STEPS_HELP)
     p.add_argument("--cutoff", type=int, default=fock.DEFAULT_CUTOFF,
                    help=f"per-mode Fock cutoff (even, 4 to {fock.MAX_CUTOFF}; "
                         "default 40)")
@@ -388,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--quad", default="128,32", metavar="RADIAL,ANGULAR",
-                   help="quadrature node counts; the radial rule uses RADIAL only, "
-                        "and doubles it for the error estimate (at most "
-                        f"{kleingordon.MAX_RADIAL} after doubling)")
+                   help="quadrature node counts; the radial rule uses RADIAL only "
+                        f"(at most {MAX_QUAD_RADIAL}), and doubles it for the "
+                        "error estimate")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--normalize", action="store_true",
                    help="also rescale to unit norm and report the recheck")
@@ -399,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rindler-scan", help="Unruh-temperature scan")
     p.add_argument("--modes", default="1.0", metavar="w1,w2,...")
-    p.add_argument("--temp-range", default=None, metavar="LO:HI:STEPS")
-    p.add_argument("--accel-range", default=None, metavar="LO:HI:STEPS")
+    p.add_argument("--temp-range", default=None, metavar="LO:HI:STEPS",
+                   help=_STEPS_HELP)
+    p.add_argument("--accel-range", default=None, metavar="LO:HI:STEPS",
+                   help=_STEPS_HELP)
     _add_output_options(p)
     p.set_defaults(handler=cmd_rindler_scan)
 
@@ -412,7 +432,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DomainError, DegenerateInputError) as err:
+    except DomainError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return _EXIT_CONFIG
     except PrecisionError as err:

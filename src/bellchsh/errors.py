@@ -1,29 +1,18 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each class the command line can meet is one exit code: ``DomainError``
+exits 2 and ``PrecisionError`` exits 3.
+"""
 
 
 class ShapeError(ValueError):
-    """Operand dimensions are incompatible."""
+    """Operand dimensions are incompatible (a programming error)."""
 
 
 class DomainError(ValueError):
-    """A numeric parameter lies outside its admissible domain."""
-
-
-class DegenerateInputError(ValueError):
-    """An input is degenerate (e.g. a test function with vanishing norm)."""
-
-
-class PreconditionError(ValueError):
-    """A documented precondition of an operation is violated."""
+    """An input lies outside its domain: a bad flag, a degenerate test
+    function or a violated precondition."""
 
 
 class PrecisionError(ArithmeticError):
-    """A numerical procedure cannot certify the requested tolerance."""
-
-
-class ConsistencyError(ArithmeticError):
-    """An internal cross-check failed (e.g. a spurious imaginary part)."""
-
-
-class ConfigError(ValueError):
-    """Invalid command-line or run configuration."""
+    """A numerical certificate or internal cross-check failed."""

@@ -30,7 +30,7 @@ import numpy as np
 
 from .chsh import (AngleSet, ChshQuadruple, ClosedFormCorrelator, chsh_value,
                    flip_quadruple)
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError, PrecisionError
 from .linalg import FactoredOperator, Ket
 
 #: Phase choice turning the squeezed closed form into 2 * (2 sqrt(2) eta
@@ -223,7 +223,7 @@ def violation_window() -> tuple[float, float]:
 
     Returns (sqrt(2) - 1, 1).  The lower endpoint is additionally
     recovered by bisecting ``chsh_closed(., MAX_VIOLATION_ANGLES) - 2``;
-    a disagreement beyond ``WINDOW_TOL`` raises ``ConsistencyError``.
+    a disagreement beyond ``WINDOW_TOL`` raises ``PrecisionError``.
     """
     analytic = math.sqrt(2.0) - 1.0
 
@@ -232,7 +232,7 @@ def violation_window() -> tuple[float, float]:
 
     lo, hi = 0.01, 0.99
     if not excess(lo) < 0.0 < excess(hi):
-        raise ConsistencyError("violation-window bracket lost its sign change")
+        raise PrecisionError("violation-window bracket lost its sign change")
     while hi - lo > 0.25 * WINDOW_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0.0:
@@ -241,7 +241,7 @@ def violation_window() -> tuple[float, float]:
             hi = mid
     root = 0.5 * (lo + hi)
     if abs(root - analytic) > WINDOW_TOL:
-        raise ConsistencyError(
+        raise PrecisionError(
             f"bisection endpoint {root!r} deviates from sqrt(2)-1 by more than {WINDOW_TOL}"
         )
     return analytic, 1.0

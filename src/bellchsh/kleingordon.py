@@ -32,12 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chsh import AngleSet
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    PreconditionError,
-    PrecisionError,
-)
+from .errors import DomainError, PrecisionError
 from . import fock
 
 
@@ -71,8 +66,11 @@ class GaussianPacket:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not all(math.isfinite(c) for c in self.center):
             raise DomainError(f"center must be finite, got {self.center!r}")
-        if not 0.0 < self.width < math.inf:
-            raise DomainError(f"width must be positive and finite, got {self.width}")
+        # width * width, not width ** 2: the power raises on overflow
+        if not (0.0 < self.width and 0.0 < self.width * self.width < math.inf):
+            raise DomainError(
+                f"width must be positive with a non-zero, finite square, got {self.width}"
+            )
         if not 0.0 <= self.mass < math.inf:
             raise DomainError(f"mass must be non-negative and finite, got {self.mass}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
@@ -237,13 +235,13 @@ def normalize(f: GaussianPacket, q: ShellQuadrature) -> GaussianPacket:
     """Rescale the packet amplitude so that ||f|| = 1.
 
     The rescaling factor is real and positive, so the amplitude phase is
-    preserved.  Raises ``DegenerateInputError`` for a vanishing norm and
+    preserved.  Raises ``DomainError`` for a vanishing norm and
     ``PrecisionError`` when the quadrature has not converged well enough
     to certify ||f|| = 1 within 1e-10.
     """
     est = test_norm(f, q)
     if not est.value > 1e-60 or not math.isfinite(est.value):
-        raise DegenerateInputError(f"test function norm is degenerate: {est.value!r}")
+        raise DomainError(f"test function norm is degenerate: {est.value!r}")
     if est.error > 1e-10 * est.value:
         raise PrecisionError(
             f"norm estimate {est.value!r} carries relative error "
@@ -260,25 +258,25 @@ def sigma_chsh(sigma: float, angles: AngleSet, f: GaussianPacket,
     (a_f, b_g) satisfy the same algebra as an independent two-mode
     oscillator pair, so the correlator reduces to the oscillator closed
     form with squeezing parameter ``sigma``.  The preconditions that
-    justify the reduction are verified (each bound is 1e-6) and the
-    evaluation is delegated to :func:`bellchsh.fock.chsh_closed`.
+    justify the reduction are verified (each bound is 1e-6; a violation
+    raises ``DomainError``) and the evaluation is delegated to :func:`bellchsh.fock.chsh_closed`.
     """
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"sigma must lie in (0, 1), got {sigma}")
     bound = 1e-6
     norm_f = math.sqrt(shell_inner_product(f, f, q).real)
     if abs(norm_f - 1.0) > bound:
-        raise PreconditionError(
+        raise DomainError(
             f"| ||f|| - 1 | = {abs(norm_f - 1.0):.3e} exceeds bound {bound}"
         )
     norm_g = math.sqrt(shell_inner_product(g, g, q).real)
     if abs(norm_g - 1.0) > bound:
-        raise PreconditionError(
+        raise DomainError(
             f"| ||g|| - 1 | = {abs(norm_g - 1.0):.3e} exceeds bound {bound}"
         )
     overlap = abs(shell_inner_product(f, g, q)) / (norm_f * norm_g)
     if overlap > bound:
-        raise PreconditionError(
+        raise DomainError(
             f"|<f|g>| / (||f|| ||g||) = {overlap:.3e} exceeds bound {bound}"
         )
     return fock.chsh_closed(sigma, angles)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 #: Entrywise tolerance for structural checks (hermiticity, unitarity,
 #: normalization): about 100x double-precision epsilon accumulation at
@@ -65,7 +65,7 @@ class Ket:
             raise ShapeError("a ket must be a non-empty 1-D amplitude vector")
         object.__setattr__(self, "amplitudes", _readonly(arr))
         if self.normalized and abs(self.norm - 1.0) > STRUCTURE_TOL:
-            raise ValueError(
+            raise DomainError(
                 f"ket flagged normalized but ||psi|| = {self.norm!r}"
             )
 
@@ -81,7 +81,7 @@ class Ket:
         """Return the unit-norm rescaling of this ket."""
         n = self.norm
         if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+            raise DomainError("cannot normalize the zero vector")
         return Ket(self.amplitudes / n, normalized=True)
 
     def overlap(self, other: "Ket") -> complex:

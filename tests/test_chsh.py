@@ -7,9 +7,9 @@ from bellchsh import (
     AngleSet,
     ChshQuadruple,
     ClosedFormCorrelator,
-    ConsistencyError,
     DomainError,
     Ket,
+    PrecisionError,
     ShapeError,
     TSIRELSON_BOUND,
     chsh_value,
@@ -125,7 +125,7 @@ class TestChshValue:
         rng = np.random.default_rng(37)
         entries = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         bad = ChshQuadruple(a1=entries, a2=np.eye(2), b1=np.eye(2), b2=np.eye(2))
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(PrecisionError, match="imaginary residue"):
             chsh_value(random_state(rng, 4), bad)
 
 

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from bellchsh.cli import main, parse_angle, parse_angles
+from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
+from bellchsh.errors import DomainError
 
 ROOT2 = math.sqrt(2.0)
 
@@ -37,11 +38,9 @@ class TestAngleParsing:
         assert parse_angle(token) == pytest.approx(expected, abs=1e-15)
 
     def test_bad_token(self):
-        from bellchsh.errors import ConfigError
-
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="cannot parse angle 'pie'"):
             parse_angle("pie")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="--angles needs 4"):
             parse_angles("1,2,3")
 
 
@@ -184,6 +183,14 @@ class TestKgNorm:
         code, _, _ = run(capsys, "kg-norm", "--width", "0.0")
         assert code == 2
 
+    @pytest.mark.parametrize("width", ["1e-300", "1e300"])
+    def test_width_with_degenerate_square_rejected(self, capsys, width):
+        # width**2 underflows to 0 or overflows
+        code, out, err = run(capsys, "kg-norm", "--width", width)
+        assert code == 2
+        assert out == ""
+        assert "width" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("flag,value", [
         ("--mass", "nan"),
         ("--width", "inf"),
@@ -199,10 +206,13 @@ class TestKgNorm:
         assert flag in err and "Traceback" not in err
 
     def test_huge_radial_count_rejected_before_allocation(self, capsys):
-        code, out, err = run(capsys, "kg-norm", "--quad", "100000000,2")
-        assert code == 2
-        assert out == ""
-        assert "radial" in err and "Traceback" not in err
+        # test_norm doubles RADIAL, so the flag allows half of MAX_RADIAL
+        for radial in ("100000000", "4000", "2049"):
+            code, out, err = run(capsys, "kg-norm", "--quad", f"{radial},2")
+            assert code == 2
+            assert out == ""
+            assert "--quad radial" in err and "<= 2048" in err
+            assert f"got {radial}" in err and "Traceback" not in err
 
     def test_zero_amplitude_is_degenerate(self, capsys):
         code, out, err = run(capsys, "kg-norm", "--amplitude", "0")
@@ -260,6 +270,19 @@ class TestRindlerScan:
         assert code == 2
         assert out == ""
         assert argv[1] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
+    @pytest.mark.parametrize("argv", [
+        ("squeeze-scan", "--eta-range"),
+        ("rindler-scan", "--temp-range"),
+        ("rindler-scan", "--accel-range"),
+    ])
+    def test_step_count_bounded_before_allocation(self, capsys, argv, steps):
+        code, out, err = run(capsys, *argv, f"0.1:0.9:{steps}")
+        assert code == 2
+        assert out == ""
+        assert argv[1] in err and f"at most {MAX_STEPS}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("modes", ["nan", "1,inf"])
     def test_non_finite_frequency_rejected(self, capsys, modes):

@@ -3,6 +3,7 @@ import pytest
 
 from bellchsh import (
     ChshQuadruple,
+    DomainError,
     FactoredOperator,
     Ket,
     ShapeError,
@@ -21,8 +22,12 @@ class TestConstruction:
         Ket(np.array([1.0, 0.0]), normalized=True)
 
     def test_ket_normalized_flag_rejects_other(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="flagged normalized"):
             Ket(np.array([1.0, 1.0]), normalized=True)
+
+    def test_zero_ket_cannot_be_normalized(self):
+        with pytest.raises(DomainError, match="zero vector"):
+            Ket(np.zeros(2)).normalize()
 
     def test_ket_must_be_vector(self):
         with pytest.raises(ShapeError):
@@ -38,9 +43,9 @@ class TestConstruction:
 
     def test_phase_flip_rejects_non_hermitian(self):
         # a level paired with itself ends up with e^{-i phase} on the diagonal
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="not hermitian"):
             phase_flip(2, [(0, 0)], 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="not hermitian"):
             phase_flip(2, [(0, 1)], float("nan"))
 
     def test_values_are_immutable(self):
