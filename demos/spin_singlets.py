@@ -53,8 +53,10 @@ def main():
         marker = " <-- violation" if abs(spin_one_chsh_closed(angles)) > 2 else ""
         print(f"  beta1 = {beta1:5.3f}:  CHSH = {spin_one_chsh_closed(angles):+7.4f}{marker}")
 
+    # the exact optimum of the closed form (2/3)(1 + sum of signed cosines):
+    # |prefactor| (|constant| + 2 sqrt2), at a pi-shift of (-pi, -pi/2, -pi/4, pi/4)
     best_angles, best = optimize_angles(spin_one_closed_form())
-    print(f"\nbest phases found: {tuple(round(a, 6) for a in best_angles.as_tuple())}")
+    print(f"\noptimal phases: {tuple(round(a, 6) for a in best_angles.as_tuple())}")
     print(f"optimal |CHSH| = {best:.9f}  (= (2/3)(1 + 2 sqrt2) = "
           f"{(2 / 3) * (1 + 2 * math.sqrt(2)):.9f})")
 

@@ -39,6 +39,7 @@ from .fock import (
 )
 from .kleingordon import (
     GaussianPacket,
+    MAX_MOMENTUM,
     MAX_RADIAL,
     NormEstimate,
     ShellQuadrature,

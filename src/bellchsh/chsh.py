@@ -1,4 +1,4 @@
-"""Bell-CHSH quadruples, validation, correlator and measurement-phase search.
+"""Bell-CHSH quadruples, validation, correlator and exact phase optimum.
 
 The central object is a quadruple of hermitian involutions
 ``(A1, A2, B1, B2)``, the A pair acting on H_A and the B pair on H_B,
@@ -16,6 +16,7 @@ one builder of a quadruple from the flipped level pairs of each side.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ShapeError
-from .linalg import STRUCTURE_TOL, Ket, square_matrix
+from .linalg import Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -59,10 +60,6 @@ class AngleSet:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
 
-def _hermiticity_deviation(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
-
-
 def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
                phase: float) -> np.ndarray:
     """Level-pair phase flip on one factor: the measurement operator of
@@ -70,20 +67,21 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
 
     Each ``(src, dst)`` pair of levels (one row of ``pairs``) is swapped
     with ``<dst|M|src> = e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``;
-    every level outside the (disjoint) pairs is fixed, with 1 on the
-    diagonal.  The result is a read-only complex matrix, hermitian and an
-    exact involution; pairs that break hermiticity (a level paired with
-    itself) or a non-finite phase raise ``DomainError``.
+    every level outside the pairs is fixed, with 1 on the diagonal.  The
+    result is a read-only complex matrix, hermitian and an exact
+    involution by construction for disjoint pairs and a finite phase; a
+    shared level or a non-finite phase raises ``DomainError``.
     """
+    pairs = np.asarray(pairs)
+    if not (math.isfinite(phase) and np.bincount(pairs.ravel(), minlength=dim).max() <= 1):
+        raise DomainError(f"phase flip is not hermitian or not an involution: pairs "
+                          f"must be disjoint and the phase finite, got phase {phase}")
     up = complex(np.exp(1j * phase))
-    src, dst = np.array(pairs).T
+    src, dst = pairs.T
     m = np.eye(dim, dtype=complex)
     m[src, src] = m[dst, dst] = 0.0
     m[dst, src] = up
     m[src, dst] = up.conjugate()
-    dev = _hermiticity_deviation(m)
-    if not dev <= STRUCTURE_TOL:  # also catches a non-finite phase
-        raise DomainError(f"phase flip is not hermitian: max|M - M^dag| = {dev:.3e}")
     m.setflags(write=False)
     return m
 
@@ -188,7 +186,7 @@ def validate_quadruple(q: ChshQuadruple) -> ValidationReport:
     """
     dim_a, dim_b = q.dims
     ops = q.operators()
-    herm = {k: _hermiticity_deviation(op) for k, op in ops.items()}
+    herm = {k: float(np.abs(op - op.conj().T).max()) for k, op in ops.items()}
     inv = {
         k: float(np.abs(op @ op - np.eye(op.shape[0])).max())
         for k, op in ops.items()
@@ -236,9 +234,11 @@ class ClosedFormCorrelator:
                                  + signs[2] * cos(alpha1 + beta2)
                                  + signs[3] * cos(alpha2 + beta2))
 
-    Because the four sums obey (a1+b1) + (a2+b2) = (a2+b1) + (a1+b2),
-    |value| never exceeds 4 * |prefactor| for the sign patterns used
-    here.
+    The four sums obey (a1+b1) + (a2+b2) = (a2+b1) + (a1+b2), so for an
+    odd sign pattern (signs +-1, an odd number of them -1, as in every
+    form here) max |value| = |prefactor| (|constant| + 2 sqrt(2))
+    (Cirel'son, Lett. Math. Phys. 4, 93, 1980; Landau, Phys. Lett. A
+    120, 54, 1987).
     """
 
     prefactor: float
@@ -257,78 +257,22 @@ class ClosedFormCorrelator:
         )
 
 
-def _grid_argmax(cf: ClosedFormCorrelator, points: int) -> tuple[float, ...]:
-    """Lexicographically smallest grid tuple maximizing |cf|: the first
-    hit of the tie mask in C order."""
-    g = -np.pi + 2.0 * np.pi * np.arange(points) / points
-    a1 = g[:, None, None, None]
-    a2 = g[None, :, None, None]
-    b1 = g[None, None, :, None]
-    b2 = g[None, None, None, :]
-    s = cf.signs
-    vals = np.abs(cf.prefactor * (
-        cf.constant
-        + s[0] * np.cos(a1 + b1) + s[1] * np.cos(a2 + b1)
-        + s[2] * np.cos(a1 + b2) + s[3] * np.cos(a2 + b2)
-    ))
-    peak = vals.max()
-    ties = vals >= peak - 1e-12 * max(1.0, peak)
-    best = np.unravel_index(np.argmax(ties), ties.shape)
-    return tuple(float(g[i]) for i in best)
-
-
-#: Coarse grid of the phase search: 24 points per angle (15 degrees).
-_GRID_POINTS = 24
-
-#: The sweeps stop once |cf| changes by less than this between sweeps,
-#: or after ``_MAX_SWEEPS`` sweeps.
-_VALUE_TOL = 1e-9
-_MAX_SWEEPS = 200
-
-
 def optimize_angles(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
-    """Maximize |cf(angles)| over the four measurement phases.
+    """Maximize |cf(angles)| over the four measurement phases, exactly.
 
-    A coarse grid (24 points per angle, 15 degree spacing) locates
-    the basin of the global maximum; coordinate sweeps then polish it.
-    Each single-angle restriction of ``cf`` is exactly sinusoidal,
-    ``A cos(t) + B sin(t) + rest``, so every coordinate update is solved
-    in closed form from three samples instead of a line search.
-
-    Returns
-    -------
-    (AngleSet, float)
-        The maximizing phases and the maximal |value|, accurate to about
-        1e-6 for the closed forms in scope (``_VALUE_TOL`` bounds the
-        sweep-to-sweep change at convergence).
+    At ``(-pi, -pi/2, -pi/4, pi/4)`` the four cosines are (-1, -1, -1, 1)
+    / sqrt(2); shifting one phase by pi flips the two it enters, so for an
+    odd sign pattern the 16 pi-shifts include the maximum of
+    ``ClosedFormCorrelator``.  Returns the first shift (unshifted first)
+    within ``1e-12 max(1, peak)`` of the peak, with |value| there.  An
+    even sign pattern raises ``DomainError``.
     """
-    ang = list(_grid_argmax(cf, _GRID_POINTS))
-
-    def f(values):
-        return cf.value(AngleSet(*values))
-
-    best = abs(f(ang))
-    for _ in range(_MAX_SWEEPS):
-        previous = best
-        for i in range(4):
-            saved = ang[i]
-            samples = []
-            for probe in (0.0, 0.5 * math.pi, math.pi):
-                ang[i] = probe
-                samples.append(f(ang))
-            f0, f1, f2 = samples
-            a_coef = 0.5 * (f0 - f2)
-            rest = 0.5 * (f0 + f2)
-            b_coef = f1 - rest
-            amp = math.hypot(a_coef, b_coef)
-            if amp == 0.0:
-                ang[i] = saved  # coordinate is flat; leave it alone
-                continue
-            phase = math.atan2(b_coef, a_coef)
-            # max of |amp*cos(t - phase) + rest| is |rest| + amp, at
-            # cos(t - phase) = sign(rest) (either sign when rest == 0)
-            ang[i] = wrap_angle(phase if rest >= 0.0 else phase + math.pi)
-        best = abs(f(ang))
-        if abs(best - previous) < _VALUE_TOL:
-            break
-    return AngleSet(*ang), best
+    if not all(abs(s) == 1.0 for s in cf.signs) or math.prod(cf.signs) != -1.0:
+        raise DomainError(f"optimize_angles needs an odd sign pattern, got {cf.signs}")
+    base = (-math.pi, -0.5 * math.pi, -0.25 * math.pi, 0.25 * math.pi)
+    candidates = [AngleSet(*(b + math.pi * k for b, k in zip(base, shift)))
+                  for shift in itertools.product((0, 1), repeat=4)]
+    values = [abs(cf.value(angles)) for angles in candidates]
+    peak = max(values)
+    best = next(i for i, v in enumerate(values) if v >= peak - 1e-12 * max(1.0, peak))
+    return candidates[best], values[best]

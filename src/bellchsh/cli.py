@@ -5,7 +5,7 @@ Subcommands
 spin          singlet amplitudes, quadruple validation and CHSH values
               for the spin-1/2 and spin-1 singlets
 squeeze-scan  closed form vs matrix CHSH over a squeezing-parameter grid
-optimize      measurement-phase search on a closed-form correlator
+optimize      exact optimum of a closed-form correlator over the phases
 kg-norm       mass-shell norm machinery for a Gaussian test packet
 rindler-scan  Unruh-temperature scan of the vacuum CHSH value
 
@@ -288,19 +288,22 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_kg_norm(args) -> int:
+    # the packet domain (kleingordon.MAX_MOMENTUM), checked per flag
+    bound = kleingordon.MAX_MOMENTUM
     center = parse_floats(args.center, "--center")
-    if len(center) != 3 or not all(map(math.isfinite, center)):
-        raise DomainError(f"--center needs finite cx,cy,cz, got {args.center!r}")
-    if not 0.0 < args.width < math.inf:
-        raise DomainError(f"--width must be positive and finite, got {args.width}")
-    if not 0.0 <= args.mass < math.inf:
-        raise DomainError(f"--mass must be non-negative and finite, got {args.mass}")
+    if len(center) != 3 or not all(abs(c) <= bound for c in center):
+        raise DomainError(f"--center needs cx,cy,cz within +-{bound:g}, got {args.center!r}")
+    if not 1.0 / bound <= args.width <= bound:
+        raise DomainError(f"--width must lie in [1/{bound:g}, {bound:g}], got {args.width}")
+    if not 0.0 <= args.mass <= bound:
+        raise DomainError(f"--mass must lie in [0, {bound:g}], got {args.mass}")
+    if args.center_energy is not None and not abs(args.center_energy) <= 2.0 * bound:
+        raise DomainError(f"--center-energy must lie within +-{2.0 * bound:g}, "
+                          f"got {args.center_energy}")
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"--tol must be positive and finite, got {args.tol}")
-    for flag, value in (("--center-energy", args.center_energy),
-                        ("--amplitude", args.amplitude)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{flag} must be finite, got {value}")
+    if not math.isfinite(args.amplitude):
+        raise DomainError(f"--amplitude must be finite, got {args.amplitude}")
     radial, angular = parse_quad(args.quad)
 
     packet = kleingordon.GaussianPacket.on_shell(
@@ -389,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p)
     p.set_defaults(handler=cmd_squeeze_scan)
 
-    p = sub.add_parser("optimize", help="measurement-phase search")
+    p = sub.add_parser("optimize", help="exact measurement-phase optimum")
     p.add_argument("--closed-form", choices=("squeezed", "spin-one"),
                    default="squeezed")
     p.add_argument("--eta", type=float, default=0.7,

@@ -36,6 +36,12 @@ from .errors import DomainError, PrecisionError
 from . import fock
 
 
+#: Largest mass, spatial center component, width and 1/width of a packet;
+#: its center energy, like every on-shell one, is at most twice this.  No
+#: square, product or exponent of the quadrature then exceeds ~1e210.
+MAX_MOMENTUM = 1e50
+
+
 @dataclass(frozen=True)
 class GaussianPacket:
     """Gaussian momentum-space profile evaluated on the mass shell.
@@ -53,6 +59,8 @@ class GaussianPacket:
         taken on shell, k0 = omega_k).
     amplitude : complex
         Overall complex amplitude.
+
+    A value outside its ``MAX_MOMENTUM`` domain raises ``DomainError``.
     """
 
     center: tuple[float, float, float, float]
@@ -64,15 +72,18 @@ class GaussianPacket:
         if len(self.center) != 4:
             raise DomainError(f"center must be a four-momentum, got {self.center!r}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not all(math.isfinite(c) for c in self.center):
-            raise DomainError(f"center must be finite, got {self.center!r}")
-        # width * width, not width ** 2: the power raises on overflow
-        if not (0.0 < self.width and 0.0 < self.width * self.width < math.inf):
-            raise DomainError(
-                f"width must be positive with a non-zero, finite square, got {self.width}"
-            )
-        if not 0.0 <= self.mass < math.inf:
-            raise DomainError(f"mass must be non-negative and finite, got {self.mass}")
+        c0, *spatial = self.center
+        bound = MAX_MOMENTUM
+        # checked before c0, which on_shell derives from them
+        if not all(abs(c) <= bound for c in spatial):
+            raise DomainError(f"spatial center must lie within +-{bound:g}, "
+                              f"got {tuple(spatial)!r}")
+        if not 0.0 <= self.mass <= bound:
+            raise DomainError(f"mass must lie in [0, {bound:g}], got {self.mass}")
+        if not abs(c0) <= 2.0 * bound:
+            raise DomainError(f"center energy must lie within +-{2.0 * bound:g}, got {c0}")
+        if not 1.0 / bound <= self.width <= bound:
+            raise DomainError(f"width must lie in [1/{bound:g}, {bound:g}], got {self.width}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         if not cmath.isfinite(self.amplitude):
             raise DomainError(f"amplitude must be finite, got {self.amplitude}")
@@ -80,8 +91,11 @@ class GaussianPacket:
     @classmethod
     def on_shell(cls, mass: float, spatial_center: tuple[float, float, float],
                  width: float, amplitude: complex = 1.0) -> "GaussianPacket":
-        """Packet centered on the shell: c0 = sqrt(m^2 + |cvec|^2)."""
-        cx, cy, cz = spatial_center
+        """Packet centered on the shell: c0 = sqrt(m^2 + |cvec|^2), in Python
+        floats: an overflow gives inf silently, and the constructor names
+        the mass or center at fault."""
+        mass = float(mass)
+        cx, cy, cz = (float(c) for c in spatial_center)
         c0 = math.sqrt(mass * mass + cx * cx + cy * cy + cz * cz)
         return cls(center=(c0, cx, cy, cz), width=width, mass=mass,
                    amplitude=amplitude)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from helpers import (
     chsh_operator,
     expectation,
     full_quadruple,
+    grid_sweep_optimum,
     power_iteration_norm,
     random_involution_quadruple,
     random_state,
@@ -192,6 +194,44 @@ class TestOptimizer:
         second = optimize_angles(form)
         assert first[0] == second[0]
         assert first[1] == second[1]
+
+    def test_exact_optimum_over_all_odd_patterns(self):
+        # every odd pattern, constants of each sign, prefactors of each sign
+        rng = np.random.default_rng(59)
+        patterns = [s for s in itertools.product((1.0, -1.0), repeat=4)
+                    if math.prod(s) < 0.0]
+        assert len(patterns) == 8
+        for signs in patterns:
+            for constant in (-float(rng.uniform(0.1, 3.0)), 0.0,
+                             float(rng.uniform(0.1, 3.0))):
+                prefactor = float(rng.uniform(0.1, 2.0)) * rng.choice([-1.0, 1.0])
+                form = ClosedFormCorrelator(prefactor, signs, constant)
+                angles, best = optimize_angles(form)
+                bound = abs(prefactor) * (abs(constant) + 2 * ROOT2)
+                assert abs(best - bound) <= 1e-14 * bound, (signs, constant, prefactor)
+                assert best == abs(form.value(angles))
+                assert best >= grid_sweep_optimum(form)[1] - 1e-12
+                a1, a2, b1, b2 = rng.uniform(-math.pi, math.pi, size=(4, 20000))
+                sampled = np.abs(prefactor * (
+                    constant + signs[0] * np.cos(a1 + b1) + signs[1] * np.cos(a2 + b1)
+                    + signs[2] * np.cos(a1 + b2) + signs[3] * np.cos(a2 + b2)))
+                assert best >= sampled.max()
+
+    def test_even_patterns_rejected(self):
+        for signs in itertools.product((1.0, -1.0), repeat=4):
+            if math.prod(signs) > 0.0:
+                with pytest.raises(DomainError, match="odd sign pattern"):
+                    optimize_angles(ClosedFormCorrelator(1.0, signs, 0.5))
+        with pytest.raises(DomainError, match="odd sign pattern"):
+            optimize_angles(ClosedFormCorrelator(1.0, (1.0, 1.0, 0.5, -1.0)))
+
+    def test_matches_grid_sweep_oracle_on_package_forms(self):
+        for form in (spin.spin_one_closed_form(), fock.squeezed_closed_form(0.7)):
+            angles, best = optimize_angles(form)
+            oracle_angles, oracle = grid_sweep_optimum(form)
+            assert abs(best - oracle) <= 1e-12
+            assert max(abs(a - b) for a, b in zip(angles.as_tuple(),
+                                                  oracle_angles.as_tuple())) <= 1e-15
 
 
 class TestTsirelsonProperty:

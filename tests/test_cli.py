@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
+from bellchsh import MAX_MOMENTUM
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
 
@@ -204,6 +206,35 @@ class TestKgNorm:
         assert code == 2
         assert out == ""
         assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--center-energy", "1e200"),  # (omega - c0)**2 overflowed
+        ("--width", "1e-160"),  # the tail bound was nan
+        ("--mass", "1e200"),  # the on-shell energy overflowed to inf
+        ("--center", "1e160,0,0"),
+    ])
+    def test_out_of_domain_flag_named_without_warning(self, capsys, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "kg-norm", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: ") and flag in err
+        assert len(err.strip().splitlines()) == 1
+        assert "nan" not in err and "inf" not in err
+
+    def test_domain_corners_stay_finite(self, capsys):
+        # every flag at the edge of the packet domain: finite numbers or a
+        # certificate failure, never an overflow
+        bound = MAX_MOMENTUM
+        for argv in (["--width", repr(1.0 / bound)], ["--width", repr(bound)],
+                     ["--mass", repr(bound), "--center", f"{bound},{-bound},{bound}"],
+                     [f"--center-energy={-2.0 * bound}", "--width", repr(bound)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run(capsys, "kg-norm", *argv)
+            assert code in (0, 2, 3), argv
+            assert "nan" not in out + err, argv
 
     def test_huge_radial_count_rejected_before_allocation(self, capsys):
         # test_norm doubles RADIAL, so the flag allows half of MAX_RADIAL

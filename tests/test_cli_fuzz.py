@@ -1,7 +1,8 @@
 """Bounded property fuzz of ``cli.main`` over every flag of the five
 subcommands: whatever the values, the run exits 0, 2 or 3 without an
-uncaught exception, and a configuration error (exit 2) writes nothing
-to stdout.
+uncaught exception or a ``RuntimeWarning`` (numpy's overflow and
+invalid-value warnings are raised as errors), and a configuration error
+(exit 2) writes nothing to stdout.
 
 Sizes stay small (cutoff <= 64, --quad <= 256 nodes, <= 50 grid steps;
 the one oversized step count drawn is 10**12, which must be rejected
@@ -12,6 +13,7 @@ module runs in a few seconds and the same examples every time.
 import contextlib
 import io
 import os
+import warnings
 from unittest import mock
 
 import pytest
@@ -110,4 +112,6 @@ def test_exit_code_contract(name, out_dir):
         if code == 2:
             assert out.getvalue() == "", argv
 
-    check()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        check()

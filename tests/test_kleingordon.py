@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bellchsh import (
     AngleSet,
     DomainError,
     GaussianPacket,
+    MAX_MOMENTUM,
     MAX_RADIAL,
     PrecisionError,
     ShellQuadrature,
@@ -72,6 +74,40 @@ class TestPacket:
     def test_non_finite_fields_rejected(self, kwargs):
         with pytest.raises(DomainError):
             GaussianPacket(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(center=(1, 2 * MAX_MOMENTUM, 0, 0), width=1.0), "spatial center"),
+        (dict(center=(4 * MAX_MOMENTUM, 0, 0, 0), width=1.0), "center energy"),
+        (dict(center=(1, 0, 0, 0), width=1.0, mass=2 * MAX_MOMENTUM), "mass"),
+        (dict(center=(1, 0, 0, 0), width=2 * MAX_MOMENTUM), "width"),
+        (dict(center=(1, 0, 0, 0), width=0.5 / MAX_MOMENTUM), "width"),
+    ])
+    def test_domain_bounded(self, kwargs, field):
+        with pytest.raises(DomainError, match=field):
+            GaussianPacket(**kwargs)
+
+    def test_on_shell_names_the_input_that_overflows(self):
+        # c0 = sqrt(m^2 + |c|^2) overflows to inf, silently even for numpy
+        # scalars; the error names m or c
+        huge = np.float64(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="^mass"):
+                packet((0.0, 0.0, 0.0), mass=huge)
+            with pytest.raises(DomainError, match="^spatial center"):
+                packet((huge, 0.0, 0.0))
+
+    def test_domain_edge_accepted(self):
+        bound = MAX_MOMENTUM
+        p = packet((bound, -bound, bound), width=bound, mass=bound)
+        assert p.center[0] == 2.0 * bound
+        GaussianPacket(center=(-2.0 * bound, 0, 0, 0), width=1.0 / bound)
+
+    def test_tail_bound_finite_at_domain_edge(self):
+        # sqrt(pi / s) overflowed for a width with a subnormal square
+        f = packet((0.0, 0.0, 0.0), width=1.0 / MAX_MOMENTUM)
+        tail = ShellQuadrature.for_packets(f).tail_bound(f, f)
+        assert math.isfinite(tail)
 
 
 class TestShellQuadrature:

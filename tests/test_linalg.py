@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,33 @@ class TestConstruction:
             phase_flip(2, [(0, 0)], 0.5)
         with pytest.raises(DomainError, match="not hermitian"):
             phase_flip(2, [(0, 1)], float("nan"))
+
+    def test_phase_flip_rejects_shared_level_and_infinite_phase(self):
+        with pytest.raises(DomainError, match="not hermitian"):
+            phase_flip(3, [(0, 1), (1, 2)], 0.5)  # level 1 in both pairs
+        with pytest.raises(DomainError, match="not hermitian"):
+            phase_flip(2, [(0, 1)], float("inf"))
+
+    def test_phase_flip_matches_reference_construction(self):
+        # the builder that checked the built matrix's hermiticity, bit for bit
+        def reference(dim, pairs, phase):
+            up = complex(np.exp(1j * phase))
+            src, dst = np.array(pairs).T
+            m = np.eye(dim, dtype=complex)
+            m[src, src] = m[dst, dst] = 0.0
+            m[dst, src] = up
+            m[src, dst] = up.conjugate()
+            assert np.abs(m - m.conj().T).max() <= 1e-12
+            return m
+
+        rng = np.random.default_rng(61)
+        phases = [0.0, math.pi, -math.pi, 1e-300, *rng.uniform(-7.0, 7.0, 6)]
+        cases = [(2, [(0, 1)]), (3, [(2, 1)]), (3, [(0, 1)])]  # spin-1/2, spin-1 A, B
+        cases += [(n, np.arange(n).reshape(-1, 2)) for n in (4, 8, 40)]  # Fock
+        for dim, pairs in cases:
+            for phase in phases:
+                flip = phase_flip(dim, pairs, phase)
+                assert flip.tobytes() == reference(dim, pairs, phase).tobytes()
 
     def test_values_are_immutable(self):
         k = Ket(np.array([1.0, 0.0]))
