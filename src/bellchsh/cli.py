@@ -300,10 +300,10 @@ def cmd_kg_norm(args) -> int:
     if args.center_energy is not None and not abs(args.center_energy) <= 2.0 * bound:
         raise DomainError(f"--center-energy must lie within +-{2.0 * bound:g}, "
                           f"got {args.center_energy}")
+    if not abs(args.amplitude) <= bound:
+        raise DomainError(f"--amplitude must lie within +-{bound:g}, got {args.amplitude}")
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"--tol must be positive and finite, got {args.tol}")
-    if not math.isfinite(args.amplitude):
-        raise DomainError(f"--amplitude must be finite, got {args.amplitude}")
     radial, angular = parse_quad(args.quad)
 
     packet = kleingordon.GaussianPacket.on_shell(

@@ -77,27 +77,30 @@ def _check_eta(eta: float) -> float:
     return float(eta)
 
 
-def _mode_lowering(cutoff: int) -> np.ndarray:
-    m = np.zeros((cutoff, cutoff), dtype=complex)
+def _mode_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-mode factors (lowering, raising, number, identity) of every
+    two-mode operator."""
+    low = np.zeros((cutoff, cutoff), dtype=complex)
     n = np.arange(1, cutoff)
-    m[n - 1, n] = np.sqrt(n)
-    return m
+    low[n - 1, n] = np.sqrt(n)
+    return low, low.conj().T, np.diag(np.arange(cutoff)).astype(complex), np.eye(cutoff)
 
 
 def ladder_matrices(space: FockSpace) -> tuple[FactoredOperator, FactoredOperator,
                                                FactoredOperator, FactoredOperator]:
-    """Truncated ladder operators (a, a_dag, b, b_dag) as per-mode factors.
+    """Truncated ladder operators (a, a_dag, b, b_dag), one term each:
+    ``a = low (x) 1`` and ``a_dag = raz (x) 1`` with the per-mode lowering
+    factor ``low`` and raising factor ``raz = low^dagger``; ``b`` and
+    ``b_dag`` mirror them.
 
     Within the cutoff they satisfy the canonical algebra; the only
     truncation artifact sits on the top level of each mode, where
     ``[a, a_dag]`` picks up the diagonal entry ``1 - cutoff`` instead
     of 1.  Cross-mode commutators such as ``[a, b_dag]`` vanish exactly.
     """
-    low = _mode_lowering(space.cutoff)
-    eye = np.eye(space.cutoff)
-    a = FactoredOperator(((1.0, low, eye),))
-    b = FactoredOperator(((1.0, eye, low),))
-    return a, a.adjoint(), b, b.adjoint()
+    low, raz, _, eye = _mode_factors(space.cutoff)
+    return (FactoredOperator(((1.0, low, eye),)), FactoredOperator(((1.0, raz, eye),)),
+            FactoredOperator(((1.0, eye, low),)), FactoredOperator(((1.0, eye, raz),)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +145,17 @@ class BogoliubovPair:
 
 
 def bogoliubov_pair(eta: float, space: FockSpace) -> BogoliubovPair:
-    """Build the mixed-mode pair (alpha, beta) for the given squeezing."""
+    """Build the mixed-mode pair (alpha, beta) for the given squeezing,
+    each as its two terms over the per-mode factors of
+    :func:`ladder_matrices`: ``alpha = s (low (x) 1 - eta 1 (x) raz)``
+    with ``s = 1/sqrt(1 - eta^2)``, and ``beta`` mirrored."""
     eta = _check_eta(eta)
-    a, a_dag, b, b_dag = ladder_matrices(space)
+    low, raz, _, eye = _mode_factors(space.cutoff)
     scale = 1.0 / math.sqrt(1.0 - eta * eta)
     return BogoliubovPair(
         eta=eta,
-        alpha=scale * (a - eta * b_dag),
-        beta=scale * (b - eta * a_dag),
+        alpha=FactoredOperator(((scale, low, eye), (-scale * eta, eye, raz))),
+        beta=FactoredOperator(((scale, eye, low), (-scale * eta, raz, eye))),
     )
 
 
@@ -165,11 +171,7 @@ def squeezed_hamiltonian(eta: float, space: FockSpace) -> FactoredOperator:
     per-mode factor products.
     """
     eta = _check_eta(eta)
-    n = space.cutoff
-    low = _mode_lowering(n)
-    raz = low.conj().T
-    num = np.diag(np.arange(n)).astype(complex)
-    eye = np.eye(n)
+    low, raz, num, eye = _mode_factors(space.cutoff)
     one_minus = 1.0 - eta * eta
     number = (1.0 + eta * eta) / one_minus
     pair = -2.0 * eta / one_minus

@@ -37,8 +37,9 @@ from . import fock
 
 
 #: Largest mass, spatial center component, width and 1/width of a packet;
-#: its center energy, like every on-shell one, is at most twice this.  No
-#: square, product or exponent of the quadrature then exceeds ~1e210.
+#: its center energy, like every on-shell one, is at most twice this, and
+#: a radial cutoff at most twelve times.  No square, product or exponent
+#: of the quadrature then exceeds ~1e210.
 MAX_MOMENTUM = 1e50
 
 
@@ -129,7 +130,8 @@ class ShellQuadrature:
     :func:`shell_inner_product` ignores ``angular``; the count is still
     validated and refined so that the same rule can size a spherical
     product rule.  ``radial`` is at most ``MAX_RADIAL``, refined rules
-    included.
+    included, and ``k_max`` at most ``12 * MAX_MOMENTUM``, which holds
+    every ``for_packets`` cutoff of the packet domain.
     """
 
     k_max: float
@@ -144,8 +146,10 @@ class ShellQuadrature:
             raise DomainError(
                 f"quadrature radial node count must be <= {MAX_RADIAL}, got {self.radial}"
             )
-        if not 0.0 < self.k_max < math.inf:
-            raise DomainError(f"k_max must be positive and finite, got {self.k_max}")
+        # sqrt(3) MAX_MOMENTUM of center norm plus ten momentum widths
+        k_limit = 12.0 * MAX_MOMENTUM
+        if not 0.0 < self.k_max <= k_limit:
+            raise DomainError(f"k_max must lie in (0, {k_limit:g}], got {self.k_max}")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be positive and finite, got {self.tol}")
 

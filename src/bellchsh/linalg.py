@@ -2,9 +2,10 @@
 
 Kets are complex vectors.  An operator on one factor is a read-only
 complex square ``ndarray`` (``square_matrix``).  A two-party operator
-on ``H_A (x) H_B`` is a ``FactoredOperator``: the Kronecker factors of
-``sum_k c_k L_k (x) R_k``.  Bipartite kets use the row-major composite
-index convention
+on ``H_A (x) H_B`` is a ``FactoredOperator``: the term list of
+``sum_k c_k L_k (x) R_k``, which acts on kets (``apply``) and has no
+operator arithmetic; its builder writes out every term.  Bipartite
+kets use the row-major composite index convention
 
     index = i_left * dim_right + i_right
 
@@ -93,7 +94,7 @@ class Ket:
 
 @dataclass(frozen=True, eq=False)
 class FactoredOperator:
-    """Two-party operator ``sum_k c_k L_k (x) R_k`` kept as its factors.
+    """Two-party operator ``sum_k c_k L_k (x) R_k`` kept as its term list.
 
     Parameters
     ----------
@@ -101,8 +102,10 @@ class FactoredOperator:
         ``left`` is a square matrix on H_A and ``right`` one on H_B;
         every term has the same two factor dimensions.
 
-    Memory and ``apply`` cost grow with the factor dimensions, never
-    with the square of the product dimension.
+    The only operation is ``apply``; there is no operator arithmetic,
+    so a builder writes each term out.  Memory and ``apply`` cost grow
+    with the factor dimensions, never with the square of the product
+    dimension.
     """
 
     terms: tuple
@@ -130,19 +133,3 @@ class FactoredOperator:
         mat = psi.amplitudes.reshape(dim_a, dim_b)
         out = sum(c * (left @ mat @ right.T) for c, left, right in self.terms)
         return Ket(out.ravel())
-
-    def adjoint(self) -> "FactoredOperator":
-        return FactoredOperator(tuple((c.conjugate(), left.conj().T, right.conj().T)
-                                      for c, left, right in self.terms))
-
-    def __add__(self, other: "FactoredOperator") -> "FactoredOperator":
-        return FactoredOperator(self.terms + other.terms)
-
-    def __sub__(self, other: "FactoredOperator") -> "FactoredOperator":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: complex) -> "FactoredOperator":
-        return FactoredOperator(tuple((scalar * c, left, right)
-                                      for c, left, right in self.terms))
-
-    __rmul__ = __mul__

@@ -212,6 +212,7 @@ class TestKgNorm:
         ("--width", "1e-160"),  # the tail bound was nan
         ("--mass", "1e200"),  # the on-shell energy overflowed to inf
         ("--center", "1e160,0,0"),
+        ("--amplitude", "1e200"),  # the tail bound was inf, exit 3
     ])
     def test_out_of_domain_flag_named_without_warning(self, capsys, flag, value):
         with warnings.catch_warnings():
@@ -229,7 +230,8 @@ class TestKgNorm:
         bound = MAX_MOMENTUM
         for argv in (["--width", repr(1.0 / bound)], ["--width", repr(bound)],
                      ["--mass", repr(bound), "--center", f"{bound},{-bound},{bound}"],
-                     [f"--center-energy={-2.0 * bound}", "--width", repr(bound)]):
+                     [f"--center-energy={-2.0 * bound}", "--width", repr(bound)],
+                     [f"--amplitude={-bound}"]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 code, out, err = run(capsys, "kg-norm", *argv)

@@ -104,10 +104,16 @@ class TestPacket:
         GaussianPacket(center=(-2.0 * bound, 0, 0, 0), width=1.0 / bound)
 
     def test_tail_bound_finite_at_domain_edge(self):
-        # sqrt(pi / s) overflowed for a width with a subnormal square
-        f = packet((0.0, 0.0, 0.0), width=1.0 / MAX_MOMENTUM)
-        tail = ShellQuadrature.for_packets(f).tail_bound(f, f)
-        assert math.isfinite(tail)
+        # sqrt(pi / s) overflowed for a width with a subnormal square; the
+        # corner packet gives the largest for_packets cutoff, which the
+        # k_max bound must accept
+        bound = MAX_MOMENTUM
+        for f in (packet((0.0, 0.0, 0.0), width=1.0 / bound),
+                  packet((bound, -bound, bound), width=1.0 / bound, mass=bound)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                tail = ShellQuadrature.for_packets(f).tail_bound(f, f)
+            assert math.isfinite(tail)
 
 
 class TestShellQuadrature:
@@ -118,6 +124,11 @@ class TestShellQuadrature:
     def test_non_finite_fields_rejected(self, kwargs):
         with pytest.raises(DomainError):
             ShellQuadrature(**kwargs)
+
+    def test_k_max_bounded(self):
+        # k * k overflowed in shell_inner_product
+        with pytest.raises(DomainError, match="k_max"):
+            ShellQuadrature(k_max=1e300)
 
     def test_radial_count_bounded_before_allocation(self):
         # no rule is built: both raise in the constructor

@@ -154,12 +154,6 @@ class TestTensor:
         psi = random_state(rng, 12)
         via_dense = dense(factored) @ psi.amplitudes
         assert np.abs(factored.apply(psi).amplitudes - via_dense).max() <= 1e-13
-        adj = dense(factored.adjoint())
-        assert np.abs(adj - dense(factored).conj().T).max() <= 1e-15
-        first = FactoredOperator(terms[:1])
-        combo = dense(2.0 * factored - first)
-        expected = 2.0 * dense(factored) - dense(first)
-        assert np.abs(combo - expected).max() <= 1e-13
 
     def test_no_capacity_limit_past_old_dense_budget(self):
         # 150 x 150 factors: the product dimension 22500 is past the old
@@ -179,33 +173,6 @@ class TestTensor:
             FactoredOperator(((1.0, np.eye(2), np.eye(3)), (1.0, np.eye(3), np.eye(2))))
         with pytest.raises(ShapeError):
             product(np.eye(2), np.eye(3)).apply(Ket(np.ones(5)))
-
-
-class TestAdjoint:
-    """``FactoredOperator.adjoint`` against independently built matrices."""
-
-    def test_identity(self):
-        eye = product(np.eye(2), np.eye(2))
-        assert np.array_equal(dense(eye.adjoint()), np.eye(4))
-
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        m = product(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
-                    rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-                    coef=complex(rng.normal(), rng.normal()))
-        assert np.array_equal(dense(m.adjoint().adjoint()), dense(m))
-
-    def test_ladder_pair_on_truncated_space(self):
-        # the creation matrix sqrt(n) |n><n-1| is the adjoint of the
-        # annihilation matrix sqrt(n) |n-1><n|, built independently
-        n = 12
-        lowering = np.zeros((n, n), dtype=complex)
-        raising = np.zeros((n, n), dtype=complex)
-        for level in range(1, n):
-            lowering[level - 1, level] = np.sqrt(level)
-            raising[level, level - 1] = np.sqrt(level)
-        # a 1 x 1 right factor makes the factored operator the matrix itself
-        assert np.array_equal(dense(product(raising, np.eye(1)).adjoint()), lowering)
 
 
 class TestExpectation:

@@ -197,3 +197,40 @@ class TestTemperatureScan:
             temperature_scan(modes, [0.0, 1.0])
         with pytest.raises(DomainError):
             temperature_scan(modes, [1.0, 0.5])
+
+
+def matrix_chsh(frequencies, temperature):
+    """Independent matrix route: each mode is a two-mode squeezed state with
+    eta = exp(-w / 2T), evaluated by ``fock.chsh_matrix`` on the smallest
+    even cutoff (at least 4) whose truncated weight eta**(2N) is <= 1e-13.
+    Returns the summed value and the largest cutoff used."""
+    total, largest = 0.0, 0
+    for w in frequencies:
+        eta = math.exp(-w / (2.0 * temperature))
+        cutoff = 4
+        while eta ** (2 * cutoff) > 1e-13:
+            cutoff += 2
+        largest = max(largest, cutoff)
+        total += fock.chsh_matrix(eta, fock.FockSpace(cutoff), fock.MAX_VIOLATION_ANGLES)
+    return total, largest
+
+
+class TestMatrixRoute:
+    """Scan rows against the truncated Fock-space matrices, not a closed form."""
+
+    @pytest.mark.parametrize("frequencies,grid,rows,largest_cutoff", [
+        # every row of the rindler-scan default grid
+        ((1.0,), np.linspace(0.02, 2.0, 50), range(50), 60),
+        # --modes 0.5,1.0,2.0 --temp-range 0.01:5.0:20000: 20 evenly
+        # spaced rows and the hottest
+        ((0.5, 1.0, 2.0), np.linspace(0.01, 5.0, 20000),
+         [*range(0, 20000, 1000), 19999], 300),
+    ])
+    def test_rows_match_matrix_chsh(self, frequencies, grid, rows, largest_cutoff):
+        scan = temperature_scan(RindlerModeSet(frequencies, acceleration=1.0), grid)
+        cutoffs = []
+        for i in rows:
+            value, cutoff = matrix_chsh(frequencies, scan[i].temperature)
+            assert abs(scan[i].chsh - value) <= 1e-14, scan[i]
+            cutoffs.append(cutoff)
+        assert max(cutoffs) == largest_cutoff
