@@ -6,6 +6,9 @@ amplitudes, which reshape to the ``cutoff x cutoff`` matrix ``Psi``;
 every operator is kept as per-mode ``cutoff x cutoff`` factors (a
 local flip, or a ``FactoredOperator`` of ladder products), so memory
 and time grow as ``cutoff**2`` to ``cutoff**3``, never ``cutoff**4``.
+``chsh_matrix`` builds no flip matrix at all: it applies each flip to
+``Psi`` by index, a swap of paired rows (A) or columns (B) times a
+phase, in O(cutoff**2) per call.
 The cutoff must be even so the parity-pair flip operators, which swap
 levels ``2n <-> 2n+1``, close on the truncated space and square
 exactly to the identity.
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import (AngleSet, ChshQuadruple, ClosedFormCorrelator, chsh_value,
-                   flip_quadruple)
+from .chsh import (AngleSet, ChshQuadruple, ClosedFormCorrelator, _flip_rows,
+                   _real_correlator, flip_quadruple)
 from .errors import DomainError, PrecisionError
 from .linalg import FactoredOperator, Ket
 
@@ -192,8 +195,13 @@ def fock_quadruple(space: FockSpace, angles: AngleSet) -> ChshQuadruple:
     factor is an exact involution.
     """
     n = space.cutoff
-    pairs = np.arange(n).reshape(-1, 2)  # rows (2k, 2k + 1)
+    pairs = _parity_pairs(n)
     return flip_quadruple((n, n), (pairs, pairs), angles)
+
+
+def _parity_pairs(cutoff: int) -> np.ndarray:
+    """Flipped level pairs of one mode: rows ``(2k, 2k + 1)``."""
+    return np.arange(cutoff).reshape(-1, 2)
 
 
 def squeezed_closed_form(eta: float) -> ClosedFormCorrelator:
@@ -250,11 +258,29 @@ def violation_window() -> tuple[float, float]:
 
 
 def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
-    """CHSH value of the squeezed state from the explicit flip matrices.
+    """CHSH value of the squeezed state from the explicit flip action.
 
-    Matrix route, independent of the closed form: ``chsh_value`` of the
-    truncated squeezed state against the four ``cutoff x cutoff`` flip
-    factors of ``fock_quadruple``, evaluated on the amplitude matrix
-    ``Psi`` with four factor-sized matrix products.
+    Matrix route, independent of the closed form: the correlator of
+    ``chsh_value`` against ``fock_quadruple(space, angles)``, with each
+    flip applied to the amplitude matrix ``Psi`` by index (see
+    ``_flip_chsh``): O(cutoff**2) per call, and no quadruple is built.
     """
-    return chsh_value(squeezed_state(eta, space).ket, fock_quadruple(space, angles))
+    return _flip_chsh(squeezed_state(eta, space).ket, space, angles)
+
+
+def _flip_chsh(psi: Ket, space: FockSpace, angles: AngleSet) -> float:
+    """``chsh_value(psi, fock_quadruple(space, angles))`` by index.
+
+    ``tr(Psi^dag [A1 Psi (B1 + B2)^T + A2 Psi (B1 - B2)^T])`` in the order
+    of ``chsh_value``: ``Y1 = Psi B1^T`` and ``Y2 = Psi B2^T`` as column
+    flips, then their sum and difference under the row flips A1 and A2.
+    An imaginary residue above 1e-10 raises ``PrecisionError``.
+    """
+    n = space.cutoff
+    mat = psi.amplitudes.reshape(n, n)
+    pairs = _parity_pairs(n)
+    y1 = _flip_rows(mat.T, pairs, angles.beta1).T
+    y2 = _flip_rows(mat.T, pairs, angles.beta2).T
+    c_psi = (_flip_rows(y1 + y2, pairs, angles.alpha1)
+             + _flip_rows(y1 - y2, pairs, angles.alpha2))
+    return _real_correlator(np.vdot(mat, c_psi))

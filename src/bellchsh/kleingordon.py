@@ -131,7 +131,9 @@ class ShellQuadrature:
     validated and refined so that the same rule can size a spherical
     product rule.  ``radial`` is at most ``MAX_RADIAL``, refined rules
     included, and ``k_max`` at most ``12 * MAX_MOMENTUM``, which holds
-    every ``for_packets`` cutoff of the packet domain.
+    every ``for_packets`` cutoff of the packet domain.  ``tol`` bounds
+    the tail beyond ``k_max`` relative to the amplitudes:
+    ``tail_bound <= tol / 10 * |A_f A_g|``.
     """
 
     k_max: float
@@ -205,15 +207,19 @@ def shell_inner_product(f: GaussianPacket, g: GaussianPacket,
     enters as exp(k|b|) (1 - exp(-2k|b|)) / (2k|b|), with exp(k|b|)
     folded into the Gaussian exponent, so it cannot overflow.  Raises
     ``PrecisionError`` when the Gaussian tail beyond ``q.k_max`` cannot
-    be certified below ``q.tol / 10``.
+    be certified below ``q.tol / 10 * |A_f A_g|``: the tail relative to
+    the amplitudes, so the verdict does not depend on their scale.
     """
     if f.mass != g.mass:
         raise DomainError(f"mass mismatch: {f.mass} vs {g.mass}")
     tail = q.tail_bound(f, g)
-    if not tail <= q.tol / 10.0:
+    # relative to |A_f A_g|, as the tail bound is; a product, so that a zero
+    # amplitude passes with a zero tail and fails later as degenerate
+    allowed = q.tol / 10.0 * (abs(f.amplitude) * abs(g.amplitude))
+    if not tail <= allowed:
         raise PrecisionError(
             f"quadrature tail beyond k_max = {q.k_max} estimated at {tail:.3e}, "
-            f"exceeds tol/10 = {q.tol / 10.0:.3e}"
+            f"exceeds tol/10 * |A_f A_g| = {allowed:.3e}"
         )
     nodes, weights = np.polynomial.legendre.leggauss(q.radial)
     k = 0.5 * (nodes + 1.0) * q.k_max

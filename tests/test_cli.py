@@ -247,6 +247,13 @@ class TestKgNorm:
             assert "--quad radial" in err and "<= 2048" in err
             assert f"got {radial}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("amplitude", ["1e17", "1e18"])
+    def test_normalize_at_large_amplitude(self, capsys, amplitude):
+        # the tail certificate is relative to the amplitudes
+        code, out, err = run(capsys, "kg-norm", "--amplitude", amplitude, "--normalize")
+        assert code == 0, err
+        assert float(kv(out)["normalized_norm_sq"]) == pytest.approx(1.0, abs=1e-10)
+
     def test_zero_amplitude_is_degenerate(self, capsys):
         code, out, err = run(capsys, "kg-norm", "--amplitude", "0")
         assert code == 2

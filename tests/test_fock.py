@@ -6,9 +6,12 @@ import pytest
 from bellchsh import (
     AngleSet,
     DomainError,
+    PrecisionError,
     chsh_value,
+    phase_flip,
     validate_quadruple,
 )
+from bellchsh import chsh, fock, spin
 from bellchsh.fock import (
     FockSpace,
     MAX_CUTOFF,
@@ -31,6 +34,7 @@ from helpers import (
     expectation,
     full_quadruple,
     hermiticity_deviation,
+    random_state,
     series_squeezed_state,
 )
 
@@ -436,3 +440,55 @@ class TestMatrixEvaluation:
         value = chsh_value(squeezed_state(eta, space).ket,
                            fock_quadruple(space, angles))
         assert abs(value - chsh_closed(eta, angles)) <= 1e-8
+
+
+class TestFlipAction:
+    """The index route of ``chsh_matrix`` against the dense flip matrices."""
+
+    @pytest.mark.parametrize("cutoff", [4, 6, 40, 200])
+    def test_matches_dense_quadruple_on_random_states(self, cutoff):
+        rng = np.random.default_rng(89 + cutoff)
+        space = FockSpace(cutoff)
+        for _ in range(5):
+            angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
+            dense_q = fock_quadruple(space, angles)
+            psi = random_state(rng, space.dim)
+            assert abs(fock._flip_chsh(psi, space, angles)
+                       - chsh_value(psi, dense_q)) <= 1e-14
+            eta = float(rng.uniform(0.05, 0.95))
+            assert abs(chsh_matrix(eta, space, angles)
+                       - chsh_value(squeezed_state(eta, space).ket, dense_q)) <= 1e-14
+
+    def test_action_on_identity_is_phase_flip(self):
+        # rows give F, columns (x -> x F^T) give F^T, by value
+        cases = [(n, fock._parity_pairs(n)) for n in (4, 40)]
+        cases += [(levels, pairs)  # both spin sides, fixed levels included
+                  for kind, levels in spin._LEVELS.items()
+                  for pairs in spin._FLIP_PAIRS[kind]]
+        rng = np.random.default_rng(97)
+        for dim, pairs in cases:
+            eye = np.eye(dim)
+            for phase in [0.0, math.pi, 1e-300, *rng.uniform(-7.0, 7.0, 5)]:
+                flip = phase_flip(dim, pairs, phase)
+                assert np.array_equal(chsh._flip_rows(eye, pairs, phase), flip)
+                assert np.array_equal(chsh._flip_rows(eye.T, pairs, phase).T, flip.T)
+
+    def test_rejects_shared_level_and_non_finite_phase(self):
+        x = np.eye(3)
+        for pairs, phase in (([(0, 1), (1, 2)], 0.5), ([(0, 1)], math.inf),
+                             ([(0, 1)], math.nan)):
+            with pytest.raises(DomainError, match="not hermitian"):
+                chsh._flip_rows(x, pairs, phase)
+
+    def test_imaginary_residue_raises(self, monkeypatch):
+        # a corrupted action with e^{i phase} both ways is not hermitian
+        def corrupted(x, pairs, phase):
+            src, dst = np.asarray(pairs).T
+            up = complex(np.exp(1j * phase))
+            out = np.array(x, dtype=complex)
+            out[dst], out[src] = up * x[src], up * x[dst]
+            return out
+
+        monkeypatch.setattr(fock, "_flip_rows", corrupted)
+        with pytest.raises(PrecisionError, match="imaginary residue"):
+            chsh_matrix(0.6, FockSpace(8), AngleSet(0.4, -1.3, 0.9, 2.2))

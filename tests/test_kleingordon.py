@@ -209,6 +209,23 @@ class TestInnerProduct:
         with pytest.raises(PrecisionError):
             shell_inner_product(f, f, q)
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    @pytest.mark.parametrize("k_max,passes", [(6.0, True), (4.0, False)])
+    def test_tail_verdict_independent_of_amplitude_scale(self, scale, k_max, passes):
+        # relative tails 2.7e-15 and 1.4e-7 against tol/10 = 1e-10
+        f = packet((0.3, -0.2, 0.5), width=0.9, amplitude=0.6 - 0.8j)
+        g = packet((-0.4, 0.1, 0.2), width=1.1, amplitude=1.5 + 0.5j)
+        q = ShellQuadrature(k_max=k_max)
+        scaled = (f.scaled(scale), g.scaled(scale))
+        if passes:
+            value = shell_inner_product(f, g, q)
+            assert shell_inner_product(*scaled, q) == pytest.approx(
+                scale * scale * value, rel=1e-14)
+        else:
+            for pair in ((f, g), scaled):
+                with pytest.raises(PrecisionError, match=r"tol/10 \* \|A_f A_g\|"):
+                    shell_inner_product(*pair, q)
+
 
 class TestRadialRule:
     """The radial rule with its closed-form angular factor."""
