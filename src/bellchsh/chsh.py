@@ -12,9 +12,6 @@ states reach at most ``2*sqrt(2)`` (the Tsirelson bound).  Each of the
 four operators is a read-only complex matrix on its factor.  In every
 setting they are level-pair phase flips, and ``flip_quadruple`` is the
 one builder of a quadruple from the flipped level pairs of each side.
-Beside ``phase_flip`` sits the same flip as an action by index
-(``_flip_rows``), which swaps paired rows times a phase without
-building the matrix; both check their pairs and phase the same way.
 """
 
 from __future__ import annotations
@@ -63,17 +60,6 @@ class AngleSet:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
 
-def _flip_pairs(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
-                phase: float) -> np.ndarray:
-    """The ``(src, dst)`` rows of a phase flip on ``dim`` levels, checked:
-    disjoint pairs and a finite phase, or ``DomainError``."""
-    pairs = np.asarray(pairs)
-    if not (math.isfinite(phase) and np.bincount(pairs.ravel(), minlength=dim).max() <= 1):
-        raise DomainError(f"phase flip is not hermitian or not an involution: pairs "
-                          f"must be disjoint and the phase finite, got phase {phase}")
-    return pairs
-
-
 def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
                phase: float) -> np.ndarray:
     """Level-pair phase flip on one factor: the measurement operator of
@@ -86,7 +72,11 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     involution by construction for disjoint pairs and a finite phase; a
     shared level or a non-finite phase raises ``DomainError``.
     """
-    src, dst = _flip_pairs(dim, pairs, phase).T
+    pairs = np.asarray(pairs)
+    if not (math.isfinite(phase) and np.bincount(pairs.ravel(), minlength=dim).max() <= 1):
+        raise DomainError(f"phase flip is not hermitian or not an involution: pairs "
+                          f"must be disjoint and the phase finite, got phase {phase}")
+    src, dst = pairs.T
     up = complex(np.exp(1j * phase))
     m = np.eye(dim, dtype=complex)
     m[src, src] = m[dst, dst] = 0.0
@@ -94,22 +84,6 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     m[src, dst] = up.conjugate()
     m.setflags(write=False)
     return m
-
-
-def _flip_rows(x: np.ndarray, pairs: Sequence[tuple[int, int]] | np.ndarray,
-               phase: float) -> np.ndarray:
-    """``phase_flip(len(x), pairs, phase) @ x`` by index, without the matrix.
-
-    Row ``dst`` of the result is ``e^{i phase} x[src]`` and row ``src`` is
-    ``e^{-i phase} x[dst]``; every other row is copied.  ``x @ F^T`` is the
-    same action on columns, ``_flip_rows(x.T, ...).T``.  O(size of x).
-    """
-    src, dst = _flip_pairs(x.shape[0], pairs, phase).T
-    up = complex(np.exp(1j * phase))
-    out = np.array(x, dtype=complex)
-    out[dst] = up * x[src]
-    out[src] = up.conjugate() * x[dst]
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,10 @@ small spaces (spin, and Fock cutoffs up to about 8).  The closed forms
 only tests use (the total spin, the squeezed pair correlator) live here
 too.
 
+The library applies the Fock-space parity flips of ``chsh_matrix`` on
+the parity axes of the amplitude matrix.  The oracle here applies them
+by pair index, a swap of paired rows or columns times a phase.
+
 The library maximizes a closed-form CHSH correlator exactly.  The
 oracle here is a numeric search: a coarse grid and trig-exact
 coordinate sweeps.
@@ -31,7 +35,7 @@ from bellchsh import (
     spin_matrices,
     wrap_angle,
 )
-from bellchsh.errors import ShapeError
+from bellchsh.errors import DomainError, ShapeError
 
 
 def dense(op: FactoredOperator) -> np.ndarray:
@@ -69,6 +73,42 @@ def expectation(psi: Ket, m: np.ndarray) -> complex:
         raise ValueError(f"expectation requires a normalized state, "
                          f"||psi|| = {psi.norm!r}")
     return complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
+
+
+def flip_rows(x: np.ndarray, pairs, phase: float) -> np.ndarray:
+    """``phase_flip(len(x), pairs, phase) @ x`` by pair index.
+
+    Row ``dst`` of the result is ``e^{i phase} x[src]`` and row ``src`` is
+    ``e^{-i phase} x[dst]``; every other row is copied.  ``x @ F^T`` is the
+    same action on columns, ``flip_rows(x.T, ...).T``.  A shared level or
+    a non-finite phase raises ``DomainError``, as in ``phase_flip``.
+    """
+    pairs = np.asarray(pairs)
+    if not (math.isfinite(phase) and np.bincount(pairs.ravel(), minlength=len(x)).max() <= 1):
+        raise DomainError(f"phase flip is not hermitian or not an involution: pairs "
+                          f"must be disjoint and the phase finite, got phase {phase}")
+    src, dst = pairs.T
+    up = complex(np.exp(1j * phase))
+    out = np.array(x, dtype=complex)
+    # amplitude first, as in fock's parity flips: swapped operands round
+    # the imaginary part of a complex product differently
+    out[dst] = x[src] * up
+    out[src] = x[dst] * up.conjugate()
+    return out
+
+
+def pair_index_chsh(psi: Ket, cutoff: int, angles: AngleSet) -> complex:
+    """``<psi|C|psi>`` of the Fock parity-pair flips ``(2k, 2k + 1)`` by
+    pair index, in ``chsh_value``'s order: ``Y1 = Psi B1^T`` and
+    ``Y2 = Psi B2^T`` as column flips, then ``A1 (Y1 + Y2) + A2 (Y1 - Y2)``
+    as row flips."""
+    mat = psi.amplitudes.reshape(cutoff, cutoff)
+    pairs = np.arange(cutoff).reshape(-1, 2)
+    y1 = flip_rows(mat.T, pairs, angles.beta1).T
+    y2 = flip_rows(mat.T, pairs, angles.beta2).T
+    c_psi = (flip_rows(y1 + y2, pairs, angles.alpha1)
+             + flip_rows(y1 - y2, pairs, angles.alpha2))
+    return complex(np.vdot(mat, c_psi))
 
 
 def total_spin_squared(spin: str) -> FactoredOperator:

@@ -6,6 +6,7 @@ import pytest
 from bellchsh import (
     AngleSet,
     DomainError,
+    Ket,
     PrecisionError,
     chsh_value,
     phase_flip,
@@ -32,8 +33,10 @@ from helpers import (
     correlator_closed,
     dense,
     expectation,
+    flip_rows,
     full_quadruple,
     hermiticity_deviation,
+    pair_index_chsh,
     random_state,
     series_squeezed_state,
 )
@@ -168,6 +171,17 @@ class TestSqueezedState:
             direct = squeezed_state(eta, space).ket.amplitudes
             series = series_squeezed_state(eta, space.cutoff)
             assert np.abs(direct - series).max() <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [4, 40, 200])
+    def test_bytes_match_renormalized_raw_amplitudes(self, cutoff):
+        # the raw diagonal renormalized by Ket.normalize, to the byte
+        n = cutoff
+        for eta in (1e-8, 0.3, 0.5, 0.9, 0.999):
+            raw = np.zeros(n * n, dtype=complex)
+            raw[np.arange(n) * n + np.arange(n)] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(n)
+            ket = squeezed_state(eta, FockSpace(n)).ket
+            assert ket.normalized
+            assert ket.amplitudes.tobytes() == Ket(raw).normalize().amplitudes.tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
     def test_eta_domain(self, bad):
@@ -443,7 +457,8 @@ class TestMatrixEvaluation:
 
 
 class TestFlipAction:
-    """The index route of ``chsh_matrix`` against the dense flip matrices."""
+    """The parity-axis route of ``chsh_matrix`` against the dense flip
+    matrices and the pair-index oracle."""
 
     @pytest.mark.parametrize("cutoff", [4, 6, 40, 200])
     def test_matches_dense_quadruple_on_random_states(self, cutoff):
@@ -459,36 +474,57 @@ class TestFlipAction:
             assert abs(chsh_matrix(eta, space, angles)
                        - chsh_value(squeezed_state(eta, space).ket, dense_q)) <= 1e-14
 
+    @pytest.mark.parametrize("cutoff", [4, 6, 40, 200])
+    def test_equals_pair_index_oracle(self, cutoff):
+        # the same products and sums in the same order: equal to the bit
+        rng = np.random.default_rng(101 + cutoff)
+        space = FockSpace(cutoff)
+        angle_sets = [MAX_VIOLATION_ANGLES]
+        angle_sets += [AngleSet(*rng.uniform(-7.0, 7.0, 4)) for _ in range(4)]
+        for angles in angle_sets:
+            states = [random_state(rng, space.dim)]
+            states += [squeezed_state(eta, space).ket
+                       for eta in (1e-8, float(rng.uniform(0.05, 0.95)), 0.999)]
+            for psi in states:
+                oracle = pair_index_chsh(psi, cutoff, angles)
+                assert fock._flip_chsh(psi, space, angles) == oracle.real
+
     def test_action_on_identity_is_phase_flip(self):
-        # rows give F, columns (x -> x F^T) give F^T, by value
+        # rows give F, columns (x -> x F^T) give F^T, by value: the oracle
+        # on every flip of the package, the parity-axis helper on Fock's
         cases = [(n, fock._parity_pairs(n)) for n in (4, 40)]
         cases += [(levels, pairs)  # both spin sides, fixed levels included
                   for kind, levels in spin._LEVELS.items()
                   for pairs in spin._FLIP_PAIRS[kind]]
         rng = np.random.default_rng(97)
+        phases = [0.0, math.pi, 1e-300, *rng.uniform(-7.0, 7.0, 5)]
         for dim, pairs in cases:
             eye = np.eye(dim)
-            for phase in [0.0, math.pi, 1e-300, *rng.uniform(-7.0, 7.0, 5)]:
+            for phase in phases:
                 flip = phase_flip(dim, pairs, phase)
-                assert np.array_equal(chsh._flip_rows(eye, pairs, phase), flip)
-                assert np.array_equal(chsh._flip_rows(eye.T, pairs, phase).T, flip.T)
+                assert np.array_equal(flip_rows(eye, pairs, phase), flip)
+                assert np.array_equal(flip_rows(eye.T, pairs, phase).T, flip.T)
+        for n in (4, 40):
+            eye = np.eye(n)
+            for phase in phases:
+                flip = phase_flip(n, fock._parity_pairs(n), phase)
+                rows = fock._flip_parity(eye.reshape(n // 2, 2, n), 1, phase)
+                cols = fock._flip_parity(eye.reshape(n, n // 2, 2), 2, phase)
+                assert np.array_equal(rows.reshape(n, n), flip)
+                assert np.array_equal(cols.reshape(n, n), flip.T)
 
     def test_rejects_shared_level_and_non_finite_phase(self):
         x = np.eye(3)
         for pairs, phase in (([(0, 1), (1, 2)], 0.5), ([(0, 1)], math.inf),
                              ([(0, 1)], math.nan)):
             with pytest.raises(DomainError, match="not hermitian"):
-                chsh._flip_rows(x, pairs, phase)
+                flip_rows(x, pairs, phase)
 
     def test_imaginary_residue_raises(self, monkeypatch):
         # a corrupted action with e^{i phase} both ways is not hermitian
-        def corrupted(x, pairs, phase):
-            src, dst = np.asarray(pairs).T
-            up = complex(np.exp(1j * phase))
-            out = np.array(x, dtype=complex)
-            out[dst], out[src] = up * x[src], up * x[dst]
-            return out
+        def corrupted(x, axis, phase):
+            return np.flip(x, axis) * complex(np.exp(1j * phase))
 
-        monkeypatch.setattr(fock, "_flip_rows", corrupted)
+        monkeypatch.setattr(fock, "_flip_parity", corrupted)
         with pytest.raises(PrecisionError, match="imaginary residue"):
             chsh_matrix(0.6, FockSpace(8), AngleSet(0.4, -1.3, 0.9, 2.2))
