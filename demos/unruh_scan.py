@@ -25,20 +25,19 @@ from bellchsh import (
 
 def main():
     a = 2 * math.pi
-    print(f"acceleration a = 2 pi  ->  Unruh temperature T = {unruh_temperature(a)}")
+    t = unruh_temperature(a)
+    print(f"acceleration a = 2 pi  ->  Unruh temperature T = {t}")
 
     print("\nper-mode squeezing and its oscillator equivalence:")
     for omega in (0.5, 1.0, 2.0):
         eta = mode_squeezing(omega, a)
-        modes = RindlerModeSet((omega,), acceleration=a)
         osc = chsh_closed(eta, MAX_VIOLATION_ANGLES)
         print(f"  omega = {omega}: eta = {eta:.6f}, "
-              f"rindler CHSH = {rindler_chsh(modes):.9f}, "
+              f"rindler CHSH = {rindler_chsh(RindlerModeSet((omega,)), t):.9f}, "
               f"oscillator closed form = {osc:.9f}")
 
     print("\nsingle mode omega = 1, temperature sweep:")
-    rows = temperature_scan(RindlerModeSet((1.0,), acceleration=1.0),
-                            np.linspace(0.05, 3.0, 13))
+    rows = temperature_scan(RindlerModeSet((1.0,)), np.linspace(0.05, 3.0, 13))
     print(f"{'T':>6} {'tau':>12} {'CHSH':>12}")
     for row in rows:
         marker = "  <-- violation" if row.chsh > 2 else ""
@@ -46,8 +45,7 @@ def main():
     print(f"(high-T limit: 2 sqrt(2) = {2 * math.sqrt(2):.8f})")
 
     print("\nthree modes: the summed form factor can pass 1, flagged not clamped:")
-    rows = temperature_scan(RindlerModeSet((0.8, 1.0, 1.3), acceleration=1.0),
-                            [0.2, 0.5, 1.0, 2.0, 5.0])
+    rows = temperature_scan(RindlerModeSet((0.8, 1.0, 1.3)), [0.2, 0.5, 1.0, 2.0, 5.0])
     for row in rows:
         print(f"  T = {row.temperature:4.1f}: tau = {row.tau:8.5f}, "
               f"CHSH = {row.chsh:8.5f}  {row.flag}")

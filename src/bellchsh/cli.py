@@ -17,9 +17,9 @@ resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
 Exit codes: 0 success; 2 configuration error, raised as ``DomainError``
 (a flag outside its domain, including a ``LO:HI:STEPS`` range of more
 than ``MAX_STEPS`` points, or a degenerate test function) or by argparse
-for an unknown flag; 3 validation or tolerance failure, a failed check
-in ``spin``/``squeeze-scan`` or a ``PrecisionError`` from a numerical
-certificate.
+for an unknown flag; 3 validation or tolerance failure, raised as
+``PrecisionError`` (a numerical certificate, or a failed check in
+``spin``/``squeeze-scan`` after its rows are written).
 """
 
 from __future__ import annotations
@@ -219,9 +219,7 @@ def cmd_spin(args) -> int:
 
     emit(args.format, args.out, ["quantity", "value"], rows)
     if not ok:
-        print("quadruple validation failed; see *_validation_* rows",
-              file=sys.stderr)
-        return _EXIT_CHECK
+        raise PrecisionError("quadruple validation failed; see *_validation_* rows")
     return _EXIT_OK
 
 
@@ -262,9 +260,7 @@ def cmd_squeeze_scan(args) -> int:
     emit(args.format, args.out,
          ["eta", "chsh_closed", "chsh_matrix", "abs_difference", "note"], rows)
     if not ok:
-        print("closed form and matrix value disagree beyond tolerance",
-              file=sys.stderr)
-        return _EXIT_CHECK
+        raise PrecisionError("closed form and matrix value disagree beyond tolerance")
     return _EXIT_OK
 
 
@@ -306,11 +302,12 @@ def cmd_kg_norm(args) -> int:
         raise DomainError(f"--tol must be positive and finite, got {args.tol}")
     radial, angular = parse_quad(args.quad)
 
-    packet = kleingordon.GaussianPacket.on_shell(
-        mass=args.mass, spatial_center=center, width=args.width,
-        amplitude=args.amplitude,
-    )
-    if args.center_energy is not None:
+    if args.center_energy is None:
+        packet = kleingordon.GaussianPacket.on_shell(
+            mass=args.mass, spatial_center=center, width=args.width,
+            amplitude=args.amplitude,
+        )
+    else:
         packet = kleingordon.GaussianPacket(
             center=(args.center_energy, *center), width=args.width,
             mass=args.mass, amplitude=args.amplitude,
@@ -345,7 +342,7 @@ def cmd_rindler_scan(args) -> int:
         grid = parse_range(args.accel_range, "--accel-range") / (2.0 * math.pi)
     else:
         grid = parse_range(args.temp_range or "0.02:2.0:50", "--temp-range")
-    modes = rindler.RindlerModeSet(frequencies, acceleration=1.0)
+    modes = rindler.RindlerModeSet(frequencies)
     scan = rindler.temperature_scan(modes, grid)
     rows = [
         {"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}

@@ -45,8 +45,8 @@ MAX_VIOLATION_ANGLES = AngleSet(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 DEFAULT_CUTOFF = 40
 
 #: Largest per-mode cutoff: the amplitude matrix then holds 2048**2
-#: complex numbers (64 MB), and ``squeeze-scan`` peaks at ~415 MB RSS,
-#: ``chsh_matrix`` holding about six such arrays at once.
+#: complex numbers (64 MB), and ``squeeze-scan`` peaks at ~285 MB RSS,
+#: ``chsh_matrix`` holding at most four such arrays at once.
 MAX_CUTOFF = 2048
 
 
@@ -278,13 +278,20 @@ def _flip_chsh(psi: Ket, space: FockSpace, angles: AngleSet) -> float:
     parity ``p``, so ``Psi`` is viewed as ``(cutoff/2, 2, cutoff/2, 2)``:
     ``Y1 = Psi B1^T`` and ``Y2 = Psi B2^T`` flip B's parity axis 3, then
     their sum and difference go under A1 and A2 on A's parity axis 1.
+    The difference overwrites ``Y1`` and the A-side terms are summed in
+    place, so at most four ``cutoff**2`` arrays are alive at once.
     An imaginary residue above 1e-10 raises ``PrecisionError``.
     """
     half = space.cutoff // 2
     mat = psi.amplitudes.reshape(half, 2, half, 2)
     y1 = _flip_parity(mat, 3, angles.beta1)
     y2 = _flip_parity(mat, 3, angles.beta2)
-    c_psi = _flip_parity(y1 + y2, 1, angles.alpha1) + _flip_parity(y1 - y2, 1, angles.alpha2)
+    y_sum = y1 + y2
+    y1 -= y2
+    del y2
+    c_psi = _flip_parity(y_sum, 1, angles.alpha1)
+    del y_sum
+    c_psi += _flip_parity(y1, 1, angles.alpha2)
     return _real_correlator(np.vdot(mat, c_psi))
 
 

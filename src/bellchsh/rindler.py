@@ -12,9 +12,12 @@ turns the squeezed-oscillator prefactor into a thermal form factor
     tau(T) = sum_i 1 / cosh(omega_i / (2 T)),    T = a / (2 pi),
 
 and at the maximal-violation phase choice
-(``fock.MAX_VIOLATION_ANGLES``) the CHSH value is ``2 sqrt(2) tau(T)``.  The per-mode factor lies in (0, 1); a summed
-multi-mode tau can exceed 1, in which case the literal value is
-reported and the row is flagged supra-Tsirelson rather than clamped.
+(``fock.MAX_VIOLATION_ANGLES``) the CHSH value is ``2 sqrt(2) tau(T)``.
+T is the one parameter: a mode set is its frequencies, and ``tau``,
+``rindler_chsh`` and each ``temperature_scan`` row take T directly.
+The per-mode factor lies in (0, 1); a summed multi-mode tau can exceed
+1, in which case the literal value is reported and the row is flagged
+supra-Tsirelson rather than clamped.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class RindlerModeSet:
-    """Finite set of Rindler mode frequencies with an acceleration."""
+    """Finite, strictly ascending set of positive Rindler mode frequencies."""
 
     frequencies: tuple[float, ...]
-    acceleration: float
 
     def __post_init__(self):
         freqs = tuple(float(w) for w in self.frequencies)
@@ -43,19 +45,6 @@ class RindlerModeSet:
             raise DomainError(f"frequencies must be positive and finite, got {freqs}")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise DomainError(f"frequencies must be strictly ascending, got {freqs}")
-        if not 0.0 < self.acceleration < math.inf:
-            raise DomainError(
-                f"acceleration must be positive and finite, got {self.acceleration}"
-            )
-
-    @property
-    def temperature(self) -> float:
-        return unruh_temperature(self.acceleration)
-
-    def with_temperature(self, temperature: float) -> "RindlerModeSet":
-        if not temperature > 0.0:
-            raise DomainError(f"temperature must be positive, got {temperature}")
-        return RindlerModeSet(self.frequencies, 2.0 * math.pi * temperature)
 
 
 def unruh_temperature(acceleration: float) -> float:
@@ -80,15 +69,16 @@ def _sech(x: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def tau(modes: RindlerModeSet) -> float:
-    """Thermal form factor sum_i 1 / cosh(omega_i / (2 T))."""
-    t = modes.temperature
-    return sum(_sech(w / (2.0 * t)) for w in modes.frequencies)
+def tau(modes: RindlerModeSet, temperature: float) -> float:
+    """Thermal form factor sum_i 1 / cosh(omega_i / (2 T)) at T = ``temperature``."""
+    if not 0.0 < temperature < math.inf:
+        raise DomainError(f"temperature must be positive and finite, got {temperature}")
+    return sum(_sech(w / (2.0 * temperature)) for w in modes.frequencies)
 
 
-def rindler_chsh(modes: RindlerModeSet) -> float:
-    """Vacuum CHSH value 2 sqrt(2) tau at the maximal-violation phases."""
-    return TSIRELSON_BOUND * tau(modes)
+def rindler_chsh(modes: RindlerModeSet, temperature: float) -> float:
+    """Vacuum CHSH value 2 sqrt(2) tau(T) at the maximal-violation phases."""
+    return TSIRELSON_BOUND * tau(modes, temperature)
 
 
 @dataclass(frozen=True)
@@ -112,21 +102,19 @@ def temperature_scan(modes: RindlerModeSet,
                      t_grid: Sequence[float] | Iterable[float]) -> list[ScanRow]:
     """Recompute (tau, CHSH) over an ascending grid of temperatures.
 
-    Each row replaces the acceleration by 2 pi T.  Rows whose summed
-    form factor exceeds 1 (possible only with several modes) are
-    flagged supra-Tsirelson; the literal value is reported unclamped.
+    Each row is ``tau(modes, T)`` at its own grid temperature T, which
+    rejects a T outside (0, inf).  Rows whose summed form factor exceeds
+    1 (possible only with several modes) are flagged supra-Tsirelson;
+    the literal value is reported unclamped.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
         raise DomainError("temperature grid must be non-empty")
-    if any(t <= 0.0 for t in grid):
-        raise DomainError(f"temperatures must be positive, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("temperature grid must be strictly ascending")
     rows = []
     for t in grid:
-        at_t = modes.with_temperature(t)
-        form = tau(at_t)
+        form = tau(modes, t)
         rows.append(ScanRow(
             temperature=t,
             tau=form,

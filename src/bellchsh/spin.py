@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import AngleSet, ChshQuadruple, flip_quadruple
+from .chsh import AngleSet, ChshQuadruple, ClosedFormCorrelator, flip_quadruple
 from .errors import DomainError
 from .linalg import FactoredOperator, Ket
 
@@ -111,13 +111,11 @@ def spin_quadruple(spin: str, angles: AngleSet) -> ChshQuadruple:
     return flip_quadruple((levels, levels), _FLIP_PAIRS[spin], angles)
 
 
-def spin_one_closed_form():
+def spin_one_closed_form() -> ClosedFormCorrelator:
     """Closed-form spin-1 singlet correlator as an optimizable descriptor.
 
     <C> = (2/3) (1 - cos(a1+b1) - cos(a2+b1) - cos(a1+b2) + cos(a2+b2))
     """
-    from .chsh import ClosedFormCorrelator
-
     return ClosedFormCorrelator(
         prefactor=2.0 / 3.0,
         signs=(-1.0, -1.0, -1.0, 1.0),

@@ -246,18 +246,17 @@ def grid_sweep_optimum(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
     return AngleSet(*ang), best
 
 
-def tau_exponential_form(modes: RindlerModeSet) -> float:
-    """The form factor written with explicit exponentials,
+def tau_exponential_form(modes: RindlerModeSet, temperature: float) -> float:
+    """The form factor at temperature T written with explicit exponentials,
 
-        sum_i 2 (e^{pi w/a} - e^{-pi w/a}) / (e^{2 pi w/a} - e^{-2 pi w/a}),
+        sum_i 2 (e^{w/2T} - e^{-w/2T}) / (e^{w/T} - e^{-w/T}),
 
     algebraically identical to ``bellchsh.tau``; kept literal so the two
     evaluations can be compared numerically.
     """
-    a = modes.acceleration
     total = 0.0
     for w in modes.frequencies:
-        x = math.pi * w / a
+        x = w / (2.0 * temperature)
         total += 2.0 * (math.exp(x) - math.exp(-x)) \
             / (math.exp(2.0 * x) - math.exp(-2.0 * x))
     return total

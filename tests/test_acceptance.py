@@ -18,6 +18,7 @@ from bellchsh import (
     spin_quadruple,
     tau,
     temperature_scan,
+    unruh_temperature,
     validate_quadruple,
 )
 from bellchsh import fock, kleingordon, spin
@@ -189,20 +190,20 @@ def test_criterion_08_kg_norm_machinery():
 
 def test_criterion_09_rindler_identities():
     ratios = np.logspace(-2, 1, 60)
+    t = unruh_temperature(1.0)
     form_dev = 0.0
     cross_dev = 0.0
     for ratio in ratios:
-        modes = RindlerModeSet((float(ratio),), acceleration=1.0)
-        form_dev = max(form_dev, abs(tau(modes) - tau_exponential_form(modes)))
+        modes = RindlerModeSet((float(ratio),))
+        form_dev = max(form_dev, abs(tau(modes, t) - tau_exponential_form(modes, t)))
         eta = mode_squeezing(float(ratio), 1.0)
         if eta > 0.0:
             cross_dev = max(cross_dev, abs(
-                rindler_chsh(modes)
+                rindler_chsh(modes, t)
                 - fock.chsh_closed(eta, fock.MAX_VIOLATION_ANGLES)))
     ok = form_dev <= 1e-14 and cross_dev <= 1e-12
 
-    rows = temperature_scan(RindlerModeSet((1.0,), acceleration=1.0),
-                            np.linspace(0.05, 3.0, 50))
+    rows = temperature_scan(RindlerModeSet((1.0,)), np.linspace(0.05, 3.0, 50))
     taus = [r.tau for r in rows]
     ok = ok and all(b > a for a, b in zip(taus, taus[1:]))
     report(9, "form-factor identities and tau monotonicity", ok,
@@ -240,11 +241,9 @@ def test_criterion_10_tsirelson_property_suite():
                          random_involution_quadruple(rng, dim_a, dim_b)))
     assert trials == 200
 
-    single = temperature_scan(RindlerModeSet((1.0,), acceleration=1.0),
-                              np.linspace(0.05, 80.0, 40))
+    single = temperature_scan(RindlerModeSet((1.0,)), np.linspace(0.05, 80.0, 40))
     ok = ok and not any(r.supra_tsirelson for r in single)
-    multi = temperature_scan(RindlerModeSet((0.8, 1.0, 1.3), acceleration=1.0),
-                             np.linspace(0.2, 40.0, 40))
+    multi = temperature_scan(RindlerModeSet((0.8, 1.0, 1.3)), np.linspace(0.2, 40.0, 40))
     ok = ok and all(r.supra_tsirelson == (r.tau > 1.0) for r in multi)
     ok = ok and any(r.supra_tsirelson for r in multi)
     report(10, "200 randomized trials below 2 sqrt(2) + 1e-9; scan flags "

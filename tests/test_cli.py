@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from bellchsh import MAX_MOMENTUM
+from bellchsh import MAX_MOMENTUM, fock
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
 
@@ -74,6 +74,13 @@ class TestSpin:
         assert "validation" in err
         assert float(kv(out)["spin_one_validation_passed"]) == 0
 
+    def test_corrupted_phase_is_a_precision_failure(self, capsys):
+        code, out, err = run(capsys, "spin", "--debug-corrupt-phase")
+        assert code == 3
+        assert err.startswith("precision failure: ")
+        assert len(err.strip().splitlines()) == 1
+        assert out.startswith("quantity,value\n")
+
 
 class TestSqueezeScan:
     def test_default_scan_crosses_classical_bound(self, capsys):
@@ -101,6 +108,16 @@ class TestSqueezeScan:
                 continue
             eta = float(row["eta"])
             assert float(row["abs_difference"]) <= max(1e-8, 20.0 * eta ** 24)
+
+    def test_disagreement_is_a_precision_failure(self, capsys, monkeypatch):
+        matrix = fock.chsh_matrix
+        monkeypatch.setattr(fock, "chsh_matrix",
+                            lambda eta, space, angles: matrix(eta, space, angles) + 1e-6)
+        code, out, err = run(capsys, "squeeze-scan", "--cutoff", "12",
+                             "--eta-range", "0.2:0.8:4")
+        assert code == 3
+        assert err.startswith("precision failure: ")
+        assert len(csv_rows(out)) == 6
 
     def test_zero_eta_rejected(self, capsys):
         code, _, err = run(capsys, "squeeze-scan", "--eta-range", "0:0.9:5")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,35 +25,22 @@ ROOT2 = math.sqrt(2.0)
 
 
 class TestModeSet:
-    def test_temperature(self):
-        modes = RindlerModeSet((1.0, 2.0), acceleration=TWO_PI)
-        assert modes.temperature == pytest.approx(1.0, abs=1e-15)
-
-    def test_with_temperature_roundtrip(self):
-        modes = RindlerModeSet((1.0,), acceleration=1.0)
-        assert modes.with_temperature(0.25).acceleration == pytest.approx(
-            math.pi / 2, abs=1e-15)
+    def test_frequencies_only(self):
+        modes = RindlerModeSet((1, 2.5))
+        assert modes.frequencies == (1.0, 2.5)
+        assert [f.name for f in dataclasses.fields(modes)] == ["frequencies"]
 
     @pytest.mark.parametrize("freqs", [(), (0.0,), (-1.0, 2.0), (2.0, 1.0),
                                        (1.0, 1.0)])
     def test_invalid_frequencies(self, freqs):
         with pytest.raises(DomainError):
-            RindlerModeSet(freqs, acceleration=1.0)
-
-    def test_invalid_acceleration(self):
-        with pytest.raises(DomainError):
-            RindlerModeSet((1.0,), acceleration=0.0)
+            RindlerModeSet(freqs)
 
     @pytest.mark.parametrize("freqs", [(math.nan,), (1.0, math.inf),
                                        (math.nan, 1.0)])
     def test_non_finite_frequencies(self, freqs):
         with pytest.raises(DomainError):
-            RindlerModeSet(freqs, acceleration=1.0)
-
-    @pytest.mark.parametrize("acceleration", [math.nan, math.inf])
-    def test_non_finite_acceleration(self, acceleration):
-        with pytest.raises(DomainError):
-            RindlerModeSet((1.0,), acceleration=acceleration)
+            RindlerModeSet(freqs)
 
 
 class TestUnruhTemperature:
@@ -98,28 +86,37 @@ class TestModeSqueezing:
 
 class TestTau:
     def test_high_temperature_limit(self):
-        modes = RindlerModeSet((1.0,), acceleration=1.0)
-        assert tau(modes.with_temperature(1e6)) == pytest.approx(1.0, abs=1e-10)
+        assert tau(RindlerModeSet((1.0,)), 1e6) == pytest.approx(1.0, abs=1e-10)
 
     def test_low_temperature_limit(self):
-        modes = RindlerModeSet((1.0,), acceleration=1.0)
-        assert tau(modes.with_temperature(1e-3)) <= 1e-200
+        assert tau(RindlerModeSet((1.0,)), 1e-3) <= 1e-200
 
     def test_reference_value(self):
-        modes = RindlerModeSet((1.0,), acceleration=TWO_PI)
-        assert tau(modes) == pytest.approx(0.886818883970074, abs=1e-15)
+        assert tau(RindlerModeSet((1.0,)), 1.0) == pytest.approx(0.886818883970074,
+                                                                 abs=1e-15)
 
     def test_exponential_form_agrees_pointwise(self):
+        t = unruh_temperature(1.0)
         for ratio in np.logspace(-2, 1, 60):
-            modes = RindlerModeSet((float(ratio),), acceleration=1.0)
-            assert abs(tau(modes) - tau_exponential_form(modes)) <= 1e-14
+            modes = RindlerModeSet((float(ratio),))
+            assert abs(tau(modes, t) - tau_exponential_form(modes, t)) <= 1e-14
 
     def test_additive_over_modes(self):
-        a = 3.0
-        combined = RindlerModeSet((0.5, 1.0, 2.0), acceleration=a)
-        split = sum(tau(RindlerModeSet((w,), acceleration=a))
-                    for w in (0.5, 1.0, 2.0))
-        assert tau(combined) == pytest.approx(split, abs=1e-15)
+        t = unruh_temperature(3.0)
+        combined = tau(RindlerModeSet((0.5, 1.0, 2.0)), t)
+        split = sum(tau(RindlerModeSet((w,)), t) for w in (0.5, 1.0, 2.0))
+        assert combined == pytest.approx(split, abs=1e-15)
+
+    def test_invalid_temperature(self):
+        with pytest.raises(DomainError):
+            tau(RindlerModeSet((1.0,)), 0.0)
+        with pytest.raises(DomainError):
+            tau(RindlerModeSet((1.0,)), -1.0)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(DomainError):
+            tau(RindlerModeSet((1.0,)), temperature)
 
 
 class TestRindlerChsh:
@@ -133,48 +130,45 @@ class TestRindlerChsh:
     def test_form_factor_point_nine(self):
         # pick T so that 1/cosh(w/2T) = 0.9, then CHSH = 2 sqrt(2) * 0.9
         x = math.acosh(1.0 / 0.9)
-        modes = RindlerModeSet((1.0,), acceleration=1.0).with_temperature(1 / (2 * x))
-        assert rindler_chsh(modes) == pytest.approx(2 * ROOT2 * 0.9, abs=1e-13)
+        value = rindler_chsh(RindlerModeSet((1.0,)), 1 / (2 * x))
+        assert value == pytest.approx(2 * ROOT2 * 0.9, abs=1e-13)
 
     def test_single_mode_matches_squeezed_closed_form(self):
+        t = unruh_temperature(1.0)
         for ratio in np.logspace(-2, 1, 40):
-            modes = RindlerModeSet((float(ratio),), acceleration=1.0)
+            modes = RindlerModeSet((float(ratio),))
             eta = mode_squeezing(ratio, 1.0)
             osc = fock.chsh_closed(eta, fock.MAX_VIOLATION_ANGLES) if eta > 0 else 0.0
-            assert abs(rindler_chsh(modes) - osc) <= 1e-12
+            assert abs(rindler_chsh(modes, t) - osc) <= 1e-12
 
     def test_zero_temperature_limit(self):
-        modes = RindlerModeSet((1.0,), acceleration=1e-3)
-        assert rindler_chsh(modes) <= 1e-200
+        assert rindler_chsh(RindlerModeSet((1.0,)), unruh_temperature(1e-3)) <= 1e-200
 
 
 class TestTemperatureScan:
     def test_tau_strictly_increasing_in_temperature(self):
-        modes = RindlerModeSet((1.0,), acceleration=1.0)
-        rows = temperature_scan(modes, np.linspace(0.05, 3.0, 50))
+        rows = temperature_scan(RindlerModeSet((1.0,)), np.linspace(0.05, 3.0, 50))
         taus = [r.tau for r in rows]
         assert all(b > a for a, b in zip(taus, taus[1:]))
 
     def test_tau_decreasing_in_frequency(self):
         t_grid = [0.5]
-        values = [temperature_scan(RindlerModeSet((w,), 1.0), t_grid)[0].tau
+        values = [temperature_scan(RindlerModeSet((w,)), t_grid)[0].tau
                   for w in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_limits(self):
-        modes = RindlerModeSet((1.0,), acceleration=1.0)
-        rows = temperature_scan(modes, [1e-4, 1e4])
+        rows = temperature_scan(RindlerModeSet((1.0,)), [1e-4, 1e4])
         assert rows[0].chsh <= 1e-100
         assert abs(rows[-1].chsh - 2 * ROOT2) <= 1e-6
 
     def test_single_mode_never_flagged(self):
-        modes = RindlerModeSet((0.7,), acceleration=1.0)
-        rows = temperature_scan(modes, np.linspace(0.01, 100.0, 60))
+        rows = temperature_scan(RindlerModeSet((0.7,)), np.linspace(0.01, 100.0, 60))
         assert not any(r.supra_tsirelson for r in rows)
 
     def test_multi_mode_flagged_above_unit_tau(self):
-        modes = RindlerModeSet((1.0, 1.000001), acceleration=1.0)
-        rows = temperature_scan(modes, np.linspace(0.1, 50.0, 40))
+        rows = temperature_scan(RindlerModeSet((1.0, 1.000001)),
+                                np.linspace(0.1, 50.0, 40))
         for row in rows:
             assert row.supra_tsirelson == (row.tau > 1.0)
             expected_flag = ScanRow.FLAG_TEXT if row.tau > 1.0 else ""
@@ -186,17 +180,32 @@ class TestTemperatureScan:
         for _ in range(30):
             w = float(rng.uniform(0.05, 5.0))
             t = float(rng.uniform(0.05, 5.0))
-            value = tau(RindlerModeSet((w,), 1.0).with_temperature(t))
+            value = tau(RindlerModeSet((w,)), t)
             assert 0.0 < value < 1.0
 
     def test_grid_validation(self):
-        modes = RindlerModeSet((1.0,), acceleration=1.0)
+        modes = RindlerModeSet((1.0,))
         with pytest.raises(DomainError):
             temperature_scan(modes, [])
         with pytest.raises(DomainError):
             temperature_scan(modes, [0.0, 1.0])
         with pytest.raises(DomainError):
             temperature_scan(modes, [1.0, 0.5])
+        with pytest.raises(DomainError):
+            temperature_scan(modes, [1.0, math.inf])
+
+    @pytest.mark.parametrize("frequencies,grid", [
+        # the rindler-scan default and the three-mode long scan
+        ((1.0,), np.linspace(0.02, 2.0, 50)),
+        ((0.5, 1.0, 2.0), np.linspace(0.01, 5.0, 20000)),
+    ])
+    def test_each_row_evaluated_at_its_own_temperature(self, frequencies, grid):
+        modes = RindlerModeSet(frequencies)
+        rows = temperature_scan(modes, grid)
+        assert [r.temperature for r in rows] == grid.tolist()
+        for row in rows:
+            assert row.tau == tau(modes, row.temperature)
+            assert row.chsh == TSIRELSON_BOUND * row.tau
 
 
 def matrix_chsh(frequencies, temperature):
@@ -227,7 +236,7 @@ class TestMatrixRoute:
          [*range(0, 20000, 200), 19999], 300),
     ])
     def test_rows_match_matrix_chsh(self, frequencies, grid, rows, largest_cutoff):
-        scan = temperature_scan(RindlerModeSet(frequencies, acceleration=1.0), grid)
+        scan = temperature_scan(RindlerModeSet(frequencies), grid)
         cutoffs = []
         for i in rows:
             value, cutoff = matrix_chsh(frequencies, scan[i].temperature)
