@@ -31,7 +31,6 @@ from .fock import (
     chsh_closed,
     chsh_matrix,
     fock_quadruple,
-    ladder_matrices,
     squeezed_closed_form,
     squeezed_hamiltonian,
     squeezed_state,

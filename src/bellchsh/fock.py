@@ -7,16 +7,18 @@ every operator is kept as per-mode ``cutoff x cutoff`` factors (a
 local flip, or a ``FactoredOperator`` of ladder products), so memory
 and time grow as ``cutoff**2`` to ``cutoff**3``, never ``cutoff**4``.
 The cutoff must be even so the parity-pair flip operators, which swap
-levels ``2n <-> 2n+1``, close on the truncated space and square
-exactly to the identity.  Each flip then acts on the parity of one mode
-only (the pseudospin of Chen, Pan, Hou & Zhang, PRL 88, 040406, 2002):
-``chsh_matrix`` builds no flip matrix, but reverses that mode's parity
-axis of ``Psi`` times a phase, in O(cutoff**2) per call.
+levels ``2k <-> 2k+1``, close on the truncated space and square
+exactly to the identity.
 
-The two-mode squeezed state with parameter ``eta`` has amplitudes
-proportional to ``eta**n`` on the diagonal pair states |n, n>.  For an
-even cutoff the renormalized truncated state reproduces the closed-form
-pair correlator
+The two-mode squeezed state with parameter ``eta`` is in Schmidt form,
+``sum_n s_n |n, n>`` with ``s_n`` proportional to ``eta**n``.  Every
+flip is block-diagonal on the pairs ``(2k, 2k+1)``, with the same 2 x 2
+block on each pair (the pseudospin of Chen, Pan, Hou & Zhang, PRL 88,
+040406, 2002), so ``<A (x) B> = sum_pq G_pq a_pq b_pq`` with the 2 x 2
+pair Gram ``G_pq = sum_k s_(2k+p) s_(2k+q)`` and the blocks ``a``,
+``b``: ``chsh_matrix`` takes O(cutoff) time and memory per call.  For
+an even cutoff the renormalized truncated state reproduces the
+closed-form pair correlator
 
     <A(alpha) B(beta)> = 2 eta / (1 + eta^2) * cos(alpha + beta)
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import (AngleSet, ChshQuadruple, ClosedFormCorrelator, _real_correlator,
-                   flip_quadruple)
+                   flip_quadruple, phase_flip)
 from .errors import DomainError, PrecisionError
 from .linalg import FactoredOperator, Ket
 
@@ -44,9 +46,9 @@ MAX_VIOLATION_ANGLES = AngleSet(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 #: 40 x 40 operator factors and a 40 x 40 amplitude matrix.
 DEFAULT_CUTOFF = 40
 
-#: Largest per-mode cutoff: the amplitude matrix then holds 2048**2
-#: complex numbers (64 MB), and ``squeeze-scan`` peaks at ~285 MB RSS,
-#: ``chsh_matrix`` holding at most four such arrays at once.
+#: Largest per-mode cutoff: the amplitude matrix of ``squeezed_state``
+#: then holds 2048**2 complex numbers (64 MB), the only ``cutoff**2``
+#: array left; ``chsh_matrix`` builds none.
 MAX_CUTOFF = 2048
 
 
@@ -88,23 +90,6 @@ def _mode_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     n = np.arange(1, cutoff)
     low[n - 1, n] = np.sqrt(n)
     return low, low.conj().T, np.diag(np.arange(cutoff)).astype(complex), np.eye(cutoff)
-
-
-def ladder_matrices(space: FockSpace) -> tuple[FactoredOperator, FactoredOperator,
-                                               FactoredOperator, FactoredOperator]:
-    """Truncated ladder operators (a, a_dag, b, b_dag), one term each:
-    ``a = low (x) 1`` and ``a_dag = raz (x) 1`` with the per-mode lowering
-    factor ``low`` and raising factor ``raz = low^dagger``; ``b`` and
-    ``b_dag`` mirror them.
-
-    Within the cutoff they satisfy the canonical algebra; the only
-    truncation artifact sits on the top level of each mode, where
-    ``[a, a_dag]`` picks up the diagonal entry ``1 - cutoff`` instead
-    of 1.  Cross-mode commutators such as ``[a, b_dag]`` vanish exactly.
-    """
-    low, raz, _, eye = _mode_factors(space.cutoff)
-    return (FactoredOperator(((1.0, low, eye),)), FactoredOperator(((1.0, raz, eye),)),
-            FactoredOperator(((1.0, eye, low),)), FactoredOperator(((1.0, eye, raz),)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +136,8 @@ class BogoliubovPair:
 
 def bogoliubov_pair(eta: float, space: FockSpace) -> BogoliubovPair:
     """Build the mixed-mode pair (alpha, beta) for the given squeezing,
-    each as its two terms over the per-mode factors of
-    :func:`ladder_matrices`: ``alpha = s (low (x) 1 - eta 1 (x) raz)``
+    each as its two terms over the per-mode lowering factor ``low`` and
+    raising factor ``raz = low^dagger``: ``alpha = s (low (x) 1 - eta 1 (x) raz)``
     with ``s = 1/sqrt(1 - eta^2)``, and ``beta`` mirrored."""
     eta = _check_eta(eta)
     low, raz, _, eye = _mode_factors(space.cutoff)
@@ -263,43 +248,19 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     """CHSH value of the squeezed state from the explicit flip action.
 
     Matrix route, independent of the closed form: the correlator of
-    ``chsh_value`` against ``fock_quadruple(space, angles)``, with each
-    flip applied to the parity axes of the amplitude matrix ``Psi`` (see
-    ``_flip_chsh``): O(cutoff**2) per call, and no quadruple is built.
+    ``chsh_value`` against ``fock_quadruple(space, angles)`` on the
+    Schmidt form.  The explicit amplitudes ``s_n = sqrt(1 - eta^2)
+    eta**n``, renormalized, are viewed as ``(cutoff/2, 2)`` rows of pair
+    ``k`` and parity ``p``, so the pair Gram is ``G = s^T s`` (2 x 2),
+    and each flip is its 2 x 2 block ``phase_flip(2, [(0, 1)], phase)``:
+    ``sum G o (A1 o (B1 + B2) + A2 o (B1 - B2))`` entrywise.  O(cutoff)
+    per call; no ``cutoff**2`` array and no quadruple is built.  An
+    imaginary residue above 1e-10 raises ``PrecisionError``.
     """
-    return _flip_chsh(squeezed_state(eta, space).ket, space, angles)
-
-
-def _flip_chsh(psi: Ket, space: FockSpace, angles: AngleSet) -> float:
-    """``chsh_value(psi, fock_quadruple(space, angles))`` on the parity axes.
-
-    ``tr(Psi^dag [A1 Psi (B1 + B2)^T + A2 Psi (B1 - B2)^T])`` in the order
-    of ``chsh_value``.  Level ``2k + p`` of a mode is its pair ``k`` and
-    parity ``p``, so ``Psi`` is viewed as ``(cutoff/2, 2, cutoff/2, 2)``:
-    ``Y1 = Psi B1^T`` and ``Y2 = Psi B2^T`` flip B's parity axis 3, then
-    their sum and difference go under A1 and A2 on A's parity axis 1.
-    The difference overwrites ``Y1`` and the A-side terms are summed in
-    place, so at most four ``cutoff**2`` arrays are alive at once.
-    An imaginary residue above 1e-10 raises ``PrecisionError``.
-    """
-    half = space.cutoff // 2
-    mat = psi.amplitudes.reshape(half, 2, half, 2)
-    y1 = _flip_parity(mat, 3, angles.beta1)
-    y2 = _flip_parity(mat, 3, angles.beta2)
-    y_sum = y1 + y2
-    y1 -= y2
-    del y2
-    c_psi = _flip_parity(y_sum, 1, angles.alpha1)
-    del y_sum
-    c_psi += _flip_parity(y1, 1, angles.alpha2)
-    return _real_correlator(np.vdot(mat, c_psi))
-
-
-def _flip_parity(x: np.ndarray, axis: int, phase: float) -> np.ndarray:
-    """The parity-pair flip of one mode, ``phase_flip`` on the pairs
-    ``(2k, 2k + 1)``, on ``x``'s parity ``axis`` (of length 2): the axis
-    reversed, then parity 0 times ``e^{-i phase}`` and parity 1 times
-    ``e^{i phase}``."""
-    up = complex(np.exp(1j * phase))
-    phases = np.array([up.conjugate(), up]).reshape((2,) + (1,) * (x.ndim - 1 - axis))
-    return np.flip(x, axis) * phases
+    eta = _check_eta(eta)
+    amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
+    amp /= np.linalg.norm(amp)
+    pairs = amp.reshape(-1, 2)
+    gram = pairs.T @ pairs
+    a1, a2, b1, b2 = (phase_flip(2, [(0, 1)], phase) for phase in angles.as_tuple())
+    return _real_correlator(np.sum(gram * (a1 * (b1 + b2) + a2 * (b1 - b2))))

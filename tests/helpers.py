@@ -6,9 +6,14 @@ small spaces (spin, and Fock cutoffs up to about 8).  The closed forms
 only tests use (the total spin, the squeezed pair correlator) live here
 too.
 
-The library applies the Fock-space parity flips of ``chsh_matrix`` on
-the parity axes of the amplitude matrix.  The oracle here applies them
-by pair index, a swap of paired rows or columns times a phase.
+The library evaluates the Fock-space parity flips of ``chsh_matrix`` on
+the Schmidt form of the squeezed state, as 2 x 2 blocks against the
+pair Gram of its amplitudes.  The oracles here act on a general
+two-mode state: on the parity axes of its amplitude matrix, and by pair
+index, a swap of paired rows or columns times a phase.  The truncated
+ladder operators, which the library builds only as parts of the
+Bogoliubov pair and the Hamiltonian, are built here from the same
+per-mode factors.
 
 The library maximizes a closed-form CHSH correlator exactly.  The
 oracle here is a numeric search: a coarse grid and trig-exact
@@ -28,10 +33,12 @@ from bellchsh import (
     ChshQuadruple,
     ClosedFormCorrelator,
     FactoredOperator,
+    FockSpace,
     GaussianPacket,
     Ket,
     RindlerModeSet,
     ShellQuadrature,
+    fock,
     spin_matrices,
     wrap_angle,
 )
@@ -90,7 +97,7 @@ def flip_rows(x: np.ndarray, pairs, phase: float) -> np.ndarray:
     src, dst = pairs.T
     up = complex(np.exp(1j * phase))
     out = np.array(x, dtype=complex)
-    # amplitude first, as in fock's parity flips: swapped operands round
+    # amplitude first, as in ``flip_parity``: swapped operands round
     # the imaginary part of a complex product differently
     out[dst] = x[src] * up
     out[src] = x[dst] * up.conjugate()
@@ -109,6 +116,57 @@ def pair_index_chsh(psi: Ket, cutoff: int, angles: AngleSet) -> complex:
     c_psi = (flip_rows(y1 + y2, pairs, angles.alpha1)
              + flip_rows(y1 - y2, pairs, angles.alpha2))
     return complex(np.vdot(mat, c_psi))
+
+
+def flip_parity(x: np.ndarray, axis: int, phase: float) -> np.ndarray:
+    """The parity-pair flip of one mode, ``phase_flip`` on the pairs
+    ``(2k, 2k + 1)``, on ``x``'s parity ``axis`` (of length 2): the axis
+    reversed, then parity 0 times ``e^{-i phase}`` and parity 1 times
+    ``e^{i phase}``."""
+    up = complex(np.exp(1j * phase))
+    phases = np.array([up.conjugate(), up]).reshape((2,) + (1,) * (x.ndim - 1 - axis))
+    return np.flip(x, axis) * phases
+
+
+def parity_axis_chsh(psi: Ket, cutoff: int, angles: AngleSet) -> complex:
+    """``<psi|C|psi>`` of the Fock parity-pair flips on the parity axes.
+
+    Level ``2k + p`` of a mode is its pair ``k`` and parity ``p``, so
+    ``Psi`` is viewed as ``(cutoff/2, 2, cutoff/2, 2)``.  In
+    ``chsh_value``'s order, ``Y1 = Psi B1^T`` and ``Y2 = Psi B2^T`` flip
+    B's parity axis 3, then ``A1 (Y1 + Y2) + A2 (Y1 - Y2)`` flips A's
+    parity axis 1.  The difference overwrites ``Y1`` and the A-side terms
+    are summed in place, so at most four ``cutoff**2`` arrays are alive
+    at once (256 MB at cutoff 2048).
+    """
+    half = cutoff // 2
+    mat = psi.amplitudes.reshape(half, 2, half, 2)
+    y1 = flip_parity(mat, 3, angles.beta1)
+    y2 = flip_parity(mat, 3, angles.beta2)
+    y_sum = y1 + y2
+    y1 -= y2
+    del y2
+    c_psi = flip_parity(y_sum, 1, angles.alpha1)
+    del y_sum
+    c_psi += flip_parity(y1, 1, angles.alpha2)
+    return complex(np.vdot(mat, c_psi))
+
+
+def ladder_matrices(space: FockSpace) -> tuple[FactoredOperator, FactoredOperator,
+                                               FactoredOperator, FactoredOperator]:
+    """Truncated ladder operators (a, a_dag, b, b_dag), one term each:
+    ``a = low (x) 1`` and ``a_dag = raz (x) 1`` with the library's
+    per-mode lowering factor ``low`` and raising factor
+    ``raz = low^dagger``; ``b`` and ``b_dag`` mirror them.
+
+    Within the cutoff they satisfy the canonical algebra; the only
+    truncation artifact sits on the top level of each mode, where
+    ``[a, a_dag]`` picks up the diagonal entry ``1 - cutoff`` instead
+    of 1.  Cross-mode commutators such as ``[a, b_dag]`` vanish exactly.
+    """
+    low, raz, _, eye = fock._mode_factors(space.cutoff)
+    return (FactoredOperator(((1.0, low, eye),)), FactoredOperator(((1.0, raz, eye),)),
+            FactoredOperator(((1.0, eye, low),)), FactoredOperator(((1.0, eye, raz),)))
 
 
 def total_spin_squared(spin: str) -> FactoredOperator:

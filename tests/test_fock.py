@@ -22,7 +22,6 @@ from bellchsh.fock import (
     chsh_closed,
     chsh_matrix,
     fock_quadruple,
-    ladder_matrices,
     squeezed_closed_form,
     squeezed_hamiltonian,
     squeezed_state,
@@ -33,10 +32,13 @@ from helpers import (
     correlator_closed,
     dense,
     expectation,
+    flip_parity,
     flip_rows,
     full_quadruple,
     hermiticity_deviation,
+    ladder_matrices,
     pair_index_chsh,
+    parity_axis_chsh,
     random_state,
     series_squeezed_state,
 )
@@ -456,9 +458,37 @@ class TestMatrixEvaluation:
         assert abs(value - chsh_closed(eta, angles)) <= 1e-8
 
 
+class TestSchmidtRoute:
+    """``chsh_matrix`` on the pair Gram of the squeezed amplitudes against
+    ``chsh_value`` on the dense ket and quadruple, and against the
+    general-state parity-axis oracle."""
+
+    @pytest.mark.parametrize("cutoff", [4, 6, 40, 200])
+    def test_matches_dense_chsh_value(self, cutoff):
+        rng = np.random.default_rng(107 + cutoff)
+        space = FockSpace(cutoff)
+        angle_sets = [MAX_VIOLATION_ANGLES]
+        angle_sets += [AngleSet(*rng.uniform(-7.0, 7.0, 4)) for _ in range(4)]
+        for angles in angle_sets:
+            dense_q = fock_quadruple(space, angles)
+            for eta in (1e-8, float(rng.uniform(0.05, 0.95)), 0.999):
+                oracle = chsh_value(squeezed_state(eta, space).ket, dense_q)
+                assert abs(chsh_matrix(eta, space, angles) - oracle) <= 1e-14
+
+    @pytest.mark.parametrize("cutoff,eta,angles", [
+        (512, 0.9, AngleSet(0.3, -1.2, 2.1, 0.7)),
+        (2048, 0.7, MAX_VIOLATION_ANGLES),
+    ], ids=["512", "2048"])
+    def test_matches_parity_axis_oracle(self, cutoff, eta, angles):
+        space = FockSpace(cutoff)
+        oracle = parity_axis_chsh(squeezed_state(eta, space).ket, cutoff, angles)
+        assert abs(chsh_matrix(eta, space, angles) - oracle.real) <= 1e-14
+
+
 class TestFlipAction:
-    """The parity-axis route of ``chsh_matrix`` against the dense flip
-    matrices and the pair-index oracle."""
+    """The general-state parity-axis oracle against the dense flip
+    matrices and the pair-index oracle, and the residue check of
+    ``chsh_matrix``."""
 
     @pytest.mark.parametrize("cutoff", [4, 6, 40, 200])
     def test_matches_dense_quadruple_on_random_states(self, cutoff):
@@ -466,13 +496,9 @@ class TestFlipAction:
         space = FockSpace(cutoff)
         for _ in range(5):
             angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
-            dense_q = fock_quadruple(space, angles)
             psi = random_state(rng, space.dim)
-            assert abs(fock._flip_chsh(psi, space, angles)
-                       - chsh_value(psi, dense_q)) <= 1e-14
-            eta = float(rng.uniform(0.05, 0.95))
-            assert abs(chsh_matrix(eta, space, angles)
-                       - chsh_value(squeezed_state(eta, space).ket, dense_q)) <= 1e-14
+            assert abs(parity_axis_chsh(psi, cutoff, angles).real
+                       - chsh_value(psi, fock_quadruple(space, angles))) <= 1e-14
 
     @pytest.mark.parametrize("cutoff", [4, 6, 40, 200])
     def test_equals_pair_index_oracle(self, cutoff):
@@ -487,11 +513,12 @@ class TestFlipAction:
                        for eta in (1e-8, float(rng.uniform(0.05, 0.95)), 0.999)]
             for psi in states:
                 oracle = pair_index_chsh(psi, cutoff, angles)
-                assert fock._flip_chsh(psi, space, angles) == oracle.real
+                assert parity_axis_chsh(psi, cutoff, angles) == oracle
 
     def test_action_on_identity_is_phase_flip(self):
-        # rows give F, columns (x -> x F^T) give F^T, by value: the oracle
-        # on every flip of the package, the parity-axis helper on Fock's
+        # rows give F, columns (x -> x F^T) give F^T, by value: the
+        # pair-index oracle on every flip of the package, the parity-axis
+        # one on Fock's
         cases = [(n, fock._parity_pairs(n)) for n in (4, 40)]
         cases += [(levels, pairs)  # both spin sides, fixed levels included
                   for kind, levels in spin._LEVELS.items()
@@ -508,8 +535,8 @@ class TestFlipAction:
             eye = np.eye(n)
             for phase in phases:
                 flip = phase_flip(n, fock._parity_pairs(n), phase)
-                rows = fock._flip_parity(eye.reshape(n // 2, 2, n), 1, phase)
-                cols = fock._flip_parity(eye.reshape(n, n // 2, 2), 2, phase)
+                rows = flip_parity(eye.reshape(n // 2, 2, n), 1, phase)
+                cols = flip_parity(eye.reshape(n, n // 2, 2), 2, phase)
                 assert np.array_equal(rows.reshape(n, n), flip)
                 assert np.array_equal(cols.reshape(n, n), flip.T)
 
@@ -521,10 +548,11 @@ class TestFlipAction:
                 flip_rows(x, pairs, phase)
 
     def test_imaginary_residue_raises(self, monkeypatch):
-        # a corrupted action with e^{i phase} both ways is not hermitian
-        def corrupted(x, axis, phase):
-            return np.flip(x, axis) * complex(np.exp(1j * phase))
+        # a corrupted flip with e^{i phase} both ways is not hermitian
+        def corrupted(dim, pairs, phase):
+            up = complex(np.exp(1j * phase))
+            return np.array([[0.0, up], [up, 0.0]])
 
-        monkeypatch.setattr(fock, "_flip_parity", corrupted)
+        monkeypatch.setattr(fock, "phase_flip", corrupted)
         with pytest.raises(PrecisionError, match="imaginary residue"):
             chsh_matrix(0.6, FockSpace(8), AngleSet(0.4, -1.3, 0.9, 2.2))

@@ -230,10 +230,10 @@ class TestMatrixRoute:
     @pytest.mark.parametrize("frequencies,grid,rows,largest_cutoff", [
         # every row of the rindler-scan default grid
         ((1.0,), np.linspace(0.02, 2.0, 50), range(50), 60),
-        # --modes 0.5,1.0,2.0 --temp-range 0.01:5.0:20000: every 200th
+        # --modes 0.5,1.0,2.0 --temp-range 0.01:5.0:20000: every 10th
         # row and the hottest
         ((0.5, 1.0, 2.0), np.linspace(0.01, 5.0, 20000),
-         [*range(0, 20000, 200), 19999], 300),
+         [*range(0, 20000, 10), 19999], 300),
     ])
     def test_rows_match_matrix_chsh(self, frequencies, grid, rows, largest_cutoff):
         scan = temperature_scan(RindlerModeSet(frequencies), grid)
