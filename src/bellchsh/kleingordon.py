@@ -25,7 +25,9 @@ parameter.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -117,8 +119,8 @@ class GaussianPacket:
 
 #: Largest radial node count.  Building Gauss-Legendre nodes costs
 #: O(n^2) memory (4096 nodes: ~290 MB peak and 4 s or more on a 2-vCPU
-#: x86-64 VM, numpy 2.4), so the count is bounded before any node is
-#: computed.
+#: x86-64 VM, numpy 2.4), so the count is bounded in the constructor,
+#: before any node is computed; each rule then builds its nodes once.
 MAX_RADIAL = 4096
 
 
@@ -126,10 +128,14 @@ MAX_RADIAL = 4096
 class ShellQuadrature:
     """Radial Gauss-Legendre rule on [0, k_max] for the mass-shell measure.
 
-    The angular integral of a Gaussian pair is closed-form, so
-    :func:`shell_inner_product` ignores ``angular``; the count is still
-    validated and refined so that the same rule can size a spherical
-    product rule.  ``radial`` is at most ``MAX_RADIAL``, refined rules
+    The nodes and weights (:attr:`rule`) are built once per rule object,
+    at first use, and :meth:`refined` returns one shared doubled rule, so
+    every norm, error estimate and overlap on the same object shares one
+    build of each.  The angular integral of a Gaussian pair is
+    closed-form, so :func:`shell_inner_product` ignores ``angular``; the
+    count is still validated and refined for the benchmark's node count
+    and the spherical product-rule oracle of the tests.  Both counts are
+    integers; ``radial`` is at most ``MAX_RADIAL``, refined rules
     included, and ``k_max`` at most ``12 * MAX_MOMENTUM``, which holds
     every ``for_packets`` cutoff of the packet domain.  ``tol`` bounds
     the tail beyond ``k_max`` relative to the amplitudes:
@@ -142,6 +148,13 @@ class ShellQuadrature:
     tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("radial", "angular"):
+            try:
+                count = operator.index(getattr(self, name))
+            except TypeError:
+                raise DomainError(f"quadrature {name} node count must be an integer, "
+                                  f"got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, count)
         if self.radial < 2 or self.angular < 2:
             raise DomainError("quadrature needs at least 2 nodes per direction")
         if self.radial > MAX_RADIAL:
@@ -165,10 +178,24 @@ class ShellQuadrature:
                     for p in packets)
         return cls(k_max=k_max, radial=radial, angular=angular, tol=tol)
 
-    def refined(self) -> "ShellQuadrature":
-        """Same cutoff with every node count doubled."""
+    @functools.cached_property
+    def rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only radial nodes k and weights w on [0, k_max]."""
+        x, weights = np.polynomial.legendre.leggauss(self.radial)
+        k = 0.5 * (x + 1.0) * self.k_max
+        w = 0.5 * self.k_max * weights
+        k.flags.writeable = w.flags.writeable = False
+        return k, w
+
+    @functools.cached_property
+    def _refined(self) -> "ShellQuadrature":
         return ShellQuadrature(k_max=self.k_max, radial=2 * self.radial,
                                angular=2 * self.angular, tol=self.tol)
+
+    def refined(self) -> "ShellQuadrature":
+        """Same cutoff with every node count doubled; the same object on
+        every call, so its nodes are built once."""
+        return self._refined
 
     def tail_bound(self, f: GaussianPacket, g: GaussianPacket) -> float:
         """Upper bound on the integral mass beyond k_max (Gaussian decay).
@@ -203,12 +230,14 @@ def shell_inner_product(f: GaussianPacket, g: GaussianPacket,
 
     Linear in ``f``, antilinear in ``g``, and exactly conjugate-symmetric:
     the radial sum is real and symmetric in (f, g), and the amplitudes
-    multiply it once at the end.  The angular factor sinh(k|b|) / (k|b|)
-    enters as exp(k|b|) (1 - exp(-2k|b|)) / (2k|b|), with exp(k|b|)
-    folded into the Gaussian exponent, so it cannot overflow.  Raises
-    ``PrecisionError`` when the Gaussian tail beyond ``q.k_max`` cannot
-    be certified below ``q.tol / 10 * |A_f A_g|``: the tail relative to
-    the amplitudes, so the verdict does not depend on their scale.
+    multiply it once at the end.  The radial nodes and weights are
+    ``q.rule``, built once per rule object.  The angular factor
+    sinh(k|b|) / (k|b|) enters as exp(k|b|) (1 - exp(-2k|b|)) / (2k|b|),
+    with exp(k|b|) folded into the Gaussian exponent, so it cannot
+    overflow.  Raises ``PrecisionError`` when the Gaussian tail beyond
+    ``q.k_max`` cannot be certified below ``q.tol / 10 * |A_f A_g|``:
+    the tail relative to the amplitudes, so the verdict does not depend
+    on their scale.
     """
     if f.mass != g.mass:
         raise DomainError(f"mass mismatch: {f.mass} vs {g.mass}")
@@ -221,8 +250,7 @@ def shell_inner_product(f: GaussianPacket, g: GaussianPacket,
             f"quadrature tail beyond k_max = {q.k_max} estimated at {tail:.3e}, "
             f"exceeds tol/10 * |A_f A_g| = {allowed:.3e}"
         )
-    nodes, weights = np.polynomial.legendre.leggauss(q.radial)
-    k = 0.5 * (nodes + 1.0) * q.k_max
+    k, w = q.rule
     omega = np.sqrt(k * k + f.mass * f.mass)
 
     def scaled_square_distance(p: GaussianPacket):
@@ -237,7 +265,9 @@ def shell_inner_product(f: GaussianPacket, g: GaussianPacket,
     angular_factor = np.ones_like(k)  # (1 - e^{-2kb}) / (2kb) -> 1 as kb -> 0
     np.divide(-np.expm1(-2.0 * kb), 2.0 * kb, out=angular_factor, where=kb > 0.0)
     exponent = kb - 0.5 * (scaled_square_distance(f) + scaled_square_distance(g))
-    weight = 0.5 * q.k_max * weights * k * k / (2.0 * omega)
+    # w is (0.5 * k_max) * weights, so this multiplies in the order of
+    # 0.5 * k_max * weights * k * k, bit for bit
+    weight = w * k * k / (2.0 * omega)
     # np.sum reduces pairwise in a fixed order, so results are bit-stable.
     radial_sum = float(np.sum(weight * np.exp(exponent) * angular_factor))
     return f.amplitude * g.amplitude.conjugate() * (
@@ -248,7 +278,8 @@ def test_norm(f: GaussianPacket, q: ShellQuadrature) -> NormEstimate:
     """Squared norm ||f||^2 = <f|f> with a self-convergence error bar.
 
     The error estimate is the difference against the same integral with
-    the radial nodes doubled.
+    the radial nodes doubled, on ``q.refined()``: one shared rule, so
+    repeated norms on ``q`` build each set of nodes once.
     """
     value = shell_inner_product(f, f, q).real
     refined = shell_inner_product(f, f, q.refined()).real

@@ -20,8 +20,10 @@ oracle here is a numeric search: a coarse grid and trig-exact
 coordinate sweeps.
 
 The library integrates the mass-shell inner product with a radial rule
-and a closed-form angular factor.  The oracle here is the full
-spherical product rule over (|k|, cos theta, phi).
+and a closed-form angular factor, on nodes each rule builds once.  The
+oracles here are the full spherical product rule over
+(|k|, cos theta, phi), and the radial rule with its nodes built on
+every call.
 """
 
 import math
@@ -224,6 +226,32 @@ def product_rule_inner_product(f: GaussianPacket, g: GaussianPacket,
     integrand = (packet_profile(f, omega, kx, ky, kz)
                  * np.conj(packet_profile(g, omega, kx, ky, kz)))
     return complex(np.sum(integrand * weight))
+
+
+def per_call_inner_product(f: GaussianPacket, g: GaussianPacket,
+                           q: ShellQuadrature) -> complex:
+    """<f|g> on the radial rule with its nodes built inside the call:
+    the operations of ``shell_inner_product`` in the same order, so the
+    two must agree bit for bit.  No tail certificate."""
+    nodes, weights = np.polynomial.legendre.leggauss(q.radial)
+    k = 0.5 * (nodes + 1.0) * q.k_max
+    omega = np.sqrt(k * k + f.mass * f.mass)
+
+    def scaled_square_distance(p: GaussianPacket):
+        c0, cx, cy, cz = p.center
+        return p.width ** 2 * ((omega - c0) ** 2 + k * k + (cx * cx + cy * cy + cz * cz))
+
+    s_f, s_g = f.width ** 2, g.width ** 2
+    b_norm = math.hypot(*(s_f * cf + s_g * cg
+                          for cf, cg in zip(f.center[1:], g.center[1:])))
+    kb = k * b_norm
+    angular_factor = np.ones_like(k)
+    np.divide(-np.expm1(-2.0 * kb), 2.0 * kb, out=angular_factor, where=kb > 0.0)
+    exponent = kb - 0.5 * (scaled_square_distance(f) + scaled_square_distance(g))
+    weight = 0.5 * q.k_max * weights * k * k / (2.0 * omega)
+    radial_sum = float(np.sum(weight * np.exp(exponent) * angular_factor))
+    return f.amplitude * g.amplitude.conjugate() * (
+        radial_sum * 4.0 * math.pi / (2.0 * math.pi) ** 3)
 
 
 def _grid_argmax(cf: ClosedFormCorrelator, points: int) -> tuple[float, ...]:

@@ -21,7 +21,7 @@ from bellchsh import fock
 # aliased so pytest does not collect the library function as a test
 from bellchsh.kleingordon import test_norm as norm_with_error
 
-from helpers import product_rule_inner_product
+from helpers import per_call_inner_product, product_rule_inner_product
 
 ROOT2 = math.sqrt(2.0)
 
@@ -138,6 +138,99 @@ class TestShellQuadrature:
             ShellQuadrature(k_max=1.0, radial=MAX_RADIAL).refined()
         assert ShellQuadrature(k_max=1.0, radial=64, angular=8).refined() == \
             ShellQuadrature(k_max=1.0, radial=128, angular=16)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(radial=64.5), dict(radial=64.0), dict(angular=16.0), dict(radial="64"),
+    ])
+    def test_non_integer_node_counts_rejected(self, kwargs):
+        # else numpy's leggauss raises TypeError at the first norm, far from the cause
+        with pytest.raises(DomainError, match="must be an integer"):
+            ShellQuadrature(k_max=10.0, **kwargs)
+
+    def test_integer_like_node_counts_stored_as_int(self):
+        q = ShellQuadrature(k_max=10.0, radial=np.int64(64), angular=np.int32(16))
+        assert type(q.radial) is int and type(q.angular) is int
+        assert q == ShellQuadrature(k_max=10.0, radial=64, angular=16)
+
+
+@pytest.fixture
+def leggauss_calls(monkeypatch):
+    """Counts the Gauss-Legendre builds, one list entry (the node count)
+    per call."""
+    calls = []
+    build = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    return calls
+
+
+class TestRuleBuiltOnce:
+    def test_norm_twice_builds_each_rule_once(self, leggauss_calls):
+        f = packet((0.3, -0.2, 0.5))
+        q = ShellQuadrature.for_packets(f, **FAST)
+        first, second = norm_with_error(f, q), norm_with_error(f, q)
+        assert first == second
+        assert leggauss_calls == [64, 128]
+
+    def test_normalize_and_recheck_share_the_rules(self, leggauss_calls):
+        f = packet((0.3, -0.2, 0.5), amplitude=1.7j)
+        q = ShellQuadrature.for_packets(f)
+        unit = normalize(f, q)
+        assert abs(norm_with_error(unit, q).value - 1.0) <= 1e-10
+        assert leggauss_calls == [128, 256]
+
+    def test_sigma_chsh_builds_one_rule(self, leggauss_calls):
+        f, g, q = TestSigmaChsh()._orthonormal_pair()
+        fresh = ShellQuadrature(k_max=q.k_max, radial=q.radial, angular=q.angular)
+        leggauss_calls.clear()
+        rng = np.random.default_rng(113)
+        for _ in range(5):
+            angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
+            sigma_chsh(float(rng.uniform(0.05, 0.95)), angles, f, g, fresh)
+        assert leggauss_calls == [q.radial]
+
+    def test_largest_rule_built_lazily(self, leggauss_calls):
+        # constructing and refining cost nothing: MAX_RADIAL nodes take
+        # seconds and hundreds of MB to build
+        q = ShellQuadrature(k_max=10.0, radial=MAX_RADIAL // 2)
+        assert q.refined().radial == MAX_RADIAL
+        assert leggauss_calls == []
+
+    def test_refined_is_one_shared_rule(self):
+        q = ShellQuadrature(k_max=10.0, radial=48)
+        assert q.refined() is q.refined()
+        assert q.refined().refined() is q.refined().refined()
+
+    def test_rule_is_read_only(self):
+        q = ShellQuadrature(k_max=10.0, radial=48)
+        k, w = q.rule
+        assert q.rule[0] is k
+        for array in (k, w):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cached_rule_leaves_equality_and_hash_alone(self):
+        q = ShellQuadrature(k_max=10.0, radial=48)
+        q.rule, q.refined()
+        twin = ShellQuadrature(k_max=10.0, radial=48)
+        assert q == twin and hash(q) == hash(twin)
+        assert repr(q) == repr(twin)
+
+    @pytest.mark.parametrize("radial", [2, 48, 128, 256])
+    def test_bit_identical_to_per_call_rule(self, radial):
+        rng = np.random.default_rng(127 + radial)
+        for _ in range(4):
+            f, g = random_packet(rng), random_packet(rng)
+            q = ShellQuadrature.for_packets(f, g, radial=radial)
+            for a, b in ((f, g), (g, f), (f, f)):
+                value = shell_inner_product(a, b, q)
+                oracle = per_call_inner_product(a, b, q)
+                assert np.complex128(value).tobytes() == np.complex128(oracle).tobytes()
 
 
 class TestInnerProduct:
