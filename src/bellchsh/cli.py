@@ -16,7 +16,8 @@ resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
 
 Exit codes: 0 success; 2 configuration error, raised as ``DomainError``
 (a flag outside its domain, including a ``LO:HI:STEPS`` range of more
-than ``MAX_STEPS`` points, or a degenerate test function) or by argparse
+than ``MAX_STEPS`` points, an angle divided by zero or an ``--out`` path
+that cannot be written, or a degenerate test function) or by argparse
 for an unknown flag; 3 validation or tolerance failure, raised as
 ``PrecisionError`` (a numerical certificate, or a failed check in
 ``spin``/``squeeze-scan`` after its rows are written).
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -79,7 +79,10 @@ def parse_angle(token: str) -> float:
         if match.group("coef"):
             value *= float(match.group("coef"))
         if match.group("den"):
-            value /= float(match.group("den"))
+            den = float(match.group("den"))
+            if den == 0.0:
+                raise DomainError(f"angle {token!r} divides by zero")
+            value /= den
         return -value if match.group("sign") == "-" else value
     try:
         return float(text)
@@ -123,20 +126,20 @@ def parse_floats(text: str, name: str) -> tuple[float, ...]:
         raise DomainError(f"cannot parse {name} {text!r}") from None
 
 
-def parse_quad(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError(f"--quad must look like RADIAL,ANGULAR, got {text!r}")
+def parse_quad(text: str) -> int:
+    if "," in text:
+        raise DomainError(f"--quad takes RADIAL only, got {text!r}: the ANGULAR count "
+                          "was removed because the angular integral is closed form")
     try:
-        radial, angular = int(parts[0]), int(parts[1])
+        radial = int(text)
     except ValueError:
         raise DomainError(f"cannot parse --quad {text!r}") from None
-    if radial < 2 or angular < 2:
-        raise DomainError(f"--quad needs at least 2 nodes per direction, got {text!r}")
+    if radial < 2:
+        raise DomainError(f"--quad needs at least 2 radial nodes, got {text!r}")
     if radial > MAX_QUAD_RADIAL:
         raise DomainError(f"--quad radial node count must be <= {MAX_QUAD_RADIAL} "
                           f"(doubled for the error estimate), got {radial}")
-    return radial, angular
+    return radial
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,8 @@ def _fmt_value(v) -> str:
 
 def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None:
     """Render rows as CSV or JSON (``fmt``) and write them to stdout, or
-    to the file ``out``."""
+    to the file ``out``; a file that cannot be written raises
+    ``DomainError``."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -171,8 +175,11 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise DomainError(f"cannot write --out {path}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +206,6 @@ def cmd_spin(args) -> int:
         for i, amp in enumerate(state.ket.amplitudes):
             add(f"{name}_amplitude_{i}", float(amp.real))
         quadruple = spin.spin_quadruple(kind, angles)
-        if args.debug_corrupt_phase:
-            # non-unitary flip: breaks the involution, keeps hermiticity
-            quadruple = dataclasses.replace(quadruple, a1=quadruple.a1 * 1.01)
         report = validate_quadruple(quadruple)
         add(f"{name}_validation_max_deviation", report.max_deviation)
         add(f"{name}_validation_passed", int(report.passed))
@@ -300,7 +304,7 @@ def cmd_kg_norm(args) -> int:
         raise DomainError(f"--amplitude must lie within +-{bound:g}, got {args.amplitude}")
     if not 0.0 < args.tol < math.inf:
         raise DomainError(f"--tol must be positive and finite, got {args.tol}")
-    radial, angular = parse_quad(args.quad)
+    radial = parse_quad(args.quad)
 
     if args.center_energy is None:
         packet = kleingordon.GaussianPacket.on_shell(
@@ -312,9 +316,7 @@ def cmd_kg_norm(args) -> int:
             center=(args.center_energy, *center), width=args.width,
             mass=args.mass, amplitude=args.amplitude,
         )
-    quad = kleingordon.ShellQuadrature.for_packets(
-        packet, radial=radial, angular=angular, tol=args.tol,
-    )
+    quad = kleingordon.ShellQuadrature.for_packets(packet, radial=radial, tol=args.tol)
 
     estimate = kleingordon.test_norm(packet, quad)
     if not estimate.value > 0.0:
@@ -374,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spin", help="spin singlet reproduction")
     p.add_argument("--angles", default=None, metavar="a1,a2,b1,b2",
                    help="override the measurement phases (radians; pi/4 literals ok)")
-    p.add_argument("--debug-corrupt-phase", action="store_true",
-                   help="corrupt one operator to exercise the validation failure path")
     _add_output_options(p)
     p.set_defaults(handler=cmd_spin)
 
@@ -405,10 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the on-shell center energy")
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--quad", default="128,32", metavar="RADIAL,ANGULAR",
-                   help="quadrature node counts; the radial rule uses RADIAL only "
-                        f"(at most {MAX_QUAD_RADIAL}), and doubles it for the "
-                        "error estimate")
+    p.add_argument("--quad", default="128", metavar="RADIAL",
+                   help=f"radial quadrature node count (at most {MAX_QUAD_RADIAL}); "
+                        "the error estimate doubles it")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--normalize", action="store_true",
                    help="also rescale to unit norm and report the recheck")

@@ -13,13 +13,13 @@ Their angular integral is closed-form as well,
 
     integral dOmega exp(k . b) = 4 pi sinh(k |b|) / (k |b|),    b = sigma_f^2 c_f + sigma_g^2 c_g,
 
-so <f|g> is a radial Gauss-Legendre rule on [0, k_max], with a
-certified tail beyond k_max and a self-convergence error bar from
-doubling the radial nodes.  A pair of unit-norm, mutually orthogonal
-packets (f, g) smearing the two field species realizes an independent
-oscillator pair, which reduces the squeezed-state CHSH correlator to
-the closed form of the two-mode oscillator with the same squeezing
-parameter.
+so <f|g> is a radial Gauss-Legendre rule on [0, k_max] with no
+angular nodes, a certified tail beyond k_max and a self-convergence
+error bar from doubling the radial nodes.  A pair of unit-norm,
+mutually orthogonal packets (f, g) smearing the two field species
+realizes an independent oscillator pair, which reduces the
+squeezed-state CHSH correlator to the closed form of the two-mode
+oscillator with the same squeezing parameter.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -132,31 +132,30 @@ class ShellQuadrature:
     at first use, and :meth:`refined` returns one shared doubled rule, so
     every norm, error estimate and overlap on the same object shares one
     build of each.  The angular integral of a Gaussian pair is
-    closed-form, so :func:`shell_inner_product` ignores ``angular``; the
-    count is still validated and refined for the benchmark's node count
-    and the spherical product-rule oracle of the tests.  Both counts are
-    integers; ``radial`` is at most ``MAX_RADIAL``, refined rules
-    included, and ``k_max`` at most ``12 * MAX_MOMENTUM``, which holds
-    every ``for_packets`` cutoff of the packet domain.  ``tol`` bounds
+    closed-form, so the rule has no angular node count.  ``radial`` is
+    an integer of at most ``MAX_RADIAL``, refined rules included, and
+    ``k_max`` at most ``12 * MAX_MOMENTUM``, which holds every
+    ``for_packets`` cutoff of the packet domain.  ``tol`` bounds
     the tail beyond ``k_max`` relative to the amplitudes:
     ``tail_bound <= tol / 10 * |A_f A_g|``.
     """
 
     k_max: float
     radial: int = 128
-    angular: int = 32
     tol: float = 1e-9
+    #: Not a setting, and no rule reads it: only the benchmark's 3-D node
+    #: count (``benchmarks/inprocess.py::nodes``) does; ROADMAP item 2
+    #: deletes it.
+    angular: ClassVar[int] = 32
 
     def __post_init__(self):
-        for name in ("radial", "angular"):
-            try:
-                count = operator.index(getattr(self, name))
-            except TypeError:
-                raise DomainError(f"quadrature {name} node count must be an integer, "
-                                  f"got {getattr(self, name)!r}") from None
-            object.__setattr__(self, name, count)
-        if self.radial < 2 or self.angular < 2:
-            raise DomainError("quadrature needs at least 2 nodes per direction")
+        try:
+            object.__setattr__(self, "radial", operator.index(self.radial))
+        except TypeError:
+            raise DomainError(f"quadrature radial node count must be an integer, "
+                              f"got {self.radial!r}") from None
+        if self.radial < 2:
+            raise DomainError("quadrature needs at least 2 radial nodes")
         if self.radial > MAX_RADIAL:
             raise DomainError(
                 f"quadrature radial node count must be <= {MAX_RADIAL}, got {self.radial}"
@@ -170,13 +169,13 @@ class ShellQuadrature:
 
     @classmethod
     def for_packets(cls, *packets: GaussianPacket, radial: int = 128,
-                    angular: int = 32, tol: float = 1e-9) -> "ShellQuadrature":
+                    tol: float = 1e-9) -> "ShellQuadrature":
         """Default rule: radial cutoff at center + 10 momentum widths."""
         if not packets:
             raise DomainError("need at least one packet to size the cutoff")
         k_max = max(p.spatial_center_norm + 10.0 * p.momentum_width
                     for p in packets)
-        return cls(k_max=k_max, radial=radial, angular=angular, tol=tol)
+        return cls(k_max=k_max, radial=radial, tol=tol)
 
     @functools.cached_property
     def rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,12 +188,11 @@ class ShellQuadrature:
 
     @functools.cached_property
     def _refined(self) -> "ShellQuadrature":
-        return ShellQuadrature(k_max=self.k_max, radial=2 * self.radial,
-                               angular=2 * self.angular, tol=self.tol)
+        return ShellQuadrature(k_max=self.k_max, radial=2 * self.radial, tol=self.tol)
 
     def refined(self) -> "ShellQuadrature":
-        """Same cutoff with every node count doubled; the same object on
-        every call, so its nodes are built once."""
+        """Same cutoff with the radial node count doubled; the same object
+        on every call, so its nodes are built once."""
         return self._refined
 
     def tail_bound(self, f: GaussianPacket, g: GaussianPacket) -> float:

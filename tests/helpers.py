@@ -186,18 +186,19 @@ def correlator_closed(eta: float, alpha_k: float, beta_i: float) -> float:
     return 2.0 * eta / (1.0 + eta * eta) * math.cos(alpha_k + beta_i)
 
 
-def shell_grid(q: ShellQuadrature, mass: float):
+def shell_grid(q: ShellQuadrature, mass: float, angular: int):
     """Flattened (omega, kx, ky, kz, weight) arrays of the spherical product rule.
 
-    Gauss-Legendre nodes in |k| on [0, k_max] and in cos(theta);
-    uniform (trapezoidal) nodes in the azimuth, twice as many as in
-    cos(theta).  The weight already contains k^2 / ((2 pi)^3 2 omega_k).
+    Gauss-Legendre nodes in |k| on [0, k_max] (``q.radial`` of them) and
+    ``angular`` in cos(theta); uniform (trapezoidal) nodes in the
+    azimuth, twice as many as in cos(theta).  The weight already
+    contains k^2 / ((2 pi)^3 2 omega_k).
     """
     xr, wr = np.polynomial.legendre.leggauss(q.radial)
     k = 0.5 * (xr + 1.0) * q.k_max
     wk = 0.5 * q.k_max * wr
-    u, wu = np.polynomial.legendre.leggauss(q.angular)
-    n_phi = 2 * q.angular
+    u, wu = np.polynomial.legendre.leggauss(angular)
+    n_phi = 2 * angular
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * np.pi / n_phi
 
@@ -220,9 +221,11 @@ def packet_profile(p: GaussianPacket, omega, kx, ky, kz):
 
 
 def product_rule_inner_product(f: GaussianPacket, g: GaussianPacket,
-                               q: ShellQuadrature) -> complex:
-    """<f|g> on the full 3-D product rule, with no angular reduction."""
-    omega, kx, ky, kz, weight = shell_grid(q, f.mass)
+                               q: ShellQuadrature, angular: int) -> complex:
+    """<f|g> on the full 3-D product rule, with no angular reduction:
+    ``q``'s radial nodes times ``angular`` polar and ``2 * angular``
+    azimuthal nodes."""
+    omega, kx, ky, kz, weight = shell_grid(q, f.mass, angular)
     integrand = (packet_profile(f, omega, kx, ky, kz)
                  * np.conj(packet_profile(g, omega, kx, ky, kz)))
     return complex(np.sum(integrand * weight))

@@ -40,7 +40,7 @@ INVOCATIONS = {
     "kg-norm-center-energy": (["kg-norm", "--center-energy", "1.5"], 1),
     "kg-norm-center-width": (["kg-norm", "--center", "0.5,-0.3,0.8", "--width", "0.8"], 1),
     "kg-norm-amplitude-normalize": (["kg-norm", "--amplitude", "1e18", "--normalize"], 1),
-    "kg-norm-quad-48": (["kg-norm", "--quad", "48,12", "--normalize", "--width", "0.7"], 1),
+    "kg-norm-quad-48": (["kg-norm", "--quad", "48", "--normalize", "--width", "0.7"], 1),
     "squeeze-scan-cutoff-512": (["squeeze-scan", "--cutoff", "512"], 1),
     "squeeze-scan-angles": (["squeeze-scan", "--angles", "0.3,-1.2,2.1,0.7",
                              "--cutoff", "200"], 1),

@@ -157,7 +157,7 @@ def test_criterion_07_quadruple_axioms():
 def test_criterion_08_kg_norm_machinery():
     packet = kleingordon.GaussianPacket.on_shell(
         mass=1.0, spatial_center=(0.4, 0.3, -0.2), width=0.9)
-    quad = kleingordon.ShellQuadrature.for_packets(packet)  # 128 x 32 default
+    quad = kleingordon.ShellQuadrature.for_packets(packet)  # 128 radial nodes, the default
     estimate = kleingordon.test_norm(packet, quad)
     ok = estimate.error <= 1e-8 * estimate.value
 
@@ -176,7 +176,7 @@ def test_criterion_08_kg_norm_machinery():
             mass=1.0, spatial_center=tuple(rng.uniform(-1.2, 1.2, 3)),
             width=float(rng.uniform(0.8, 1.25)),
             amplitude=complex(rng.normal(), rng.normal()))
-        small = kleingordon.ShellQuadrature.for_packets(f, g, radial=48, angular=12)
+        small = kleingordon.ShellQuadrature.for_packets(f, g, radial=48)
         cross = abs(kleingordon.shell_inner_product(f, g, small)) ** 2
         bound = (kleingordon.shell_inner_product(f, f, small).real
                  * kleingordon.shell_inner_product(g, g, small).real)

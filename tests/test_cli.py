@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
 
-from bellchsh import MAX_MOMENTUM, fock
+from bellchsh import MAX_MOMENTUM, fock, spin
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
 
@@ -45,6 +47,11 @@ class TestAngleParsing:
         with pytest.raises(DomainError, match="--angles needs 4"):
             parse_angles("1,2,3")
 
+    @pytest.mark.parametrize("token", ["pi/0", "3pi/0.", "-2*pi/0.0"])
+    def test_zero_denominator_rejected(self, token):
+        with pytest.raises(DomainError, match=re.escape(f"angle {token!r} divides by zero")):
+            parse_angle(token)
+
 
 class TestSpin:
     def test_default_reproduces_reference_values(self, capsys):
@@ -68,14 +75,25 @@ class TestSpin:
         assert float(kv(out)["spin_one_chsh_closed"]) == pytest.approx(
             2 * (2 + ROOT2) / 3, abs=1e-12)
 
-    def test_corrupted_phase_fails_with_diagnostics(self, capsys):
-        code, out, err = run(capsys, "spin", "--debug-corrupt-phase")
+    @pytest.fixture
+    def corrupt_phase(self, monkeypatch):
+        """A non-unitary A1 flip: breaks the involution, keeps hermiticity."""
+        build = spin.spin_quadruple
+
+        def corrupted(kind, angles):
+            quadruple = build(kind, angles)
+            return dataclasses.replace(quadruple, a1=quadruple.a1 * 1.01)
+
+        monkeypatch.setattr(spin, "spin_quadruple", corrupted)
+
+    def test_corrupted_phase_fails_with_diagnostics(self, capsys, corrupt_phase):
+        code, out, err = run(capsys, "spin")
         assert code == 3
         assert "validation" in err
         assert float(kv(out)["spin_one_validation_passed"]) == 0
 
-    def test_corrupted_phase_is_a_precision_failure(self, capsys):
-        code, out, err = run(capsys, "spin", "--debug-corrupt-phase")
+    def test_corrupted_phase_is_a_precision_failure(self, capsys, corrupt_phase):
+        code, out, err = run(capsys, "spin")
         assert code == 3
         assert err.startswith("precision failure: ")
         assert len(err.strip().splitlines()) == 1
@@ -137,12 +155,14 @@ class TestSqueezeScan:
     @pytest.mark.parametrize("argv", [
         ("squeeze-scan", "--angles", "nan,0,0,0"),
         ("spin", "--angles", "0,inf,0,0"),
+        ("squeeze-scan", "--angles", "pi/0,0,0,0"),
     ])
     def test_non_finite_angles_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "configuration error" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "squeeze-scan", "--cutoff", "8",
@@ -178,7 +198,7 @@ class TestOptimize:
 
 
 class TestKgNorm:
-    QUAD = ("--quad", "48,12")
+    QUAD = ("--quad", "48")
 
     def test_amplitude_scaling(self, capsys):
         _, base, _ = run(capsys, "kg-norm", *self.QUAD)
@@ -187,13 +207,13 @@ class TestKgNorm:
         assert ratio == pytest.approx(4.0, rel=1e-12)
 
     def test_normalize_recheck(self, capsys):
-        code, out, _ = run(capsys, "kg-norm", "--quad", "64,16", "--normalize")
+        code, out, _ = run(capsys, "kg-norm", "--quad", "64", "--normalize")
         assert code == 0
         assert float(kv(out)["normalized_norm_sq"]) == pytest.approx(1.0, abs=1e-10)
 
     def test_resolution_doubling_below_tolerance(self, capsys):
-        _, coarse, _ = run(capsys, "kg-norm", "--quad", "64,16")
-        _, fine, _ = run(capsys, "kg-norm", "--quad", "128,32")
+        _, coarse, _ = run(capsys, "kg-norm", "--quad", "64")
+        _, fine, _ = run(capsys, "kg-norm", "--quad", "128")
         delta = abs(float(kv(coarse)["norm_sq"]) - float(kv(fine)["norm_sq"]))
         assert delta <= 1e-9
         assert float(kv(coarse)["error_estimate"]) <= 1e-9
@@ -258,11 +278,20 @@ class TestKgNorm:
     def test_huge_radial_count_rejected_before_allocation(self, capsys):
         # test_norm doubles RADIAL, so the flag allows half of MAX_RADIAL
         for radial in ("100000000", "4000", "2049"):
-            code, out, err = run(capsys, "kg-norm", "--quad", f"{radial},2")
+            code, out, err = run(capsys, "kg-norm", "--quad", radial)
             assert code == 2
             assert out == ""
             assert "--quad radial" in err and "<= 2048" in err
             assert f"got {radial}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("quad", ["128,32", "48,2", "128,"])
+    def test_angular_count_removed(self, capsys, quad):
+        code, out, err = run(capsys, "kg-norm", "--quad", quad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: --quad takes RADIAL only")
+        assert "ANGULAR count was removed" in err and "closed form" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("amplitude", ["1e17", "1e18"])
     def test_normalize_at_large_amplitude(self, capsys, amplitude):
@@ -374,9 +403,26 @@ class TestOutputHandling:
         assert code == 0
         assert target.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "missing-env-dir"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, monkeypatch, where):
+        out = {"missing-dir": str(tmp_path / "missing" / "x.csv"),
+               "directory": str(tmp_path),
+               "missing-env-dir": "x.csv"}[where]
+        monkeypatch.setenv("BELLCHSH_OUT_DIR", str(tmp_path / "missing"))
+        code, stdout, err = run(capsys, "spin", "--out", out)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("configuration error: cannot write --out ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_option_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["spin", "--no-such-flag"])
+        assert info.value.code == 2
+
+    def test_debug_corrupt_phase_flag_removed(self):
+        with pytest.raises(SystemExit) as info:
+            main(["spin", "--debug-corrupt-phase"])
         assert info.value.code == 2
 
     def test_seventeen_significant_digits(self, capsys):

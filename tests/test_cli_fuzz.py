@@ -37,7 +37,7 @@ def joined(element, min_size, max_size):
 
 
 ANGLE = st.one_of(number(-7.0, 7.0),
-                  st.sampled_from(["pi", "-pi/4", "3pi/4", "2*pi/3", "pie", ""]))
+                  st.sampled_from(["pi", "-pi/4", "3pi/4", "2*pi/3", "pie", "", "pi/0", "3pi/0."]))
 ANGLES = joined(ANGLE, 3, 5)  # 4 is the valid count
 STEPS = st.one_of(st.integers(-1, 50), st.just(10**12)).map(str)
 
@@ -60,13 +60,13 @@ def switch(flag):
 
 def command(name, *parts):
     options = st.tuples(*parts, optional("--format", st.sampled_from(["csv", "json"])),
-                        st.sampled_from([[], ["--out=fuzz.out"]]))
+                        st.sampled_from([[], ["--out=fuzz.out"], ["--out=missing/fuzz.out"]]))
     return options.map(lambda opts: [name] + [arg for opt in opts for arg in opt])
 
 
 SUBCOMMANDS = {
     "spin": command(
-        "spin", optional("--angles", ANGLES), switch("--debug-corrupt-phase")),
+        "spin", optional("--angles", ANGLES)),
     "squeeze-scan": command(
         "squeeze-scan", optional("--eta-range", grid(0.0, 1.0)),
         optional("--cutoff", st.integers(-2, 64).map(str)),

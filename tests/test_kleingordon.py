@@ -26,7 +26,7 @@ from helpers import per_call_inner_product, product_rule_inner_product
 ROOT2 = math.sqrt(2.0)
 
 # moderate resolution: plenty for the gentle packet geometries below
-FAST = dict(radial=64, angular=16)
+FAST = dict(radial=64)
 
 
 def packet(seed_center, width=1.0, mass=1.0, amplitude=1.0):
@@ -136,11 +136,11 @@ class TestShellQuadrature:
             ShellQuadrature(k_max=1.0, radial=MAX_RADIAL + 1)
         with pytest.raises(DomainError):
             ShellQuadrature(k_max=1.0, radial=MAX_RADIAL).refined()
-        assert ShellQuadrature(k_max=1.0, radial=64, angular=8).refined() == \
-            ShellQuadrature(k_max=1.0, radial=128, angular=16)
+        assert ShellQuadrature(k_max=1.0, radial=64).refined() == \
+            ShellQuadrature(k_max=1.0, radial=128)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(radial=64.5), dict(radial=64.0), dict(angular=16.0), dict(radial="64"),
+        dict(radial=64.5), dict(radial=64.0), dict(radial="64"),
     ])
     def test_non_integer_node_counts_rejected(self, kwargs):
         # else numpy's leggauss raises TypeError at the first norm, far from the cause
@@ -148,9 +148,17 @@ class TestShellQuadrature:
             ShellQuadrature(k_max=10.0, **kwargs)
 
     def test_integer_like_node_counts_stored_as_int(self):
-        q = ShellQuadrature(k_max=10.0, radial=np.int64(64), angular=np.int32(16))
-        assert type(q.radial) is int and type(q.angular) is int
-        assert q == ShellQuadrature(k_max=10.0, radial=64, angular=16)
+        q = ShellQuadrature(k_max=10.0, radial=np.int64(64))
+        assert type(q.radial) is int
+        assert q == ShellQuadrature(k_max=10.0, radial=64)
+
+    def test_angular_count_is_not_settable(self):
+        # the angular integral is closed form: no rule has an angular count
+        f = packet((0.0, 0.0, 0.0))
+        with pytest.raises(TypeError, match="angular"):
+            ShellQuadrature(k_max=1.0, radial=64, angular=8)
+        with pytest.raises(TypeError, match="angular"):
+            ShellQuadrature.for_packets(f, angular=8)
 
 
 @pytest.fixture
@@ -185,7 +193,7 @@ class TestRuleBuiltOnce:
 
     def test_sigma_chsh_builds_one_rule(self, leggauss_calls):
         f, g, q = TestSigmaChsh()._orthonormal_pair()
-        fresh = ShellQuadrature(k_max=q.k_max, radial=q.radial, angular=q.angular)
+        fresh = ShellQuadrature(k_max=q.k_max, radial=q.radial)
         leggauss_calls.clear()
         rng = np.random.default_rng(113)
         for _ in range(5):
@@ -276,7 +284,7 @@ class TestInnerProduct:
         offset = 4 * ROOT2
         f = packet((0, 0, offset))
         g = packet((0, 0, -offset))
-        q = ShellQuadrature.for_packets(f, g, radial=96, angular=64)
+        q = ShellQuadrature.for_packets(f, g, radial=96)
         ratio = abs(shell_inner_product(f, g, q)) / math.sqrt(
             shell_inner_product(f, f, q).real * shell_inner_product(g, g, q).real)
         assert ratio <= 1e-6
@@ -290,7 +298,7 @@ class TestInnerProduct:
         rng = np.random.default_rng(103)
         for _ in range(25):
             f, g = random_packet(rng), random_packet(rng)
-            q = ShellQuadrature.for_packets(f, g, radial=48, angular=12)
+            q = ShellQuadrature.for_packets(f, g, radial=48)
             overlap_sq = abs(shell_inner_product(f, g, q)) ** 2
             bound = (shell_inner_product(f, f, q).real
                      * shell_inner_product(g, g, q).real)
@@ -298,7 +306,7 @@ class TestInnerProduct:
 
     def test_tail_guard_raises(self):
         f = packet((0, 0, 2.0))
-        q = ShellQuadrature(k_max=1.0, radial=32, angular=8, tol=1e-9)
+        q = ShellQuadrature(k_max=1.0, radial=32, tol=1e-9)
         with pytest.raises(PrecisionError):
             shell_inner_product(f, f, q)
 
@@ -329,9 +337,9 @@ class TestRadialRule:
         for _ in range(6):
             f, g = random_packet(rng), random_packet(rng)
             assert f.width != g.width and f.center != g.center
-            q = ShellQuadrature.for_packets(f, g, radial=radial, angular=angular)
+            q = ShellQuadrature.for_packets(f, g, radial=radial)
             value = shell_inner_product(f, g, q)
-            oracle = product_rule_inner_product(f, g, q)
+            oracle = product_rule_inner_product(f, g, q, angular)
             assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
     def test_centred_pair_against_1d_radial_oracle(self):
@@ -383,7 +391,7 @@ class TestNorm:
 
     def test_self_convergence(self):
         f = packet((0.4, 0.3, -0.2), width=0.9)
-        q = ShellQuadrature.for_packets(f)  # default 128 x 32
+        q = ShellQuadrature.for_packets(f)  # default 128 radial nodes
         estimate = norm_with_error(f, q)
         assert estimate.error <= 1e-8 * estimate.value
 
@@ -441,7 +449,7 @@ class TestSigmaChsh:
         offset = 4 * ROOT2
         f = packet((0, 0, offset))
         g = packet((0, 0, -offset))
-        q = ShellQuadrature.for_packets(f, g, radial=96, angular=64)
+        q = ShellQuadrature.for_packets(f, g, radial=96)
         f = f.scaled(1.0 / math.sqrt(shell_inner_product(f, f, q).real))
         g = g.scaled(1.0 / math.sqrt(shell_inner_product(g, g, q).real))
         return f, g, q

@@ -88,3 +88,24 @@ def test_stdout_matches_reference(name):
     if not EXACT:
         warnings.warn(f"{name}: platform key differs from the stored one, so float "
                       f"fields were compared to {LOOSE_ULP} ulp, not exactly")
+
+
+@pytest.mark.parametrize("name", list(INVOCATIONS))
+def test_json_matches_csv(name):
+    """``--format json`` carries the CSV's fields and rows: each float is
+    the same double, and null is an empty field."""
+    argv, _ = INVOCATIONS[name]
+    header, *rows = csv.reader(capture(argv).splitlines())
+    payload = json.loads(capture([*argv, "--format", "json"]))
+    assert payload["fields"] == header
+    assert len(payload["rows"]) == len(rows)
+    for i, (record, row) in enumerate(zip(payload["rows"], rows), start=1):
+        assert list(record) == header, f"{name} row {i}"
+        for field, text in zip(header, row):
+            value, where = record[field], f"{name} row {i} {field}"
+            if value is None:
+                assert text == "", where
+            elif isinstance(value, float):
+                assert repr(float(text)) == repr(value), where
+            else:
+                assert str(value) == text, where
