@@ -61,27 +61,37 @@ class AngleSet:
 
 
 def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
-               phase: float) -> np.ndarray:
+               phase: float | Sequence[float] | np.ndarray) -> np.ndarray:
     """Level-pair phase flip on one factor: the measurement operator of
     every setting in this package.
 
     Each ``(src, dst)`` pair of levels (one row of ``pairs``) is swapped
     with ``<dst|M|src> = e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``;
-    every level outside the pairs is fixed, with 1 on the diagonal.  The
-    result is a read-only complex matrix, hermitian and an exact
-    involution by construction for disjoint pairs and a finite phase; a
-    shared level or a non-finite phase raises ``DomainError``.
+    every level outside the pairs is fixed, with 1 on the diagonal.  A
+    scalar ``phase`` gives one read-only complex ``(dim, dim)`` matrix;
+    an array of phases gives the read-only stack of shape
+    ``phases.shape + (dim, dim)``, one flip per phase, each byte for byte
+    the matrix of its scalar call.  Each flip is hermitian and an exact
+    involution by construction.  ``pairs`` must be a non-empty integer
+    array of disjoint ``(src, dst)`` rows within ``[0, dim)`` and every
+    phase finite; otherwise ``DomainError`` is raised.
     """
     pairs = np.asarray(pairs)
-    if not (math.isfinite(phase) and np.bincount(pairs.ravel(), minlength=dim).max() <= 1):
+    phases = np.asarray(phase, dtype=float)
+    if not (pairs.dtype.kind == "i" and pairs.ndim == 2 and pairs.shape[1] == 2
+            and pairs.size and pairs.min() >= 0 and np.isfinite(phases).all()
+            and len(counts := np.bincount(pairs.ravel(), minlength=dim)) == dim
+            and counts.max() <= 1):
         raise DomainError(f"phase flip is not hermitian or not an involution: pairs "
-                          f"must be disjoint and the phase finite, got phase {phase}")
+                          f"must be disjoint integer level pairs in [0, {dim}) and "
+                          f"every phase finite, got pairs {pairs.tolist()} and "
+                          f"phase {phase}")
     src, dst = pairs.T
-    up = complex(np.exp(1j * phase))
-    m = np.eye(dim, dtype=complex)
-    m[src, src] = m[dst, dst] = 0.0
-    m[dst, src] = up
-    m[src, dst] = up.conjugate()
+    up = np.exp(1j * phases)[..., None]
+    m = np.broadcast_to(np.eye(dim, dtype=complex), phases.shape + (dim, dim)).copy()
+    m[..., src, src] = m[..., dst, dst] = 0.0
+    m[..., dst, src] = up
+    m[..., src, dst] = up.conj()
     m.setflags(write=False)
     return m
 
@@ -128,15 +138,13 @@ def flip_quadruple(dims: tuple[int, int], pairs: tuple, angles: AngleSet) -> Chs
 
     ``dims = (dim_A, dim_B)`` and ``pairs = (pairs_A, pairs_B)``: each
     side flips its own level pairs (see ``phase_flip``), A1/A2 with the
-    phases ``alpha1``/``alpha2`` and B1/B2 with ``beta1``/``beta2``.
+    phases ``alpha1``/``alpha2`` and B1/B2 with ``beta1``/``beta2``: one
+    stacked ``phase_flip`` call per side.
     """
     (dim_a, dim_b), (pairs_a, pairs_b) = dims, pairs
-    return ChshQuadruple(
-        a1=phase_flip(dim_a, pairs_a, angles.alpha1),
-        a2=phase_flip(dim_a, pairs_a, angles.alpha2),
-        b1=phase_flip(dim_b, pairs_b, angles.beta1),
-        b2=phase_flip(dim_b, pairs_b, angles.beta2),
-    )
+    a1, a2 = phase_flip(dim_a, pairs_a, (angles.alpha1, angles.alpha2))
+    b1, b2 = phase_flip(dim_b, pairs_b, (angles.beta1, angles.beta2))
+    return ChshQuadruple(a1=a1, a2=a2, b1=b1, b2=b2)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ flip is block-diagonal on the pairs ``(2k, 2k+1)``, with the same 2 x 2
 block on each pair (the pseudospin of Chen, Pan, Hou & Zhang, PRL 88,
 040406, 2002), so ``<A (x) B> = sum_pq G_pq a_pq b_pq`` with the 2 x 2
 pair Gram ``G_pq = sum_k s_(2k+p) s_(2k+q)`` and the blocks ``a``,
-``b``: ``chsh_matrix`` takes O(cutoff) time and memory per call.  For
+``b``: ``chsh_matrix`` takes O(cutoff) time and memory per call, and
+builds its four blocks with one stacked ``phase_flip`` call.  For
 an even cutoff the renormalized truncated state reproduces the
 closed-form pair correlator
 
@@ -252,7 +253,8 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     Schmidt form.  The explicit amplitudes ``s_n = sqrt(1 - eta^2)
     eta**n``, renormalized, are viewed as ``(cutoff/2, 2)`` rows of pair
     ``k`` and parity ``p``, so the pair Gram is ``G = s^T s`` (2 x 2),
-    and each flip is its 2 x 2 block ``phase_flip(2, [(0, 1)], phase)``:
+    and each flip is its 2 x 2 block, all four from one stacked call
+    ``phase_flip(2, [(0, 1)], angles.as_tuple())``:
     ``sum G o (A1 o (B1 + B2) + A2 o (B1 - B2))`` entrywise.  O(cutoff)
     per call; no ``cutoff**2`` array and no quadruple is built.  An
     imaginary residue above 1e-10 raises ``PrecisionError``.
@@ -262,5 +264,5 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     amp /= np.linalg.norm(amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs
-    a1, a2, b1, b2 = (phase_flip(2, [(0, 1)], phase) for phase in angles.as_tuple())
+    a1, a2, b1, b2 = phase_flip(2, [(0, 1)], angles.as_tuple())
     return _real_correlator(np.sum(gram * (a1 * (b1 + b2) + a2 * (b1 - b2))))

@@ -48,18 +48,20 @@ class RindlerModeSet:
 
 
 def unruh_temperature(acceleration: float) -> float:
-    """Unruh temperature T = a / (2 pi) of a uniformly accelerated observer."""
-    if not acceleration > 0.0:
-        raise DomainError(f"acceleration must be positive, got {acceleration}")
+    """Unruh temperature T = a / (2 pi) of a uniformly accelerated observer;
+    the acceleration must be positive and finite."""
+    if not 0.0 < acceleration < math.inf:
+        raise DomainError(f"acceleration must be positive and finite, got {acceleration}")
     return acceleration / (2.0 * math.pi)
 
 
 def mode_squeezing(omega: float, acceleration: float) -> float:
-    """Per-mode squeezing parameter exp(-pi omega / a), in (0, 1)."""
-    if not omega > 0.0:
-        raise DomainError(f"frequency must be positive, got {omega}")
-    if not acceleration > 0.0:
-        raise DomainError(f"acceleration must be positive, got {acceleration}")
+    """Per-mode squeezing parameter exp(-pi omega / a), in (0, 1); the
+    frequency and the acceleration must be positive and finite."""
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"frequency must be positive and finite, got {omega}")
+    if not 0.0 < acceleration < math.inf:
+        raise DomainError(f"acceleration must be positive and finite, got {acceleration}")
     return math.exp(-math.pi * omega / acceleration)
 
 

@@ -15,6 +15,11 @@ ladder operators, which the library builds only as parts of the
 Bogoliubov pair and the Hamiltonian, are built here from the same
 per-mode factors.
 
+The library builds the two flips of each quadruple side with one
+stacked ``phase_flip`` call, and the four 2 x 2 blocks of
+``chsh_matrix`` with one.  The oracles here make one scalar call per
+operator.
+
 The library maximizes a closed-form CHSH correlator exactly.  The
 oracle here is a numeric search: a coarse grid and trig-exact
 coordinate sweeps.
@@ -41,6 +46,7 @@ from bellchsh import (
     RindlerModeSet,
     ShellQuadrature,
     fock,
+    phase_flip,
     spin_matrices,
     wrap_angle,
 )
@@ -82,6 +88,29 @@ def expectation(psi: Ket, m: np.ndarray) -> complex:
         raise ValueError(f"expectation requires a normalized state, "
                          f"||psi|| = {psi.norm!r}")
     return complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
+
+
+def four_call_quadruple(dims: tuple[int, int], pairs: tuple,
+                        angles: AngleSet) -> ChshQuadruple:
+    """``flip_quadruple`` with one scalar ``phase_flip`` call per operator."""
+    (dim_a, dim_b), (pairs_a, pairs_b) = dims, pairs
+    return ChshQuadruple(
+        a1=phase_flip(dim_a, pairs_a, angles.alpha1),
+        a2=phase_flip(dim_a, pairs_a, angles.alpha2),
+        b1=phase_flip(dim_b, pairs_b, angles.beta1),
+        b2=phase_flip(dim_b, pairs_b, angles.beta2),
+    )
+
+
+def four_call_chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> complex:
+    """``fock.chsh_matrix`` before its real part is taken, with each 2 x 2
+    block from its own scalar ``phase_flip`` call."""
+    amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
+    amp /= np.linalg.norm(amp)
+    pairs = amp.reshape(-1, 2)
+    gram = pairs.T @ pairs
+    a1, a2, b1, b2 = (phase_flip(2, [(0, 1)], phase) for phase in angles.as_tuple())
+    return complex(np.sum(gram * (a1 * (b1 + b2) + a2 * (b1 - b2))))
 
 
 def flip_rows(x: np.ndarray, pairs, phase: float) -> np.ndarray:

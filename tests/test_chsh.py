@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +16,16 @@ from bellchsh import (
     TSIRELSON_BOUND,
     chsh_value,
     optimize_angles,
+    phase_flip,
     singlet,
     spin_quadruple,
     validate_quadruple,
 )
-from bellchsh import fock, spin
+from bellchsh import chsh, fock, spin
 from helpers import (
     chsh_operator,
     expectation,
+    four_call_quadruple,
     full_quadruple,
     grid_sweep_optimum,
     power_iteration_norm,
@@ -243,3 +246,99 @@ class TestTsirelsonProperty:
             q = random_involution_quadruple(rng, dim_a, dim_b)
             psi = random_state(rng, dim_a * dim_b)
             assert abs(chsh_value(psi, q)) <= TSIRELSON_BOUND + 1e-9
+
+
+class TestStackedPhaseFlip:
+    """``phase_flip`` over an array of phases against its scalar calls,
+    its single domain check, and the one-call-per-side quadruple builds
+    against the four-call oracle."""
+
+    CASES = [(2, [(0, 1)]), (3, [(2, 1)]), (3, [(0, 1)])]  # spin-1/2, spin-1 A, B
+    CASES += [(n, np.arange(n).reshape(-1, 2)) for n in (4, 8, 40)]  # Fock
+
+    def test_stack_matches_scalar_calls_byte_for_byte(self):
+        rng = np.random.default_rng(131)
+        phases = np.array([0.0, math.pi, -math.pi, 1e-300, -1e-300,
+                           *rng.uniform(-7.0, 7.0, 11)])
+        for dim, pairs in self.CASES:
+            stack = phase_flip(dim, pairs, phases)
+            assert stack.shape == (len(phases), dim, dim)
+            for phase, flip in zip(phases, stack):
+                assert flip.tobytes() == phase_flip(dim, pairs, float(phase)).tobytes()
+            assert phase_flip(dim, pairs, tuple(phases)).tobytes() == stack.tobytes()
+            grid = phase_flip(dim, pairs, phases.reshape(4, 4))
+            assert grid.shape == (4, 4, dim, dim)
+            assert grid.tobytes() == stack.tobytes()
+
+    def test_scalar_phase_gives_one_matrix(self):
+        assert phase_flip(4, [(0, 1), (2, 3)], 0.3).shape == (4, 4)
+        assert phase_flip(4, [(0, 1), (2, 3)], [0.3]).shape == (1, 4, 4)
+
+    def test_stack_is_read_only(self):
+        stack = phase_flip(2, [(0, 1)], (0.1, 0.2))
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+        _, second = stack
+        with pytest.raises(ValueError):
+            second[1, 0] = 2.0
+
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_anywhere_raises(self, bad, where):
+        phases = np.linspace(-1.0, 1.0, 6)
+        phases[where] = bad
+        for stack in (phases, phases.reshape(2, 3), list(phases)):
+            with pytest.raises(DomainError, match="not hermitian"):
+                phase_flip(4, [(0, 1), (2, 3)], stack)
+
+    @pytest.mark.parametrize("pairs", [[(0, 2)], [(0, -1)], [], [(0, 1.5)]],
+                             ids=["beyond-dim", "negative", "empty", "non-integer"])
+    def test_malformed_pairs_raise_domain_error(self, pairs):
+        # each fails inside the one check, and the message names the pairs
+        named = re.escape(f"got pairs {np.asarray(pairs).tolist()}")
+        for phase in (0.1, (0.1, 0.2)):
+            with pytest.raises(DomainError, match=named):
+                phase_flip(2, pairs, phase)
+
+    def test_quadruple_builds_make_one_call_per_side(self, monkeypatch):
+        calls = []
+
+        def counting(dim, pairs, phase):
+            calls.append(np.shape(phase))
+            return phase_flip(dim, pairs, phase)
+
+        monkeypatch.setattr(chsh, "phase_flip", counting)
+        angles = AngleSet(0.1, -0.2, 0.3, 2.4)
+        for build in (lambda: spin_quadruple(spin.SPIN_HALF, angles),
+                      lambda: spin_quadruple(spin.SPIN_ONE, angles),
+                      lambda: fock.fock_quadruple(fock.FockSpace(8), angles)):
+            calls.clear()
+            build()
+            assert calls == [(2,), (2,)]
+
+    @pytest.mark.parametrize("kind", [spin.SPIN_HALF, spin.SPIN_ONE])
+    def test_spin_quadruple_matches_four_calls(self, kind):
+        levels = spin._LEVELS[kind]
+        rng = np.random.default_rng(137)
+        angle_sets = [spin.TSIRELSON_ANGLES, spin.SPIN_ONE_VIOLATION_ANGLES]
+        angle_sets += [AngleSet(*rng.uniform(-7.0, 7.0, 4)) for _ in range(20)]
+        for angles in angle_sets:
+            oracle = four_call_quadruple((levels, levels), spin._FLIP_PAIRS[kind], angles)
+            stacked = spin_quadruple(kind, angles)
+            for name, op in stacked.operators().items():
+                assert op.tobytes() == oracle.operators()[name].tobytes()
+
+    # cutoff 2048 would hold two 256 MB quadruples; chsh_matrix, which
+    # builds none, is checked up to 2048 in test_fock.py
+    @pytest.mark.parametrize("cutoff", [4, 40, 512])
+    def test_fock_quadruple_matches_four_calls(self, cutoff):
+        space = fock.FockSpace(cutoff)
+        pairs = fock._parity_pairs(cutoff)
+        rng = np.random.default_rng(139 + cutoff)
+        angle_sets = [fock.MAX_VIOLATION_ANGLES]
+        angle_sets += [AngleSet(*rng.uniform(-7.0, 7.0, 4)) for _ in range(2)]
+        for angles in angle_sets:
+            oracle = four_call_quadruple((cutoff, cutoff), (pairs, pairs), angles)
+            stacked = fock.fock_quadruple(space, angles)
+            for name, op in stacked.operators().items():
+                assert op.tobytes() == oracle.operators()[name].tobytes()

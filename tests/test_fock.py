@@ -34,6 +34,7 @@ from helpers import (
     expectation,
     flip_parity,
     flip_rows,
+    four_call_chsh_matrix,
     full_quadruple,
     hermiticity_deviation,
     ladder_matrices,
@@ -484,6 +485,28 @@ class TestSchmidtRoute:
         oracle = parity_axis_chsh(squeezed_state(eta, space).ket, cutoff, angles)
         assert abs(chsh_matrix(eta, space, angles) - oracle.real) <= 1e-14
 
+    @pytest.mark.parametrize("cutoff", [4, 40, 512, 2048])
+    def test_matches_four_call_blocks_byte_for_byte(self, cutoff):
+        rng = np.random.default_rng(109 + cutoff)
+        space = FockSpace(cutoff)
+        angle_sets = [MAX_VIOLATION_ANGLES]
+        angle_sets += [AngleSet(*rng.uniform(-7.0, 7.0, 4)) for _ in range(99)]
+        for angles in angle_sets:
+            for eta in (1e-8, float(rng.uniform(0.05, 0.95)), 0.999):
+                oracle = four_call_chsh_matrix(eta, space, angles)
+                assert chsh_matrix(eta, space, angles).hex() == oracle.real.hex()
+
+    def test_one_phase_flip_call(self, monkeypatch):
+        calls = []
+
+        def counting(dim, pairs, phase):
+            calls.append(np.shape(phase))
+            return phase_flip(dim, pairs, phase)
+
+        monkeypatch.setattr(fock, "phase_flip", counting)
+        chsh_matrix(0.6, FockSpace(40), AngleSet(0.4, -1.3, 0.9, 2.2))
+        assert calls == [(4,)]
+
 
 class TestFlipAction:
     """The general-state parity-axis oracle against the dense flip
@@ -548,10 +571,9 @@ class TestFlipAction:
                 flip_rows(x, pairs, phase)
 
     def test_imaginary_residue_raises(self, monkeypatch):
-        # a corrupted flip with e^{i phase} both ways is not hermitian
-        def corrupted(dim, pairs, phase):
-            up = complex(np.exp(1j * phase))
-            return np.array([[0.0, up], [up, 0.0]])
+        # a corrupted flip stack with e^{i phase} both ways is not hermitian
+        def corrupted(dim, pairs, phases):
+            return np.array([[[0.0, up], [up, 0.0]] for up in np.exp(1j * np.asarray(phases))])
 
         monkeypatch.setattr(fock, "phase_flip", corrupted)
         with pytest.raises(PrecisionError, match="imaginary residue"):

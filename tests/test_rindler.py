@@ -59,6 +59,11 @@ class TestUnruhTemperature:
         with pytest.raises(DomainError):
             unruh_temperature(0.0)
 
+    @pytest.mark.parametrize("acceleration", [math.inf, math.nan])
+    def test_non_finite_acceleration(self, acceleration):
+        with pytest.raises(DomainError, match="positive and finite"):
+            unruh_temperature(acceleration)
+
 
 class TestModeSqueezing:
     def test_high_frequency_limit(self):
@@ -75,6 +80,14 @@ class TestModeSqueezing:
         for _ in range(50):
             ratio = float(rng.uniform(0.01, 100.0))
             assert 0.0 < mode_squeezing(ratio, 1.0) < 1.0
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_arguments(self, value):
+        # exp(-pi omega / a) would give 1.0 or 0.0 here, outside (0, 1)
+        with pytest.raises(DomainError, match="frequency must be positive and finite"):
+            mode_squeezing(value, 1.0)
+        with pytest.raises(DomainError, match="acceleration must be positive and finite"):
+            mode_squeezing(1.0, value)
 
     def test_prefactor_equals_inverse_cosh(self):
         # 2 eta/(1+eta^2) with eta = exp(-pi w/a) is 1/cosh(pi w/a)
