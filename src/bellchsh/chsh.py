@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,25 +72,33 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     scalar ``phase`` gives one read-only complex ``(dim, dim)`` matrix;
     an array of phases gives the read-only stack of shape
     ``phases.shape + (dim, dim)``, one flip per phase, each byte for byte
-    the matrix of its scalar call.  Each flip is hermitian and an exact
-    involution by construction.  ``pairs`` must be a non-empty integer
-    array of disjoint ``(src, dst)`` rows within ``[0, dim)`` and every
-    phase finite; otherwise ``DomainError`` is raised.
+    the matrix of its scalar call.  The stack starts zero-filled; the
+    fixed levels, the ones the ``bincount`` of the domain check counts
+    zero times, get their 1, and each pair its two phase entries.  Each
+    flip is hermitian and an exact involution by construction.  ``dim``
+    must be a positive integer, ``pairs`` a non-empty integer array of
+    disjoint ``(src, dst)`` rows within ``[0, dim)`` and every phase
+    finite; otherwise ``DomainError`` is raised.
     """
     pairs = np.asarray(pairs)
     phases = np.asarray(phase, dtype=float)
-    if not (pairs.dtype.kind == "i" and pairs.ndim == 2 and pairs.shape[1] == 2
+    try:
+        dim_ok = operator.index(dim) >= 1
+    except TypeError:
+        dim_ok = False
+    if not (dim_ok and pairs.dtype.kind == "i" and pairs.ndim == 2 and pairs.shape[1] == 2
             and pairs.size and pairs.min() >= 0 and np.isfinite(phases).all()
             and len(counts := np.bincount(pairs.ravel(), minlength=dim)) == dim
             and counts.max() <= 1):
-        raise DomainError(f"phase flip is not hermitian or not an involution: pairs "
-                          f"must be disjoint integer level pairs in [0, {dim}) and "
-                          f"every phase finite, got pairs {pairs.tolist()} and "
-                          f"phase {phase}")
+        raise DomainError(f"phase flip is not hermitian or not an involution: dim "
+                          f"must be a positive integer, pairs disjoint integer level "
+                          f"pairs in [0, dim) and every phase finite, got pairs "
+                          f"{pairs.tolist()} and phase {phase} for dim {dim!r}")
     src, dst = pairs.T
     up = np.exp(1j * phases)[..., None]
-    m = np.broadcast_to(np.eye(dim, dtype=complex), phases.shape + (dim, dim)).copy()
-    m[..., src, src] = m[..., dst, dst] = 0.0
+    fixed = np.flatnonzero(counts == 0)
+    m = np.zeros(phases.shape + (dim, dim), dtype=complex)
+    m[..., fixed, fixed] = 1.0
     m[..., dst, src] = up
     m[..., src, dst] = up.conj()
     m.setflags(write=False)
@@ -229,8 +238,8 @@ def chsh_value(psi: Ket, q: ChshQuadruple) -> float:
 
 def _real_correlator(value: complex) -> float:
     """Real part of a CHSH correlator; an imaginary residue above 1e-10
-    raises ``PrecisionError``."""
-    if abs(value.imag) > 1e-10:
+    raises ``PrecisionError``, and so does a NaN residue."""
+    if not abs(value.imag) <= 1e-10:
         raise PrecisionError(
             f"CHSH correlator has imaginary residue {value.imag:.3e}"
         )

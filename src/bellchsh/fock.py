@@ -30,6 +30,7 @@ matrix evaluation differ only by float rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,19 @@ MAX_CUTOFF = 2048
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Two bosonic modes truncated to ``cutoff`` levels each."""
+    """Two bosonic modes truncated to ``cutoff`` levels each.
+
+    ``cutoff`` is coerced with ``operator.index`` and must be even and in
+    ``[4, MAX_CUTOFF]``; otherwise ``DomainError`` is raised.
+    """
 
     cutoff: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "cutoff", operator.index(self.cutoff))
+        except TypeError:
+            raise DomainError(f"cutoff must be an integer, got {self.cutoff!r}") from None
         if self.cutoff < 4:
             raise DomainError(f"cutoff must be >= 4, got {self.cutoff}")
         if self.cutoff > MAX_CUTOFF:
@@ -261,7 +270,7 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     """
     eta = _check_eta(eta)
     amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
-    amp /= np.linalg.norm(amp)
+    amp /= math.sqrt(amp @ amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs
     a1, a2, b1, b2 = phase_flip(2, [(0, 1)], angles.as_tuple())

@@ -54,7 +54,7 @@ class Ket:
         Complex amplitudes; coerced to a read-only 1-D complex array.
     normalized : bool, optional
         Declare the vector normalized.  When True, construction fails
-        unless ``| ||psi|| - 1 | <= STRUCTURE_TOL``.
+        unless ``| ||psi|| - 1 | <= STRUCTURE_TOL``, so a NaN norm fails.
     """
 
     amplitudes: np.ndarray
@@ -65,7 +65,7 @@ class Ket:
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeError("a ket must be a non-empty 1-D amplitude vector")
         object.__setattr__(self, "amplitudes", _readonly(arr))
-        if self.normalized and abs(self.norm - 1.0) > STRUCTURE_TOL:
+        if self.normalized and not abs(self.norm - 1.0) <= STRUCTURE_TOL:
             raise DomainError(
                 f"ket flagged normalized but ||psi|| = {self.norm!r}"
             )

@@ -18,7 +18,8 @@ per-mode factors.
 The library builds the two flips of each quadruple side with one
 stacked ``phase_flip`` call, and the four 2 x 2 blocks of
 ``chsh_matrix`` with one.  The oracles here make one scalar call per
-operator.
+operator, and one writes a flip entry by entry in Python loops,
+without calling ``phase_flip`` at all.
 
 The library maximizes a closed-form CHSH correlator exactly.  The
 oracle here is a numeric search: a coarse grid and trig-exact
@@ -88,6 +89,24 @@ def expectation(psi: Ket, m: np.ndarray) -> complex:
         raise ValueError(f"expectation requires a normalized state, "
                          f"||psi|| = {psi.norm!r}")
     return complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
+
+
+def loop_phase_flip(dim: int, pairs, phase: float) -> np.ndarray:
+    """``phase_flip(dim, pairs, phase)`` for one scalar phase, every entry
+    written in Python loops from the definition: 1 on the diagonal of
+    each level outside the pairs, ``up = e^{i phase}`` at ``(dst, src)``
+    and ``up.conjugate()`` at ``(src, dst)`` for each pair, 0 elsewhere.
+    """
+    paired = {int(level) for pair in pairs for level in pair}
+    up = complex(np.exp(1j * phase))
+    rows = [[0j] * dim for _ in range(dim)]
+    for level in range(dim):
+        if level not in paired:
+            rows[level][level] = 1 + 0j
+    for src, dst in pairs:
+        rows[dst][src] = up
+        rows[src][dst] = up.conjugate()
+    return np.array(rows, dtype=complex)
 
 
 def four_call_quadruple(dims: tuple[int, int], pairs: tuple,

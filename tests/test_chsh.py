@@ -28,6 +28,7 @@ from helpers import (
     four_call_quadruple,
     full_quadruple,
     grid_sweep_optimum,
+    loop_phase_flip,
     power_iteration_norm,
     random_involution_quadruple,
     random_state,
@@ -132,6 +133,15 @@ class TestChshValue:
         bad = ChshQuadruple(a1=entries, a2=np.eye(2), b1=np.eye(2), b2=np.eye(2))
         with pytest.raises(PrecisionError, match="imaginary residue"):
             chsh_value(random_state(rng, 4), bad)
+
+    def test_nan_residue_raises(self):
+        with pytest.raises(PrecisionError, match="imaginary residue nan"):
+            chsh._real_correlator(complex(1.0, math.nan))
+        rng = np.random.default_rng(41)
+        corrupted = ChshQuadruple(a1=np.diag([math.nan, 1.0]), a2=np.eye(2),
+                                  b1=np.eye(2), b2=np.eye(2))
+        with pytest.raises(PrecisionError, match="imaginary residue nan"):
+            chsh_value(random_state(rng, 4), corrupted)
 
 
 class TestValidation:
@@ -300,6 +310,14 @@ class TestStackedPhaseFlip:
             with pytest.raises(DomainError, match=named):
                 phase_flip(2, pairs, phase)
 
+    @pytest.mark.parametrize("dim", [-1, 0, 2.0, "2", None])
+    def test_bad_dim_raises_domain_error(self, dim):
+        # before numpy sees it: a negative minlength or a float dim
+        # would raise ValueError or TypeError
+        for phase in (0.3, (0.3, -0.4)):
+            with pytest.raises(DomainError, match=re.escape(f"for dim {dim!r}")):
+                phase_flip(dim, [(0, 1)], phase)
+
     def test_quadruple_builds_make_one_call_per_side(self, monkeypatch):
         calls = []
 
@@ -342,3 +360,25 @@ class TestStackedPhaseFlip:
             stacked = fock.fock_quadruple(space, angles)
             for name, op in stacked.operators().items():
                 assert op.tobytes() == oracle.operators()[name].tobytes()
+
+
+class TestLoopOracle:
+    """``phase_flip`` against ``loop_phase_flip``, which writes every
+    entry from the definition without calling it: the unpaired levels'
+    1, each pair's phase entries and the zeros, byte for byte."""
+
+    CASES = [(2, [(0, 1)]), (3, [(2, 1)]), (3, [(0, 1)])]  # spin-1/2, spin-1 A, B
+    CASES += [(n, np.arange(n).reshape(-1, 2)) for n in (4, 40, 512)]  # Fock
+    CASES += [(7, [(0, 3), (5, 2)])]  # levels 1, 4 and 6 fixed
+
+    @pytest.mark.parametrize("dim,pairs", CASES,
+                             ids=["spin-half", "spin-one-a", "spin-one-b",
+                                  "fock-4", "fock-40", "fock-512", "dim-7"])
+    def test_scalar_and_stacked_match_byte_for_byte(self, dim, pairs):
+        rng = np.random.default_rng(149 + dim)
+        phases = np.array([0.0, math.pi, -1e-300, *rng.uniform(-7.0, 7.0, 3)])
+        oracles = [loop_phase_flip(dim, pairs, float(phase)) for phase in phases]
+        stack = phase_flip(dim, pairs, phases)
+        for phase, flip, oracle in zip(phases, stack, oracles):
+            assert phase_flip(dim, pairs, float(phase)).tobytes() == oracle.tobytes()
+            assert flip.tobytes() == oracle.tobytes()

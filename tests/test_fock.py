@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestFockSpace:
         # checked in the constructor, before anything is allocated
         with pytest.raises(DomainError):
             FockSpace(bad)
+
+    @pytest.mark.parametrize("bad", [4.0, 40.0, "40", None])
+    def test_rejects_non_integer_cutoffs(self, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+            FockSpace(bad)
+
+    def test_coerces_integer_like_cutoffs(self):
+        space = FockSpace(np.int64(40))
+        assert type(space.cutoff) is int and space.cutoff == 40
+        assert space == FockSpace(40)
 
 
 class TestLadderMatrices:

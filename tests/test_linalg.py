@@ -27,6 +27,13 @@ class TestConstruction:
         with pytest.raises(DomainError, match="flagged normalized"):
             Ket(np.array([1.0, 1.0]), normalized=True)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ket_normalized_flag_rejects_non_finite_norm(self, bad):
+        with pytest.raises(DomainError, match="flagged normalized"):
+            Ket(np.array([bad]), normalized=True)
+        with pytest.raises(DomainError, match="flagged normalized"):
+            Ket(np.array([1.0, bad]), normalized=True)
+
     def test_zero_ket_cannot_be_normalized(self):
         with pytest.raises(DomainError, match="zero vector"):
             Ket(np.zeros(2)).normalize()
