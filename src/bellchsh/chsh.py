@@ -29,6 +29,11 @@ from .linalg import Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
+#: Largest factor dimension of a flip in this package (``fock.MAX_CUTOFF``).
+#: A ``phase_flip`` stack holds at most four such flips, ``4 *
+#: MAX_FLIP_DIM**2`` complex entries (256 MiB), checked before allocation.
+MAX_FLIP_DIM = 2048
+
 
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the interval [-pi, pi)."""
@@ -76,24 +81,29 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     fixed levels, the ones the ``bincount`` of the domain check counts
     zero times, get their 1, and each pair its two phase entries.  Each
     flip is hermitian and an exact involution by construction.  ``dim``
-    must be a positive integer, ``pairs`` a non-empty integer array of
+    must be a positive integer with at most ``4 * MAX_FLIP_DIM**2``
+    entries in the stack, ``pairs`` a non-empty integer array of
     disjoint ``(src, dst)`` rows within ``[0, dim)`` and every phase
-    finite; otherwise ``DomainError`` is raised.
+    finite; otherwise ``DomainError`` is raised before anything of
+    ``dim``'s size is allocated.
     """
     pairs = np.asarray(pairs)
     phases = np.asarray(phase, dtype=float)
     try:
-        dim_ok = operator.index(dim) >= 1
+        levels = operator.index(dim)
     except TypeError:
-        dim_ok = False
-    if not (dim_ok and pairs.dtype.kind == "i" and pairs.ndim == 2 and pairs.shape[1] == 2
+        levels = 0
+    if not (1 <= levels and phases.size * levels * levels <= 4 * MAX_FLIP_DIM ** 2
+            and pairs.dtype.kind == "i" and pairs.ndim == 2 and pairs.shape[1] == 2
             and pairs.size and pairs.min() >= 0 and np.isfinite(phases).all()
             and len(counts := np.bincount(pairs.ravel(), minlength=dim)) == dim
             and counts.max() <= 1):
         raise DomainError(f"phase flip is not hermitian or not an involution: dim "
-                          f"must be a positive integer, pairs disjoint integer level "
-                          f"pairs in [0, dim) and every phase finite, got pairs "
-                          f"{pairs.tolist()} and phase {phase} for dim {dim!r}")
+                          f"must be a positive integer with {phases.size} * dim**2 "
+                          f"at most {4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint "
+                          f"integer level pairs in [0, dim) and every phase finite, "
+                          f"got pairs {pairs.tolist()} and phase {phase} for dim "
+                          f"{dim!r}")
     src, dst = pairs.T
     up = np.exp(1j * phases)[..., None]
     fixed = np.flatnonzero(counts == 0)

@@ -16,8 +16,10 @@ resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
 
 Exit codes: 0 success; 2 configuration error, raised as ``DomainError``
 (a flag outside its domain, including a ``LO:HI:STEPS`` range of more
-than ``MAX_STEPS`` points, an angle divided by zero or an ``--out`` path
-that cannot be written, or a degenerate test function) or by argparse
+than ``MAX_STEPS`` points, a ``rindler-scan`` of more than
+``MAX_MODE_EVALUATIONS`` modes times points, an angle divided by zero
+or an ``--out`` path that cannot be written, or a degenerate test
+function) or by argparse
 for an unknown flag; 3 validation or tolerance failure, raised as
 ``PrecisionError`` (a numerical certificate, or a failed check in
 ``spin``/``squeeze-scan`` after its rows are written).
@@ -51,6 +53,10 @@ OUT_DIR_ENV = "BELLCHSH_OUT_DIR"
 #: Most points of a ``LO:HI:STEPS`` grid, checked before it is allocated.
 MAX_STEPS = 100_000
 _STEPS_HELP = f"inclusive grid of STEPS points, at most {MAX_STEPS}"
+
+#: Most mode evaluations (``--modes`` count times grid points) of one
+#: ``rindler-scan``, checked before the scan: a few seconds of work.
+MAX_MODE_EVALUATIONS = 100 * MAX_STEPS
 
 #: Largest ``--quad`` RADIAL: ``test_norm`` doubles it for its error
 #: estimate, and a rule has at most ``kleingordon.MAX_RADIAL`` nodes.
@@ -340,11 +346,16 @@ def cmd_rindler_scan(args) -> int:
     frequencies = parse_floats(args.modes, "--modes")
     if args.temp_range and args.accel_range:
         raise DomainError("--temp-range and --accel-range are mutually exclusive")
-    if args.accel_range:
-        grid = parse_range(args.accel_range, "--accel-range") / (2.0 * math.pi)
-    else:
-        grid = parse_range(args.temp_range or "0.02:2.0:50", "--temp-range")
+    flag, text = (("--accel-range", args.accel_range) if args.accel_range
+                  else ("--temp-range", args.temp_range or "0.02:2.0:50"))
+    grid = parse_range(text, flag).tolist()
+    if len(frequencies) * len(grid) > MAX_MODE_EVALUATIONS:
+        raise DomainError(f"--modes ({len(frequencies)} frequencies) times {flag} "
+                          f"({len(grid)} steps) exceeds {MAX_MODE_EVALUATIONS} "
+                          "mode evaluations")
     modes = rindler.RindlerModeSet(frequencies)
+    if args.accel_range:
+        grid = [rindler.unruh_temperature(a) for a in grid]
     scan = rindler.temperature_scan(modes, grid)
     rows = [
         {"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import (AngleSet, ChshQuadruple, ClosedFormCorrelator, _real_correlator,
-                   flip_quadruple, phase_flip)
+from .chsh import (MAX_FLIP_DIM, AngleSet, ChshQuadruple, ClosedFormCorrelator,
+                   _real_correlator, flip_quadruple, phase_flip)
 from .errors import DomainError, PrecisionError
 from .linalg import FactoredOperator, Ket
 
@@ -48,10 +48,10 @@ MAX_VIOLATION_ANGLES = AngleSet(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 #: 40 x 40 operator factors and a 40 x 40 amplitude matrix.
 DEFAULT_CUTOFF = 40
 
-#: Largest per-mode cutoff: the amplitude matrix of ``squeezed_state``
-#: then holds 2048**2 complex numbers (64 MB), the only ``cutoff**2``
-#: array left; ``chsh_matrix`` builds none.
-MAX_CUTOFF = 2048
+#: Largest per-mode cutoff, ``chsh.MAX_FLIP_DIM``: the amplitude matrix
+#: of ``squeezed_state`` then holds 2048**2 complex numbers (64 MB), the
+#: only ``cutoff**2`` array left; ``chsh_matrix`` builds none.
+MAX_CUTOFF = MAX_FLIP_DIM
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,12 @@ def _check_eta(eta: float) -> float:
     if not 0.0 < eta < 1.0:
         raise DomainError(f"squeezing parameter must lie in (0, 1), got {eta}")
     return float(eta)
+
+
+def pair_amplitude(eta: float) -> float:
+    """Squeezed pair amplitude 2 eta / (1 + eta^2), unchecked on [0, 1]:
+    exactly 0 at an underflowed eta = exp(-x), x above ~745."""
+    return 2.0 * eta / (1.0 + eta * eta)
 
 
 def _mode_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -203,9 +209,8 @@ def _parity_pairs(cutoff: int) -> np.ndarray:
 
 def squeezed_closed_form(eta: float) -> ClosedFormCorrelator:
     """Squeezed-state CHSH closed form as an optimizable descriptor."""
-    eta = _check_eta(eta)
     return ClosedFormCorrelator(
-        prefactor=2.0 * eta / (1.0 + eta * eta),
+        prefactor=pair_amplitude(_check_eta(eta)),
         signs=(1.0, 1.0, 1.0, -1.0),
     )
 

@@ -310,12 +310,12 @@ def sigma_chsh(sigma: float, angles: AngleSet, f: GaussianPacket,
     With unit-norm, mutually orthogonal packets the smeared operators
     (a_f, b_g) satisfy the same algebra as an independent two-mode
     oscillator pair, so the correlator reduces to the oscillator closed
-    form with squeezing parameter ``sigma``.  The preconditions that
-    justify the reduction are verified (each bound is 1e-6; a violation
-    raises ``DomainError``) and the evaluation is delegated to :func:`bellchsh.fock.chsh_closed`.
+    form ``fock.squeezed_closed_form(sigma)``, built first: a ``sigma``
+    outside (0, 1) raises ``DomainError`` before any inner product.  The
+    preconditions of the reduction are then verified (each bound is
+    1e-6; a violation raises ``DomainError``).
     """
-    if not 0.0 < sigma < 1.0:
-        raise DomainError(f"sigma must lie in (0, 1), got {sigma}")
+    form = fock.squeezed_closed_form(sigma)
     bound = 1e-6
     norm_f = math.sqrt(shell_inner_product(f, f, q).real)
     if abs(norm_f - 1.0) > bound:
@@ -332,4 +332,4 @@ def sigma_chsh(sigma: float, angles: AngleSet, f: GaussianPacket,
         raise DomainError(
             f"|<f|g>| / (||f|| ||g||) = {overlap:.3e} exceeds bound {bound}"
         )
-    return fock.chsh_closed(sigma, angles)
+    return form.value(angles)

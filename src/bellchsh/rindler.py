@@ -1,23 +1,20 @@
 """Unruh-temperature parametrization of the vacuum CHSH value.
 
 To a uniformly accelerated observer the Minkowski vacuum is a product
-over Rindler modes of two-mode squeezed states pairing the left and
-right wedges, with per-mode squeezing ``exp(-pi omega / a)``.  The
-identity
+over Rindler modes of the two-mode squeezed pairs of ``fock``, pairing
+the left and right wedges, with ``eta_i = exp(-omega_i / (2 T))`` at
+the Unruh temperature ``T = a / (2 pi)``.  The thermal form factor is
+the sum of the pair amplitudes,
 
-    2 eta / (1 + eta^2) = 1 / cosh(pi omega / a)      (eta = e^{-pi omega / a})
-
-turns the squeezed-oscillator prefactor into a thermal form factor
-
-    tau(T) = sum_i 1 / cosh(omega_i / (2 T)),    T = a / (2 pi),
+    tau(T) = sum_i fock.pair_amplitude(eta_i) = sum_i 1 / cosh(omega_i / (2 T)),
 
 and at the maximal-violation phase choice
 (``fock.MAX_VIOLATION_ANGLES``) the CHSH value is ``2 sqrt(2) tau(T)``.
 T is the one parameter: a mode set is its frequencies, and ``tau``,
 ``rindler_chsh`` and each ``temperature_scan`` row take T directly.
-The per-mode factor lies in (0, 1); a summed multi-mode tau can exceed
-1, in which case the literal value is reported and the row is flagged
-supra-Tsirelson rather than clamped.
+The per-mode factor lies in [0, 1), exactly 0 once eta_i underflows; a
+summed multi-mode tau can exceed 1, in which case the literal value is
+reported and the row is flagged supra-Tsirelson rather than clamped.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .chsh import TSIRELSON_BOUND
 from .errors import DomainError
+from .fock import pair_amplitude
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,10 @@ def unruh_temperature(acceleration: float) -> float:
 
 
 def mode_squeezing(omega: float, acceleration: float) -> float:
-    """Per-mode squeezing parameter exp(-pi omega / a), in (0, 1); the
-    frequency and the acceleration must be positive and finite."""
+    """Per-mode squeezing parameter exp(-pi omega / a), in (0, 1) until it
+    underflows to 0.0 for pi omega / a above ~745 (``mode_squeezing(1e4,
+    1.0)`` is 0.0); the frequency and the acceleration must be positive
+    and finite."""
     if not 0.0 < omega < math.inf:
         raise DomainError(f"frequency must be positive and finite, got {omega}")
     if not 0.0 < acceleration < math.inf:
@@ -65,17 +65,13 @@ def mode_squeezing(omega: float, acceleration: float) -> float:
     return math.exp(-math.pi * omega / acceleration)
 
 
-def _sech(x: float) -> float:
-    # 1/cosh(x) without overflow: underflows gracefully to 0 for large x
-    e = math.exp(-abs(x))
-    return 2.0 * e / (1.0 + e * e)
-
-
 def tau(modes: RindlerModeSet, temperature: float) -> float:
-    """Thermal form factor sum_i 1 / cosh(omega_i / (2 T)) at T = ``temperature``."""
+    """Thermal form factor sum_i fock.pair_amplitude(exp(-omega_i / (2 T)))
+    at T = ``temperature``."""
     if not 0.0 < temperature < math.inf:
         raise DomainError(f"temperature must be positive and finite, got {temperature}")
-    return sum(_sech(w / (2.0 * temperature)) for w in modes.frequencies)
+    return sum(pair_amplitude(math.exp(-w / (2.0 * temperature)))
+               for w in modes.frequencies)
 
 
 def rindler_chsh(modes: RindlerModeSet, temperature: float) -> float:

@@ -76,21 +76,17 @@ def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def singlet(spin: str) -> SingletState:
-    """The singlet state of two spin-1/2 or two spin-1 particles.
+    """The singlet sum_m (-1)^(s-m) |m, -m> / sqrt(2s+1) of two spin-1/2 or
+    two spin-1 particles; level i holds m = s - i, of L = 2s+1 levels.
 
     Spin 1/2: (|+,-> - |-,+>)/sqrt(2).
     Spin 1:   (|1,-1> - |0,0> + |-1,1>)/sqrt(3).
     """
     levels = _check_spin(spin)
-    amp = np.zeros(levels * levels, dtype=complex)
-    if spin == SPIN_HALF:
-        amp[0 * 2 + 1] = 1.0 / math.sqrt(2.0)
-        amp[1 * 2 + 0] = -1.0 / math.sqrt(2.0)
-    else:
-        amp[0 * 3 + 2] = 1.0 / math.sqrt(3.0)
-        amp[1 * 3 + 1] = -1.0 / math.sqrt(3.0)
-        amp[2 * 3 + 0] = 1.0 / math.sqrt(3.0)
-    return SingletState(spin=spin, ket=Ket(amp, normalized=True))
+    amp = np.zeros((levels, levels), dtype=complex)
+    i = np.arange(levels)
+    amp[i, levels - 1 - i] = (-1.0) ** i / math.sqrt(levels)
+    return SingletState(spin=spin, ket=Ket(amp.ravel(), normalized=True))
 
 
 def spin_hamiltonian() -> FactoredOperator:

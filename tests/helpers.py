@@ -21,6 +21,10 @@ stacked ``phase_flip`` call, and the four 2 x 2 blocks of
 operator, and one writes a flip entry by entry in Python loops,
 without calling ``phase_flip`` at all.
 
+The library takes each Rindler mode's form-factor term from the
+squeezed pair's amplitude at eta = exp(-w / 2T).  The oracles here
+write it as 1/cosh(w / 2T), with and without explicit exponentials.
+
 The library maximizes a closed-form CHSH correlator exactly.  The
 oracle here is a numeric search: a coarse grid and trig-exact
 coordinate sweeps.
@@ -381,6 +385,18 @@ def grid_sweep_optimum(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
         if abs(best - previous) < _VALUE_TOL:
             break
     return AngleSet(*ang), best
+
+
+def sech(x: float) -> float:
+    """1/cosh(x) without overflow, underflowing to 0 for large x: the
+    form factor's per-mode term, written without ``fock.pair_amplitude``."""
+    e = math.exp(-abs(x))
+    return 2.0 * e / (1.0 + e * e)
+
+
+def tau_sech_form(modes: RindlerModeSet, temperature: float) -> float:
+    """The form factor as ``sum_i sech(omega_i / (2 T))``."""
+    return sum(sech(w / (2.0 * temperature)) for w in modes.frequencies)
 
 
 def tau_exponential_form(modes: RindlerModeSet, temperature: float) -> float:

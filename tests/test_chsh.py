@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,30 @@ class TestStackedPhaseFlip:
         # would raise ValueError or TypeError
         for phase in (0.3, (0.3, -0.4)):
             with pytest.raises(DomainError, match=re.escape(f"for dim {dim!r}")):
+                phase_flip(dim, [(0, 1)], phase)
+
+    @pytest.mark.parametrize("dim,phase", [
+        (10**6, 0.3),
+        # a zero-stride stack of 10**6 phases holds one float
+        (2048, np.broadcast_to(0.3, (10**6,))),
+    ], ids=["dim-1e6", "1e6-phases-at-2048"])
+    def test_stack_size_bounded_before_allocation(self, dim, phase):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=re.escape(f"for dim {dim!r}")):
+                phase_flip(dim, [(0, 1)], phase)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the bincount alone of dim 10**6 would take 8 MB
+        assert peak < 2**20
+
+    def test_stack_size_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(chsh, "MAX_FLIP_DIM", 4)  # at most 64 entries
+        assert phase_flip(4, [(0, 1)], np.zeros(4)).shape == (4, 4, 4)
+        assert phase_flip(8, [(0, 1)], 0.3).shape == (8, 8)
+        for dim, phase in ((4, np.zeros(5)), (8, (0.3, 0.3)), (9, 0.3)):
+            with pytest.raises(DomainError, match=r"dim\*\*2 at most 64 entries"):
                 phase_flip(dim, [(0, 1)], phase)
 
     def test_quadruple_builds_make_one_call_per_side(self, monkeypatch):

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bellchsh import MAX_MOMENTUM, fock, spin
+from bellchsh import MAX_MOMENTUM, cli, fock, rindler, spin
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
 
@@ -369,6 +369,42 @@ class TestRindlerScan:
         assert out == ""
         assert argv[1] in err and f"at most {MAX_STEPS}" in err
         assert "Traceback" not in err
+
+    def test_mode_evaluations_bounded_before_the_scan(self, capsys, monkeypatch):
+        # 101 modes x 100,000 steps is over 100 * MAX_STEPS evaluations
+        def no_scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(rindler, "temperature_scan", no_scan)
+        modes = ",".join(str(w) for w in range(1, 102))
+        code, out, err = run(capsys, "rindler-scan", "--modes", modes,
+                             "--temp-range", f"0.1:1:{MAX_STEPS}")
+        assert code == 2
+        assert out == ""
+        assert "--modes" in err and "--temp-range" in err
+        assert str(cli.MAX_MODE_EVALUATIONS) in err
+        assert cli.MAX_MODE_EVALUATIONS == 100 * MAX_STEPS
+
+    @pytest.mark.parametrize("flag", ["--temp-range", "--accel-range"])
+    def test_mode_evaluation_bound_is_inclusive(self, capsys, monkeypatch, flag):
+        monkeypatch.setattr(cli, "MAX_MODE_EVALUATIONS", 6)
+        code, out, _ = run(capsys, "rindler-scan", "--modes", "1,2", flag, "1:2:3")
+        assert code == 0 and len(csv_rows(out)) == 3
+        code, out, err = run(capsys, "rindler-scan", "--modes", "1,2", flag, "1:2:4")
+        assert code == 2 and out == ""
+        assert "--modes" in err and flag in err
+
+    def test_underflowed_squeezing_gives_zero_row(self, capsys):
+        # w / 2T = 1000 at T = 0.001: exp(-1000) underflows to eta = 0
+        code, out, err = run(capsys, "rindler-scan", "--modes", "2",
+                             "--temp-range", "0.001:0.01:4")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "0.001,0,0,"
+
+    def test_zero_acceleration_named(self, capsys):
+        code, out, err = run(capsys, "rindler-scan", "--accel-range", "0:1:3")
+        assert code == 2 and out == ""
+        assert "acceleration must be positive and finite, got 0.0" in err
 
     @pytest.mark.parametrize("modes", ["nan", "1,inf"])
     def test_non_finite_frequency_rejected(self, capsys, modes):

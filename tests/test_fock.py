@@ -13,6 +13,7 @@ from bellchsh import (
     phase_flip,
     validate_quadruple,
 )
+import bellchsh
 from bellchsh import chsh, fock, spin
 from bellchsh.fock import (
     FockSpace,
@@ -411,6 +412,16 @@ class TestClosedForms:
         prefactors = [squeezed_closed_form(e).prefactor for e in etas]
         assert all(b > a for a, b in zip(prefactors, prefactors[1:]))
         assert squeezed_closed_form(1 - 1e-12).prefactor <= 1.0
+
+    def test_prefactor_is_the_pair_amplitude(self):
+        for eta in np.linspace(1e-9, 1.0 - 1e-9, 101).tolist():
+            assert squeezed_closed_form(eta).prefactor == fock.pair_amplitude(eta)
+
+    def test_pair_amplitude_unchecked_on_closed_interval(self):
+        # exact 0 at an underflowed eta, where squeezed_closed_form raises
+        assert fock.pair_amplitude(0.0) == 0.0
+        assert fock.pair_amplitude(1.0) == 1.0
+        assert not hasattr(bellchsh, "pair_amplitude")
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -17,7 +17,7 @@ from bellchsh import (
     shell_inner_product,
     sigma_chsh,
 )
-from bellchsh import fock
+from bellchsh import fock, kleingordon
 # aliased so pytest does not collect the library function as a test
 from bellchsh.kleingordon import test_norm as norm_with_error
 
@@ -489,6 +489,23 @@ class TestSigmaChsh:
         f, g = normalize(f, q), normalize(g, q)
         with pytest.raises(DomainError, match=re.escape("|<f|g>| / (||f|| ||g||)")):
             sigma_chsh(0.5, fock.MAX_VIOLATION_ANGLES, f, g, q)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, math.nan])
+    def test_sigma_checked_before_any_inner_product(self, monkeypatch, sigma):
+        f, g, q = self._orthonormal_pair()
+        calls = []
+        inner = kleingordon.shell_inner_product
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(kleingordon, "shell_inner_product", counting)
+        with pytest.raises(DomainError, match=re.escape("must lie in (0, 1)")):
+            sigma_chsh(sigma, fock.MAX_VIOLATION_ANGLES, f, g, q)
+        assert calls == []
+        sigma_chsh(0.5, fock.MAX_VIOLATION_ANGLES, f, g, q)
+        assert len(calls) == 3
 
     def test_sigma_domain(self):
         f, g, q = self._orthonormal_pair()

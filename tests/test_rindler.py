@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bellchsh import (
 from bellchsh import fock
 from bellchsh.rindler import ScanRow
 
-from helpers import tau_exponential_form
+from helpers import tau_exponential_form, tau_sech_form
 
 TWO_PI = 2.0 * math.pi
 ROOT2 = math.sqrt(2.0)
@@ -67,7 +68,8 @@ class TestUnruhTemperature:
 
 class TestModeSqueezing:
     def test_high_frequency_limit(self):
-        assert mode_squeezing(1e4, 1.0) <= 1e-300
+        # exp(-pi * 1e4) underflows to 0.0, as the docstring says
+        assert mode_squeezing(1e4, 1.0) == 0.0
 
     def test_reference_value(self):
         # omega = a: exp(-pi)
@@ -119,6 +121,25 @@ class TestTau:
         combined = tau(RindlerModeSet((0.5, 1.0, 2.0)), t)
         split = sum(tau(RindlerModeSet((w,)), t) for w in (0.5, 1.0, 2.0))
         assert combined == pytest.approx(split, abs=1e-15)
+
+    def test_underflowed_squeezing_contributes_exactly_zero(self):
+        # w / 2T = 1000: eta = exp(-1000) underflows to 0.0, outside the
+        # (0, 1) that squeezed_closed_form checks; the pair amplitude is 0
+        assert math.exp(-2.0 / (2.0 * 0.001)) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tau(RindlerModeSet((2.0,)), 0.001) == 0.0
+
+    @pytest.mark.parametrize("frequencies,grid", [
+        # every row of --modes 0.5,1.0,2.0 --temp-range 0.01:5.0:20000
+        # (its reference file keeps every 40th) and of --accel-range 0.1:30:500
+        ((0.5, 1.0, 2.0), np.linspace(0.01, 5.0, 20000).tolist()),
+        ((1.0,), [unruh_temperature(a) for a in np.linspace(0.1, 30.0, 500).tolist()]),
+    ])
+    def test_bit_identical_to_inverse_cosh_form(self, frequencies, grid):
+        modes = RindlerModeSet(frequencies)
+        differ = [t for t in grid if tau(modes, t) != tau_sech_form(modes, t)]
+        assert differ == []
 
     def test_invalid_temperature(self):
         with pytest.raises(DomainError):
