@@ -1,9 +1,10 @@
 """The accelerated vacuum as a squeezed state: CHSH vs Unruh temperature.
 
 To an observer with proper acceleration a, the Minkowski vacuum is a
-product of two-mode squeezed states over Rindler modes with per-mode
-squeezing exp(-pi omega/a).  The CHSH value then carries a thermal form
-factor tau(T) = sum_i 1/cosh(omega_i / 2T) with T = a/(2 pi).
+product of two-mode squeezed states over Rindler modes.  The
+acceleration enters only through the Unruh temperature T = a/(2 pi):
+each mode's squeezing is exp(-omega / 2T), and the CHSH value carries
+the thermal form factor tau(T) = sum_i 1/cosh(omega_i / 2T).
 
 Run with:  PYTHONPATH=src python demos/unruh_scan.py
 """
@@ -16,7 +17,6 @@ from bellchsh import (
     MAX_VIOLATION_ANGLES,
     RindlerModeSet,
     chsh_closed,
-    mode_squeezing,
     rindler_chsh,
     temperature_scan,
     unruh_temperature,
@@ -30,7 +30,7 @@ def main():
 
     print("\nper-mode squeezing and its oscillator equivalence:")
     for omega in (0.5, 1.0, 2.0):
-        eta = mode_squeezing(omega, a)
+        eta = math.exp(-omega / (2 * t))
         osc = chsh_closed(eta, MAX_VIOLATION_ANGLES)
         print(f"  omega = {omega}: eta = {eta:.6f}, "
               f"rindler CHSH = {rindler_chsh(RindlerModeSet((omega,)), t):.9f}, "

@@ -55,7 +55,6 @@ from .linalg import (
 from .rindler import (
     RindlerModeSet,
     ScanRow,
-    mode_squeezing,
     rindler_chsh,
     tau,
     temperature_scan,
@@ -69,7 +68,6 @@ from .spin import (
     TSIRELSON_ANGLES,
     singlet,
     spin_half_chsh_closed,
-    spin_half_pair_correlator,
     spin_hamiltonian,
     spin_matrices,
     spin_one_chsh_closed,

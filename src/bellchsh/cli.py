@@ -114,8 +114,8 @@ def parse_range(text: str, name: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise DomainError(f"cannot parse {name} {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"{name} bounds must be finite, got {text!r}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"{name} bounds and their span must be finite, got {text!r}")
     if steps < 1:
         raise DomainError(f"{name} needs at least 1 step, got {steps}")
     if steps > MAX_STEPS:

@@ -129,7 +129,7 @@ class ShellQuadrature:
     """Radial Gauss-Legendre rule on [0, k_max] for the mass-shell measure.
 
     The nodes and weights (:attr:`rule`) are built once per rule object,
-    at first use, and :meth:`refined` returns one shared doubled rule, so
+    at first use, and :attr:`refined` is one shared doubled rule, so
     every norm, error estimate and overlap on the same object shares one
     build of each.  The angular integral of a Gaussian pair is
     closed-form, so the rule has no angular node count.  ``radial`` is
@@ -144,7 +144,7 @@ class ShellQuadrature:
     radial: int = 128
     tol: float = 1e-9
     #: Not a setting, and no rule reads it: only the benchmark's 3-D node
-    #: count (``benchmarks/inprocess.py::nodes``) does; ROADMAP item 2
+    #: count (``benchmarks/inprocess.py::nodes``) does; ROADMAP item 1
     #: deletes it.
     angular: ClassVar[int] = 32
 
@@ -187,13 +187,10 @@ class ShellQuadrature:
         return k, w
 
     @functools.cached_property
-    def _refined(self) -> "ShellQuadrature":
-        return ShellQuadrature(k_max=self.k_max, radial=2 * self.radial, tol=self.tol)
-
     def refined(self) -> "ShellQuadrature":
         """Same cutoff with the radial node count doubled; the same object
-        on every call, so its nodes are built once."""
-        return self._refined
+        on every read, so its nodes are built once."""
+        return ShellQuadrature(k_max=self.k_max, radial=2 * self.radial, tol=self.tol)
 
     def tail_bound(self, f: GaussianPacket, g: GaussianPacket) -> float:
         """Upper bound on the integral mass beyond k_max (Gaussian decay).
@@ -276,11 +273,11 @@ def test_norm(f: GaussianPacket, q: ShellQuadrature) -> NormEstimate:
     """Squared norm ||f||^2 = <f|f> with a self-convergence error bar.
 
     The error estimate is the difference against the same integral with
-    the radial nodes doubled, on ``q.refined()``: one shared rule, so
+    the radial nodes doubled, on ``q.refined``: one shared rule, so
     repeated norms on ``q`` build each set of nodes once.
     """
     value = shell_inner_product(f, f, q).real
-    refined = shell_inner_product(f, f, q.refined()).real
+    refined = shell_inner_product(f, f, q.refined).real
     return NormEstimate(value=value, error=abs(value - refined))
 
 

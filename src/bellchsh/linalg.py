@@ -78,13 +78,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalize(self) -> "Ket":
-        """Return the unit-norm rescaling of this ket."""
-        n = self.norm
-        if n == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        return Ket(self.amplitudes / n, normalized=True)
-
     def overlap(self, other: "Ket") -> complex:
         """Inner product <self|other> (antilinear in self)."""
         if self.dim != other.dim:

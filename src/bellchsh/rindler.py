@@ -53,18 +53,6 @@ def unruh_temperature(acceleration: float) -> float:
     return acceleration / (2.0 * math.pi)
 
 
-def mode_squeezing(omega: float, acceleration: float) -> float:
-    """Per-mode squeezing parameter exp(-pi omega / a), in (0, 1) until it
-    underflows to 0.0 for pi omega / a above ~745 (``mode_squeezing(1e4,
-    1.0)`` is 0.0); the frequency and the acceleration must be positive
-    and finite."""
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"frequency must be positive and finite, got {omega}")
-    if not 0.0 < acceleration < math.inf:
-        raise DomainError(f"acceleration must be positive and finite, got {acceleration}")
-    return math.exp(-math.pi * omega / acceleration)
-
-
 def tau(modes: RindlerModeSet, temperature: float) -> float:
     """Thermal form factor sum_i fock.pair_amplitude(exp(-omega_i / (2 T)))
     at T = ``temperature``."""

@@ -124,20 +124,13 @@ def spin_one_chsh_closed(angles: AngleSet) -> float:
     return spin_one_closed_form().value(angles)
 
 
-def spin_half_pair_correlator(alpha: float, beta: float) -> float:
-    """Per-pair singlet correlator <A(alpha) B(beta)> = -cos(alpha - beta).
+def spin_half_chsh_closed(angles: AngleSet) -> float:
+    """Spin-1/2 singlet CHSH value from the per-pair correlators
+    <A(alpha) B(beta)> = -cos(alpha - beta).
 
     The sign and the relative phase are fixed by the matrix computation
     on the spin-1/2 singlet (the flip phases enter Alice's and Bob's
     raising directions with the same orientation, so they subtract).
     """
-    return -math.cos(alpha - beta)
-
-
-def spin_half_chsh_closed(angles: AngleSet) -> float:
-    """Spin-1/2 singlet CHSH value assembled from the pair correlators."""
     a1, a2, b1, b2 = angles.as_tuple()
-    return (spin_half_pair_correlator(a1, b1)
-            + spin_half_pair_correlator(a2, b1)
-            + spin_half_pair_correlator(a1, b2)
-            - spin_half_pair_correlator(a2, b2))
+    return -math.cos(a1 - b1) - math.cos(a2 - b1) - math.cos(a1 - b2) + math.cos(a2 - b2)

@@ -3,8 +3,8 @@
 The library keeps two-party operators as local factors.  The oracle
 here builds the full-space Kronecker matrices instead; it is meant for
 small spaces (spin, and Fock cutoffs up to about 8).  The closed forms
-only tests use (the total spin, the squeezed pair correlator) live here
-too.
+only tests use (the total spin, the squeezed and the spin-1/2 pair
+correlators) live here too.
 
 The library evaluates the Fock-space parity flips of ``chsh_matrix`` on
 the Schmidt form of the squeezed state, as 2 x 2 blocks against the
@@ -23,7 +23,8 @@ without calling ``phase_flip`` at all.
 
 The library takes each Rindler mode's form-factor term from the
 squeezed pair's amplitude at eta = exp(-w / 2T).  The oracles here
-write it as 1/cosh(w / 2T), with and without explicit exponentials.
+write it as 1/cosh(w / 2T), with and without explicit exponentials,
+and write a mode's squeezing with the acceleration, as exp(-pi w / a).
 
 The library maximizes a closed-form CHSH correlator exactly.  The
 oracle here is a numeric search: a coarse grid and trig-exact
@@ -238,6 +239,11 @@ def correlator_closed(eta: float, alpha_k: float, beta_i: float) -> float:
     return 2.0 * eta / (1.0 + eta * eta) * math.cos(alpha_k + beta_i)
 
 
+def spin_half_pair_correlator(alpha: float, beta: float) -> float:
+    """Spin-1/2 singlet pair correlator <A(alpha) B(beta)> = -cos(alpha - beta)."""
+    return -math.cos(alpha - beta)
+
+
 def shell_grid(q: ShellQuadrature, mass: float, angular: int):
     """Flattened (omega, kx, ky, kz, weight) arrays of the spherical product rule.
 
@@ -392,6 +398,13 @@ def sech(x: float) -> float:
     form factor's per-mode term, written without ``fock.pair_amplitude``."""
     e = math.exp(-abs(x))
     return 2.0 * e / (1.0 + e * e)
+
+
+def acceleration_squeezing(omega: float, acceleration: float) -> float:
+    """Squeezing exp(-pi omega / a) of a Rindler mode seen at proper
+    acceleration a: the library's exp(-omega / 2T) at T = a / (2 pi),
+    written with the acceleration instead of the temperature."""
+    return math.exp(-math.pi * omega / acceleration)
 
 
 def tau_sech_form(modes: RindlerModeSet, temperature: float) -> float:

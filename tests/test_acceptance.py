@@ -10,7 +10,6 @@ from bellchsh import (
     RindlerModeSet,
     TSIRELSON_BOUND,
     chsh_value,
-    mode_squeezing,
     optimize_angles,
     rindler_chsh,
     singlet,
@@ -23,6 +22,7 @@ from bellchsh import (
 )
 from bellchsh import fock, kleingordon, spin
 from helpers import (
+    acceleration_squeezing,
     full_quadruple,
     random_involution_quadruple,
     random_state,
@@ -196,7 +196,7 @@ def test_criterion_09_rindler_identities():
     for ratio in ratios:
         modes = RindlerModeSet((float(ratio),))
         form_dev = max(form_dev, abs(tau(modes, t) - tau_exponential_form(modes, t)))
-        eta = mode_squeezing(float(ratio), 1.0)
+        eta = acceleration_squeezing(float(ratio), 1.0)
         if eta > 0.0:
             cross_dev = max(cross_dev, abs(
                 rindler_chsh(modes, t)

@@ -357,6 +357,20 @@ class TestRindlerScan:
         assert out == ""
         assert argv[1] in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("rindler-scan", "--temp-range"),
+        ("squeeze-scan", "--eta-range"),
+    ])
+    def test_overflowing_range_span_rejected_without_warning(self, capsys, command, flag):
+        # finite bounds whose span hi - lo overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, f"{flag}=-1.7e308:1.7e308:3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: ") and flag in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
     @pytest.mark.parametrize("argv", [
         ("squeeze-scan", "--eta-range"),

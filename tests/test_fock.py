@@ -189,14 +189,14 @@ class TestSqueezedState:
 
     @pytest.mark.parametrize("cutoff", [4, 40, 200])
     def test_bytes_match_renormalized_raw_amplitudes(self, cutoff):
-        # the raw diagonal renormalized by Ket.normalize, to the byte
+        # the raw diagonal divided by its norm, to the byte
         n = cutoff
         for eta in (1e-8, 0.3, 0.5, 0.9, 0.999):
             raw = np.zeros(n * n, dtype=complex)
             raw[np.arange(n) * n + np.arange(n)] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(n)
             ket = squeezed_state(eta, FockSpace(n)).ket
             assert ket.normalized
-            assert ket.amplitudes.tobytes() == Ket(raw).normalize().amplitudes.tobytes()
+            assert ket.amplitudes.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
     def test_eta_domain(self, bad):

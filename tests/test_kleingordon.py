@@ -135,8 +135,8 @@ class TestShellQuadrature:
         with pytest.raises(DomainError):
             ShellQuadrature(k_max=1.0, radial=MAX_RADIAL + 1)
         with pytest.raises(DomainError):
-            ShellQuadrature(k_max=1.0, radial=MAX_RADIAL).refined()
-        assert ShellQuadrature(k_max=1.0, radial=64).refined() == \
+            ShellQuadrature(k_max=1.0, radial=MAX_RADIAL).refined
+        assert ShellQuadrature(k_max=1.0, radial=64).refined == \
             ShellQuadrature(k_max=1.0, radial=128)
 
     @pytest.mark.parametrize("kwargs", [
@@ -205,13 +205,13 @@ class TestRuleBuiltOnce:
         # constructing and refining cost nothing: MAX_RADIAL nodes take
         # seconds and hundreds of MB to build
         q = ShellQuadrature(k_max=10.0, radial=MAX_RADIAL // 2)
-        assert q.refined().radial == MAX_RADIAL
+        assert q.refined.radial == MAX_RADIAL
         assert leggauss_calls == []
 
     def test_refined_is_one_shared_rule(self):
         q = ShellQuadrature(k_max=10.0, radial=48)
-        assert q.refined() is q.refined()
-        assert q.refined().refined() is q.refined().refined()
+        assert q.refined is q.refined
+        assert q.refined.refined is q.refined.refined
 
     def test_rule_is_read_only(self):
         q = ShellQuadrature(k_max=10.0, radial=48)
@@ -224,7 +224,7 @@ class TestRuleBuiltOnce:
 
     def test_cached_rule_leaves_equality_and_hash_alone(self):
         q = ShellQuadrature(k_max=10.0, radial=48)
-        q.rule, q.refined()
+        q.rule, q.refined
         twin = ShellQuadrature(k_max=10.0, radial=48)
         assert q == twin and hash(q) == hash(twin)
         assert repr(q) == repr(twin)
@@ -288,7 +288,7 @@ class TestInnerProduct:
         ratio = abs(shell_inner_product(f, g, q)) / math.sqrt(
             shell_inner_product(f, f, q).real * shell_inner_product(g, g, q).real)
         assert ratio <= 1e-6
-        refined = q.refined()
+        refined = q.refined
         ratio2 = abs(shell_inner_product(f, g, refined)) / math.sqrt(
             shell_inner_product(f, f, refined).real
             * shell_inner_product(g, g, refined).real)

@@ -34,10 +34,6 @@ class TestConstruction:
         with pytest.raises(DomainError, match="flagged normalized"):
             Ket(np.array([1.0, bad]), normalized=True)
 
-    def test_zero_ket_cannot_be_normalized(self):
-        with pytest.raises(DomainError, match="zero vector"):
-            Ket(np.zeros(2)).normalize()
-
     def test_ket_must_be_vector(self):
         with pytest.raises(ShapeError):
             Ket(np.eye(2))

@@ -10,7 +10,6 @@ from bellchsh import (
     DomainError,
     RindlerModeSet,
     TSIRELSON_BOUND,
-    mode_squeezing,
     rindler_chsh,
     tau,
     temperature_scan,
@@ -19,7 +18,7 @@ from bellchsh import (
 from bellchsh import fock
 from bellchsh.rindler import ScanRow
 
-from helpers import tau_exponential_form, tau_sech_form
+from helpers import acceleration_squeezing, tau_exponential_form, tau_sech_form
 
 TWO_PI = 2.0 * math.pi
 ROOT2 = math.sqrt(2.0)
@@ -67,36 +66,40 @@ class TestUnruhTemperature:
 
 
 class TestModeSqueezing:
+    """A mode's squeezing at acceleration a is exp(-pi omega / a): tau at
+    T = unruh_temperature(a) against the acceleration-form oracle."""
+
+    @staticmethod
+    def single_mode_tau(omega, acceleration):
+        return tau(RindlerModeSet((omega,)), unruh_temperature(acceleration))
+
     def test_high_frequency_limit(self):
-        # exp(-pi * 1e4) underflows to 0.0, as the docstring says
-        assert mode_squeezing(1e4, 1.0) == 0.0
+        # exp(-pi * 1e4) underflows to 0.0, and so does the mode's term
+        assert acceleration_squeezing(1e4, 1.0) == 0.0
+        assert self.single_mode_tau(1e4, 1.0) == 0.0
 
     def test_reference_value(self):
         # omega = a: exp(-pi)
-        assert mode_squeezing(2.5, 2.5) == pytest.approx(0.04321391826377224,
-                                                         abs=1e-16)
+        eta = acceleration_squeezing(2.5, 2.5)
+        assert eta == pytest.approx(0.04321391826377224, abs=1e-16)
+        assert self.single_mode_tau(2.5, 2.5) == pytest.approx(
+            2 * eta / (1 + eta * eta), abs=1e-16)
 
     def test_in_unit_interval(self):
         # ratios kept below the exp(-pi w/a) underflow threshold
         rng = np.random.default_rng(113)
         for _ in range(50):
             ratio = float(rng.uniform(0.01, 100.0))
-            assert 0.0 < mode_squeezing(ratio, 1.0) < 1.0
-
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_non_finite_arguments(self, value):
-        # exp(-pi omega / a) would give 1.0 or 0.0 here, outside (0, 1)
-        with pytest.raises(DomainError, match="frequency must be positive and finite"):
-            mode_squeezing(value, 1.0)
-        with pytest.raises(DomainError, match="acceleration must be positive and finite"):
-            mode_squeezing(1.0, value)
+            assert 0.0 < acceleration_squeezing(ratio, 1.0) < 1.0
+            assert 0.0 < self.single_mode_tau(ratio, 1.0) < 1.0
 
     def test_prefactor_equals_inverse_cosh(self):
         # 2 eta/(1+eta^2) with eta = exp(-pi w/a) is 1/cosh(pi w/a)
         for ratio in np.logspace(-2, 1, 40):
-            eta = mode_squeezing(ratio, 1.0)
+            eta = acceleration_squeezing(ratio, 1.0)
             lhs = 2 * eta / (1 + eta * eta)
             assert abs(lhs - 1.0 / math.cosh(math.pi * ratio)) <= 1e-14
+            assert abs(self.single_mode_tau(float(ratio), 1.0) - lhs) <= 1e-14
 
 
 class TestTau:
@@ -171,7 +174,7 @@ class TestRindlerChsh:
         t = unruh_temperature(1.0)
         for ratio in np.logspace(-2, 1, 40):
             modes = RindlerModeSet((float(ratio),))
-            eta = mode_squeezing(ratio, 1.0)
+            eta = acceleration_squeezing(ratio, 1.0)
             osc = fock.chsh_closed(eta, fock.MAX_VIOLATION_ANGLES) if eta > 0 else 0.0
             assert abs(rindler_chsh(modes, t) - osc) <= 1e-12
 

@@ -10,7 +10,6 @@ from bellchsh import (
     phase_flip,
     singlet,
     spin_half_chsh_closed,
-    spin_half_pair_correlator,
     spin_hamiltonian,
     spin_matrices,
     spin_one_chsh_closed,
@@ -23,7 +22,13 @@ from bellchsh.spin import (
     SPIN_ONE_VIOLATION_ANGLES,
     TSIRELSON_ANGLES,
 )
-from helpers import dense, full_quadruple, hermiticity_deviation, total_spin_squared
+from helpers import (
+    dense,
+    full_quadruple,
+    hermiticity_deviation,
+    spin_half_pair_correlator,
+    total_spin_squared,
+)
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
