@@ -17,7 +17,6 @@ from bellchsh import (
     chsh_value,
     optimize_angles,
     singlet,
-    spin_hamiltonian,
     spin_one_chsh_closed,
     spin_one_closed_form,
     spin_quadruple,
@@ -33,10 +32,6 @@ def main():
     for i, amp in enumerate(state.ket.amplitudes):
         if amp != 0:
             print(f"  index {i}: {amp.real:+.6f}")
-
-    h = spin_hamiltonian()
-    energy = state.ket.overlap(h.apply(state.ket)).real
-    print(f"energy <H> = {energy:+.12f}  (singlet sits at -2)")
 
     # the phase flips are hermitian and involutive; A and B act on different factors
     quadruple = spin_quadruple(SPIN_ONE, SPIN_ONE_VIOLATION_ANGLES)

@@ -15,12 +15,12 @@ import numpy as np
 from bellchsh import (
     FockSpace,
     MAX_VIOLATION_ANGLES,
+    VIOLATION_WINDOW,
     bogoliubov_pair,
     chsh_closed,
     chsh_matrix,
     squeezed_hamiltonian,
     squeezed_state,
-    violation_window,
 )
 
 
@@ -32,7 +32,7 @@ def main():
           f"(dimension {space.dim})")
     print(f"squeezed state at eta = {eta}: first diagonal amplitudes")
     for n in range(5):
-        print(f"  |{n},{n}>: {state.ket.amplitudes[space.diagonal_index(n)].real:.6f}")
+        print(f"  |{n},{n}>: {state.ket.amplitudes[n * (space.cutoff + 1)].real:.6f}")
 
     pair = bogoliubov_pair(eta, space)
     print("\nthe mixed-mode operators annihilate the state (up to cutoff residue):")
@@ -41,7 +41,7 @@ def main():
     h = squeezed_hamiltonian(eta, space)
     print(f"  ||H |eta>||     = {h.apply(state.ket).norm:.3e}")
 
-    lo, hi = violation_window()
+    lo, hi = VIOLATION_WINDOW
     print(f"\nviolation window: {lo:.10f} < eta < {hi}")
 
     print("\neta scan at the maximal-violation phases:")

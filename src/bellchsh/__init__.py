@@ -27,6 +27,7 @@ from .fock import (
     MAX_CUTOFF,
     MAX_VIOLATION_ANGLES,
     SqueezedState,
+    VIOLATION_WINDOW,
     bogoliubov_pair,
     chsh_closed,
     chsh_matrix,
@@ -34,7 +35,6 @@ from .fock import (
     squeezed_closed_form,
     squeezed_hamiltonian,
     squeezed_state,
-    violation_window,
 )
 from .kleingordon import (
     GaussianPacket,
@@ -68,8 +68,6 @@ from .spin import (
     TSIRELSON_ANGLES,
     singlet,
     spin_half_chsh_closed,
-    spin_hamiltonian,
-    spin_matrices,
     spin_one_chsh_closed,
     spin_one_closed_form,
     spin_quadruple,

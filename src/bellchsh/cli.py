@@ -19,10 +19,10 @@ Exit codes: 0 success; 2 configuration error, raised as ``DomainError``
 than ``MAX_STEPS`` points, a ``rindler-scan`` of more than
 ``MAX_MODE_EVALUATIONS`` modes times points, an angle divided by zero
 or an ``--out`` path that cannot be written, or a degenerate test
-function) or by argparse
-for an unknown flag; 3 validation or tolerance failure, raised as
-``PrecisionError`` (a numerical certificate, or a failed check in
-``spin``/``squeeze-scan`` after its rows are written).
+function, whose squared norm is at most ``kleingordon.MIN_NORM_SQ``,
+1e-60) or by argparse for an unknown flag; 3 validation or tolerance
+failure, raised as ``PrecisionError`` (a numerical certificate, or a
+failed check in ``spin``/``squeeze-scan`` after its rows are written).
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def cmd_squeeze_scan(args) -> int:
         raise DomainError(
             f"--eta-range must stay inside the open interval (0, 1), got {args.eta_range!r}"
         )
-    window_lo, _ = fock.violation_window()
+    window_lo, _ = fock.VIOLATION_WINDOW
 
     entries: list[tuple[float, str]] = [(float(e), "") for e in grid]
     entries.append((window_lo, "window-lower-endpoint"))
@@ -261,7 +261,8 @@ def cmd_squeeze_scan(args) -> int:
             "abs_difference": diff, "note": note,
         })
     # open upper endpoint: the closed form extends continuously to eta = 1
-    limit = ClosedFormCorrelator(prefactor=1.0, signs=(1.0, 1.0, 1.0, -1.0))
+    limit = ClosedFormCorrelator(prefactor=fock.pair_amplitude(1.0),
+                                 signs=fock.SQUEEZED_SIGNS)
     rows.append({
         "eta": 1.0, "chsh_closed": limit.value(angles), "chsh_matrix": None,
         "abs_difference": None, "note": "window-upper-endpoint-limit",
@@ -325,7 +326,7 @@ def cmd_kg_norm(args) -> int:
     quad = kleingordon.ShellQuadrature.for_packets(packet, radial=radial, tol=args.tol)
 
     estimate = kleingordon.test_norm(packet, quad)
-    if not estimate.value > 0.0:
+    if not estimate.value > kleingordon.MIN_NORM_SQ:
         raise DomainError(f"test function norm is degenerate: {estimate.value!r}")
     rows = [
         {"quantity": "norm_sq", "value": estimate.value},

@@ -37,12 +37,21 @@ import numpy as np
 
 from .chsh import (MAX_FLIP_DIM, AngleSet, ChshQuadruple, ClosedFormCorrelator,
                    _real_correlator, flip_quadruple, phase_flip)
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .linalg import FactoredOperator, Ket
 
 #: Phase choice turning the squeezed closed form into 2 * (2 sqrt(2) eta
 #: / (1 + eta^2)): the cosine combination saturates at 2 sqrt(2).
 MAX_VIOLATION_ANGLES = AngleSet(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
+
+#: Cosine signs of the squeezed closed form, cos(a1 + b1) + cos(a2 + b1)
+#: + cos(a1 + b2) - cos(a2 + b2).
+SQUEEZED_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
+#: Squeezing interval on which the closed form at
+#: ``MAX_VIOLATION_ANGLES``, 2 * (2 sqrt(2) eta / (1 + eta^2)), exceeds
+#: the CHSH bound 2.
+VIOLATION_WINDOW = (math.sqrt(2.0) - 1.0, 1.0)
 
 #: Default per-mode cutoff: eta**(2*40) <= 1e-7 up to eta ~ 0.82, with
 #: 40 x 40 operator factors and a 40 x 40 amplitude matrix.
@@ -81,10 +90,6 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return self.cutoff * self.cutoff
-
-    def diagonal_index(self, n: int) -> int:
-        """Composite index of the pair state |n, n>."""
-        return n * self.cutoff + n
 
 
 def _check_eta(eta: float) -> float:
@@ -211,7 +216,7 @@ def squeezed_closed_form(eta: float) -> ClosedFormCorrelator:
     """Squeezed-state CHSH closed form as an optimizable descriptor."""
     return ClosedFormCorrelator(
         prefactor=pair_amplitude(_check_eta(eta)),
-        signs=(1.0, 1.0, 1.0, -1.0),
+        signs=SQUEEZED_SIGNS,
     )
 
 
@@ -223,40 +228,6 @@ def chsh_closed(eta: float, angles: AngleSet) -> float:
     2 sqrt(2) as eta -> 1.
     """
     return squeezed_closed_form(eta).value(angles)
-
-
-#: Agreement required between the bisected and the analytic lower
-#: endpoint of the violation window.
-WINDOW_TOL = 1e-10
-
-
-def violation_window() -> tuple[float, float]:
-    """Squeezing interval on which the CHSH bound 2 is exceeded.
-
-    Returns (sqrt(2) - 1, 1).  The lower endpoint is additionally
-    recovered by bisecting ``chsh_closed(., MAX_VIOLATION_ANGLES) - 2``;
-    a disagreement beyond ``WINDOW_TOL`` raises ``PrecisionError``.
-    """
-    analytic = math.sqrt(2.0) - 1.0
-
-    def excess(eta: float) -> float:
-        return chsh_closed(eta, MAX_VIOLATION_ANGLES) - 2.0
-
-    lo, hi = 0.01, 0.99
-    if not excess(lo) < 0.0 < excess(hi):
-        raise PrecisionError("violation-window bracket lost its sign change")
-    while hi - lo > 0.25 * WINDOW_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(root - analytic) > WINDOW_TOL:
-        raise PrecisionError(
-            f"bisection endpoint {root!r} deviates from sqrt(2)-1 by more than {WINDOW_TOL}"
-        )
-    return analytic, 1.0
 
 
 def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:

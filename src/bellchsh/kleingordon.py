@@ -44,6 +44,11 @@ from . import fock
 #: of the quadrature then exceeds ~1e210.
 MAX_MOMENTUM = 1e50
 
+#: Largest degenerate squared norm: ``normalize`` and ``kg-norm`` reject
+#: a test function whose ||f||^2 is at or below it, where the rescaling
+#: factor 1/||f|| would exceed 1e30.
+MIN_NORM_SQ = 1e-60
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -285,12 +290,12 @@ def normalize(f: GaussianPacket, q: ShellQuadrature) -> GaussianPacket:
     """Rescale the packet amplitude so that ||f|| = 1.
 
     The rescaling factor is real and positive, so the amplitude phase is
-    preserved.  Raises ``DomainError`` for a vanishing norm and
-    ``PrecisionError`` when the quadrature has not converged well enough
-    to certify ||f|| = 1 within 1e-10.
+    preserved.  Raises ``DomainError`` for a squared norm at or below
+    ``MIN_NORM_SQ`` and ``PrecisionError`` when the quadrature has not
+    converged well enough to certify ||f|| = 1 within 1e-10.
     """
     est = test_norm(f, q)
-    if not est.value > 1e-60 or not math.isfinite(est.value):
+    if not est.value > MIN_NORM_SQ or not math.isfinite(est.value):
         raise DomainError(f"test function norm is degenerate: {est.value!r}")
     if est.error > 1e-10 * est.value:
         raise PrecisionError(

@@ -9,8 +9,7 @@ The side-A flip operator swaps a fixed pair of levels with opposite
 phases ``e^{+i phi}`` / ``e^{-i phi}`` and leaves the remaining level
 alone; side B swaps the mirrored pair (``_FLIP_PAIRS``).  Each flip is
 hermitian and an involution, so any two phases per side form a valid
-CHSH quadruple.  Two-particle operators are kept as single-particle
-factors (``FactoredOperator``).
+CHSH quadruple.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 
 from .chsh import AngleSet, ChshQuadruple, ClosedFormCorrelator, flip_quadruple
 from .errors import DomainError
-from .linalg import FactoredOperator, Ket
+from .linalg import Ket
 
 SPIN_HALF = "half"
 SPIN_ONE = "one"
@@ -60,21 +59,6 @@ class SingletState:
     ket: Ket
 
 
-def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-particle (Sx, Sy, Sz) in the fixed basis ordering."""
-    levels = _check_spin(spin)
-    s = (levels - 1) / 2.0
-    m = s - np.arange(levels)
-    raise_elem = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
-    sp = np.zeros((levels, levels), dtype=complex)
-    sp[np.arange(levels - 1), np.arange(1, levels)] = raise_elem
-    sm = sp.conj().T
-    sx = (sp + sm) / 2
-    sy = (sp - sm) / 2j
-    sz = np.diag(m).astype(complex)
-    return sx, sy, sz
-
-
 def singlet(spin: str) -> SingletState:
     """The singlet sum_m (-1)^(s-m) |m, -m> / sqrt(2s+1) of two spin-1/2 or
     two spin-1 particles; level i holds m = s - i, of L = 2s+1 levels.
@@ -87,14 +71,6 @@ def singlet(spin: str) -> SingletState:
     i = np.arange(levels)
     amp[i, levels - 1 - i] = (-1.0) ** i / math.sqrt(levels)
     return SingletState(spin=spin, ket=Ket(amp.ravel(), normalized=True))
-
-
-def spin_hamiltonian() -> FactoredOperator:
-    """The spin-1 coupling S_A . S_B = (S_A + S_B)^2 / 2 - 2.
-
-    The singlet is its ground state with eigenvalue -2.
-    """
-    return FactoredOperator(tuple((1.0, si, si) for si in spin_matrices(SPIN_ONE)))
 
 
 def spin_quadruple(spin: str, angles: AngleSet) -> ChshQuadruple:

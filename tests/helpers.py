@@ -6,6 +6,12 @@ small spaces (spin, and Fock cutoffs up to about 8).  The closed forms
 only tests use (the total spin, the squeezed and the spin-1/2 pair
 correlators) live here too.
 
+So do the builders only tests use: the spin matrices, the spin-1
+coupling S_A . S_B whose -2 ground state is the singlet, and the
+composite index of |n, n>.  The library fixes the violation window at
+the constant (sqrt(2) - 1, 1); the oracle here bisects the closed-form
+CHSH excess for its lower endpoint.
+
 The library evaluates the Fock-space parity flips of ``chsh_matrix`` on
 the Schmidt form of the squeezed state, as 2 x 2 blocks against the
 pair Gram of its amplitudes.  The oracles here act on a general
@@ -49,14 +55,17 @@ from bellchsh import (
     FockSpace,
     GaussianPacket,
     Ket,
+    MAX_VIOLATION_ANGLES,
     RindlerModeSet,
+    SPIN_HALF,
+    SPIN_ONE,
     ShellQuadrature,
+    chsh_closed,
     fock,
     phase_flip,
-    spin_matrices,
     wrap_angle,
 )
-from bellchsh.errors import DomainError, ShapeError
+from bellchsh.errors import DomainError, PrecisionError, ShapeError
 
 
 def dense(op: FactoredOperator) -> np.ndarray:
@@ -224,6 +233,35 @@ def ladder_matrices(space: FockSpace) -> tuple[FactoredOperator, FactoredOperato
             FactoredOperator(((1.0, eye, low),)), FactoredOperator(((1.0, eye, raz),)))
 
 
+def diagonal_index(space: FockSpace, n: int) -> int:
+    """Composite index of the pair state |n, n>."""
+    return n * space.cutoff + n
+
+
+def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Single-particle (Sx, Sy, Sz) in the package's basis ordering,
+    descending m, for ``SPIN_HALF`` or ``SPIN_ONE``."""
+    levels = {SPIN_HALF: 2, SPIN_ONE: 3}[spin]
+    s = (levels - 1) / 2.0
+    m = s - np.arange(levels)
+    raise_elem = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
+    sp = np.zeros((levels, levels), dtype=complex)
+    sp[np.arange(levels - 1), np.arange(1, levels)] = raise_elem
+    sm = sp.conj().T
+    sx = (sp + sm) / 2
+    sy = (sp - sm) / 2j
+    sz = np.diag(m).astype(complex)
+    return sx, sy, sz
+
+
+def spin_hamiltonian() -> FactoredOperator:
+    """The spin-1 coupling S_A . S_B = (S_A + S_B)^2 / 2 - 2.
+
+    The singlet is its ground state with eigenvalue -2.
+    """
+    return FactoredOperator(tuple((1.0, si, si) for si in spin_matrices(SPIN_ONE)))
+
+
 def total_spin_squared(spin: str) -> FactoredOperator:
     """(S_A + S_B)^2 on the product space; annihilates the singlet."""
     matrices = spin_matrices(spin)
@@ -232,6 +270,32 @@ def total_spin_squared(spin: str) -> FactoredOperator:
     for si in matrices:
         terms += [(1.0, si @ si, eye), (2.0, si, si), (1.0, eye, si @ si)]
     return FactoredOperator(tuple(terms))
+
+
+#: Agreement required between the bisected and the analytic lower
+#: endpoint of the violation window.
+WINDOW_TOL = 1e-10
+
+
+def bisected_window_lower() -> float:
+    """Lower endpoint of the violation window, found by bisecting
+    ``chsh_closed(., MAX_VIOLATION_ANGLES) - 2`` on [0.01, 0.99] down to
+    a bracket of ``WINDOW_TOL / 4``; the oracle for ``VIOLATION_WINDOW``.
+    A bracket without a sign change raises ``PrecisionError``.
+    """
+    def excess(eta: float) -> float:
+        return chsh_closed(eta, MAX_VIOLATION_ANGLES) - 2.0
+
+    lo, hi = 0.01, 0.99
+    if not excess(lo) < 0.0 < excess(hi):
+        raise PrecisionError("violation-window bracket lost its sign change")
+    while hi - lo > 0.25 * WINDOW_TOL:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def correlator_closed(eta: float, alpha_k: float, beta_i: float) -> float:

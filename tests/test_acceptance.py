@@ -22,7 +22,9 @@ from bellchsh import (
 )
 from bellchsh import fock, kleingordon, spin
 from helpers import (
+    WINDOW_TOL,
     acceleration_squeezing,
+    bisected_window_lower,
     full_quadruple,
     random_involution_quadruple,
     random_state,
@@ -82,13 +84,15 @@ def test_criterion_04_violation_window():
     endpoint_value = fock.chsh_closed(ROOT2 - 1.0, angles)
     ok = abs(endpoint_value - 2.0) <= 1e-12
 
-    lo, hi = fock.violation_window()  # raises if bisection drifts
-    ok = ok and abs(lo - (ROOT2 - 1.0)) <= 1e-10 and hi == 1.0
+    lo, hi = fock.VIOLATION_WINDOW
+    root = bisected_window_lower()
+    ok = ok and abs(lo - root) <= WINDOW_TOL and hi == 1.0
 
     interior = np.linspace(lo, hi, 102)[1:-1]
     ok = ok and all(fock.chsh_closed(float(e), angles) > 2.0 for e in interior)
     report(4, "violation window (sqrt(2)-1, 1) with bisected lower endpoint", ok,
-           f"endpoint value dev {abs(endpoint_value - 2.0):.2e}")
+           f"endpoint value dev {abs(endpoint_value - 2.0):.2e}, "
+           f"bisection dev {abs(lo - root):.2e}")
 
 
 def test_criterion_05_maximum_violation():

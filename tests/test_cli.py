@@ -117,6 +117,18 @@ class TestSqueezeScan:
         assert below and all(float(r["chsh_closed"]) < 2.0 for r in below)
         assert above and all(float(r["chsh_closed"]) > 2.0 for r in above)
 
+    def test_closed_form_once_per_matrix_row(self, capsys, monkeypatch):
+        # the window endpoint is a constant: no bisection at run time
+        calls = []
+        closed = fock.chsh_closed
+        monkeypatch.setattr(fock, "chsh_closed",
+                            lambda eta, angles: calls.append(eta) or closed(eta, angles))
+        code, out, _ = run(capsys, "squeeze-scan")
+        assert code == 0
+        matrix_rows = [r for r in csv_rows(out) if r["chsh_matrix"] != ""]
+        assert len(calls) == len(matrix_rows) == 10
+        assert all(math.isfinite(float(r["chsh_matrix"])) for r in matrix_rows)
+
     def test_difference_column_within_tolerance(self, capsys):
         code, out, _ = run(capsys, "squeeze-scan", "--cutoff", "12",
                            "--eta-range", "0.2:0.8:4")
@@ -302,6 +314,15 @@ class TestKgNorm:
 
     def test_zero_amplitude_is_degenerate(self, capsys):
         code, out, err = run(capsys, "kg-norm", "--amplitude", "0")
+        assert code == 2
+        assert out == ""
+        assert "degenerate" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--normalize"]])
+    def test_tiny_amplitude_is_degenerate(self, capsys, extra):
+        # norm_sq ~ 6e-83 lies below kleingordon.MIN_NORM_SQ, the one
+        # threshold of kg-norm and normalize
+        code, out, err = run(capsys, "kg-norm", "--amplitude", "1e-40", *extra)
         assert code == 2
         assert out == ""
         assert "degenerate" in err and len(err.strip().splitlines()) == 1

@@ -19,7 +19,7 @@ from bellchsh.fock import (
     FockSpace,
     MAX_CUTOFF,
     MAX_VIOLATION_ANGLES,
-    WINDOW_TOL,
+    VIOLATION_WINDOW,
     bogoliubov_pair,
     chsh_closed,
     chsh_matrix,
@@ -27,12 +27,14 @@ from bellchsh.fock import (
     squeezed_closed_form,
     squeezed_hamiltonian,
     squeezed_state,
-    violation_window,
 )
 from helpers import (
+    WINDOW_TOL,
+    bisected_window_lower,
     chsh_operator,
     correlator_closed,
     dense,
+    diagonal_index,
     expectation,
     flip_parity,
     flip_rows,
@@ -94,7 +96,7 @@ class TestFockSpace:
         assert FockSpace(6).dim == 36
 
     def test_diagonal_index(self):
-        assert FockSpace(6).diagonal_index(4) == 4 * 6 + 4
+        assert diagonal_index(FockSpace(6), 4) == 4 * 6 + 4
 
     @pytest.mark.parametrize("bad", [2, 3, 5, 7, 0, -4])
     def test_rejects_odd_or_small_cutoffs(self, bad):
@@ -159,7 +161,7 @@ class TestSqueezedState:
         # sqrt(1 - 0.25) * 0.25 evaluated once and pinned
         space = FockSpace(40)
         state = squeezed_state(0.5, space)
-        amp = state.ket.amplitudes[space.diagonal_index(2)]
+        amp = state.ket.amplitudes[diagonal_index(space, 2)]
         assert abs(amp - 0.21650635094610966) <= 1e-14
 
     def test_normalized(self):
@@ -432,18 +434,19 @@ class TestClosedForms:
 
 class TestViolationWindow:
     def test_endpoints(self):
-        lo, hi = violation_window()
+        lo, hi = VIOLATION_WINDOW
         assert hi == 1.0
         assert abs(lo - (ROOT2 - 1.0)) <= 1e-15
 
     def test_bisection_consistency_tolerance(self):
-        # the call itself bisects and raises on disagreement > WINDOW_TOL
+        # the constant against the bisected root of the closed-form excess
         assert WINDOW_TOL == 1e-10
-        lo, _ = violation_window()
-        assert abs(lo - 0.4142135624) <= 1e-9
+        root = bisected_window_lower()
+        assert abs(root - VIOLATION_WINDOW[0]) <= WINDOW_TOL
+        assert abs(root - 0.4142135624) <= 1e-9
 
     def test_continuity_bracket(self):
-        lo, _ = violation_window()
+        lo, _ = VIOLATION_WINDOW
         assert chsh_closed(lo - 1e-3, MAX_VIOLATION_ANGLES) < 2.0
         assert chsh_closed(lo + 1e-3, MAX_VIOLATION_ANGLES) > 2.0
 

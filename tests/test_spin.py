@@ -10,8 +10,6 @@ from bellchsh import (
     phase_flip,
     singlet,
     spin_half_chsh_closed,
-    spin_hamiltonian,
-    spin_matrices,
     spin_one_chsh_closed,
     spin_quadruple,
     validate_quadruple,
@@ -27,6 +25,8 @@ from helpers import (
     full_quadruple,
     hermiticity_deviation,
     spin_half_pair_correlator,
+    spin_hamiltonian,
+    spin_matrices,
     total_spin_squared,
 )
 
