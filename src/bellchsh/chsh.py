@@ -77,15 +77,15 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     scalar ``phase`` gives one read-only complex ``(dim, dim)`` matrix;
     an array of phases gives the read-only stack of shape
     ``phases.shape + (dim, dim)``, one flip per phase, each byte for byte
-    the matrix of its scalar call.  The stack starts zero-filled; the
-    fixed levels, the ones the ``bincount`` of the domain check counts
-    zero times, get their 1, and each pair its two phase entries.  Each
-    flip is hermitian and an exact involution by construction.  ``dim``
-    must be a positive integer with at most ``4 * MAX_FLIP_DIM**2``
-    entries in the stack, ``pairs`` a non-empty integer array of
-    disjoint ``(src, dst)`` rows within ``[0, dim)`` and every phase
-    finite; otherwise ``DomainError`` is raised before anything of
-    ``dim``'s size is allocated.
+    the matrix of its scalar call.  The stack starts zero-filled; when
+    some level is left unpaired, the whole diagonal gets its 1 and the
+    paired levels' diagonal its 0 again, and each pair gets its two
+    phase entries.  Each flip is hermitian and an exact involution by
+    construction.  ``dim`` must be a positive integer with at most ``4 *
+    MAX_FLIP_DIM**2`` entries in the stack, ``pairs`` a non-empty integer
+    array of disjoint ``(src, dst)`` rows within ``[0, dim)`` and every
+    phase finite; otherwise ``DomainError`` is raised before anything of
+    ``dim``'s or an oversized ``pairs``' size is allocated.
     """
     pairs = np.asarray(pairs)
     phases = np.asarray(phase, dtype=float)
@@ -93,22 +93,27 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
         levels = operator.index(dim)
     except TypeError:
         levels = 0
+    # disjoint levels in [0, dim) number at most dim, which bounds the list
     if not (1 <= levels and phases.size * levels * levels <= 4 * MAX_FLIP_DIM ** 2
             and pairs.dtype.kind == "i" and pairs.ndim == 2 and pairs.shape[1] == 2
-            and pairs.size and pairs.min() >= 0 and np.isfinite(phases).all()
-            and len(counts := np.bincount(pairs.ravel(), minlength=dim)) == dim
-            and counts.max() <= 1):
+            and 0 < pairs.size <= levels
+            and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
+            and 0 <= min(paired) and max(paired) < levels
+            and np.isfinite(phases).all()):
+        named = (pairs.tolist() if pairs.size <= max(levels, 2)
+                 else f"of shape {pairs.shape} and dtype {pairs.dtype}")
         raise DomainError(f"phase flip is not hermitian or not an involution: dim "
                           f"must be a positive integer with {phases.size} * dim**2 "
                           f"at most {4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint "
                           f"integer level pairs in [0, dim) and every phase finite, "
-                          f"got pairs {pairs.tolist()} and phase {phase} for dim "
-                          f"{dim!r}")
+                          f"got pairs {named} and phase {phase} for dim {dim!r}")
     src, dst = pairs.T
     up = np.exp(1j * phases)[..., None]
-    fixed = np.flatnonzero(counts == 0)
     m = np.zeros(phases.shape + (dim, dim), dtype=complex)
-    m[..., fixed, fixed] = 1.0
+    if len(flat) < levels:
+        diagonal = m.reshape(-1, levels * levels)[:, ::levels + 1]
+        diagonal[...] = 1.0
+        diagonal[:, pairs] = 0.0
     m[..., dst, src] = up
     m[..., src, dst] = up.conj()
     m.setflags(write=False)

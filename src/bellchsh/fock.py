@@ -62,6 +62,9 @@ DEFAULT_CUTOFF = 40
 #: only ``cutoff**2`` array left; ``chsh_matrix`` builds none.
 MAX_CUTOFF = MAX_FLIP_DIM
 
+#: The one parity pair of a flip's 2 x 2 block in ``chsh_matrix``.
+_BLOCK_PAIRS = np.array([(0, 1)])
+
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -249,5 +252,5 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     amp /= math.sqrt(amp @ amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs
-    a1, a2, b1, b2 = phase_flip(2, [(0, 1)], angles.as_tuple())
+    a1, a2, b1, b2 = phase_flip(2, _BLOCK_PAIRS, angles.as_tuple())
     return _real_correlator(np.sum(gram * (a1 * (b1 + b2) + a2 * (b1 - b2))))

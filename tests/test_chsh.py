@@ -302,8 +302,9 @@ class TestStackedPhaseFlip:
             with pytest.raises(DomainError, match="not hermitian"):
                 phase_flip(4, [(0, 1), (2, 3)], stack)
 
-    @pytest.mark.parametrize("pairs", [[(0, 2)], [(0, -1)], [], [(0, 1.5)]],
-                             ids=["beyond-dim", "negative", "empty", "non-integer"])
+    @pytest.mark.parametrize("pairs", [[(0, 2)], [(0, 10**13)], [(0, -1)], [], [(0, 1.5)]],
+                             ids=["beyond-dim", "far-beyond-dim", "negative", "empty",
+                                  "non-integer"])
     def test_malformed_pairs_raise_domain_error(self, pairs):
         # each fails inside the one check, and the message names the pairs
         named = re.escape(f"got pairs {np.asarray(pairs).tolist()}")
@@ -319,20 +320,37 @@ class TestStackedPhaseFlip:
             with pytest.raises(DomainError, match=re.escape(f"for dim {dim!r}")):
                 phase_flip(dim, [(0, 1)], phase)
 
-    @pytest.mark.parametrize("dim,phase", [
-        (10**6, 0.3),
+    @pytest.mark.parametrize("dim,pairs,phase", [
+        (10**6, [(0, 1)], 0.3),
         # a zero-stride stack of 10**6 phases holds one float
-        (2048, np.broadcast_to(0.3, (10**6,))),
-    ], ids=["dim-1e6", "1e6-phases-at-2048"])
-    def test_stack_size_bounded_before_allocation(self, dim, phase):
+        (2048, [(0, 1)], np.broadcast_to(0.3, (10**6,))),
+        (4, [(0, 10**13)], 0.1),
+    ], ids=["dim-1e6", "1e6-phases-at-2048", "level-1e13-at-4"])
+    def test_stack_size_bounded_before_allocation(self, dim, pairs, phase):
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=re.escape(f"for dim {dim!r}")):
-                phase_flip(dim, [(0, 1)], phase)
+                phase_flip(dim, pairs, phase)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the bincount alone of dim 10**6 would take 8 MB
+        # nothing of dim's or of a level's size is allocated: the stack of
+        # dim 10**6 would take 16 TB, a count per level up to 10**13 80 TB
+        assert peak < 2**20
+
+    def test_oversized_pairs_named_by_shape(self):
+        pairs = np.zeros((10**6, 2), dtype=np.int64)  # 16 MB, before tracing
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as raised:
+                phase_flip(4, pairs, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        message = str(raised.value)
+        assert "got pairs of shape (1000000, 2) and dtype int64 " in message
+        assert message.endswith("for dim 4") and len(message) < 400
+        # the listed pairs alone would be an 8 MB message
         assert peak < 2**20
 
     def test_stack_size_bound_is_inclusive(self, monkeypatch):
