@@ -17,8 +17,7 @@ from bellchsh import (
     chsh_value,
     optimize_angles,
     singlet,
-    spin_one_chsh_closed,
-    spin_one_closed_form,
+    spin_closed_form,
     spin_quadruple,
     validate_quadruple,
 )
@@ -41,16 +40,17 @@ def main():
     print(f"CHSH at the quoted phases: {value:+.6f}"
           f"  = 2(2+sqrt2)/3 = {2 * (2 + math.sqrt(2)) / 3:.6f}")
 
-    # sweep one phase to see the violation arc
+    # sweep one phase of the closed form to see the violation arc
+    spin_one = spin_closed_form(SPIN_ONE)
     print("\nbeta1 sweep (alpha1 = pi/2, alpha2 = beta2 = 0):")
     for beta1 in np.linspace(0, math.pi, 9):
         angles = AngleSet(math.pi / 2, 0.0, float(beta1), 0.0)
-        marker = " <-- violation" if abs(spin_one_chsh_closed(angles)) > 2 else ""
-        print(f"  beta1 = {beta1:5.3f}:  CHSH = {spin_one_chsh_closed(angles):+7.4f}{marker}")
+        marker = " <-- violation" if abs(spin_one.value(angles)) > 2 else ""
+        print(f"  beta1 = {beta1:5.3f}:  CHSH = {spin_one.value(angles):+7.4f}{marker}")
 
     # the exact optimum of the closed form (2/3)(1 + sum of signed cosines):
     # |prefactor| (|constant| + 2 sqrt2), at a pi-shift of (-pi, -pi/2, -pi/4, pi/4)
-    best_angles, best = optimize_angles(spin_one_closed_form())
+    best_angles, best = optimize_angles(spin_one)
     print(f"\noptimal phases: {tuple(round(a, 6) for a in best_angles.as_tuple())}")
     print(f"optimal |CHSH| = {best:.9f}  (= (2/3)(1 + 2 sqrt2) = "
           f"{(2 / 3) * (1 + 2 * math.sqrt(2)):.9f})")

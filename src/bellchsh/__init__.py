@@ -67,9 +67,7 @@ from .spin import (
     SingletState,
     TSIRELSON_ANGLES,
     singlet,
-    spin_half_chsh_closed,
-    spin_one_chsh_closed,
-    spin_one_closed_form,
+    spin_closed_form,
     spin_quadruple,
 )
 

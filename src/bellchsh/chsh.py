@@ -82,10 +82,13 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     paired levels' diagonal its 0 again, and each pair gets its two
     phase entries.  Each flip is hermitian and an exact involution by
     construction.  ``dim`` must be a positive integer with at most ``4 *
-    MAX_FLIP_DIM**2`` entries in the stack, ``pairs`` a non-empty integer
-    array of disjoint ``(src, dst)`` rows within ``[0, dim)`` and every
-    phase finite; otherwise ``DomainError`` is raised before anything of
-    ``dim``'s or an oversized ``pairs``' size is allocated.
+    MAX_FLIP_DIM**2`` entries in the stack (an empty stack counts as one
+    flip), ``pairs`` a non-empty integer array of disjoint ``(src, dst)``
+    rows within ``[0, dim)`` and every phase finite; otherwise
+    ``DomainError`` is raised before anything of ``dim``'s or an
+    oversized ``pairs``' size is allocated.  An oversized argument is
+    named by its shape (a stack of phases also by its first non-finite
+    entry), not listed.
     """
     pairs = np.asarray(pairs)
     phases = np.asarray(phase, dtype=float)
@@ -93,17 +96,23 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
         levels = operator.index(dim)
     except TypeError:
         levels = 0
+    # an empty stack is sized as one flip, so its dim is bounded as well;
     # disjoint levels in [0, dim) number at most dim, which bounds the list
-    if not (1 <= levels and phases.size * levels * levels <= 4 * MAX_FLIP_DIM ** 2
-            and pairs.dtype.kind == "i" and pairs.ndim == 2 and pairs.shape[1] == 2
-            and 0 < pairs.size <= levels
+    flips = max(phases.size, 1)
+    fits = 1 <= levels and flips * levels * levels <= 4 * MAX_FLIP_DIM ** 2
+    if not (fits and pairs.dtype.kind == "i" and pairs.ndim == 2
+            and pairs.shape[1] == 2 and 0 < pairs.size <= levels
             and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
             and 0 <= min(paired) and max(paired) < levels
             and np.isfinite(phases).all()):
         named = (pairs.tolist() if pairs.size <= max(levels, 2)
                  else f"of shape {pairs.shape} and dtype {pairs.dtype}")
+        if phases.size > 4:  # named by shape; only a stack that fits is searched
+            bad = phases[~np.isfinite(phases)][:1].tolist() if fits else []
+            phase = f"of shape {phases.shape}" + "".join(
+                f" with first non-finite entry {x}" for x in bad)
         raise DomainError(f"phase flip is not hermitian or not an involution: dim "
-                          f"must be a positive integer with {phases.size} * dim**2 "
+                          f"must be a positive integer with {flips} * dim**2 "
                           f"at most {4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint "
                           f"integer level pairs in [0, dim) and every phase finite, "
                           f"got pairs {named} and phase {phase} for dim {dim!r}")
@@ -266,12 +275,15 @@ class ClosedFormCorrelator:
     """CHSH correlator given in closed form over the four phase sums.
 
     value(angles) = prefactor * (constant
-                                 + signs[0] * cos(alpha1 + beta1)
-                                 + signs[1] * cos(alpha2 + beta1)
-                                 + signs[2] * cos(alpha1 + beta2)
-                                 + signs[3] * cos(alpha2 + beta2))
+                                 + signs[0] * cos(alpha1 + o * beta1)
+                                 + signs[1] * cos(alpha2 + o * beta1)
+                                 + signs[2] * cos(alpha1 + o * beta2)
+                                 + signs[3] * cos(alpha2 + o * beta2))
 
-    The four sums obey (a1+b1) + (a2+b2) = (a2+b1) + (a1+b2), so for an
+    with ``o = orientation``: +1 where the B phases add to the A phases
+    (squeezed pairs, spin 1), -1 where they subtract (spin 1/2).  ``o *
+    beta`` is exact, so no angle is negated and re-wrapped.  Either way
+    the four sums obey (a1+b1) + (a2+b2) = (a2+b1) + (a1+b2), so for an
     odd sign pattern (signs +-1, an odd number of them -1, as in every
     form here) max |value| = |prefactor| (|constant| + 2 sqrt(2))
     (Cirel'son, Lett. Math. Phys. 4, 93, 1980; Landau, Phys. Lett. A
@@ -281,9 +293,11 @@ class ClosedFormCorrelator:
     prefactor: float
     signs: tuple[float, float, float, float]
     constant: float = 0.0
+    orientation: float = 1.0
 
     def value(self, angles: AngleSet) -> float:
         a1, a2, b1, b2 = angles.as_tuple()
+        b1, b2 = self.orientation * b1, self.orientation * b2
         s = self.signs
         return self.prefactor * (
             self.constant
@@ -298,14 +312,18 @@ def optimize_angles(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
     """Maximize |cf(angles)| over the four measurement phases, exactly.
 
     At ``(-pi, -pi/2, -pi/4, pi/4)`` the four cosines are (-1, -1, -1, 1)
-    / sqrt(2); shifting one phase by pi flips the two it enters, so for an
-    odd sign pattern the 16 pi-shifts include the maximum of
-    ``ClosedFormCorrelator``.  Returns the first shift (unshifted first)
-    within ``1e-12 max(1, peak)`` of the peak, with |value| there.  An
-    even sign pattern raises ``DomainError``.
+    / sqrt(2) at orientation +1 and (-1, 1, -1, -1) / sqrt(2) at -1, both
+    odd; shifting one phase by pi flips the two cosines it enters, so
+    either way the 16 pi-shifts reach every odd cosine sign pattern and
+    include the maximum of ``ClosedFormCorrelator``.  Returns the first
+    shift (unshifted first) within ``1e-12 max(1, peak)`` of the peak,
+    with |value| there.  An even sign pattern, or an orientation other
+    than +-1, raises ``DomainError``.
     """
-    if not all(abs(s) == 1.0 for s in cf.signs) or math.prod(cf.signs) != -1.0:
-        raise DomainError(f"optimize_angles needs an odd sign pattern, got {cf.signs}")
+    if (not all(abs(s) == 1.0 for s in cf.signs) or math.prod(cf.signs) != -1.0
+            or cf.orientation not in (1.0, -1.0)):
+        raise DomainError(f"optimize_angles needs an odd sign pattern and an "
+                          f"orientation of +-1, got {cf.signs} and {cf.orientation}")
     base = (-math.pi, -0.5 * math.pi, -0.25 * math.pi, 0.25 * math.pi)
     candidates = [AngleSet(*(b + math.pi * k for b, k in zip(base, shift)))
                   for shift in itertools.product((0, 1), repeat=4)]

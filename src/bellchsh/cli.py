@@ -201,11 +201,9 @@ def cmd_spin(args) -> int:
         rows.append({"quantity": quantity, "value": value})
 
     ok = True
-    for name, kind, default_angles, closed in (
-        ("spin_one", spin.SPIN_ONE, spin.SPIN_ONE_VIOLATION_ANGLES,
-         spin.spin_one_chsh_closed),
-        ("spin_half", spin.SPIN_HALF, spin.TSIRELSON_ANGLES,
-         spin.spin_half_chsh_closed),
+    for name, kind, default_angles in (
+        ("spin_one", spin.SPIN_ONE, spin.SPIN_ONE_VIOLATION_ANGLES),
+        ("spin_half", spin.SPIN_HALF, spin.TSIRELSON_ANGLES),
     ):
         angles = override or default_angles
         state = spin.singlet(kind)
@@ -217,11 +215,11 @@ def cmd_spin(args) -> int:
         add(f"{name}_validation_passed", int(report.passed))
         ok = ok and report.passed
         matrix_value = chsh_value(state.ket, quadruple)
-        add(f"{name}_chsh_closed", closed(angles))
+        add(f"{name}_chsh_closed", spin.spin_closed_form(kind).value(angles))
         add(f"{name}_chsh_matrix", matrix_value)
         add(f"{name}_abs_chsh", abs(matrix_value))
 
-    best_angles, best = optimize_angles(spin.spin_one_closed_form())
+    best_angles, best = optimize_angles(spin.spin_closed_form(spin.SPIN_ONE))
     add("spin_one_closed_form_optimum", best)
     for label, value in zip(("alpha1", "alpha2", "beta1", "beta2"),
                             best_angles.as_tuple()):
@@ -277,7 +275,7 @@ def cmd_squeeze_scan(args) -> int:
 
 def cmd_optimize(args) -> int:
     if args.closed_form == "spin-one":
-        form = spin.spin_one_closed_form()
+        form = spin.spin_closed_form(spin.SPIN_ONE)
         rows = [{"quantity": "closed_form", "value": "spin-one"}]
     else:
         if not 0.0 < args.eta < 1.0:

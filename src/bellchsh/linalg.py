@@ -78,12 +78,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "Ket") -> complex:
-        """Inner product <self|other> (antilinear in self)."""
-        if self.dim != other.dim:
-            raise ShapeError(f"ket dims differ: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class FactoredOperator:

@@ -39,10 +39,10 @@ class RindlerModeSet:
         object.__setattr__(self, "frequencies", freqs)
         if not freqs:
             raise DomainError("mode set needs at least one frequency")
-        if not all(0.0 < w < math.inf for w in freqs):
-            raise DomainError(f"frequencies must be positive and finite, got {freqs}")
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
-            raise DomainError(f"frequencies must be strictly ascending, got {freqs}")
+        for i, w in enumerate(freqs):  # named with its index, not the whole tuple
+            if not 0.0 < w < math.inf or i and w <= freqs[i - 1]:
+                raise DomainError(f"frequencies must be positive, finite and strictly "
+                                  f"ascending, got {w} at index {i} of {len(freqs)}")
 
 
 def unruh_temperature(acceleration: float) -> float:

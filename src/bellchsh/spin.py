@@ -37,6 +37,12 @@ _FLIP_PAIRS = {
     SPIN_ONE: (((2, 1),), ((0, 1),)),
 }
 
+#: Closed forms of the singlet CHSH values (see ``spin_closed_form``).
+_CLOSED_FORMS = {
+    SPIN_HALF: ClosedFormCorrelator(1.0, (-1.0, -1.0, -1.0, 1.0), orientation=-1.0),
+    SPIN_ONE: ClosedFormCorrelator(2.0 / 3.0, (-1.0, -1.0, -1.0, 1.0), constant=1.0),
+}
+
 #: Phases recovering the Tsirelson bound 2*sqrt(2) on the spin-1/2 singlet.
 TSIRELSON_ANGLES = AngleSet(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
 
@@ -83,30 +89,13 @@ def spin_quadruple(spin: str, angles: AngleSet) -> ChshQuadruple:
     return flip_quadruple((levels, levels), _FLIP_PAIRS[spin], angles)
 
 
-def spin_one_closed_form() -> ClosedFormCorrelator:
-    """Closed-form spin-1 singlet correlator as an optimizable descriptor.
+def spin_closed_form(spin: str) -> ClosedFormCorrelator:
+    """The singlet's closed-form CHSH value as an optimizable descriptor.
 
-    <C> = (2/3) (1 - cos(a1+b1) - cos(a2+b1) - cos(a1+b2) + cos(a2+b2))
+    Spin 1/2: -cos(a1-b1) - cos(a2-b1) - cos(a1-b2) + cos(a2-b2), four
+    pair correlators -cos(alpha - beta): both sides flip |+> <-> |->, so
+    the phases subtract (orientation -1).
+    Spin 1:   (2/3) (1 - cos(a1+b1) - cos(a2+b1) - cos(a1+b2) + cos(a2+b2)).
     """
-    return ClosedFormCorrelator(
-        prefactor=2.0 / 3.0,
-        signs=(-1.0, -1.0, -1.0, 1.0),
-        constant=1.0,
-    )
-
-
-def spin_one_chsh_closed(angles: AngleSet) -> float:
-    """Evaluate the spin-1 closed form at the given phases."""
-    return spin_one_closed_form().value(angles)
-
-
-def spin_half_chsh_closed(angles: AngleSet) -> float:
-    """Spin-1/2 singlet CHSH value from the per-pair correlators
-    <A(alpha) B(beta)> = -cos(alpha - beta).
-
-    The sign and the relative phase are fixed by the matrix computation
-    on the spin-1/2 singlet (the flip phases enter Alice's and Bob's
-    raising directions with the same orientation, so they subtract).
-    """
-    a1, a2, b1, b2 = angles.as_tuple()
-    return -math.cos(a1 - b1) - math.cos(a2 - b1) - math.cos(a1 - b2) + math.cos(a2 - b2)
+    _check_spin(spin)
+    return _CLOSED_FORMS[spin]

@@ -385,8 +385,8 @@ def _grid_argmax(cf: ClosedFormCorrelator, points: int) -> tuple[float, ...]:
     g = -np.pi + 2.0 * np.pi * np.arange(points) / points
     a1 = g[:, None, None, None]
     a2 = g[None, :, None, None]
-    b1 = g[None, None, :, None]
-    b2 = g[None, None, None, :]
+    b1 = cf.orientation * g[None, None, :, None]
+    b2 = cf.orientation * g[None, None, None, :]
     s = cf.signs
     vals = np.abs(cf.prefactor * (
         cf.constant

@@ -13,7 +13,7 @@ from bellchsh import (
     optimize_angles,
     rindler_chsh,
     singlet,
-    spin_one_chsh_closed,
+    spin_closed_form,
     spin_quadruple,
     tau,
     temperature_scan,
@@ -44,7 +44,7 @@ def report(number: int, title: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_spin_one_reproduction():
     target = 2 * (2 + ROOT2) / 3
     angles = spin.SPIN_ONE_VIOLATION_ANGLES
-    closed = spin_one_chsh_closed(angles)
+    closed = spin_closed_form(spin.SPIN_ONE).value(angles)
     matrix = chsh_value(singlet(spin.SPIN_ONE).ket,
                         spin_quadruple(spin.SPIN_ONE, angles))
     ok = abs(closed - target) <= 1e-12 and abs(matrix - target) <= 1e-12

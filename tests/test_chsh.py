@@ -183,16 +183,17 @@ class TestOptimizer:
             assert abs(best - 2 * ROOT2 * c) <= 1e-6
 
     def test_spin_one_form_beats_quoted_value(self):
-        angles, best = optimize_angles(spin.spin_one_closed_form())
+        form = spin.spin_closed_form(spin.SPIN_ONE)
+        angles, best = optimize_angles(form)
         assert best >= 2 * (2 + ROOT2) / 3 - 1e-9
         # the constant shifts the attainable cosine peak: (2/3)(1 + 2 sqrt(2))
         assert abs(best - (2.0 / 3.0) * (1 + 2 * ROOT2)) <= 1e-6
         # the reported angles actually realize the reported value
-        assert abs(abs(spin.spin_one_chsh_closed(angles)) - best) <= 1e-12
+        assert abs(abs(form.value(angles)) - best) <= 1e-12
 
     def test_optimum_dominates_random_sampling(self):
         rng = np.random.default_rng(47)
-        form = spin.spin_one_closed_form()
+        form = spin.spin_closed_form(spin.SPIN_ONE)
         _, best = optimize_angles(form)
         samples = rng.uniform(-math.pi, math.pi, size=(20000, 4))
         sampled = max(abs(form.value(AngleSet(*row))) for row in samples)
@@ -210,25 +211,26 @@ class TestOptimizer:
         assert first[1] == second[1]
 
     def test_exact_optimum_over_all_odd_patterns(self):
-        # every odd pattern, constants of each sign, prefactors of each sign
+        # every odd pattern, constants of each sign, prefactors of each sign,
+        # B phases added (orientation 1) or subtracted (-1)
         rng = np.random.default_rng(59)
         patterns = [s for s in itertools.product((1.0, -1.0), repeat=4)
                     if math.prod(s) < 0.0]
         assert len(patterns) == 8
-        for signs in patterns:
+        for signs, o in itertools.product(patterns, (1.0, -1.0)):
             for constant in (-float(rng.uniform(0.1, 3.0)), 0.0,
                              float(rng.uniform(0.1, 3.0))):
                 prefactor = float(rng.uniform(0.1, 2.0)) * rng.choice([-1.0, 1.0])
-                form = ClosedFormCorrelator(prefactor, signs, constant)
+                form = ClosedFormCorrelator(prefactor, signs, constant, o)
                 angles, best = optimize_angles(form)
                 bound = abs(prefactor) * (abs(constant) + 2 * ROOT2)
-                assert abs(best - bound) <= 1e-14 * bound, (signs, constant, prefactor)
+                assert abs(best - bound) <= 1e-14 * bound, (signs, o, constant, prefactor)
                 assert best == abs(form.value(angles))
                 assert best >= grid_sweep_optimum(form)[1] - 1e-12
                 a1, a2, b1, b2 = rng.uniform(-math.pi, math.pi, size=(4, 20000))
                 sampled = np.abs(prefactor * (
-                    constant + signs[0] * np.cos(a1 + b1) + signs[1] * np.cos(a2 + b1)
-                    + signs[2] * np.cos(a1 + b2) + signs[3] * np.cos(a2 + b2)))
+                    constant + signs[0] * np.cos(a1 + o * b1) + signs[1] * np.cos(a2 + o * b1)
+                    + signs[2] * np.cos(a1 + o * b2) + signs[3] * np.cos(a2 + o * b2)))
                 assert best >= sampled.max()
 
     def test_even_patterns_rejected(self):
@@ -239,8 +241,14 @@ class TestOptimizer:
         with pytest.raises(DomainError, match="odd sign pattern"):
             optimize_angles(ClosedFormCorrelator(1.0, (1.0, 1.0, 0.5, -1.0)))
 
+    @pytest.mark.parametrize("orientation", [0.5, 0.0, -2.0, math.nan])
+    def test_orientation_other_than_unit_rejected(self, orientation):
+        form = ClosedFormCorrelator(1.0, (-1.0, -1.0, -1.0, 1.0), orientation=orientation)
+        with pytest.raises(DomainError, match="orientation of [+]-1"):
+            optimize_angles(form)
+
     def test_matches_grid_sweep_oracle_on_package_forms(self):
-        for form in (spin.spin_one_closed_form(), fock.squeezed_closed_form(0.7)):
+        for form in (spin.spin_closed_form(spin.SPIN_ONE), fock.squeezed_closed_form(0.7)):
             angles, best = optimize_angles(form)
             oracle_angles, oracle = grid_sweep_optimum(form)
             assert abs(best - oracle) <= 1e-12
@@ -352,6 +360,35 @@ class TestStackedPhaseFlip:
         assert message.endswith("for dim 4") and len(message) < 400
         # the listed pairs alone would be an 8 MB message
         assert peak < 2**20
+
+    def test_empty_stack_bounded_before_allocation(self):
+        # an empty stack is sized as one flip: (0, 10**13, 10**13) is
+        # refused by numpy itself, so the domain check must catch it
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"1 \* dim\*\*2 at most") as raised:
+                phase_flip(10**13, [(0, 1)], [])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value).endswith(f"for dim {10**13}") and peak < 2**20
+        for dim, pairs in self.CASES:
+            empty = phase_flip(dim, pairs, [])
+            assert empty.shape == (0, dim, dim) and not empty.flags.writeable
+
+    def test_long_phase_stack_named_by_shape(self):
+        phases = [0.0] * 10**5 + [math.nan, math.inf]
+        for stack in (phases, np.array(phases)):
+            with pytest.raises(DomainError, match="not hermitian") as raised:
+                phase_flip(2, [(0, 1)], stack)
+            message = str(raised.value)
+            assert ("and phase of shape (100002,) with first non-finite entry nan "
+                    "for dim 2") in message
+            assert len(message) < 1000
+        # a stack over the size bound is named by its shape alone
+        with pytest.raises(DomainError) as raised:
+            phase_flip(2048, [(0, 1)], np.broadcast_to(math.nan, (10**6,)))
+        assert "and phase of shape (1000000,) for dim 2048" in str(raised.value)
 
     def test_stack_size_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(chsh, "MAX_FLIP_DIM", 4)  # at most 64 entries

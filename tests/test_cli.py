@@ -448,6 +448,13 @@ class TestRindlerScan:
         assert out == ""
         assert "configuration error" in err and "Traceback" not in err
 
+    def test_many_descending_modes_give_one_short_line(self, capsys):
+        modes = ",".join(str(w) for w in range(15_000, 0, -1))
+        code, out, err = run(capsys, "rindler-scan", "--modes", modes)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 1000
+        assert "strictly ascending, got 14999.0 at index 1 of 15000" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "rindler-scan", "--temp-range", "0.5:1.5:3",
                            "--format", "json")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +42,16 @@ class TestModeSet:
     def test_non_finite_frequencies(self, freqs):
         with pytest.raises(DomainError):
             RindlerModeSet(freqs)
+
+    @pytest.mark.parametrize("freqs,named", [
+        (tuple(range(15_000, 0, -1)), "got 14999.0 at index 1 of 15000"),
+        ((*range(1, 15_000), -1.0), "got -1.0 at index 14999 of 15000"),
+        ((1.0, math.nan, 0.5), "got nan at index 1 of 3"),
+    ], ids=["descending", "negative-last", "nan"])
+    def test_message_names_count_and_first_offender(self, freqs, named):
+        with pytest.raises(DomainError, match=re.escape(named)) as raised:
+            RindlerModeSet(freqs)
+        assert len(str(raised.value)) < 1000
 
 
 class TestUnruhTemperature:

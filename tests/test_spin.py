@@ -7,10 +7,10 @@ from bellchsh import (
     AngleSet,
     DomainError,
     chsh_value,
+    optimize_angles,
     phase_flip,
     singlet,
-    spin_half_chsh_closed,
-    spin_one_chsh_closed,
+    spin_closed_form,
     spin_quadruple,
     validate_quadruple,
 )
@@ -90,6 +90,8 @@ class TestSinglet:
     def test_unknown_spin_rejected(self):
         with pytest.raises(DomainError):
             singlet("three-halves")
+        with pytest.raises(DomainError):
+            spin_closed_form("three-halves")
 
 
 class TestSpinMatrices:
@@ -168,11 +170,11 @@ class TestFlipOperators:
 
 class TestClosedForms:
     def test_spin_one_quoted_angles(self):
-        value = spin_one_chsh_closed(SPIN_ONE_VIOLATION_ANGLES)
+        value = spin_closed_form(SPIN_ONE).value(SPIN_ONE_VIOLATION_ANGLES)
         assert abs(value - 2 * (2 + ROOT2) / 3) <= 1e-14
 
     def test_spin_one_zero_angles(self):
-        assert spin_one_chsh_closed(AngleSet(0, 0, 0, 0)) == pytest.approx(
+        assert spin_closed_form(SPIN_ONE).value(AngleSet(0, 0, 0, 0)) == pytest.approx(
             -2.0 / 3.0, abs=1e-15)
 
     def test_spin_one_matches_matrix_oracle(self):
@@ -181,7 +183,7 @@ class TestClosedForms:
         for _ in range(100):
             angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
             matrix = chsh_value(psi, spin_quadruple(SPIN_ONE, angles))
-            assert abs(matrix - spin_one_chsh_closed(angles)) <= 1e-12
+            assert abs(matrix - spin_closed_form(SPIN_ONE).value(angles)) <= 1e-12
 
     def test_spin_half_pair_correlator_matches_matrix(self):
         rng = np.random.default_rng(67)
@@ -199,7 +201,32 @@ class TestClosedForms:
         for _ in range(50):
             angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
             matrix = chsh_value(psi, spin_quadruple(SPIN_HALF, angles))
-            assert abs(matrix - spin_half_chsh_closed(angles)) <= 1e-12
+            assert abs(matrix - spin_closed_form(SPIN_HALF).value(angles)) <= 1e-12
 
     def test_spin_half_tsirelson_angles(self):
-        assert abs(abs(spin_half_chsh_closed(TSIRELSON_ANGLES)) - 2 * ROOT2) <= 1e-12
+        value = spin_closed_form(SPIN_HALF).value(TSIRELSON_ANGLES)
+        assert abs(abs(value) - 2 * ROOT2) <= 1e-12
+
+    def test_spin_half_form_is_the_pair_correlator_sum_bit_for_bit(self):
+        # the B-orientation sign multiplies beta exactly, so the descriptor
+        # is the sum of the four -cos(alpha - beta) pair correlators, ==
+        form = spin_closed_form(SPIN_HALF)
+        rng = np.random.default_rng(73)
+        rows = rng.uniform(-7.0, 7.0, size=(20_000, 4)).tolist()
+        # AngleSet wraps beta = pi to -pi, and a negated -pi would wrap back
+        # to -pi: the orientation sign must act inside value, exactly
+        rows += [[a1, a2, b1, b2] for a1 in (0.3, -math.pi, math.pi)
+                 for a2 in (1.1, math.pi) for b1 in (-math.pi, math.pi, 0.2)
+                 for b2 in (-math.pi, math.pi, -2.9)]
+        angle_sets = [AngleSet(*row) for row in rows]
+        pair = spin_half_pair_correlator
+        oracle = [pair(a1, b1) + pair(a2, b1) + pair(a1, b2) - pair(a2, b2)
+                  for a1, a2, b1, b2 in (angles.as_tuple() for angles in angle_sets)]
+        mismatches = sum(form.value(angles) != value
+                         for angles, value in zip(angle_sets, oracle))
+        assert len(angle_sets) == 20_054 and mismatches == 0
+
+    def test_spin_half_optimum_is_tsirelson(self):
+        angles, best = optimize_angles(spin_closed_form(SPIN_HALF))
+        assert best == 2 * ROOT2
+        assert abs(spin_closed_form(SPIN_HALF).value(angles)) == best
