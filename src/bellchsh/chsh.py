@@ -19,12 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ShapeError
+from .errors import DomainError, PrecisionError, ShapeError, to_number
 from .linalg import Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -46,8 +47,8 @@ class AngleSet:
 
     Angles are reduced to [-pi, pi) on construction; all correlators in
     this package depend on them only through cosines of sums, so the
-    reduction never changes a value.  A non-finite phase raises
-    ``DomainError``.
+    reduction never changes a value.  A non-finite phase, or one that is
+    no real number, raises ``DomainError``.
     """
 
     alpha1: float
@@ -57,7 +58,7 @@ class AngleSet:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            value = getattr(self, name)
+            value = to_number(getattr(self, name))
             if not math.isfinite(value):
                 raise DomainError(f"phase {name} must be finite, got {value!r}")
             object.__setattr__(self, name, wrap_angle(value))
@@ -86,12 +87,20 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     flip), ``pairs`` a non-empty integer array of disjoint ``(src, dst)``
     rows within ``[0, dim)`` and every phase finite; otherwise
     ``DomainError`` is raised before anything of ``dim``'s or an
-    oversized ``pairs``' size is allocated.  An oversized argument is
-    named by its shape (a stack of phases also by its first non-finite
-    entry), not listed.
+    oversized ``pairs``' size is allocated.  Ragged ``pairs`` are refused
+    as their repr, and a ``phase`` that is no array of real numbers as one
+    NaN phase.  Pairs of more than 16 entries and a stack of more than
+    four phases are named by their shape (the stack also by its first
+    non-finite entry), not listed.
     """
-    pairs = np.asarray(pairs)
-    phases = np.asarray(phase, dtype=float)
+    try:
+        pairs = np.asarray(pairs)
+    except ValueError:  # ragged rows: a string array, named by a bounded repr
+        pairs = np.array(reprlib.repr(pairs))
+    try:
+        phases = np.asarray(phase, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # named as nan, like to_number
+        phases, phase = np.array(math.nan), math.nan
     try:
         levels = operator.index(dim)
     except TypeError:
@@ -105,17 +114,20 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
             and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
             and 0 <= min(paired) and max(paired) < levels
             and np.isfinite(phases).all()):
-        named = (pairs.tolist() if pairs.size <= max(levels, 2)
+        named = (reprlib.repr(pairs.tolist()) if pairs.size <= 16
                  else f"of shape {pairs.shape} and dtype {pairs.dtype}")
         if phases.size > 4:  # named by shape; only a stack that fits is searched
-            bad = phases[~np.isfinite(phases)][:1].tolist() if fits else []
-            phase = f"of shape {phases.shape}" + "".join(
-                f" with first non-finite entry {x}" for x in bad)
+            first = phases.flat[np.isfinite(phases).argmin()] if fits else 0.0
+            phase = f"of shape {phases.shape}" + (
+                "" if math.isfinite(first) else f" with first non-finite entry {first}")
+        else:
+            phase = reprlib.repr(phase)
         raise DomainError(f"phase flip is not hermitian or not an involution: dim "
                           f"must be a positive integer with {flips} * dim**2 "
                           f"at most {4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint "
                           f"integer level pairs in [0, dim) and every phase finite, "
-                          f"got pairs {named} and phase {phase} for dim {dim!r}")
+                          f"got pairs {named} and phase {phase} for dim "
+                          f"{reprlib.repr(dim)}")
     src, dst = pairs.T
     up = np.exp(1j * phases)[..., None]
     m = np.zeros(phases.shape + (dim, dim), dtype=complex)

@@ -22,7 +22,7 @@ or an ``--out`` path that cannot be written, or a degenerate test
 function, whose squared norm is at most ``kleingordon.MIN_NORM_SQ``,
 1e-60) or by argparse for an unknown flag; 3 validation or tolerance
 failure, raised as ``PrecisionError`` (a numerical certificate, or a
-failed check in ``spin``/``squeeze-scan`` after its rows are written).
+failed ``spin``/``squeeze-scan`` check, raised by ``main`` after the rows).
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None
 # subcommands
 
 
-def cmd_spin(args) -> int:
+def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
     override = parse_angles(args.angles) if args.angles else None
 
     rows: list[dict] = []
@@ -225,13 +225,11 @@ def cmd_spin(args) -> int:
                             best_angles.as_tuple()):
         add(f"spin_one_optimal_{label}", value)
 
-    emit(args.format, args.out, ["quantity", "value"], rows)
-    if not ok:
-        raise PrecisionError("quadruple validation failed; see *_validation_* rows")
-    return _EXIT_OK
+    return (["quantity", "value"], rows,
+            None if ok else "quadruple validation failed; see *_validation_* rows")
 
 
-def cmd_squeeze_scan(args) -> int:
+def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
     space = fock.FockSpace(args.cutoff)  # bounds the cutoff before any allocation
     cutoff = space.cutoff
     angles = parse_angles(args.angles) if args.angles else fock.MAX_VIOLATION_ANGLES
@@ -266,14 +264,11 @@ def cmd_squeeze_scan(args) -> int:
         "abs_difference": None, "note": "window-upper-endpoint-limit",
     })
 
-    emit(args.format, args.out,
-         ["eta", "chsh_closed", "chsh_matrix", "abs_difference", "note"], rows)
-    if not ok:
-        raise PrecisionError("closed form and matrix value disagree beyond tolerance")
-    return _EXIT_OK
+    return (["eta", "chsh_closed", "chsh_matrix", "abs_difference", "note"], rows,
+            None if ok else "closed form and matrix value disagree beyond tolerance")
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> tuple[list[str], list[dict], None]:
     if args.closed_form == "spin-one":
         form = spin.spin_closed_form(spin.SPIN_ONE)
         rows = [{"quantity": "closed_form", "value": "spin-one"}]
@@ -288,11 +283,10 @@ def cmd_optimize(args) -> int:
                             angles.as_tuple()):
         rows.append({"quantity": label, "value": value})
     rows.append({"quantity": "optimum", "value": best})
-    emit(args.format, args.out, ["quantity", "value"], rows)
-    return _EXIT_OK
+    return ["quantity", "value"], rows, None
 
 
-def cmd_kg_norm(args) -> int:
+def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
     # the packet domain (kleingordon.MAX_MOMENTUM), checked per flag
     bound = kleingordon.MAX_MOMENTUM
     center = parse_floats(args.center, "--center")
@@ -324,8 +318,6 @@ def cmd_kg_norm(args) -> int:
     quad = kleingordon.ShellQuadrature.for_packets(packet, radial=radial, tol=args.tol)
 
     estimate = kleingordon.test_norm(packet, quad)
-    if not estimate.value > kleingordon.MIN_NORM_SQ:
-        raise DomainError(f"test function norm is degenerate: {estimate.value!r}")
     rows = [
         {"quantity": "norm_sq", "value": estimate.value},
         {"quantity": "error_estimate", "value": estimate.error},
@@ -337,11 +329,10 @@ def cmd_kg_norm(args) -> int:
             "quantity": "normalized_norm_sq",
             "value": kleingordon.test_norm(unit, quad).value,
         })
-    emit(args.format, args.out, ["quantity", "value"], rows)
-    return _EXIT_OK
+    return ["quantity", "value"], rows, None
 
 
-def cmd_rindler_scan(args) -> int:
+def cmd_rindler_scan(args) -> tuple[list[str], list[dict], None]:
     frequencies = parse_floats(args.modes, "--modes")
     if args.temp_range and args.accel_range:
         raise DomainError("--temp-range and --accel-range are mutually exclusive")
@@ -360,8 +351,7 @@ def cmd_rindler_scan(args) -> int:
         {"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
         for r in scan
     ]
-    emit(args.format, args.out, ["T", "tau", "chsh", "flag"], rows)
-    return _EXIT_OK
+    return ["T", "tau", "chsh", "flag"], rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +430,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        fields, rows, failure = args.handler(args)
+        emit(args.format, args.out, fields, rows)  # the rows are written first
+        if failure is not None:
+            raise PrecisionError(failure)
     except DomainError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return _EXIT_CONFIG
     except PrecisionError as err:
         print(f"precision failure: {err}", file=sys.stderr)
         return _EXIT_CHECK
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chsh import (MAX_FLIP_DIM, AngleSet, ChshQuadruple, ClosedFormCorrelator,
                    _real_correlator, flip_quadruple, phase_flip)
-from .errors import DomainError
+from .errors import DomainError, to_number
 from .linalg import FactoredOperator, Ket
 
 #: Phase choice turning the squeezed closed form into 2 * (2 sqrt(2) eta
@@ -80,7 +81,8 @@ class FockSpace:
         try:
             object.__setattr__(self, "cutoff", operator.index(self.cutoff))
         except TypeError:
-            raise DomainError(f"cutoff must be an integer, got {self.cutoff!r}") from None
+            raise DomainError(f"cutoff must be an integer, "
+                              f"got {reprlib.repr(self.cutoff)}") from None
         if self.cutoff < 4:
             raise DomainError(f"cutoff must be >= 4, got {self.cutoff}")
         if self.cutoff > MAX_CUTOFF:
@@ -96,9 +98,10 @@ class FockSpace:
 
 
 def _check_eta(eta: float) -> float:
+    eta = to_number(eta)
     if not 0.0 < eta < 1.0:
         raise DomainError(f"squeezing parameter must lie in (0, 1), got {eta}")
-    return float(eta)
+    return eta
 
 
 def pair_amplitude(eta: float) -> float:

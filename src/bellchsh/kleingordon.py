@@ -24,29 +24,29 @@ oscillator with the same squeezing parameter.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .chsh import AngleSet
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, to_number
 from . import fock
 
 
-#: Largest mass, spatial center component, width and 1/width of a packet;
-#: its center energy, like every on-shell one, is at most twice this, and
-#: a radial cutoff at most twelve times.  No square, product or exponent
-#: of the quadrature then exceeds ~1e210.
+#: Largest mass, spatial center component, width, 1/width and |amplitude|
+#: of a packet; its center energy, like every on-shell one, is at most
+#: twice this, and a radial cutoff at most twelve times.  No square,
+#: product or exponent of the quadrature then exceeds ~1e210.
 MAX_MOMENTUM = 1e50
 
-#: Largest degenerate squared norm: ``normalize`` and ``kg-norm`` reject
-#: a test function whose ||f||^2 is at or below it, where the rescaling
-#: factor 1/||f|| would exceed 1e30.
+#: Largest degenerate squared norm: ``test_norm``, and with it
+#: ``normalize`` and ``kg-norm``, rejects a test function whose ||f||^2
+#: is at or below it, where the rescaling factor 1/||f|| would exceed 1e30.
 MIN_NORM_SQ = 1e-60
 
 
@@ -68,7 +68,9 @@ class GaussianPacket:
     amplitude : complex
         Overall complex amplitude.
 
-    A value outside its ``MAX_MOMENTUM`` domain raises ``DomainError``.
+    Every field is stored as a float, the amplitude as a complex.  A value
+    outside its ``MAX_MOMENTUM`` domain, or no number at all, raises
+    ``DomainError``.
     """
 
     center: tuple[float, float, float, float]
@@ -78,8 +80,11 @@ class GaussianPacket:
 
     def __post_init__(self):
         if len(self.center) != 4:
-            raise DomainError(f"center must be a four-momentum, got {self.center!r}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+            raise DomainError(f"center must be a four-momentum, "
+                              f"got {reprlib.repr(self.center)}")
+        object.__setattr__(self, "center", tuple(to_number(c) for c in self.center))
+        for name in ("width", "mass"):
+            object.__setattr__(self, name, to_number(getattr(self, name)))
         c0, *spatial = self.center
         bound = MAX_MOMENTUM
         # checked before c0, which on_shell derives from them
@@ -92,18 +97,23 @@ class GaussianPacket:
             raise DomainError(f"center energy must lie within +-{2.0 * bound:g}, got {c0}")
         if not 1.0 / bound <= self.width <= bound:
             raise DomainError(f"width must lie in [1/{bound:g}, {bound:g}], got {self.width}")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if not cmath.isfinite(self.amplitude):
-            raise DomainError(f"amplitude must be finite, got {self.amplitude}")
+        object.__setattr__(self, "amplitude", to_number(self.amplitude, complex))
+        if not abs(self.amplitude) <= bound:  # else the tail bound can be inf
+            raise DomainError(f"amplitude must lie within +-{bound:g} in modulus, "
+                              f"got {self.amplitude}")
 
     @classmethod
     def on_shell(cls, mass: float, spatial_center: tuple[float, float, float],
                  width: float, amplitude: complex = 1.0) -> "GaussianPacket":
         """Packet centered on the shell: c0 = sqrt(m^2 + |cvec|^2), in Python
         floats: an overflow gives inf silently, and the constructor names
-        the mass or center at fault."""
-        mass = float(mass)
-        cx, cy, cz = (float(c) for c in spatial_center)
+        the mass or center at fault.  A center of other than three
+        components raises ``DomainError``."""
+        if len(spatial_center) != 3:
+            raise DomainError(f"spatial center must be a three-momentum, "
+                              f"got {reprlib.repr(spatial_center)}")
+        mass = to_number(mass)
+        cx, cy, cz = (to_number(c) for c in spatial_center)
         c0 = math.sqrt(mass * mass + cx * cx + cy * cy + cz * cz)
         return cls(center=(c0, cx, cy, cz), width=width, mass=mass,
                    amplitude=amplitude)
@@ -158,13 +168,15 @@ class ShellQuadrature:
             object.__setattr__(self, "radial", operator.index(self.radial))
         except TypeError:
             raise DomainError(f"quadrature radial node count must be an integer, "
-                              f"got {self.radial!r}") from None
+                              f"got {reprlib.repr(self.radial)}") from None
         if self.radial < 2:
             raise DomainError("quadrature needs at least 2 radial nodes")
         if self.radial > MAX_RADIAL:
             raise DomainError(
                 f"quadrature radial node count must be <= {MAX_RADIAL}, got {self.radial}"
             )
+        for name in ("k_max", "tol"):
+            object.__setattr__(self, name, to_number(getattr(self, name)))
         # sqrt(3) MAX_MOMENTUM of center norm plus ten momentum widths
         k_limit = 12.0 * MAX_MOMENTUM
         if not 0.0 < self.k_max <= k_limit:
@@ -278,11 +290,14 @@ def test_norm(f: GaussianPacket, q: ShellQuadrature) -> NormEstimate:
     """Squared norm ||f||^2 = <f|f> with a self-convergence error bar.
 
     The error estimate is the difference against the same integral with
-    the radial nodes doubled, on ``q.refined``: one shared rule, so
-    repeated norms on ``q`` build each set of nodes once.
+    the radial nodes doubled, on ``q.refined``: one shared rule, read
+    before any node is built (an over-limit count fails at once), so
+    repeated norms on ``q`` build each set of nodes once.  A value at
+    most ``MIN_NORM_SQ``, or not finite, raises ``DomainError``.
     """
-    value = shell_inner_product(f, f, q).real
-    refined = shell_inner_product(f, f, q.refined).real
+    value, refined = (shell_inner_product(f, f, rule).real for rule in (q, q.refined))
+    if not MIN_NORM_SQ < value < math.inf:
+        raise DomainError(f"test function norm is degenerate: {value!r}")
     return NormEstimate(value=value, error=abs(value - refined))
 
 
@@ -290,13 +305,11 @@ def normalize(f: GaussianPacket, q: ShellQuadrature) -> GaussianPacket:
     """Rescale the packet amplitude so that ||f|| = 1.
 
     The rescaling factor is real and positive, so the amplitude phase is
-    preserved.  Raises ``DomainError`` for a squared norm at or below
-    ``MIN_NORM_SQ`` and ``PrecisionError`` when the quadrature has not
+    preserved.  A degenerate norm raises ``test_norm``'s ``DomainError``,
+    and ``PrecisionError`` is raised when the quadrature has not
     converged well enough to certify ||f|| = 1 within 1e-10.
     """
     est = test_norm(f, q)
-    if not est.value > MIN_NORM_SQ or not math.isfinite(est.value):
-        raise DomainError(f"test function norm is degenerate: {est.value!r}")
     if est.error > 1e-10 * est.value:
         raise PrecisionError(
             f"norm estimate {est.value!r} carries relative error "

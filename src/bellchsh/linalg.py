@@ -51,7 +51,8 @@ class Ket:
     Parameters
     ----------
     amplitudes : array_like
-        Complex amplitudes; coerced to a read-only 1-D complex array.
+        Complex amplitudes; coerced to a read-only 1-D complex array
+        (anything that is not raises ``ShapeError``).
     normalized : bool, optional
         Declare the vector normalized.  When True, construction fails
         unless ``| ||psi|| - 1 | <= STRUCTURE_TOL``, so a NaN norm fails.
@@ -61,9 +62,12 @@ class Ket:
     normalized: bool = False
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=complex)
+        try:
+            arr = np.array(self.amplitudes, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # not numbers: refused below
+            arr = np.empty(0)
         if arr.ndim != 1 or arr.size == 0:
-            raise ShapeError("a ket must be a non-empty 1-D amplitude vector")
+            raise ShapeError("a ket must be a non-empty 1-D vector of complex amplitudes")
         object.__setattr__(self, "amplitudes", _readonly(arr))
         if self.normalized and not abs(self.norm - 1.0) <= STRUCTURE_TOL:
             raise DomainError(

@@ -19,23 +19,25 @@ reported and the row is flagged supra-Tsirelson rather than clamped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chsh import TSIRELSON_BOUND
-from .errors import DomainError
+from .errors import DomainError, to_number
 from .fock import pair_amplitude
 
 
 @dataclass(frozen=True)
 class RindlerModeSet:
-    """Finite, strictly ascending set of positive Rindler mode frequencies."""
+    """Finite, strictly ascending set of positive Rindler mode frequencies;
+    a frequency that is no real number is refused as nan."""
 
     frequencies: tuple[float, ...]
 
     def __post_init__(self):
-        freqs = tuple(float(w) for w in self.frequencies)
+        freqs = tuple(to_number(w) for w in self.frequencies)
         object.__setattr__(self, "frequencies", freqs)
         if not freqs:
             raise DomainError("mode set needs at least one frequency")
@@ -48,6 +50,7 @@ class RindlerModeSet:
 def unruh_temperature(acceleration: float) -> float:
     """Unruh temperature T = a / (2 pi) of a uniformly accelerated observer;
     the acceleration must be positive and finite."""
+    acceleration = to_number(acceleration)
     if not 0.0 < acceleration < math.inf:
         raise DomainError(f"acceleration must be positive and finite, got {acceleration}")
     return acceleration / (2.0 * math.pi)
@@ -56,6 +59,7 @@ def unruh_temperature(acceleration: float) -> float:
 def tau(modes: RindlerModeSet, temperature: float) -> float:
     """Thermal form factor sum_i fock.pair_amplitude(exp(-omega_i / (2 T)))
     at T = ``temperature``."""
+    temperature = to_number(temperature)
     if not 0.0 < temperature < math.inf:
         raise DomainError(f"temperature must be positive and finite, got {temperature}")
     return sum(pair_amplitude(math.exp(-w / (2.0 * temperature)))
@@ -89,15 +93,19 @@ def temperature_scan(modes: RindlerModeSet,
     """Recompute (tau, CHSH) over an ascending grid of temperatures.
 
     Each row is ``tau(modes, T)`` at its own grid temperature T, which
-    rejects a T outside (0, inf).  Rows whose summed form factor exceeds
-    1 (possible only with several modes) are flagged supra-Tsirelson;
-    the literal value is reported unclamped.
+    rejects a T outside (0, inf).  The grid must be strictly ascending,
+    which a NaN breaks, so only its first or last T can lie outside, and
+    those two are checked, in that order, before any row is built.  Rows
+    whose summed form factor exceeds 1 (possible only with several modes)
+    are flagged supra-Tsirelson; the literal value is reported unclamped.
     """
-    grid = [float(t) for t in t_grid]
+    grid = [to_number(t) for t in t_grid]
     if not grid:
         raise DomainError("temperature grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(not a < b for a, b in itertools.pairwise(grid)):  # no copy of the grid
         raise DomainError("temperature grid must be strictly ascending")
+    for t in (grid[0], grid[-1]):  # every other T lies between these two
+        tau(modes, t)
     rows = []
     for t in grid:
         form = tau(modes, t)

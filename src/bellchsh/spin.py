@@ -15,6 +15,7 @@ CHSH quadruple.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,9 @@ SPIN_ONE_VIOLATION_ANGLES = AngleSet(math.pi / 2, 0.0, 3 * math.pi / 4, 0.0)
 
 
 def _check_spin(spin: str) -> int:
-    if spin not in _LEVELS:
-        raise DomainError(f"spin must be one of {sorted(_LEVELS)}, got {spin!r}")
+    if not isinstance(spin, str) or spin not in _LEVELS:  # a list is unhashable
+        raise DomainError(f"spin must be one of {sorted(_LEVELS)}, "
+                          f"got {reprlib.repr(spin)}")
     return _LEVELS[spin]
 
 

@@ -1,0 +1,199 @@
+"""Bounded-failure property test of the package's public entry points.
+
+Every export that checks a number, string or sequence argument is called
+with hostile values: NaN, +-inf, zeros, negatives, integers up to 2**62
+and beyond the float range, subnormals, 10**5-long lists, strings,
+complex numbers, None and numpy arrays.  Each call must return, or raise
+``DomainError``, ``ShapeError`` or ``PrecisionError`` with a message
+under 1,000 characters, and a rejected call must peak under 1 MiB of
+traced allocation.  A numpy ``RuntimeWarning`` is raised as an error.
+
+Arguments that are package objects (angles, Fock spaces, mode sets,
+packets, rules) are valid ones, and a sequence argument is drawn as a
+sequence: a scalar there still raises ``TypeError``.  Complex values
+are Python complex numbers: numpy's complex types still convert to a
+real with the imaginary part dropped, a known gap.  The hostile sizes
+are ones a correct check refuses, or ``phase_flip`` dims beyond any
+allocation, so a faulty build fails at once instead of allocating
+gigabytes; a valid call stays small.  The search is derandomized, so
+the module runs the same examples every time.
+"""
+
+import math
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from bellchsh import (  # noqa: E402
+    AngleSet,
+    DomainError,
+    FockSpace,
+    GaussianPacket,
+    Ket,
+    MAX_RADIAL,
+    PrecisionError,
+    RindlerModeSet,
+    ShapeError,
+    ShellQuadrature,
+    bogoliubov_pair,
+    chsh_closed,
+    chsh_matrix,
+    normalize,
+    phase_flip,
+    rindler_chsh,
+    singlet,
+    spin_closed_form,
+    spin_quadruple,
+    squeezed_closed_form,
+    squeezed_hamiltonian,
+    squeezed_state,
+    tau,
+    temperature_scan,
+    unruh_temperature,
+)
+from bellchsh.kleingordon import test_norm as norm_with_error  # noqa: E402
+
+PACKAGE_ERRORS = (DomainError, ShapeError, PrecisionError)
+MAX_MESSAGE = 1000
+MAX_REJECTED_PEAK = 2**20
+EXAMPLES = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+#: 10**5-long lists, built once: zeros, and an ascending run ending in NaN.
+ZEROS = [0.0] * 10**5
+ASCENDING_THEN_NAN = [float(i) for i in range(1, 10**5)] + [math.nan]
+
+SHORT = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -1.0, 5e-324, 1e-300,
+        1e300, 2**62, -2**62, 10**400, True, None, "", "abc", "nan", "1.5",
+        1j, 1 + 1e-300j, [0.5], [0.5, 0.5], np.float64(0.5), np.array([0.5, 1.0]),
+    ]),
+    st.floats(),
+    st.integers(-2**62, 2**62),
+)
+SCALAR = st.one_of(SHORT, st.just("x" * 10**5))
+LONG = st.sampled_from([ZEROS, ASCENDING_THEN_NAN])
+HOSTILE = st.one_of(SCALAR, LONG)
+SEQUENCE = st.one_of(st.lists(SCALAR, max_size=5), LONG, st.just("abc"))
+#: phase_flip arguments: dims that are small, or whose stack no machine
+#: can hold, or no integer; a long stack of phases is an invalid one.
+#: numpy converts a list of pairs, or a long string in one, to an array
+#: of ~3x its size, so long pairs are drawn as an array.
+DIM = st.one_of(st.integers(-3, 12), st.integers(2**32, 2**62),
+                st.sampled_from([math.nan, math.inf, 2.0, 1e300, None, "2", 2j, [2], ZEROS]))
+PAIRS = st.one_of(st.just([(0, 1)]), st.lists(st.tuples(SHORT, SHORT), max_size=3),
+                  st.sampled_from([np.zeros((10**5, 2), int), "ab"]))
+PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5), st.just(ASCENDING_THEN_NAN))
+SPIN = st.one_of(st.sampled_from(["half", "one", "HALF", ["half"], ("one",)]), HOSTILE)
+
+ANGLES = AngleSet(0.1, 0.2, 0.3, 0.4)
+SPACE = FockSpace(4)
+MODES = RindlerModeSet((1.0,))
+
+
+def small_norm(width, amplitude):
+    """``test_norm`` of an on-shell packet on a 16-node rule: finite when
+    it returns."""
+    f = GaussianPacket.on_shell(1.0, (0.1, 0.0, 0.0), width, amplitude)
+    estimate = norm_with_error(f, ShellQuadrature.for_packets(f, radial=16))
+    assert math.isfinite(estimate.value) and math.isfinite(estimate.error)
+    return estimate
+
+
+#: name -> (strategy of the argument tuple, entry point)
+TARGETS = {
+    "AngleSet": (st.tuples(HOSTILE, HOSTILE, HOSTILE, HOSTILE), AngleSet),
+    "phase_flip": (st.tuples(DIM, PAIRS, PHASE), phase_flip),
+    "FockSpace": (st.tuples(HOSTILE), FockSpace),
+    "squeezed_closed_form": (st.tuples(HOSTILE), squeezed_closed_form),
+    "chsh_closed": (st.tuples(HOSTILE), lambda eta: chsh_closed(eta, ANGLES)),
+    "chsh_matrix": (st.tuples(HOSTILE), lambda eta: chsh_matrix(eta, SPACE, ANGLES)),
+    "squeezed_state": (st.tuples(HOSTILE), lambda eta: squeezed_state(eta, SPACE)),
+    "bogoliubov_pair": (st.tuples(HOSTILE), lambda eta: bogoliubov_pair(eta, SPACE)),
+    "squeezed_hamiltonian": (st.tuples(HOSTILE),
+                             lambda eta: squeezed_hamiltonian(eta, SPACE)),
+    "GaussianPacket": (st.tuples(SEQUENCE, HOSTILE, HOSTILE, HOSTILE),
+                       lambda center, width, mass, amplitude: GaussianPacket(
+                           center=center, width=width, mass=mass, amplitude=amplitude)),
+    "GaussianPacket.on_shell": (st.tuples(HOSTILE, SEQUENCE, HOSTILE, HOSTILE),
+                                GaussianPacket.on_shell),
+    "ShellQuadrature": (st.tuples(HOSTILE, HOSTILE, HOSTILE),
+                        lambda k_max, radial, tol: ShellQuadrature(
+                            k_max=k_max, radial=radial, tol=tol)),
+    "test_norm": (st.tuples(HOSTILE, HOSTILE), small_norm),
+    "RindlerModeSet": (st.tuples(SEQUENCE), RindlerModeSet),
+    "unruh_temperature": (st.tuples(HOSTILE), unruh_temperature),
+    "tau": (st.tuples(HOSTILE), lambda t: tau(MODES, t)),
+    "rindler_chsh": (st.tuples(HOSTILE), lambda t: rindler_chsh(MODES, t)),
+    "temperature_scan": (st.tuples(SEQUENCE), lambda grid: temperature_scan(MODES, grid)),
+    "singlet": (st.tuples(SPIN), singlet),
+    "spin_closed_form": (st.tuples(SPIN), spin_closed_form),
+    "spin_quadruple": (st.tuples(SPIN), lambda spin: spin_quadruple(spin, ANGLES)),
+    "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE)), Ket),
+}
+
+
+def call_bounded(entry, args):
+    """Call ``entry(*args)``: it returns (None here), or it raises a package
+    error with a short message and little allocated, which is returned."""
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            entry(*args)
+    except PACKAGE_ERRORS as err:
+        _, peak = tracemalloc.get_traced_memory()
+        assert len(str(err)) < MAX_MESSAGE, str(err)[:2000]
+        assert peak < MAX_REJECTED_PEAK, (type(err).__name__, peak)
+        return err
+    finally:
+        tracemalloc.stop()
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+@EXAMPLES
+@given(data=st.data())
+def test_returns_or_raises_a_bounded_package_error(name, data):
+    arguments, entry = TARGETS[name]
+    call_bounded(entry, data.draw(arguments, label="args"))
+
+
+@pytest.mark.parametrize("entry,args", [
+    (phase_flip, (2, [(0, 1)], "abc")),
+    (phase_flip, (2, [(0, 1)], [1j])),
+    (RindlerModeSet, (("a",),)),
+    (RindlerModeSet, ((1j,),)),
+    (AngleSet, ("a", 0, 0, 0)),
+    (lambda t: tau(MODES, t), ("x",)),
+    (unruh_temperature, ("x",)),
+    (singlet, (["half"],)),
+    (GaussianPacket.on_shell, (1.0, (0, 0), 1.0)),
+], ids=["phase-str", "phase-complex", "modes-str", "modes-complex", "angle-str",
+        "tau-str", "unruh-str", "singlet-list", "on-shell-short-center"])
+def test_wrong_types_raise_domain_error(entry, args):
+    # each raised ValueError or TypeError before its domain check read
+    # the argument as a number
+    assert isinstance(call_bounded(entry, args), DomainError)
+
+
+@pytest.fixture
+def leggauss_refused(monkeypatch):
+    """Any Gauss-Legendre build fails the test: a MAX_RADIAL rule takes
+    seconds and hundreds of MB."""
+    def refused(n):
+        raise AssertionError(f"leggauss({n}) was built")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+
+
+@pytest.mark.parametrize("entry", [norm_with_error, normalize])
+def test_over_limit_doubled_rule_refused_before_any_build(leggauss_refused, entry):
+    f = GaussianPacket.on_shell(1.0, (0.0, 0.0, 0.0), 1.0)
+    err = call_bounded(entry, (f, ShellQuadrature(k_max=10.0, radial=MAX_RADIAL)))
+    assert isinstance(err, DomainError) and f"must be <= {MAX_RADIAL}" in str(err)

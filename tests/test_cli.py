@@ -99,6 +99,16 @@ class TestSpin:
         assert len(err.strip().splitlines()) == 1
         assert out.startswith("quantity,value\n")
 
+    def test_failed_check_with_unwritable_out_exits_two(self, capsys, tmp_path,
+                                                        corrupt_phase):
+        # the rows are written before the check's verdict: an --out that
+        # cannot be written is the configuration error that ends the run
+        code, out, err = run(capsys, "spin", "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: cannot write --out ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSqueezeScan:
     def test_default_scan_crosses_classical_bound(self, capsys):
@@ -139,7 +149,7 @@ class TestSqueezeScan:
             eta = float(row["eta"])
             assert float(row["abs_difference"]) <= max(1e-8, 20.0 * eta ** 24)
 
-    def test_disagreement_is_a_precision_failure(self, capsys, monkeypatch):
+    def test_disagreement_is_a_precision_failure(self, capsys, monkeypatch, tmp_path):
         matrix = fock.chsh_matrix
         monkeypatch.setattr(fock, "chsh_matrix",
                             lambda eta, space, angles: matrix(eta, space, angles) + 1e-6)
@@ -148,6 +158,12 @@ class TestSqueezeScan:
         assert code == 3
         assert err.startswith("precision failure: ")
         assert len(csv_rows(out)) == 6
+        code, out, err = run(capsys, "squeeze-scan", "--cutoff", "12",
+                             "--eta-range", "0.2:0.8:4",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error: cannot write --out ")
 
     def test_zero_eta_rejected(self, capsys):
         code, _, err = run(capsys, "squeeze-scan", "--eta-range", "0:0.9:5")

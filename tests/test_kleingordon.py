@@ -81,6 +81,10 @@ class TestPacket:
         (dict(center=(1, 0, 0, 0), width=1.0, mass=2 * MAX_MOMENTUM), "mass"),
         (dict(center=(1, 0, 0, 0), width=2 * MAX_MOMENTUM), "width"),
         (dict(center=(1, 0, 0, 0), width=0.5 / MAX_MOMENTUM), "width"),
+        # at 1e160 the tail bound was inf, passed its certificate as
+        # inf <= inf, and shell_inner_product returned inf+nanj
+        (dict(center=(1, 0, 0, 0), width=1.0, amplitude=1e160), "amplitude"),
+        (dict(center=(1, 0, 0, 0), width=1.0, amplitude=1e50 + 1e50j), "amplitude"),
     ])
     def test_domain_bounded(self, kwargs, field):
         with pytest.raises(DomainError, match=field):
@@ -200,6 +204,16 @@ class TestRuleBuiltOnce:
             angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
             sigma_chsh(float(rng.uniform(0.05, 0.95)), angles, f, g, fresh)
         assert leggauss_calls == [q.radial]
+
+    @pytest.mark.parametrize("entry", [norm_with_error, normalize])
+    def test_over_limit_refined_rule_refused_before_any_build(self, leggauss_calls,
+                                                               entry):
+        # the refined rule is read first: at MAX_RADIAL the base rule alone
+        # took 7.6 s and 286 MB before its doubled count was refused
+        q = ShellQuadrature(k_max=10.0, radial=MAX_RADIAL)
+        with pytest.raises(DomainError, match=f"must be <= {MAX_RADIAL}"):
+            entry(packet((0.0, 0.0, 0.0)), q)
+        assert leggauss_calls == []
 
     def test_largest_rule_built_lazily(self, leggauss_calls):
         # constructing and refining cost nothing: MAX_RADIAL nodes take
@@ -395,6 +409,14 @@ class TestNorm:
         estimate = norm_with_error(f, q)
         assert estimate.error <= 1e-8 * estimate.value
 
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-40])
+    def test_degenerate_norm_rejected(self, amplitude):
+        # test_norm is the one degenerate-norm verdict: it never returns
+        # a squared norm at or below MIN_NORM_SQ
+        f = packet((0, 0, 0), amplitude=amplitude)
+        with pytest.raises(DomainError, match="norm is degenerate"):
+            norm_with_error(f, ShellQuadrature.for_packets(f, **FAST))
+
     def test_reference_norm_against_1d_radial_oracle(self):
         # centered packet: the angular integral is exactly 4 pi, leaving
         # a 1-D radial integral evaluated at 10x resolution
@@ -442,6 +464,13 @@ class TestNormalize:
         q = ShellQuadrature.for_packets(f, **FAST)
         with pytest.raises(DomainError, match="norm is degenerate"):
             normalize(f, q)
+
+    def test_unit_amplitude_outside_the_domain_rejected(self):
+        # a packet this wide has ||f||^2 ~ 1.1e-122 at unit amplitude, so
+        # its unit-norm amplitude ~ 9.4e60 lies beyond MAX_MOMENTUM
+        f = packet((0, 0, 0), width=1e40, amplitude=MAX_MOMENTUM)
+        with pytest.raises(DomainError, match="amplitude must lie within"):
+            normalize(f, ShellQuadrature.for_packets(f))
 
 
 class TestSigmaChsh:
