@@ -74,31 +74,29 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
 
     Each ``(src, dst)`` pair of levels (one row of ``pairs``) is swapped
     with ``<dst|M|src> = e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``;
-    every level outside the pairs is fixed, with 1 on the diagonal.  A
-    scalar ``phase`` gives one read-only complex ``(dim, dim)`` matrix;
-    an array of phases gives the read-only stack of shape
-    ``phases.shape + (dim, dim)``, one flip per phase, each byte for byte
-    the matrix of its scalar call.  The stack starts zero-filled; when
-    some level is left unpaired, the whole diagonal gets its 1 and the
-    paired levels' diagonal its 0 again, and each pair gets its two
-    phase entries.  Each flip is hermitian and an exact involution by
-    construction.  ``dim`` must be a positive integer with at most ``4 *
-    MAX_FLIP_DIM**2`` entries in the stack (an empty stack counts as one
-    flip), ``pairs`` a non-empty integer array of disjoint ``(src, dst)``
-    rows within ``[0, dim)`` and every phase finite; otherwise
-    ``DomainError`` is raised before anything of ``dim``'s or an
-    oversized ``pairs``' size is allocated.  Ragged ``pairs`` are refused
-    as their repr, and a ``phase`` that is no array of real numbers as one
-    NaN phase.  Pairs of more than 16 entries and a stack of more than
-    four phases are named by their shape (the stack also by its first
-    non-finite entry), not listed.
+    every other level is fixed.  A scalar ``phase`` gives one read-only
+    complex ``(dim, dim)`` matrix; an array of phases gives the read-only
+    stack of shape ``phases.shape + (dim, dim)``, each flip byte for byte
+    the matrix of its scalar call, hermitian and an exact involution.
+    ``dim`` must be a positive integer with at most ``4 * MAX_FLIP_DIM**2``
+    entries in the stack (an empty stack counts as one flip), ``pairs`` a
+    non-empty integer array of disjoint rows within ``[0, dim)`` and every
+    phase finite; otherwise ``DomainError`` is raised before anything of
+    ``dim``'s or an oversized ``pairs``' size is allocated: a list of more
+    than ``dim / 2`` pairs is refused unread, named by its ``reprlib``
+    repr, as ragged pairs are.  A phase that is no array of numbers (text
+    is not parsed) is refused as one NaN phase, a complex one as NaN where
+    its imaginary part is not zero.  Pair arrays of more than 16 entries
+    and a stack of more than four phases are named by their shape (the
+    stack also by its first non-finite entry), not listed.
     """
-    try:
-        pairs = np.asarray(pairs)
-    except ValueError:  # ragged rows: a string array, named by a bounded repr
-        pairs = np.array(reprlib.repr(pairs))
-    try:
-        phases = np.asarray(phase, dtype=float)
+    try:  # text is refused unread: numpy would copy it at four bytes a character
+        text = isinstance(phase, str) or isinstance(phase, (list, tuple)) \
+            and str in map(type, phase)
+        phases = np.asarray(math.nan if text else phase)
+        if phases.dtype.kind == "c":  # refused where not real, never truncated
+            phases = np.where(phases.imag == 0, phases.real, math.nan)
+        phases = phases.astype(float, casting="same_kind", copy=False)
     except (TypeError, ValueError, OverflowError):  # named as nan, like to_number
         phases, phase = np.array(math.nan), math.nan
     try:
@@ -109,12 +107,18 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     # disjoint levels in [0, dim) number at most dim, which bounds the list
     flips = max(phases.size, 1)
     fits = 1 <= levels and flips * levels * levels <= 4 * MAX_FLIP_DIM ** 2
-    if not (fits and pairs.dtype.kind == "i" and pairs.ndim == 2
-            and pairs.shape[1] == 2 and 0 < pairs.size <= levels
+    if fits and not (isinstance(pairs, (list, tuple)) and 2 * len(pairs) > levels):
+        try:
+            pairs = np.asarray(pairs)
+        except ValueError:  # ragged rows: a string array, named by a bounded repr
+            pairs = np.array(reprlib.repr(pairs))
+    if not (fits and isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i"
+            and pairs.ndim == 2 and pairs.shape[1] == 2 and 0 < pairs.size <= levels
             and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
             and 0 <= min(paired) and max(paired) < levels
             and np.isfinite(phases).all()):
-        named = (reprlib.repr(pairs.tolist()) if pairs.size <= 16
+        named = (reprlib.repr(pairs) if not isinstance(pairs, np.ndarray)
+                 else reprlib.repr(pairs.tolist()) if pairs.size <= 16
                  else f"of shape {pairs.shape} and dtype {pairs.dtype}")
         if phases.size > 4:  # named by shape; only a stack that fits is searched
             first = phases.flat[np.isfinite(phases).argmin()] if fits else 0.0

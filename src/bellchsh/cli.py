@@ -14,15 +14,14 @@ is CSV (header row, 17 significant digits) or JSON records; identical
 configs produce bit-identical output.  A relative ``--out`` path is
 resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
 
-Exit codes: 0 success; 2 configuration error, raised as ``DomainError``
-(a flag outside its domain, including a ``LO:HI:STEPS`` range of more
-than ``MAX_STEPS`` points, a ``rindler-scan`` of more than
-``MAX_MODE_EVALUATIONS`` modes times points, an angle divided by zero
-or an ``--out`` path that cannot be written, or a degenerate test
-function, whose squared norm is at most ``kleingordon.MIN_NORM_SQ``,
-1e-60) or by argparse for an unknown flag; 3 validation or tolerance
-failure, raised as ``PrecisionError`` (a numerical certificate, or a
-failed ``spin``/``squeeze-scan`` check, raised by ``main`` after the rows).
+Exit codes: 0 success; 2 configuration error, a ``DomainError`` (a flag
+outside its domain, an angle divided by zero, an ``--out`` path that
+cannot be written or a degenerate test function) or an argparse usage
+error; 3 validation or tolerance failure, a ``PrecisionError`` (a
+numerical certificate, or a failed ``spin``/``squeeze-scan`` check,
+raised by ``main`` after the rows).  Each prints one stderr line, and
+a ``DomainError`` whose ``argument`` is a flag's value names the flag:
+``configuration error: <flag>: <message>``.
 """
 
 from __future__ import annotations
@@ -61,6 +60,11 @@ MAX_MODE_EVALUATIONS = 100 * MAX_STEPS
 #: Largest ``--quad`` RADIAL: ``test_norm`` doubles it for its error
 #: estimate, and a rule has at most ``kleingordon.MAX_RADIAL`` nodes.
 MAX_QUAD_RADIAL = kleingordon.MAX_RADIAL // 2
+
+#: The flag of each ``DomainError.argument`` that ``main`` names before the message.
+ARGUMENT_FLAGS = {"spatial_center": "--center", "center": "--center", "mass": "--mass",
+                  "center_energy": "--center-energy", "width": "--width", "tol": "--tol",
+                  "amplitude": "--amplitude", "eta": "--eta", "cutoff": "--cutoff"}
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -221,8 +225,7 @@ def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
 
     best_angles, best = optimize_angles(spin.spin_closed_form(spin.SPIN_ONE))
     add("spin_one_closed_form_optimum", best)
-    for label, value in zip(("alpha1", "alpha2", "beta1", "beta2"),
-                            best_angles.as_tuple()):
+    for label, value in vars(best_angles).items():
         add(f"spin_one_optimal_{label}", value)
 
     return (["quantity", "value"], rows,
@@ -273,48 +276,23 @@ def cmd_optimize(args) -> tuple[list[str], list[dict], None]:
         form = spin.spin_closed_form(spin.SPIN_ONE)
         rows = [{"quantity": "closed_form", "value": "spin-one"}]
     else:
-        if not 0.0 < args.eta < 1.0:
-            raise DomainError(f"--eta must lie in (0, 1), got {args.eta}")
         form = fock.squeezed_closed_form(args.eta)
         rows = [{"quantity": "closed_form", "value": "squeezed"},
                 {"quantity": "eta", "value": args.eta}]
     angles, best = optimize_angles(form)
-    for label, value in zip(("alpha1", "alpha2", "beta1", "beta2"),
-                            angles.as_tuple()):
+    for label, value in vars(angles).items():
         rows.append({"quantity": label, "value": value})
     rows.append({"quantity": "optimum", "value": best})
     return ["quantity", "value"], rows, None
 
 
 def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
-    # the packet domain (kleingordon.MAX_MOMENTUM), checked per flag
-    bound = kleingordon.MAX_MOMENTUM
     center = parse_floats(args.center, "--center")
-    if len(center) != 3 or not all(abs(c) <= bound for c in center):
-        raise DomainError(f"--center needs cx,cy,cz within +-{bound:g}, got {args.center!r}")
-    if not 1.0 / bound <= args.width <= bound:
-        raise DomainError(f"--width must lie in [1/{bound:g}, {bound:g}], got {args.width}")
-    if not 0.0 <= args.mass <= bound:
-        raise DomainError(f"--mass must lie in [0, {bound:g}], got {args.mass}")
-    if args.center_energy is not None and not abs(args.center_energy) <= 2.0 * bound:
-        raise DomainError(f"--center-energy must lie within +-{2.0 * bound:g}, "
-                          f"got {args.center_energy}")
-    if not abs(args.amplitude) <= bound:
-        raise DomainError(f"--amplitude must lie within +-{bound:g}, got {args.amplitude}")
-    if not 0.0 < args.tol < math.inf:
-        raise DomainError(f"--tol must be positive and finite, got {args.tol}")
     radial = parse_quad(args.quad)
-
-    if args.center_energy is None:
-        packet = kleingordon.GaussianPacket.on_shell(
-            mass=args.mass, spatial_center=center, width=args.width,
-            amplitude=args.amplitude,
-        )
-    else:
-        packet = kleingordon.GaussianPacket(
-            center=(args.center_energy, *center), width=args.width,
-            mass=args.mass, amplitude=args.amplitude,
-        )
+    common = dict(width=args.width, mass=args.mass, amplitude=args.amplitude)
+    packet = (kleingordon.GaussianPacket.on_shell(spatial_center=center, **common)
+              if args.center_energy is None else
+              kleingordon.GaussianPacket(center=(args.center_energy, *center), **common))
     quad = kleingordon.ShellQuadrature.for_packets(packet, radial=radial, tol=args.tol)
 
     estimate = kleingordon.test_norm(packet, quad)
@@ -435,7 +413,8 @@ def main(argv=None) -> int:
         if failure is not None:
             raise PrecisionError(failure)
     except DomainError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
+        flag = ARGUMENT_FLAGS.get(err.argument)
+        print(f"configuration error: {flag + ': ' if flag else ''}{err}", file=sys.stderr)
         return _EXIT_CONFIG
     except PrecisionError as err:
         print(f"precision failure: {err}", file=sys.stderr)

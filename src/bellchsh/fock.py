@@ -79,18 +79,13 @@ class FockSpace:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "cutoff", operator.index(self.cutoff))
+            cutoff = operator.index(self.cutoff)
         except TypeError:
-            raise DomainError(f"cutoff must be an integer, "
-                              f"got {reprlib.repr(self.cutoff)}") from None
-        if self.cutoff < 4:
-            raise DomainError(f"cutoff must be >= 4, got {self.cutoff}")
-        if self.cutoff > MAX_CUTOFF:
-            raise DomainError(f"cutoff must be <= {MAX_CUTOFF}, got {self.cutoff}")
-        if self.cutoff % 2 != 0:
-            raise DomainError(
-                f"cutoff must be even so flip pairs (2n, 2n+1) close, got {self.cutoff}"
-            )
+            cutoff = 0  # refused below, named by its repr
+        if not (4 <= cutoff <= MAX_CUTOFF and cutoff % 2 == 0):
+            raise DomainError(f"cutoff must be an even integer in [4, {MAX_CUTOFF}], "
+                              f"got {reprlib.repr(self.cutoff)}", argument="cutoff")
+        object.__setattr__(self, "cutoff", cutoff)
 
     @property
     def dim(self) -> int:
@@ -100,7 +95,7 @@ class FockSpace:
 def _check_eta(eta: float) -> float:
     eta = to_number(eta)
     if not 0.0 < eta < 1.0:
-        raise DomainError(f"squeezing parameter must lie in (0, 1), got {eta}")
+        raise DomainError(f"squeezing parameter must lie in (0, 1), got {eta}", argument="eta")
     return eta
 
 

@@ -34,7 +34,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .chsh import AngleSet
-from .errors import DomainError, PrecisionError, to_number
+from .errors import DomainError, PrecisionError, to_number, to_numbers
 from . import fock
 
 
@@ -70,7 +70,7 @@ class GaussianPacket:
 
     Every field is stored as a float, the amplitude as a complex.  A value
     outside its ``MAX_MOMENTUM`` domain, or no number at all, raises
-    ``DomainError``.
+    ``DomainError`` naming it, the center as ``center_energy`` or ``spatial_center``.
     """
 
     center: tuple[float, float, float, float]
@@ -79,10 +79,7 @@ class GaussianPacket:
     amplitude: complex = 1.0
 
     def __post_init__(self):
-        if len(self.center) != 4:
-            raise DomainError(f"center must be a four-momentum, "
-                              f"got {reprlib.repr(self.center)}")
-        object.__setattr__(self, "center", tuple(to_number(c) for c in self.center))
+        object.__setattr__(self, "center", to_numbers(self.center, "center", 4))
         for name in ("width", "mass"):
             object.__setattr__(self, name, to_number(getattr(self, name)))
         c0, *spatial = self.center
@@ -90,30 +87,30 @@ class GaussianPacket:
         # checked before c0, which on_shell derives from them
         if not all(abs(c) <= bound for c in spatial):
             raise DomainError(f"spatial center must lie within +-{bound:g}, "
-                              f"got {tuple(spatial)!r}")
+                              f"got {tuple(spatial)!r}", argument="spatial_center")
         if not 0.0 <= self.mass <= bound:
-            raise DomainError(f"mass must lie in [0, {bound:g}], got {self.mass}")
+            raise DomainError(f"mass must lie in [0, {bound:g}], got {self.mass}",
+                              argument="mass")
         if not abs(c0) <= 2.0 * bound:
-            raise DomainError(f"center energy must lie within +-{2.0 * bound:g}, got {c0}")
+            raise DomainError(f"center energy must lie within +-{2.0 * bound:g}, "
+                              f"got {c0}", argument="center_energy")
         if not 1.0 / bound <= self.width <= bound:
-            raise DomainError(f"width must lie in [1/{bound:g}, {bound:g}], got {self.width}")
+            raise DomainError(f"width must lie in [1/{bound:g}, {bound:g}], "
+                              f"got {self.width}", argument="width")
         object.__setattr__(self, "amplitude", to_number(self.amplitude, complex))
         if not abs(self.amplitude) <= bound:  # else the tail bound can be inf
             raise DomainError(f"amplitude must lie within +-{bound:g} in modulus, "
-                              f"got {self.amplitude}")
+                              f"got {self.amplitude}", argument="amplitude")
 
     @classmethod
     def on_shell(cls, mass: float, spatial_center: tuple[float, float, float],
                  width: float, amplitude: complex = 1.0) -> "GaussianPacket":
         """Packet centered on the shell: c0 = sqrt(m^2 + |cvec|^2), in Python
         floats: an overflow gives inf silently, and the constructor names
-        the mass or center at fault.  A center of other than three
+        the mass or center at fault.  A center that is no sequence of three
         components raises ``DomainError``."""
-        if len(spatial_center) != 3:
-            raise DomainError(f"spatial center must be a three-momentum, "
-                              f"got {reprlib.repr(spatial_center)}")
         mass = to_number(mass)
-        cx, cy, cz = (to_number(c) for c in spatial_center)
+        cx, cy, cz = to_numbers(spatial_center, "spatial_center", 3)
         c0 = math.sqrt(mass * mass + cx * cx + cy * cy + cz * cz)
         return cls(center=(c0, cx, cy, cz), width=width, mass=mass,
                    amplitude=amplitude)
@@ -165,24 +162,24 @@ class ShellQuadrature:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "radial", operator.index(self.radial))
+            radial = operator.index(self.radial)
         except TypeError:
-            raise DomainError(f"quadrature radial node count must be an integer, "
-                              f"got {reprlib.repr(self.radial)}") from None
-        if self.radial < 2:
-            raise DomainError("quadrature needs at least 2 radial nodes")
-        if self.radial > MAX_RADIAL:
-            raise DomainError(
-                f"quadrature radial node count must be <= {MAX_RADIAL}, got {self.radial}"
-            )
+            radial = 0  # refused below, named by its repr
+        if not 2 <= radial <= MAX_RADIAL:
+            raise DomainError(f"quadrature radial node count must be an integer of at least 2 "
+                              f"and must be <= {MAX_RADIAL}, got {reprlib.repr(self.radial)}",
+                              argument="radial")
+        object.__setattr__(self, "radial", radial)
         for name in ("k_max", "tol"):
             object.__setattr__(self, name, to_number(getattr(self, name)))
         # sqrt(3) MAX_MOMENTUM of center norm plus ten momentum widths
         k_limit = 12.0 * MAX_MOMENTUM
         if not 0.0 < self.k_max <= k_limit:
-            raise DomainError(f"k_max must lie in (0, {k_limit:g}], got {self.k_max}")
+            raise DomainError(f"k_max must lie in (0, {k_limit:g}], got {self.k_max}",
+                              argument="k_max")
         if not 0.0 < self.tol < math.inf:
-            raise DomainError(f"tolerance must be positive and finite, got {self.tol}")
+            raise DomainError(f"tolerance must be positive and finite, got {self.tol}",
+                              argument="tol")
 
     @classmethod
     def for_packets(cls, *packets: GaussianPacket, radial: int = 128,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .chsh import TSIRELSON_BOUND
-from .errors import DomainError, to_number
+from .errors import DomainError, to_number, to_numbers
 from .fock import pair_amplitude
 
 
@@ -37,7 +37,7 @@ class RindlerModeSet:
     frequencies: tuple[float, ...]
 
     def __post_init__(self):
-        freqs = tuple(to_number(w) for w in self.frequencies)
+        freqs = to_numbers(self.frequencies, "frequencies")
         object.__setattr__(self, "frequencies", freqs)
         if not freqs:
             raise DomainError("mode set needs at least one frequency")
@@ -99,7 +99,7 @@ def temperature_scan(modes: RindlerModeSet,
     whose summed form factor exceeds 1 (possible only with several modes)
     are flagged supra-Tsirelson; the literal value is reported unclamped.
     """
-    grid = [to_number(t) for t in t_grid]
+    grid = to_numbers(t_grid, "t_grid")
     if not grid:
         raise DomainError("temperature grid must be non-empty")
     if any(not a < b for a, b in itertools.pairwise(grid)):  # no copy of the grid

@@ -9,12 +9,10 @@ under 1,000 characters, and a rejected call must peak under 1 MiB of
 traced allocation.  A numpy ``RuntimeWarning`` is raised as an error.
 
 Arguments that are package objects (angles, Fock spaces, mode sets,
-packets, rules) are valid ones, and a sequence argument is drawn as a
-sequence: a scalar there still raises ``TypeError``.  Complex values
-are Python complex numbers: numpy's complex types still convert to a
-real with the imaginary part dropped, a known gap.  The hostile sizes
-are ones a correct check refuses, or ``phase_flip`` dims beyond any
-allocation, so a faulty build fails at once instead of allocating
+packets, rules) are valid ones; a sequence argument is also drawn as a
+scalar, and a complex value as a Python or a numpy complex.  The hostile
+sizes are ones a correct check refuses, or ``phase_flip`` dims beyond
+any allocation, so a faulty build fails at once instead of allocating
 gigabytes; a valid call stays small.  The search is derandomized, so
 the module runs the same examples every time.
 """
@@ -63,15 +61,18 @@ MAX_MESSAGE = 1000
 MAX_REJECTED_PEAK = 2**20
 EXAMPLES = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
-#: 10**5-long lists, built once: zeros, and an ascending run ending in NaN.
+#: 10**5-long lists, built once: zeros, and an ascending run ending in NaN;
+#: and a Python list of 50,000 level pairs.
 ZEROS = [0.0] * 10**5
 ASCENDING_THEN_NAN = [float(i) for i in range(1, 10**5)] + [math.nan]
+LONG_PAIRS = [(0, 1)] * 50_000
 
 SHORT = st.one_of(
     st.sampled_from([
         math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -1.0, 5e-324, 1e-300,
         1e300, 2**62, -2**62, 10**400, True, None, "", "abc", "nan", "1.5",
-        1j, 1 + 1e-300j, [0.5], [0.5, 0.5], np.float64(0.5), np.array([0.5, 1.0]),
+        1j, 1 + 1e-300j, np.complex128(1 + 1j), np.complex128(0.5), np.complex64(1j),
+        [0.5], [0.5, 0.5], np.float64(0.5), np.array([0.5, 1.0]),
     ]),
     st.floats(),
     st.integers(-2**62, 2**62),
@@ -79,15 +80,14 @@ SHORT = st.one_of(
 SCALAR = st.one_of(SHORT, st.just("x" * 10**5))
 LONG = st.sampled_from([ZEROS, ASCENDING_THEN_NAN])
 HOSTILE = st.one_of(SCALAR, LONG)
-SEQUENCE = st.one_of(st.lists(SCALAR, max_size=5), LONG, st.just("abc"))
+SEQUENCE = st.one_of(st.lists(SCALAR, max_size=5), LONG, SCALAR)
 #: phase_flip arguments: dims that are small, or whose stack no machine
-#: can hold, or no integer; a long stack of phases is an invalid one.
-#: numpy converts a list of pairs, or a long string in one, to an array
-#: of ~3x its size, so long pairs are drawn as an array.
+#: can hold, or no integer; a long stack of phases, and long pairs as an
+#: array or as a Python list, are invalid ones.
 DIM = st.one_of(st.integers(-3, 12), st.integers(2**32, 2**62),
                 st.sampled_from([math.nan, math.inf, 2.0, 1e300, None, "2", 2j, [2], ZEROS]))
 PAIRS = st.one_of(st.just([(0, 1)]), st.lists(st.tuples(SHORT, SHORT), max_size=3),
-                  st.sampled_from([np.zeros((10**5, 2), int), "ab"]))
+                  st.sampled_from([np.zeros((10**5, 2), int), LONG_PAIRS, "ab"]))
 PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5), st.just(ASCENDING_THEN_NAN))
 SPIN = st.one_of(st.sampled_from(["half", "one", "HALF", ["half"], ("one",)]), HOSTILE)
 
@@ -167,19 +167,43 @@ def test_returns_or_raises_a_bounded_package_error(name, data):
 @pytest.mark.parametrize("entry,args", [
     (phase_flip, (2, [(0, 1)], "abc")),
     (phase_flip, (2, [(0, 1)], [1j])),
+    (phase_flip, (2, [(0, 1)], np.array([1 + 1j]))),
     (RindlerModeSet, (("a",),)),
     (RindlerModeSet, ((1j,),)),
+    (RindlerModeSet, (1.0,)),
     (AngleSet, ("a", 0, 0, 0)),
+    (AngleSet, (np.complex128(1 + 1j), 0, 0, 0)),
     (lambda t: tau(MODES, t), ("x",)),
+    (lambda grid: temperature_scan(MODES, grid), (1.0,)),
     (unruh_temperature, ("x",)),
     (singlet, (["half"],)),
     (GaussianPacket.on_shell, (1.0, (0, 0), 1.0)),
-], ids=["phase-str", "phase-complex", "modes-str", "modes-complex", "angle-str",
-        "tau-str", "unruh-str", "singlet-list", "on-shell-short-center"])
+    (GaussianPacket.on_shell, (1.0, 5.0, 1.0)),
+    (lambda center: GaussianPacket(center=center, width=1.0), (5.0,)),
+], ids=["phase-str", "phase-complex", "phase-np-complex", "modes-str", "modes-complex",
+        "modes-scalar", "angle-str", "angle-np-complex", "tau-str", "scan-scalar",
+        "unruh-str", "singlet-list", "on-shell-short-center", "on-shell-scalar-center",
+        "packet-scalar-center"])
 def test_wrong_types_raise_domain_error(entry, args):
     # each raised ValueError or TypeError before its domain check read
-    # the argument as a number
+    # the argument as a number, or truncated a numpy complex to its real
+    # part with a ComplexWarning
     assert isinstance(call_bounded(entry, args), DomainError)
+
+
+def test_complex_with_zero_imaginary_part_is_its_real_part():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert AngleSet(np.complex128(0.5), 0, 0, 0).alpha1 == 0.5
+        flip = phase_flip(2, [(0, 1)], np.array([0.3 + 0j, -0.2 + 0j]))
+    assert flip.tobytes() == phase_flip(2, [(0, 1)], [0.3, -0.2]).tobytes()
+
+
+def test_long_pair_list_refused_unread():
+    # numpy would convert the list at ~3x its size before the check
+    err = call_bounded(phase_flip, (2**40, LONG_PAIRS, 0.0))
+    assert isinstance(err, DomainError)
+    assert "got pairs [(0, 1), (0, 1), (0, 1), (0, 1), (0, 1), (0, 1), ...]" in str(err)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bellchsh import MAX_MOMENTUM, cli, fock, rindler, spin
+from bellchsh import MAX_MOMENTUM, cli, fock, kleingordon, rindler, spin
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
 
@@ -525,3 +525,47 @@ class TestOutputHandling:
         # 17 significant digits round-trip the double exactly
         assert format(float(row["tau"]), ".17g") == row["tau"]
         assert float(row["tau"]) == pytest.approx(1.0 / math.cosh(0.5), abs=1e-15)
+
+
+#: One out-of-domain value per flag of ``cli.ARGUMENT_FLAGS``, and the
+#: library call that refuses the same value.
+FLAGGED_VALUES = {
+    "center": (("kg-norm", "--center", "1e60,0,0"),
+               lambda: kleingordon.GaussianPacket.on_shell(1.0, (1e60, 0.0, 0.0), 1.0)),
+    "center-count": (("kg-norm", "--center", "1,2"),
+                     lambda: kleingordon.GaussianPacket.on_shell(1.0, (1.0, 2.0), 1.0)),
+    "center-count-with-energy": (
+        ("kg-norm", "--center", "1,2", "--center-energy", "3"),
+        lambda: kleingordon.GaussianPacket(center=(3.0, 1.0, 2.0), width=1.0)),
+    "center-energy": (("kg-norm", "--center-energy", "1e60"),
+                      lambda: kleingordon.GaussianPacket(center=(1e60, 0.0, 0.0, 0.0),
+                                                         width=1.0)),
+    "mass": (("kg-norm", "--mass", "-1"),
+             lambda: kleingordon.GaussianPacket.on_shell(-1.0, (0.0, 0.0, 0.0), 1.0)),
+    "width": (("kg-norm", "--width", "0"),
+              lambda: kleingordon.GaussianPacket.on_shell(1.0, (0.0, 0.0, 0.0), 0.0)),
+    "amplitude": (("kg-norm", "--amplitude", "1e60"),
+                  lambda: kleingordon.GaussianPacket.on_shell(1.0, (0.0, 0.0, 0.0), 1.0,
+                                                              1e60)),
+    "tol": (("kg-norm", "--tol", "nan"),
+            lambda: kleingordon.ShellQuadrature(k_max=10.0, tol=math.nan)),
+    "eta": (("optimize", "--eta", "1.0"), lambda: fock.squeezed_closed_form(1.0)),
+    "cutoff": (("squeeze-scan", "--cutoff", "9"), lambda: fock.FockSpace(9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLAGGED_VALUES))
+def test_flag_named_before_the_library_message(capsys, case):
+    argv, refuse = FLAGGED_VALUES[case]
+    with pytest.raises(DomainError) as raised:
+        refuse()
+    flag = argv[1]
+    assert cli.ARGUMENT_FLAGS[raised.value.argument] == flag
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"configuration error: {flag}: {raised.value}\n"
+
+
+def test_every_mapped_flag_has_a_case():
+    assert {argv[1] for argv, _ in FLAGGED_VALUES.values()} == set(cli.ARGUMENT_FLAGS.values())
