@@ -84,16 +84,19 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     phase finite; otherwise ``DomainError`` is raised before anything of
     ``dim``'s or an oversized ``pairs``' size is allocated: a list of more
     than ``dim / 2`` pairs is refused unread, named by its ``reprlib``
-    repr, as ragged pairs are.  A phase that is no array of numbers (text
-    is not parsed) is refused as one NaN phase, a complex one as NaN where
-    its imaginary part is not zero.  Pair arrays of more than 16 entries
-    and a stack of more than four phases are named by their shape (the
-    stack also by its first non-finite entry), not listed.
+    repr, as ragged pairs are.  A phase that is no array of numbers (text,
+    at any depth of nested lists, is neither parsed nor copied) is refused
+    as one NaN phase, a complex one as NaN where its imaginary part is not
+    zero.  Pair arrays of more than 16 entries and a stack of more than
+    four phases are named by their shape (the stack also by its first
+    non-finite entry), not listed.
+
+    This is the one checked entry to the one flip build, ``_flip_stack``;
+    ``fock.chsh_matrix`` shares that build, calling it directly on its
+    constant block pairs and the phases its ``AngleSet`` has checked.
     """
     try:  # text is refused unread: numpy would copy it at four bytes a character
-        text = isinstance(phase, str) or isinstance(phase, (list, tuple)) \
-            and str in map(type, phase)
-        phases = np.asarray(math.nan if text else phase)
+        phases = np.asarray(math.nan if _holds_text(phase) else phase)
         if phases.dtype.kind == "c":  # refused where not real, never truncated
             phases = np.where(phases.imag == 0, phases.real, math.nan)
         phases = phases.astype(float, casting="same_kind", copy=False)
@@ -132,10 +135,35 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
                           f"integer level pairs in [0, dim) and every phase finite, "
                           f"got pairs {named} and phase {phase} for dim "
                           f"{reprlib.repr(dim)}")
+    return _flip_stack(levels, pairs, phases)
+
+
+def _holds_text(phase) -> bool:
+    """Whether ``phase`` is text, or lists or tuples holding text in any of
+    the 64 levels numpy reads, found without copying the text."""
+    level = [(phase,)]
+    for _ in range(65):  # the phase itself, then each level numpy reads
+        nested = []
+        for items in level:
+            for item in items:
+                if isinstance(item, str):
+                    return True
+                if isinstance(item, (list, tuple)):
+                    nested.append(item)
+        if not nested:
+            return False
+        level = nested
+    return False
+
+
+def _flip_stack(levels: int, pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The flip build behind ``phase_flip``, on arguments it has checked:
+    an integer ``(n, 2)`` array of disjoint ``pairs`` in ``[0, levels)``
+    and a float array of finite ``phases``.  Unchecked itself."""
     src, dst = pairs.T
     up = np.exp(1j * phases)[..., None]
-    m = np.zeros(phases.shape + (dim, dim), dtype=complex)
-    if len(flat) < levels:
+    m = np.zeros(phases.shape + (levels, levels), dtype=complex)
+    if pairs.size < levels:
         diagonal = m.reshape(-1, levels * levels)[:, ::levels + 1]
         diagonal[...] = 1.0
         diagonal[:, pairs] = 0.0

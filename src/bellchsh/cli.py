@@ -45,7 +45,7 @@ from .chsh import (
     optimize_angles,
     validate_quadruple,
 )
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, to_numbers
 
 OUT_DIR_ENV = "BELLCHSH_OUT_DIR"
 
@@ -62,7 +62,7 @@ MAX_MODE_EVALUATIONS = 100 * MAX_STEPS
 MAX_QUAD_RADIAL = kleingordon.MAX_RADIAL // 2
 
 #: The flag of each ``DomainError.argument`` that ``main`` names before the message.
-ARGUMENT_FLAGS = {"spatial_center": "--center", "center": "--center", "mass": "--mass",
+ARGUMENT_FLAGS = {"spatial_center": "--center", "mass": "--mass",
                   "center_energy": "--center-energy", "width": "--width", "tol": "--tol",
                   "amplitude": "--amplitude", "eta": "--eta", "cutoff": "--cutoff"}
 
@@ -287,7 +287,8 @@ def cmd_optimize(args) -> tuple[list[str], list[dict], None]:
 
 
 def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
-    center = parse_floats(args.center, "--center")
+    # counted as given, before --center-energy is joined to it
+    center = to_numbers(parse_floats(args.center, "--center"), "spatial_center", 3)
     radial = parse_quad(args.quad)
     common = dict(width=args.width, mass=args.mass, amplitude=args.amplitude)
     packet = (kleingordon.GaussianPacket.on_shell(spatial_center=center, **common)

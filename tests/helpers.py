@@ -22,10 +22,11 @@ Bogoliubov pair and the Hamiltonian, are built here from the same
 per-mode factors.
 
 The library builds the two flips of each quadruple side with one
-stacked ``phase_flip`` call, and the four 2 x 2 blocks of
-``chsh_matrix`` with one.  The oracles here make one scalar call per
-operator, and one writes a flip entry by entry in Python loops,
-without calling ``phase_flip`` at all.
+stacked ``phase_flip`` call.  ``phase_flip`` is the one checked entry
+to the flip build, which ``chsh_matrix`` shares, building its four
+2 x 2 blocks in one stack without the check.  The oracles here make one
+checked scalar ``phase_flip`` call per operator, and one writes a flip
+entry by entry in Python loops, without calling ``phase_flip`` at all.
 
 The library takes each Rindler mode's form-factor term from the
 squeezed pair's amplitude at eta = exp(-w / 2T).  The oracles here

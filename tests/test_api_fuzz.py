@@ -62,10 +62,11 @@ MAX_REJECTED_PEAK = 2**20
 EXAMPLES = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 
 #: 10**5-long lists, built once: zeros, and an ascending run ending in NaN;
-#: and a Python list of 50,000 level pairs.
+#: a Python list of 50,000 level pairs; and long text nested in a list.
 ZEROS = [0.0] * 10**5
 ASCENDING_THEN_NAN = [float(i) for i in range(1, 10**5)] + [math.nan]
 LONG_PAIRS = [(0, 1)] * 50_000
+NESTED_TEXT = [["x" * 10**5] * 3]
 
 SHORT = st.one_of(
     st.sampled_from([
@@ -82,13 +83,14 @@ LONG = st.sampled_from([ZEROS, ASCENDING_THEN_NAN])
 HOSTILE = st.one_of(SCALAR, LONG)
 SEQUENCE = st.one_of(st.lists(SCALAR, max_size=5), LONG, SCALAR)
 #: phase_flip arguments: dims that are small, or whose stack no machine
-#: can hold, or no integer; a long stack of phases, and long pairs as an
-#: array or as a Python list, are invalid ones.
+#: can hold, or no integer; a long stack of phases, nested text, and long
+#: pairs as an array or as a Python list, are invalid ones.
 DIM = st.one_of(st.integers(-3, 12), st.integers(2**32, 2**62),
                 st.sampled_from([math.nan, math.inf, 2.0, 1e300, None, "2", 2j, [2], ZEROS]))
 PAIRS = st.one_of(st.just([(0, 1)]), st.lists(st.tuples(SHORT, SHORT), max_size=3),
                   st.sampled_from([np.zeros((10**5, 2), int), LONG_PAIRS, "ab"]))
-PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5), st.just(ASCENDING_THEN_NAN))
+PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5),
+                  st.sampled_from([ASCENDING_THEN_NAN, NESTED_TEXT]))
 SPIN = st.one_of(st.sampled_from(["half", "one", "HALF", ["half"], ("one",)]), HOSTILE)
 
 ANGLES = AngleSet(0.1, 0.2, 0.3, 0.4)
@@ -197,6 +199,13 @@ def test_complex_with_zero_imaginary_part_is_its_real_part():
         assert AngleSet(np.complex128(0.5), 0, 0, 0).alpha1 == 0.5
         flip = phase_flip(2, [(0, 1)], np.array([0.3 + 0j, -0.2 + 0j]))
     assert flip.tobytes() == phase_flip(2, [(0, 1)], [0.3, -0.2]).tobytes()
+
+
+def test_nested_text_phase_refused_unread():
+    # numpy would copy the text at four bytes a character; "1.5" is not parsed
+    for phase in (NESTED_TEXT, [["1.5"]], [[0.5], ("1.5",)]):
+        err = call_bounded(phase_flip, (2, [(0, 1)], phase))
+        assert isinstance(err, DomainError) and "every phase finite" in str(err)
 
 
 def test_long_pair_list_refused_unread():

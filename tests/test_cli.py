@@ -536,7 +536,7 @@ FLAGGED_VALUES = {
                      lambda: kleingordon.GaussianPacket.on_shell(1.0, (1.0, 2.0), 1.0)),
     "center-count-with-energy": (
         ("kg-norm", "--center", "1,2", "--center-energy", "3"),
-        lambda: kleingordon.GaussianPacket(center=(3.0, 1.0, 2.0), width=1.0)),
+        lambda: kleingordon.GaussianPacket.on_shell(1.0, (1.0, 2.0), 1.0)),
     "center-energy": (("kg-norm", "--center-energy", "1e60"),
                       lambda: kleingordon.GaussianPacket(center=(1e60, 0.0, 0.0, 0.0),
                                                          width=1.0)),
@@ -569,3 +569,13 @@ def test_flag_named_before_the_library_message(capsys, case):
 
 def test_every_mapped_flag_has_a_case():
     assert {argv[1] for argv, _ in FLAGGED_VALUES.values()} == set(cli.ARGUMENT_FLAGS.values())
+
+
+@pytest.mark.parametrize("argv", [("--center", "1,2"),
+                                  ("--center", "1,2", "--center-energy", "3")])
+def test_center_count_names_the_given_center(capsys, argv):
+    # the separately given --center-energy is neither counted nor listed
+    code, out, err = run(capsys, "kg-norm", *argv)
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: --center: spatial_center must be 3 numbers, "
+                   "got (1.0, 2.0)\n")

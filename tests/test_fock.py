@@ -521,16 +521,46 @@ class TestSchmidtRoute:
                 oracle = four_call_chsh_matrix(eta, space, angles)
                 assert chsh_matrix(eta, space, angles).hex() == oracle.real.hex()
 
-    def test_one_phase_flip_call(self, monkeypatch):
+    def test_one_flip_build_call(self, monkeypatch):
+        # one stacked build of the four phases, past the phase_flip check
         calls = []
 
-        def counting(dim, pairs, phase):
-            calls.append(np.shape(phase))
-            return phase_flip(dim, pairs, phase)
+        def counting(levels, pairs, phases):
+            calls.append(np.shape(phases))
+            return chsh._flip_stack(levels, pairs, phases)
 
-        monkeypatch.setattr(fock, "phase_flip", counting)
+        def refused(dim, pairs, phase):
+            raise AssertionError("chsh_matrix called phase_flip")
+
+        monkeypatch.setattr(fock, "_flip_stack", counting)
+        monkeypatch.setattr(fock, "phase_flip", refused, raising=False)
         chsh_matrix(0.6, FockSpace(40), AngleSet(0.4, -1.3, 0.9, 2.2))
         assert calls == [(4,)]
+
+    def test_block_build_is_phase_flip_byte_for_byte(self, monkeypatch):
+        # the build chsh_matrix calls, on the arguments it passes, gives the
+        # bytes of the checked phase_flip(2, [(0, 1)], phases)
+        for phases in [(0.0, math.pi, -math.pi, 1e-300), (-1e-300, 0.0, math.pi, -math.pi)]:
+            built = chsh._flip_stack(2, fock._BLOCK_PAIRS, np.array(phases))
+            assert built.tobytes() == phase_flip(2, [(0, 1)], phases).tobytes()
+            assert built.shape == (4, 2, 2) and not built.flags.writeable
+        seen = []
+
+        def recording(levels, pairs, phases):
+            built = chsh._flip_stack(levels, pairs, phases)
+            seen.append((phases.tolist(), built))
+            return built
+
+        monkeypatch.setattr(fock, "_flip_stack", recording)
+        rng = np.random.default_rng(113)
+        angle_sets = [AngleSet(0.0, math.pi, -math.pi, 1e-300)]
+        angle_sets += [AngleSet(*rng.uniform(-7.0, 7.0, 4)) for _ in range(200)]
+        for angles in angle_sets:
+            chsh_matrix(0.6, FockSpace(4), angles)
+        assert [phases for phases, _ in seen] == [list(a.as_tuple()) for a in angle_sets]
+        for phases, built in seen:
+            assert built.tobytes() == phase_flip(2, [(0, 1)], phases).tobytes()
+            assert not built.flags.writeable
 
 
 class TestFlipAction:
@@ -597,9 +627,9 @@ class TestFlipAction:
 
     def test_imaginary_residue_raises(self, monkeypatch):
         # a corrupted flip stack with e^{i phase} both ways is not hermitian
-        def corrupted(dim, pairs, phases):
-            return np.array([[[0.0, up], [up, 0.0]] for up in np.exp(1j * np.asarray(phases))])
+        def corrupted(levels, pairs, phases):
+            return np.array([[[0.0, up], [up, 0.0]] for up in np.exp(1j * phases)])
 
-        monkeypatch.setattr(fock, "phase_flip", corrupted)
+        monkeypatch.setattr(fock, "_flip_stack", corrupted)
         with pytest.raises(PrecisionError, match="imaginary residue"):
             chsh_matrix(0.6, FockSpace(8), AngleSet(0.4, -1.3, 0.9, 2.2))
