@@ -35,6 +35,10 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 #: MAX_FLIP_DIM**2`` complex entries (256 MiB), checked before allocation.
 MAX_FLIP_DIM = 2048
 
+#: names a refused ``phase_flip`` argument, nested lists two levels deep
+_NAMED = reprlib.Repr()
+_NAMED.maxlevel = 2
+
 
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the interval [-pi, pi)."""
@@ -72,88 +76,77 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     """Level-pair phase flip on one factor: the measurement operator of
     every setting in this package.
 
-    Each ``(src, dst)`` pair of levels (one row of ``pairs``) is swapped
-    with ``<dst|M|src> = e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``;
-    every other level is fixed.  A scalar ``phase`` gives one read-only
-    complex ``(dim, dim)`` matrix; an array of phases gives the read-only
-    stack of shape ``phases.shape + (dim, dim)``, each flip byte for byte
-    the matrix of its scalar call, hermitian and an exact involution.
-    ``dim`` must be a positive integer with at most ``4 * MAX_FLIP_DIM**2``
-    entries in the stack (an empty stack counts as one flip), ``pairs`` a
-    non-empty integer array of disjoint rows within ``[0, dim)`` and every
-    phase finite; otherwise ``DomainError`` is raised before anything of
-    ``dim``'s or an oversized ``pairs``' size is allocated: a list of more
-    than ``dim / 2`` pairs is refused unread, named by its ``reprlib``
-    repr, as ragged pairs are.  A phase that is no array of numbers (text,
-    at any depth of nested lists, is neither parsed nor copied) is refused
-    as one NaN phase, a complex one as NaN where its imaginary part is not
-    zero.  Pair arrays of more than 16 entries and a stack of more than
-    four phases are named by their shape (the stack also by its first
-    non-finite entry), not listed.
+    Each ``(src, dst)`` row of ``pairs`` is swapped with ``<dst|M|src> =
+    e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``; every other level is
+    fixed.  A scalar ``phase`` gives one read-only complex ``(dim, dim)``
+    matrix, a flat list, tuple or 1-D array of ``n`` phases the read-only
+    ``(n, dim, dim)`` stack of its scalar calls' matrices, byte for byte;
+    each is hermitian and an exact involution.  ``dim`` must be a positive
+    integer with at most ``4 * MAX_FLIP_DIM**2`` entries in the stack (an
+    empty stack counts as one flip), ``pairs`` a non-empty integer ``(n,
+    2)`` array, or a list of two-integer tuples or lists, of disjoint
+    levels in ``[0, dim)``, and every phase finite; else ``DomainError`` is
+    raised before anything of an argument's size is allocated.  A list is
+    counted before any item is read (more than ``dim / 2`` pairs are
+    refused unread), then read item by item: a phase by
+    ``errors.to_number``, but text, a nested list or a multi-dimensional
+    array as NaN, unparsed; a pair as two signed integers, neither
+    unsigned nor bool.  Long arguments are named by shape, not listed.
 
     This is the one checked entry to the one flip build, ``_flip_stack``;
     ``fock.chsh_matrix`` shares that build, calling it directly on its
     constant block pairs and the phases its ``AngleSet`` has checked.
     """
-    try:  # text is refused unread: numpy would copy it at four bytes a character
-        phases = np.asarray(math.nan if _holds_text(phase) else phase)
-        if phases.dtype.kind == "c":  # refused where not real, never truncated
-            phases = np.where(phases.imag == 0, phases.real, math.nan)
-        phases = phases.astype(float, casting="same_kind", copy=False)
-    except (TypeError, ValueError, OverflowError):  # named as nan, like to_number
-        phases, phase = np.array(math.nan), math.nan
+    stacked = (isinstance(phase, (list, tuple))
+               or isinstance(phase, np.ndarray) and phase.ndim == 1)
+    count = len(phase) if stacked else 1
     try:
         levels = operator.index(dim)
     except TypeError:
         levels = 0
     # an empty stack is sized as one flip, so its dim is bounded as well;
     # disjoint levels in [0, dim) number at most dim, which bounds the list
-    flips = max(phases.size, 1)
+    flips = max(count, 1)
     fits = 1 <= levels and flips * levels * levels <= 4 * MAX_FLIP_DIM ** 2
-    if fits and not (isinstance(pairs, (list, tuple)) and 2 * len(pairs) > levels):
-        try:
-            pairs = np.asarray(pairs)
-        except ValueError:  # ragged rows: a string array, named by a bounded repr
-            pairs = np.array(reprlib.repr(pairs))
+    if fits:  # counted above; read one item at a time
+        phases = (np.fromiter(map(_phase_number, phase), float, count) if stacked
+                  else np.array(_phase_number(phase)))
+        if isinstance(pairs, (list, tuple)) and 2 * len(pairs) <= levels:
+            read = [level for row in pairs if isinstance(row, (list, tuple))
+                    and len(row) == 2 for level in row]
+            if len(read) == 2 * len(pairs) and all(
+                    type(level) is int or isinstance(level, np.signedinteger)
+                    for level in read):
+                pairs = np.array(read).reshape(-1, 2)
     if not (fits and isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i"
             and pairs.ndim == 2 and pairs.shape[1] == 2 and 0 < pairs.size <= levels
             and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
             and 0 <= min(paired) and max(paired) < levels
             and np.isfinite(phases).all()):
-        named = (reprlib.repr(pairs) if not isinstance(pairs, np.ndarray)
-                 else reprlib.repr(pairs.tolist()) if pairs.size <= 16
+        named = (_NAMED.repr(pairs) if not isinstance(pairs, np.ndarray)
+                 else _NAMED.repr(pairs.tolist()) if pairs.size <= 16
                  else f"of shape {pairs.shape} and dtype {pairs.dtype}")
-        if phases.size > 4:  # named by shape; only a stack that fits is searched
-            first = phases.flat[np.isfinite(phases).argmin()] if fits else 0.0
-            phase = f"of shape {phases.shape}" + (
+        if count > 4:  # named by shape; only a stack that fits is searched
+            first = phases[np.isfinite(phases).argmin()] if fits else 0.0
+            phase = f"of shape {(count,)}" + (
                 "" if math.isfinite(first) else f" with first non-finite entry {first}")
         else:
-            phase = reprlib.repr(phase)
+            phase = _NAMED.repr(phase)
         raise DomainError(f"phase flip is not hermitian or not an involution: dim "
                           f"must be a positive integer with {flips} * dim**2 "
                           f"at most {4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint "
                           f"integer level pairs in [0, dim) and every phase finite, "
                           f"got pairs {named} and phase {phase} for dim "
-                          f"{reprlib.repr(dim)}")
+                          f"{_NAMED.repr(dim)}")
     return _flip_stack(levels, pairs, phases)
 
 
-def _holds_text(phase) -> bool:
-    """Whether ``phase`` is text, or lists or tuples holding text in any of
-    the 64 levels numpy reads, found without copying the text."""
-    level = [(phase,)]
-    for _ in range(65):  # the phase itself, then each level numpy reads
-        nested = []
-        for items in level:
-            for item in items:
-                if isinstance(item, str):
-                    return True
-                if isinstance(item, (list, tuple)):
-                    nested.append(item)
-        if not nested:
-            return False
-        level = nested
-    return False
+def _phase_number(item) -> float:
+    """One phase read by ``to_number``; text, and an array that is not
+    0-d, read as NaN."""
+    if isinstance(item, np.ndarray):
+        item = item[()] if item.ndim == 0 else math.nan
+    return math.nan if isinstance(item, (str, bytes, bytearray)) else to_number(item)
 
 
 def _flip_stack(levels: int, pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:

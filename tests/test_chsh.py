@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -285,9 +288,9 @@ class TestStackedPhaseFlip:
             for phase, flip in zip(phases, stack):
                 assert flip.tobytes() == phase_flip(dim, pairs, float(phase)).tobytes()
             assert phase_flip(dim, pairs, tuple(phases)).tobytes() == stack.tobytes()
-            grid = phase_flip(dim, pairs, phases.reshape(4, 4))
-            assert grid.shape == (4, 4, dim, dim)
-            assert grid.tobytes() == stack.tobytes()
+            # a stack is flat: a grid of phases is refused, not read
+            with pytest.raises(DomainError, match="not hermitian"):
+                phase_flip(dim, pairs, phases.reshape(4, 4))
 
     def test_scalar_phase_gives_one_matrix(self):
         assert phase_flip(4, [(0, 1), (2, 3)], 0.3).shape == (4, 4)
@@ -306,16 +309,18 @@ class TestStackedPhaseFlip:
     def test_non_finite_phase_anywhere_raises(self, bad, where):
         phases = np.linspace(-1.0, 1.0, 6)
         phases[where] = bad
-        for stack in (phases, phases.reshape(2, 3), list(phases)):
+        for stack in (phases, tuple(phases), list(phases)):
             with pytest.raises(DomainError, match="not hermitian"):
                 phase_flip(4, [(0, 1), (2, 3)], stack)
 
-    @pytest.mark.parametrize("pairs", [[(0, 2)], [(0, 10**13)], [(0, -1)], [], [(0, 1.5)]],
-                             ids=["beyond-dim", "far-beyond-dim", "negative", "empty",
-                                  "non-integer"])
-    def test_malformed_pairs_raise_domain_error(self, pairs):
-        # each fails inside the one check, and the message names the pairs
-        named = re.escape(f"got pairs {np.asarray(pairs).tolist()}")
+    @pytest.mark.parametrize("pairs,shown", [
+        ([(0, 2)], "[[0, 2]]"), ([(0, 10**13)], "[[0, 10000000000000]]"),
+        ([(0, -1)], "[[0, -1]]"), ([], "[]"), ([(0, 1.5)], "[(0, 1.5)]"),
+    ], ids=["beyond-dim", "far-beyond-dim", "negative", "empty", "non-integer"])
+    def test_malformed_pairs_raise_domain_error(self, pairs, shown):
+        # each fails inside the one check, and the message names the pairs:
+        # integer rows as the array they were read into, others as given
+        named = re.escape(f"got pairs {shown}")
         for phase in (0.1, (0.1, 0.2)):
             with pytest.raises(DomainError, match=named):
                 phase_flip(2, pairs, phase)
@@ -389,6 +394,71 @@ class TestStackedPhaseFlip:
         with pytest.raises(DomainError) as raised:
             phase_flip(2048, [(0, 1)], np.broadcast_to(math.nan, (10**6,)))
         assert "and phase of shape (1000000,) for dim 2048" in str(raised.value)
+
+    @pytest.mark.parametrize("dim,pairs,phase", [
+        (2, [(0, 1)], "1.5"),
+        (2, [(0, 1)], b"1.5"),
+        (2, [(0, 1)], ["1.5"]),
+        (2, [(0, 1)], [["1.5"]]),
+        (2, [(0, 1)], [[0.5], ("1.5",)]),
+        (2, [(0, 1)], np.array(["1.5"])),
+        (2, [(0, 1)], 1j),
+        (2, [(0, 1)], [0.5, 1j]),
+        (2, [(0, 1)], np.array([1 + 1j])),
+        (2, [(0, 1)], np.array(1 + 1j)),
+        (2, [(0, 1)], math.nan),
+        (2, [(0, 1)], [0.5, math.nan]),
+        (2, [(0, 1)], np.array([math.inf])),
+        (2048, [(0, 1)], np.broadcast_to(0.3, (10**6,))),
+        (2048, [(0, 1)], np.broadcast_to(0.3, (1000, 1000))),
+        (4, [(0, 1)] * 50_000, 0.3),
+        (2, [(0, 1.5)], 0.3),
+        (2, np.array([[0.0, 1.0]]), 0.3),
+        (4, [(0, 1), (2,)], 0.3),
+        (2, [(True, False)], 0.3),
+        (2, np.array([[True, False]]), 0.3),
+        (2, np.array([[0, 1]], np.uint8), 0.3),
+        (2, [(np.uint8(0), np.uint8(1))], 0.3),
+    ], ids=["text", "bytes", "text-in-list", "nested-text", "nested-text-in-tuple",
+            "text-array", "complex", "complex-in-list", "complex-array", "complex-0d",
+            "nan", "nan-in-list", "inf-array", "oversized-stack", "oversized-grid",
+            "long-pair-list", "float-pair-list", "float-pair-array", "ragged-pairs",
+            "bool-pair-list", "bool-pair-array", "uint8-pair-array", "uint8-pair-list"])
+    def test_refused_inputs_stay_refused(self, dim, pairs, phase):
+        # each is refused by the one check, whatever reads the argument
+        with pytest.raises(DomainError, match=re.escape(f"for dim {dim}")):
+            phase_flip(dim, pairs, phase)
+
+    @pytest.mark.parametrize("argument", ["phase", "pairs", "both"])
+    def test_self_referential_list_refused_at_once(self, argument):
+        # a list that holds itself doubles at every level it is walked, so
+        # a reader of nested input never returns; run in a child that the
+        # timeout kills.  "both" holds itself six times, which a repr of
+        # unbounded depth would spell out 6**6 times in the message
+        child = (
+            "import sys, time\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from bellchsh import DomainError, phase_flip\n"
+            "a, b = [], []\n"
+            "a.extend([a, a])\n"
+            "b.extend([b] * 6)\n"
+            "calls = {'phase': ([(0, 1)], a), 'pairs': (a, 0.1), 'both': (b, b[:4])}\n"
+            "for dim in (2, 4, 1024):\n"
+            "    start = time.perf_counter()\n"
+            "    try:\n"
+            "        phase_flip(dim, *calls[sys.argv[2]])\n"
+            "    except DomainError as err:\n"
+            "        print(dim, time.perf_counter() - start, len(str(err)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(chsh.__file__))
+        done = subprocess.run([sys.executable, "-c", child, src, argument],
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr[-2000:]
+        refused = {dim: (float(seconds), int(length))
+                   for dim, seconds, length in map(str.split, done.stdout.splitlines())}
+        assert sorted(refused, key=int) == ["2", "4", "1024"]
+        assert all(seconds < 1.0 and length < 1000
+                   for seconds, length in refused.values()), refused
 
     def test_stack_size_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(chsh, "MAX_FLIP_DIM", 4)  # at most 64 entries

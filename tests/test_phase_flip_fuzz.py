@@ -1,8 +1,9 @@
 """Property test of ``chsh.phase_flip`` against ``helpers.loop_phase_flip``.
 
 Valid draws: ``dim`` in [2, 12], disjoint pairs (some levels possibly
-left fixed) and a scalar phase or a stack of finite phases; every flip
-must equal its loop oracle byte for byte.  Malformed draws, ``dim`` in
+left fixed) and a scalar phase or a flat stack of finite phases; every
+flip must equal its loop oracle byte for byte, and the same phases as a
+two-dimensional stack must be refused.  Malformed draws, ``dim`` in
 [1, 12]: overlapping, negative, ``>= dim``, empty, float and too many
 rows; each must raise ``DomainError`` naming ``dim``.  The search is
 derandomized, so the module runs the same examples every time.
@@ -35,7 +36,7 @@ def disjoint_pairs(draw, dim):
 def valid_flips(draw):
     dim = draw(st.integers(2, 12))
     pairs = draw(disjoint_pairs(dim))
-    shape = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    shape = draw(st.sampled_from([(), (1,), (4,), (6,)]))
     size = int(np.prod(shape))
     phases = draw(st.lists(PHASE, min_size=size, max_size=size))
     phase = phases[0] if shape == () else np.reshape(phases, shape)
@@ -78,6 +79,8 @@ def test_matches_loop_oracle_byte_for_byte(case):
     assert not flips.flags.writeable
     for value, flip in zip(phases.ravel(), flips.reshape(-1, dim, dim)):
         assert flip.tobytes() == loop_phase_flip(dim, pairs, float(value)).tobytes()
+    with pytest.raises(DomainError, match=re.escape(f"for dim {dim!r}")):
+        phase_flip(dim, pairs, phases.reshape(1, -1))
 
 
 @EXAMPLES
