@@ -19,13 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ShapeError, to_number
+from .errors import DomainError, PrecisionError, ShapeError, named, to_number
 from .linalg import Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -34,10 +33,6 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 #: A ``phase_flip`` stack holds at most four such flips, ``4 *
 #: MAX_FLIP_DIM**2`` complex entries (256 MiB), checked before allocation.
 MAX_FLIP_DIM = 2048
-
-#: names a refused ``phase_flip`` argument, nested lists two levels deep
-_NAMED = reprlib.Repr()
-_NAMED.maxlevel = 2
 
 
 def wrap_angle(theta: float) -> float:
@@ -123,21 +118,21 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
             and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
             and 0 <= min(paired) and max(paired) < levels
             and np.isfinite(phases).all()):
-        named = (_NAMED.repr(pairs) if not isinstance(pairs, np.ndarray)
-                 else _NAMED.repr(pairs.tolist()) if pairs.size <= 16
+        pairs = (named(pairs) if not isinstance(pairs, np.ndarray)
+                 else named(pairs.tolist()) if pairs.size <= 16
                  else f"of shape {pairs.shape} and dtype {pairs.dtype}")
         if count > 4:  # named by shape; only a stack that fits is searched
             first = phases[np.isfinite(phases).argmin()] if fits else 0.0
             phase = f"of shape {(count,)}" + (
                 "" if math.isfinite(first) else f" with first non-finite entry {first}")
         else:
-            phase = _NAMED.repr(phase)
+            phase = named(phase)
         raise DomainError(f"phase flip is not hermitian or not an involution: dim "
                           f"must be a positive integer with {flips} * dim**2 "
                           f"at most {4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint "
                           f"integer level pairs in [0, dim) and every phase finite, "
-                          f"got pairs {named} and phase {phase} for dim "
-                          f"{_NAMED.repr(dim)}")
+                          f"got pairs {pairs} and phase {phase} for dim "
+                          f"{named(dim)}")
     return _flip_stack(levels, pairs, phases)
 
 
@@ -170,7 +165,7 @@ def _flip_stack(levels: int, pairs: np.ndarray, phases: np.ndarray) -> np.ndarra
 class ChshQuadruple:
     """CHSH quadruple kept as local factors: ``a1``, ``a2`` on H_A and
     ``b1``, ``b2`` on H_B, each coerced to a read-only square complex
-    matrix (a non-square one raises ``ShapeError``).
+    matrix by ``square_matrix``; anything else raises ``ShapeError``.
 
     The four operators are expected to be hermitian and to square to the
     identity; A/B commutation holds by construction.  Construction does

@@ -21,7 +21,8 @@ error; 3 validation or tolerance failure, a ``PrecisionError`` (a
 numerical certificate, or a failed ``spin``/``squeeze-scan`` check,
 raised by ``main`` after the rows).  Each prints one stderr line, and
 a ``DomainError`` whose ``argument`` is a flag's value names the flag:
-``configuration error: <flag>: <message>``.
+``configuration error: <flag>: <message>``.  Echoed flag text is
+named by ``errors.named``, two levels deep, and so stays short.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .chsh import (
     optimize_angles,
     validate_quadruple,
 )
-from .errors import DomainError, PrecisionError, to_numbers
+from .errors import DomainError, PrecisionError, named, to_numbers
 
 OUT_DIR_ENV = "BELLCHSH_OUT_DIR"
 
@@ -91,20 +92,20 @@ def parse_angle(token: str) -> float:
         if match.group("den"):
             den = float(match.group("den"))
             if den == 0.0:
-                raise DomainError(f"angle {token!r} divides by zero")
+                raise DomainError(f"angle {named(token)} divides by zero")
             value /= den
         return -value if match.group("sign") == "-" else value
     try:
         return float(text)
     except ValueError:
-        raise DomainError(f"cannot parse angle {token!r}") from None
+        raise DomainError(f"cannot parse angle {named(token)}") from None
 
 
 def parse_angles(text: str) -> AngleSet:
     """Parse 'a1,a2,b1,b2' into an AngleSet."""
     parts = text.split(",")
     if len(parts) != 4:
-        raise DomainError(f"--angles needs 4 comma-separated values, got {text!r}")
+        raise DomainError(f"--angles needs 4 comma-separated values, got {named(text)}")
     return AngleSet(*(parse_angle(p) for p in parts))
 
 
@@ -112,18 +113,18 @@ def parse_range(text: str, name: str) -> np.ndarray:
     """Parse 'LO:HI:STEPS' into an inclusive grid of STEPS points."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise DomainError(f"{name} must look like LO:HI:STEPS, got {text!r}")
+        raise DomainError(f"{name} must look like LO:HI:STEPS, got {named(text)}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         steps = int(parts[2])
     except ValueError:
-        raise DomainError(f"cannot parse {name} {text!r}") from None
+        raise DomainError(f"cannot parse {name} {named(text)}") from None
     if not math.isfinite(hi - lo):
-        raise DomainError(f"{name} bounds and their span must be finite, got {text!r}")
+        raise DomainError(f"{name} bounds and their span must be finite, got {named(text)}")
     if steps < 1:
-        raise DomainError(f"{name} needs at least 1 step, got {steps}")
+        raise DomainError(f"{name} needs at least 1 step, got {named(steps)}")
     if steps > MAX_STEPS:
-        raise DomainError(f"{name} allows at most {MAX_STEPS} steps, got {steps}")
+        raise DomainError(f"{name} allows at most {MAX_STEPS} steps, got {named(steps)}")
     if hi < lo:
         raise DomainError(f"{name} range is empty: {lo} > {hi}")
     return np.linspace(lo, hi, steps)
@@ -133,22 +134,22 @@ def parse_floats(text: str, name: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise DomainError(f"cannot parse {name} {text!r}") from None
+        raise DomainError(f"cannot parse {name} {named(text)}") from None
 
 
 def parse_quad(text: str) -> int:
     if "," in text:
-        raise DomainError(f"--quad takes RADIAL only, got {text!r}: the ANGULAR count "
+        raise DomainError(f"--quad takes RADIAL only, got {named(text)}: the ANGULAR count "
                           "was removed because the angular integral is closed form")
     try:
         radial = int(text)
     except ValueError:
-        raise DomainError(f"cannot parse --quad {text!r}") from None
+        raise DomainError(f"cannot parse --quad {named(text)}") from None
     if radial < 2:
-        raise DomainError(f"--quad needs at least 2 radial nodes, got {text!r}")
+        raise DomainError(f"--quad needs at least 2 radial nodes, got {named(text)}")
     if radial > MAX_QUAD_RADIAL:
         raise DomainError(f"--quad radial node count must be <= {MAX_QUAD_RADIAL} "
-                          f"(doubled for the error estimate), got {radial}")
+                          f"(doubled for the error estimate), got {named(radial)}")
     return radial
 
 
@@ -239,7 +240,7 @@ def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
     grid = parse_range(args.eta_range, "--eta-range")
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise DomainError(
-            f"--eta-range must stay inside the open interval (0, 1), got {args.eta_range!r}"
+            f"--eta-range must stay inside the open interval (0, 1), got {named(args.eta_range)}"
         )
     window_lo, _ = fock.VIOLATION_WINDOW
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the coercions through
-which every domain check reads its numbers.
+"""Exception types, the coercions through which every domain check reads
+its numbers, and ``named``, the one namer of a refused argument.
 
 Each class the command line can meet is one exit code: ``DomainError``
 exits 2 and ``PrecisionError`` exits 3.
@@ -9,6 +9,12 @@ import math
 import reprlib
 
 import numpy as np
+
+#: ``named(value)`` names a refused argument: its repr where short, else a
+#: ``reprlib`` abridgement two levels deep, other limits at their defaults
+_NAMER = reprlib.Repr()
+_NAMER.maxlevel = 2
+named = _NAMER.repr
 
 
 class ShapeError(ValueError):
@@ -53,4 +59,4 @@ def to_numbers(values, argument: str, length: int | None = None) -> tuple[float,
         return tuple(to_number(v) for v in values)
     except TypeError:
         raise DomainError(f"{argument} must be {length or 'a sequence of'} numbers, "
-                          f"got {reprlib.repr(values)}", argument=argument) from None
+                          f"got {named(values)}", argument=argument) from None

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 import operator
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chsh import (MAX_FLIP_DIM, AngleSet, ChshQuadruple, ClosedFormCorrelator,
                    _flip_stack, _real_correlator, flip_quadruple)
-from .errors import DomainError, to_number
+from .errors import DomainError, named, to_number
 from .linalg import FactoredOperator, Ket
 
 #: Phase choice turning the squeezed closed form into 2 * (2 sqrt(2) eta
@@ -86,7 +85,7 @@ class FockSpace:
             cutoff = 0  # refused below, named by its repr
         if not (4 <= cutoff <= MAX_CUTOFF and cutoff % 2 == 0):
             raise DomainError(f"cutoff must be an even integer in [4, {MAX_CUTOFF}], "
-                              f"got {reprlib.repr(self.cutoff)}", argument="cutoff")
+                              f"got {named(self.cutoff)}", argument="cutoff")
         object.__setattr__(self, "cutoff", cutoff)
 
     @property

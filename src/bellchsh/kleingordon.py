@@ -27,14 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import reprlib
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .chsh import AngleSet
-from .errors import DomainError, PrecisionError, to_number, to_numbers
+from .errors import DomainError, PrecisionError, named, to_number, to_numbers
 from . import fock
 
 
@@ -167,7 +166,7 @@ class ShellQuadrature:
             radial = 0  # refused below, named by its repr
         if not 2 <= radial <= MAX_RADIAL:
             raise DomainError(f"quadrature radial node count must be an integer of at least 2 "
-                              f"and must be <= {MAX_RADIAL}, got {reprlib.repr(self.radial)}",
+                              f"and must be <= {MAX_RADIAL}, got {named(self.radial)}",
                               argument="radial")
         object.__setattr__(self, "radial", radial)
         for name in ("k_max", "tol"):

@@ -18,11 +18,12 @@ operations are pure functions and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, named
 
 #: Entrywise tolerance for structural checks (hermiticity, unitarity,
 #: normalization): about 100x double-precision epsilon accumulation at
@@ -37,11 +38,40 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 def square_matrix(entries) -> np.ndarray:
     """Coerce to a read-only, non-empty, square complex matrix: the form
-    of every one-factor operator."""
-    arr = np.array(entries, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ShapeError(f"operator entries must be square, got {arr.shape}")
-    return _readonly(arr)
+    of every one-factor operator (see ``_complex_array``)."""
+    return _readonly(_complex_array(entries, 2, "operator entries"))
+
+
+def _numbers(items, count: int | None = None) -> bool:
+    """Whether ``items`` is a list or tuple of numbers, ``count`` of them
+    when it is given: its own items are typed, none is walked."""
+    return (isinstance(items, (list, tuple)) and count in (None, len(items))
+            and all(isinstance(item, numbers.Number) for item in items))
+
+
+def _complex_array(value, ndim: int, what: str) -> np.ndarray:
+    """``value`` as a non-empty complex array of ``ndim`` dimensions, square
+    when 2.  An ndarray is converted by numpy.  A list or tuple is first
+    counted and typed: a vector's items must be numbers, a matrix's rows
+    lists or tuples of as many numbers as there are rows, so numpy never
+    walks nested, text or self-referential entries.  Anything else, and a
+    list that fails, raises ``ShapeError`` naming ``what`` and the value
+    (an ndarray by its shape, any other by ``errors.named``)."""
+    given = isinstance(value, np.ndarray)
+    if ndim == 1:
+        typed = given or _numbers(value)
+    else:
+        typed = given or isinstance(value, (list, tuple)) and all(
+            _numbers(row, len(value)) for row in value)
+    try:
+        arr = np.array(value, dtype=complex) if typed else None
+    except (TypeError, ValueError, OverflowError):  # not numbers: refused below
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.size == 0 or arr.shape[0] != arr.shape[-1]:
+        shape = "1-D vector" if ndim == 1 else "square matrix"
+        raise ShapeError(f"{what} must be a non-empty {shape} of complex numbers, "
+                         f"got {value.shape if given else named(value)}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +80,9 @@ class Ket:
 
     Parameters
     ----------
-    amplitudes : array_like
-        Complex amplitudes; coerced to a read-only 1-D complex array
+    amplitudes : ndarray, list or tuple
+        Complex amplitudes, a list or tuple typed item by item before
+        numpy reads it; coerced to a read-only 1-D complex array
         (anything that is not raises ``ShapeError``).
     normalized : bool, optional
         Declare the vector normalized.  When True, construction fails
@@ -62,12 +93,7 @@ class Ket:
     normalized: bool = False
 
     def __post_init__(self):
-        try:
-            arr = np.array(self.amplitudes, dtype=complex)
-        except (TypeError, ValueError, OverflowError):  # not numbers: refused below
-            arr = np.empty(0)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ShapeError("a ket must be a non-empty 1-D vector of complex amplitudes")
+        arr = _complex_array(self.amplitudes, 1, "ket amplitudes")
         object.__setattr__(self, "amplitudes", _readonly(arr))
         if self.normalized and not abs(self.norm - 1.0) <= STRUCTURE_TOL:
             raise DomainError(
@@ -89,9 +115,10 @@ class FactoredOperator:
 
     Parameters
     ----------
-    terms : sequence of (coefficient, left, right)
-        ``left`` is a square matrix on H_A and ``right`` one on H_B;
-        every term has the same two factor dimensions.
+    terms : non-empty list or tuple of (coefficient, left, right)
+        ``coefficient`` is a number, ``left`` a square matrix on H_A and
+        ``right`` one on H_B (``square_matrix``); every term has the same
+        two factor dimensions.  Anything else raises ``ShapeError``.
 
     The only operation is ``apply``; there is no operator arithmetic,
     so a builder writes each term out.  Memory and ``apply`` cost grow
@@ -102,10 +129,13 @@ class FactoredOperator:
     terms: tuple
 
     def __post_init__(self):
+        if not (isinstance(self.terms, (list, tuple)) and self.terms and all(
+                isinstance(term, (list, tuple)) and len(term) == 3
+                and isinstance(term[0], numbers.Number) for term in self.terms)):
+            raise ShapeError(f"a factored operator needs a non-empty list of "
+                             f"(coefficient, left, right) terms, got {named(self.terms)}")
         terms = tuple((complex(c), square_matrix(left), square_matrix(right))
                       for c, left, right in self.terms)
-        if not terms:
-            raise ShapeError("a factored operator needs at least one term")
         dims = {(left.shape[0], right.shape[0]) for _, left, right in terms}
         if len(dims) != 1:
             raise ShapeError(f"terms have mixed factor dims {sorted(dims)}")

@@ -62,6 +62,12 @@ def tau(modes: RindlerModeSet, temperature: float) -> float:
     temperature = to_number(temperature)
     if not 0.0 < temperature < math.inf:
         raise DomainError(f"temperature must be positive and finite, got {temperature}")
+    return _mode_sum(modes, temperature)
+
+
+def _mode_sum(modes: RindlerModeSet, temperature: float) -> float:
+    """The per-mode sum behind ``tau``, at a float T in (0, inf) that the
+    caller has checked.  Unchecked itself."""
     return sum(pair_amplitude(math.exp(-w / (2.0 * temperature)))
                for w in modes.frequencies)
 
@@ -92,12 +98,13 @@ def temperature_scan(modes: RindlerModeSet,
                      t_grid: Sequence[float] | Iterable[float]) -> list[ScanRow]:
     """Recompute (tau, CHSH) over an ascending grid of temperatures.
 
-    Each row is ``tau(modes, T)`` at its own grid temperature T, which
-    rejects a T outside (0, inf).  The grid must be strictly ascending,
-    which a NaN breaks, so only its first or last T can lie outside, and
-    those two are checked, in that order, before any row is built.  Rows
-    whose summed form factor exceeds 1 (possible only with several modes)
-    are flagged supra-Tsirelson; the literal value is reported unclamped.
+    Each row is ``tau(modes, T)`` at its own grid temperature T.  The grid
+    must be strictly ascending, which a NaN breaks, so only its first or
+    last T can lie outside (0, inf): ``tau`` checks those two, in that
+    order, before any row is built, and each row takes the unchecked sum.
+    Rows whose summed form factor exceeds 1 (possible only with several
+    modes) are flagged supra-Tsirelson; the literal value is reported
+    unclamped.
     """
     grid = to_numbers(t_grid, "t_grid")
     if not grid:
@@ -108,7 +115,7 @@ def temperature_scan(modes: RindlerModeSet,
         tau(modes, t)
     rows = []
     for t in grid:
-        form = tau(modes, t)
+        form = _mode_sum(modes, t)
         rows.append(ScanRow(
             temperature=t,
             tau=form,

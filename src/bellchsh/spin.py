@@ -15,13 +15,12 @@ CHSH quadruple.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chsh import AngleSet, ChshQuadruple, ClosedFormCorrelator, flip_quadruple
-from .errors import DomainError
+from .errors import DomainError, named
 from .linalg import Ket
 
 SPIN_HALF = "half"
@@ -55,7 +54,7 @@ SPIN_ONE_VIOLATION_ANGLES = AngleSet(math.pi / 2, 0.0, 3 * math.pi / 4, 0.0)
 def _check_spin(spin: str) -> int:
     if not isinstance(spin, str) or spin not in _LEVELS:  # a list is unhashable
         raise DomainError(f"spin must be one of {sorted(_LEVELS)}, "
-                          f"got {reprlib.repr(spin)}")
+                          f"got {named(spin)}")
     return _LEVELS[spin]
 
 

@@ -8,6 +8,10 @@ complex numbers, None and numpy arrays.  Each call must return, or raise
 under 1,000 characters, and a rejected call must peak under 1 MiB of
 traced allocation.  A numpy ``RuntimeWarning`` is raised as an error.
 
+A list that holds itself, which numpy or an unbounded repr would walk
+forever or spell out at length, is passed to every entry point that
+reads a list, in a child process with a timeout.
+
 Arguments that are package objects (angles, Fock spaces, mode sets,
 packets, rules) are valid ones; a sequence argument is also drawn as a
 scalar, and a complex value as a Python or a numpy complex.  The hostile
@@ -18,6 +22,9 @@ the module runs the same examples every time.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -27,8 +34,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import bellchsh  # noqa: E402
 from bellchsh import (  # noqa: E402
     AngleSet,
+    ChshQuadruple,
     DomainError,
     FockSpace,
     GaussianPacket,
@@ -92,6 +101,11 @@ PAIRS = st.one_of(st.just([(0, 1)]), st.lists(st.tuples(SHORT, SHORT), max_size=
 PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5),
                   st.sampled_from([ASCENDING_THEN_NAN, NESTED_TEXT]))
 SPIN = st.one_of(st.sampled_from(["half", "one", "HALF", ["half"], ("one",)]), HOSTILE)
+#: one-factor operator entries: hostile values, rows of them (square,
+#: ragged or nested), text rows, a dict, and valid matrices
+MATRIX = st.one_of(HOSTILE, SEQUENCE, st.lists(st.lists(SHORT, max_size=3), max_size=3),
+                   st.sampled_from([{}, [["a", "b"], ["c", "d"]], [[1, 0], [0]],
+                                    [[[1]]], [[1, 0], [0, 1]], np.eye(2)]))
 
 ANGLES = AngleSet(0.1, 0.2, 0.3, 0.4)
 SPACE = FockSpace(4)
@@ -137,6 +151,7 @@ TARGETS = {
     "spin_closed_form": (st.tuples(SPIN), spin_closed_form),
     "spin_quadruple": (st.tuples(SPIN), lambda spin: spin_quadruple(spin, ANGLES)),
     "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE)), Ket),
+    "ChshQuadruple": (st.tuples(MATRIX, MATRIX, MATRIX, MATRIX), ChshQuadruple),
 }
 
 
@@ -164,6 +179,57 @@ def call_bounded(entry, args):
 def test_returns_or_raises_a_bounded_package_error(name, data):
     arguments, entry = TARGETS[name]
     call_bounded(entry, data.draw(arguments, label="args"))
+
+
+#: Passes ``a``, a list that holds itself twice, and ``b``, one that holds
+#: itself six times, to every entry point that reads a list, and prints
+#: the seconds and message length of each package error raised.
+SELF_REFERENTIAL_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from bellchsh import *
+angles, modes = AngleSet(0.1, 0.2, 0.3, 0.4), RindlerModeSet((1.0,))
+calls = {
+    "GaussianPacket": lambda x: GaussianPacket(center=x, width=1.0),
+    "GaussianPacket.on_shell": lambda x: GaussianPacket.on_shell(1.0, x, 1.0),
+    "singlet": singlet,
+    "spin_quadruple": lambda x: spin_quadruple(x, angles),
+    "FockSpace": FockSpace,
+    "ShellQuadrature": lambda x: ShellQuadrature(k_max=10.0, radial=x),
+    "RindlerModeSet": RindlerModeSet,
+    "temperature_scan": lambda x: temperature_scan(modes, x),
+    "phase_flip": lambda x: phase_flip(2, x, x),
+    "Ket": Ket,
+    "ChshQuadruple": lambda x: ChshQuadruple(x, x, x, x),
+    "FactoredOperator": FactoredOperator,
+    "FactoredOperator-term": lambda x: FactoredOperator(((1.0, x, x),)),
+}
+a, b = [], []
+a.extend([a, a])
+b.extend([b] * 6)
+for name, call in calls.items():
+    for label, x in (("a", a), ("b", b)):
+        start = time.perf_counter()
+        try:
+            call(x)
+        except (DomainError, ShapeError, PrecisionError) as err:
+            print(name, label, time.perf_counter() - start, len(str(err)))
+"""
+
+
+def test_self_referential_lists_refused_at_once():
+    # numpy walks a list that holds itself without end, and a repr of
+    # depth 6 spells out 6**6 nested items of one that holds itself six
+    # times; run in a child that the timeout kills
+    src = os.path.dirname(os.path.dirname(bellchsh.__file__))
+    done = subprocess.run([sys.executable, "-c", SELF_REFERENTIAL_CHILD, src],
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr[-2000:]
+    refused = {(name, label): (float(seconds), int(length)) for name, label, seconds, length
+               in map(str.split, done.stdout.splitlines())}
+    assert len(refused) == 26, sorted(refused)
+    assert all(seconds < 1.0 and length < MAX_MESSAGE
+               for seconds, length in refused.values()), refused
 
 
 @pytest.mark.parametrize("entry,args", [

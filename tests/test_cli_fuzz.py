@@ -2,12 +2,15 @@
 subcommands: whatever the values, the run exits 0, 2 or 3 without an
 uncaught exception or a ``RuntimeWarning`` (numpy's overflow and
 invalid-value warnings are raised as errors), and a configuration error
-(exit 2) writes nothing to stdout.
+(exit 2) writes nothing to stdout and one stderr line under 1,000 bytes.
+Each flag that a message can echo is also given 5,000-character texts,
+every one of them in an explicit example as well.
 
 Sizes stay small (cutoff <= 64, --quad <= 256 nodes, <= 50 grid steps;
-the one oversized step count drawn is 10**12, which must be rejected
-before any grid is allocated), and the search is derandomized, so the
-module runs in a few seconds and the same examples every time.
+the oversized counts drawn, 10**12 and a 4,300-digit one, must be
+rejected before any grid or rule is built), and the search is
+derandomized, so the module runs in a few seconds and the same examples
+every time.
 """
 
 import contextlib
@@ -19,12 +22,20 @@ from unittest import mock
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bellchsh.cli import OUT_DIR_ENV, main  # noqa: E402
 
 EXTREMES = (float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
             1e300, -1e300, 1e-300, -1e-300, 5e-324)
+
+
+#: 5,000-character flag texts: unparsed text, a list of 2,501 items, a
+#: zero denominator, and a 4,300-digit count (the longest ``int`` reads)
+#: as a grid's STEPS and as --quad's RADIAL
+LONG_TEXTS = ("x" * 5000, "0," * 2500, "pi/" + "0" * 4997,
+              "0:1:" + " " * 696 + "9" * 4300, " " * 700 + "9" * 4300)
+LONG = st.sampled_from(LONG_TEXTS)
 
 
 def number(lo, hi):
@@ -54,6 +65,11 @@ def optional(flag, values):
     return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
 
 
+def echoed(flag, values):
+    """``optional``, with a 5,000-character text drawn as well."""
+    return optional(flag, st.one_of(values, LONG))
+
+
 def switch(flag):
     return st.sampled_from([[], [flag]])
 
@@ -66,28 +82,44 @@ def command(name, *parts):
 
 SUBCOMMANDS = {
     "spin": command(
-        "spin", optional("--angles", ANGLES)),
+        "spin", echoed("--angles", ANGLES)),
     "squeeze-scan": command(
-        "squeeze-scan", optional("--eta-range", grid(0.0, 1.0)),
+        "squeeze-scan", echoed("--eta-range", grid(0.0, 1.0)),
         optional("--cutoff", st.integers(-2, 64).map(str)),
-        optional("--angles", ANGLES)),
+        echoed("--angles", ANGLES)),
     "optimize": command(
         "optimize", optional("--closed-form", st.sampled_from(["squeezed", "spin-one"])),
         optional("--eta", number(0.0, 1.0))),
     "kg-norm": command(
         "kg-norm", optional("--mass", number(0.0, 5.0)),
-        optional("--center", joined(number(-3.0, 3.0), 2, 4)),
+        echoed("--center", joined(number(-3.0, 3.0), 2, 4)),
         optional("--center-energy", number(0.0, 5.0)),
         optional("--width", number(0.05, 5.0)),
         optional("--amplitude", number(-3.0, 3.0)),
-        optional("--quad", joined(st.integers(-1, 256).map(str), 1, 3)),
+        echoed("--quad", joined(st.integers(-1, 256).map(str), 1, 3)),
         optional("--tol", number(1e-14, 1e-2)),
         switch("--normalize")),
     "rindler-scan": command(
-        "rindler-scan", optional("--modes", joined(number(0.0, 5.0), 1, 3)),
-        optional("--temp-range", grid(0.0, 5.0)),
-        optional("--accel-range", grid(0.0, 30.0))),
+        "rindler-scan", echoed("--modes", joined(number(0.0, 5.0), 1, 3)),
+        echoed("--temp-range", grid(0.0, 5.0)),
+        echoed("--accel-range", grid(0.0, 30.0))),
 }
+
+#: The flags of each subcommand that a configuration error can echo.
+ECHOED_FLAGS = {"spin": ["--angles"], "squeeze-scan": ["--eta-range", "--angles"],
+                "optimize": [], "kg-norm": ["--center", "--quad"],
+                "rindler-scan": ["--modes", "--temp-range", "--accel-range"]}
+
+
+def long_examples(name):
+    """Decorate a ``@given`` test of ``name`` with an explicit example of
+    every long text at every echoed flag."""
+    def add(test):
+        for flag in ECHOED_FLAGS[name]:
+            for text in LONG_TEXTS:
+                test = example([name, f"{flag}={text}"])(test)
+        return test
+    return add
 
 
 @pytest.fixture(scope="module")
@@ -99,18 +131,24 @@ def out_dir(tmp_path_factory):
 def test_exit_code_contract(name, out_dir):
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(SUBCOMMANDS[name])
+    @long_examples(name)
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
+        by_argparse = False
         with mock.patch.dict(os.environ, {OUT_DIR_ENV: out_dir}), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exit_:  # argparse rejects the command line
-                code = exit_.code
+                code, by_argparse = exit_.code, True
         assert code in (0, 2, 3), (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert out.getvalue() == "", argv
+        if code == 2 and not by_argparse:
+            message = err.getvalue()
+            assert message.count("\n") == 1 and message.endswith("\n"), message[:2000]
+            assert len(message.encode()) < 1000, message[:2000]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
