@@ -28,7 +28,7 @@ def main():
     print("=== spin-1 singlet ===")
     state = singlet(SPIN_ONE)
     print("amplitudes (composite index i_A * 3 + i_B):")
-    for i, amp in enumerate(state.ket.amplitudes):
+    for i, amp in enumerate(state.amplitudes):
         if amp != 0:
             print(f"  index {i}: {amp.real:+.6f}")
 
@@ -36,7 +36,7 @@ def main():
     quadruple = spin_quadruple(SPIN_ONE, SPIN_ONE_VIOLATION_ANGLES)
     print(validate_quadruple(quadruple).summary())
 
-    value = chsh_value(state.ket, quadruple)
+    value = chsh_value(state, quadruple)
     print(f"CHSH at the quoted phases: {value:+.6f}"
           f"  = 2(2+sqrt2)/3 = {2 * (2 + math.sqrt(2)) / 3:.6f}")
 
@@ -58,7 +58,7 @@ def main():
     print("\n=== spin-1/2 singlet ===")
     half = singlet(SPIN_HALF)
     quadruple = spin_quadruple(SPIN_HALF, TSIRELSON_ANGLES)
-    value = chsh_value(half.ket, quadruple)
+    value = chsh_value(half, quadruple)
     print(f"CHSH at the standard phases: {value:+.12f}  (|value| hits the "
           f"Tsirelson bound {2 * math.sqrt(2):.12f})")
 

@@ -47,11 +47,7 @@ from .kleingordon import (
     sigma_chsh,
     test_norm,
 )
-from .linalg import (
-    FactoredOperator,
-    Ket,
-    STRUCTURE_TOL,
-)
+from .linalg import FactoredOperator, Ket
 from .rindler import (
     RindlerModeSet,
     ScanRow,
@@ -64,7 +60,6 @@ from .spin import (
     SPIN_HALF,
     SPIN_ONE,
     SPIN_ONE_VIOLATION_ANGLES,
-    SingletState,
     TSIRELSON_ANGLES,
     singlet,
     spin_closed_form,

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ShapeError, named, to_number
+from .errors import DomainError, PrecisionError, ShapeError, named, to_index, to_number
 from .linalg import Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -95,10 +94,7 @@ def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
     stacked = (isinstance(phase, (list, tuple))
                or isinstance(phase, np.ndarray) and phase.ndim == 1)
     count = len(phase) if stacked else 1
-    try:
-        levels = operator.index(dim)
-    except TypeError:
-        levels = 0
+    levels = to_index(dim)
     # an empty stack is sized as one flip, so its dim is bounded as well;
     # disjoint levels in [0, dim) number at most dim, which bounds the list
     flips = max(count, 1)
@@ -222,7 +218,7 @@ class ValidationReport:
     act on different factors.  The quadruple passes iff every deviation
     is at most ``tolerance``: 1e-12 scaled by the product dimension
     ``dim = dim_A * dim_B``, absorbing float accumulation on larger
-    truncated spaces.
+    truncated spaces; a NaN deviation fails.
     """
 
     dim: int
@@ -232,7 +228,8 @@ class ValidationReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(list(self.hermiticity.values()) + list(self.involution.values()))
+        """The largest deviation, NaN when any is NaN, so NaN fails."""
+        return float(np.max([*self.hermiticity.values(), *self.involution.values()]))
 
     @property
     def passed(self) -> bool:
@@ -246,7 +243,7 @@ class ValidationReport:
         ]
         for label, table in (("hermiticity", self.hermiticity),
                              ("involution", self.involution)):
-            worst = max(table, key=table.get)
+            worst = list(table)[np.argmax(list(table.values()))]  # argmax picks a NaN first
             lines.append(f"  {label:<12} max {table[worst]:.3e} ({worst})")
         return "\n".join(lines)
 

@@ -190,7 +190,7 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as err:
-        raise DomainError(f"cannot write --out {path}: {err.strerror or err}") from None
+        raise DomainError(f"cannot write --out {named(path)}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +212,14 @@ def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
     ):
         angles = override or default_angles
         state = spin.singlet(kind)
-        for i, amp in enumerate(state.ket.amplitudes):
+        for i, amp in enumerate(state.amplitudes):
             add(f"{name}_amplitude_{i}", float(amp.real))
         quadruple = spin.spin_quadruple(kind, angles)
         report = validate_quadruple(quadruple)
         add(f"{name}_validation_max_deviation", report.max_deviation)
         add(f"{name}_validation_passed", int(report.passed))
         ok = ok and report.passed
-        matrix_value = chsh_value(state.ket, quadruple)
+        matrix_value = chsh_value(state, quadruple)
         add(f"{name}_chsh_closed", spin.spin_closed_form(kind).value(angles))
         add(f"{name}_chsh_matrix", matrix_value)
         add(f"{name}_abs_chsh", abs(matrix_value))

@@ -1,11 +1,12 @@
 """Exception types, the coercions through which every domain check reads
-its numbers, and ``named``, the one namer of a refused argument.
+its numbers and integers, and ``named``, the one namer of a refused argument.
 
 Each class the command line can meet is one exit code: ``DomainError``
 exits 2 and ``PrecisionError`` exits 3.
 """
 
 import math
+import operator
 import reprlib
 
 import numpy as np
@@ -47,6 +48,15 @@ def to_number(value, kind=float):
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         return kind(math.nan)
+
+
+def to_index(value) -> int:
+    """``operator.index(value)``, or 0 when ``value`` is no integer: every
+    count or size check that reads one refuses 0, naming the value given."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return 0
 
 
 def to_numbers(values, argument: str, length: int | None = None) -> tuple[float, ...]:

@@ -32,14 +32,13 @@ matrix evaluation differ only by float rounding.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chsh import (MAX_FLIP_DIM, AngleSet, ChshQuadruple, ClosedFormCorrelator,
                    _flip_stack, _real_correlator, flip_quadruple)
-from .errors import DomainError, named, to_number
+from .errors import DomainError, named, to_index, to_number
 from .linalg import FactoredOperator, Ket
 
 #: Phase choice turning the squeezed closed form into 2 * (2 sqrt(2) eta
@@ -72,17 +71,14 @@ _BLOCK_PAIRS = np.array([(0, 1)])
 class FockSpace:
     """Two bosonic modes truncated to ``cutoff`` levels each.
 
-    ``cutoff`` is coerced with ``operator.index`` and must be even and in
+    ``cutoff`` is coerced with ``errors.to_index`` and must be even and in
     ``[4, MAX_CUTOFF]``; otherwise ``DomainError`` is raised.
     """
 
     cutoff: int
 
     def __post_init__(self):
-        try:
-            cutoff = operator.index(self.cutoff)
-        except TypeError:
-            cutoff = 0  # refused below, named by its repr
+        cutoff = to_index(self.cutoff)
         if not (4 <= cutoff <= MAX_CUTOFF and cutoff % 2 == 0):
             raise DomainError(f"cutoff must be an even integer in [4, {MAX_CUTOFF}], "
                               f"got {named(self.cutoff)}", argument="cutoff")
@@ -136,7 +132,7 @@ def squeezed_state(eta: float, space: FockSpace) -> SqueezedState:
     amp = np.zeros(space.dim, dtype=complex)
     amp[::n + 1] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(n)
     amp /= np.linalg.norm(amp)
-    return SqueezedState(eta=eta, space=space, ket=Ket(amp, normalized=True))
+    return SqueezedState(eta=eta, space=space, ket=Ket(amp))
 
 
 @dataclass(frozen=True, eq=False)

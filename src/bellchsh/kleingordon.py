@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .chsh import AngleSet
-from .errors import DomainError, PrecisionError, named, to_number, to_numbers
+from .errors import DomainError, PrecisionError, named, to_index, to_number, to_numbers
 from . import fock
 
 
@@ -160,10 +159,7 @@ class ShellQuadrature:
     angular: ClassVar[int] = 32
 
     def __post_init__(self):
-        try:
-            radial = operator.index(self.radial)
-        except TypeError:
-            radial = 0  # refused below, named by its repr
+        radial = to_index(self.radial)
         if not 2 <= radial <= MAX_RADIAL:
             raise DomainError(f"quadrature radial node count must be an integer of at least 2 "
                               f"and must be <= {MAX_RADIAL}, got {named(self.radial)}",

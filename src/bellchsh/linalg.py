@@ -18,17 +18,13 @@ operations are pure functions and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, named
-
-#: Entrywise tolerance for structural checks (hermiticity, unitarity,
-#: normalization): about 100x double-precision epsilon accumulation at
-#: the matrix sizes in scope.
-STRUCTURE_TOL = 1e-12
+from .errors import ShapeError, named, to_number
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -84,21 +80,13 @@ class Ket:
         Complex amplitudes, a list or tuple typed item by item before
         numpy reads it; coerced to a read-only 1-D complex array
         (anything that is not raises ``ShapeError``).
-    normalized : bool, optional
-        Declare the vector normalized.  When True, construction fails
-        unless ``| ||psi|| - 1 | <= STRUCTURE_TOL``, so a NaN norm fails.
     """
 
     amplitudes: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         arr = _complex_array(self.amplitudes, 1, "ket amplitudes")
         object.__setattr__(self, "amplitudes", _readonly(arr))
-        if self.normalized and not abs(self.norm - 1.0) <= STRUCTURE_TOL:
-            raise DomainError(
-                f"ket flagged normalized but ||psi|| = {self.norm!r}"
-            )
 
     @property
     def dim(self) -> int:
@@ -116,9 +104,10 @@ class FactoredOperator:
     Parameters
     ----------
     terms : non-empty list or tuple of (coefficient, left, right)
-        ``coefficient`` is a number, ``left`` a square matrix on H_A and
-        ``right`` one on H_B (``square_matrix``); every term has the same
-        two factor dimensions.  Anything else raises ``ShapeError``.
+        ``coefficient`` is a number, finite when read by
+        ``errors.to_number``, ``left`` a square matrix on H_A and ``right``
+        one on H_B (``square_matrix``); every term has the same two factor
+        dimensions.  Anything else raises ``ShapeError``.
 
     The only operation is ``apply``; there is no operator arithmetic,
     so a builder writes each term out.  Memory and ``apply`` cost grow
@@ -131,7 +120,8 @@ class FactoredOperator:
     def __post_init__(self):
         if not (isinstance(self.terms, (list, tuple)) and self.terms and all(
                 isinstance(term, (list, tuple)) and len(term) == 3
-                and isinstance(term[0], numbers.Number) for term in self.terms)):
+                and isinstance(term[0], numbers.Number)
+                and cmath.isfinite(to_number(term[0], complex)) for term in self.terms)):
             raise ShapeError(f"a factored operator needs a non-empty list of "
                              f"(coefficient, left, right) terms, got {named(self.terms)}")
         terms = tuple((complex(c), square_matrix(left), square_matrix(right))

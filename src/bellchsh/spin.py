@@ -15,7 +15,6 @@ CHSH quadruple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +57,10 @@ def _check_spin(spin: str) -> int:
     return _LEVELS[spin]
 
 
-@dataclass(frozen=True, eq=False)
-class SingletState:
-    """Total-spin-zero two-particle state on the product space."""
-
-    spin: str
-    ket: Ket
-
-
-def singlet(spin: str) -> SingletState:
+def singlet(spin: str) -> Ket:
     """The singlet sum_m (-1)^(s-m) |m, -m> / sqrt(2s+1) of two spin-1/2 or
-    two spin-1 particles; level i holds m = s - i, of L = 2s+1 levels.
+    two spin-1 particles, a read-only ``Ket`` of total spin zero; level i
+    holds m = s - i, of L = 2s+1 levels.
 
     Spin 1/2: (|+,-> - |-,+>)/sqrt(2).
     Spin 1:   (|1,-1> - |0,0> + |-1,1>)/sqrt(3).
@@ -77,7 +69,7 @@ def singlet(spin: str) -> SingletState:
     amp = np.zeros((levels, levels), dtype=complex)
     i = np.arange(levels)
     amp[i, levels - 1 - i] = (-1.0) ** i / math.sqrt(levels)
-    return SingletState(spin=spin, ket=Ket(amp.ravel(), normalized=True))
+    return Ket(amp.ravel())
 
 
 def spin_quadruple(spin: str, angles: AngleSet) -> ChshQuadruple:

@@ -522,7 +522,7 @@ def power_iteration_norm(matrix: np.ndarray, iters: int = 2000,
 
 def random_state(rng: np.random.Generator, dim: int) -> Ket:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return Ket(vec / np.linalg.norm(vec), normalized=True)
+    return Ket(vec / np.linalg.norm(vec))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -45,7 +45,7 @@ def test_criterion_01_spin_one_reproduction():
     target = 2 * (2 + ROOT2) / 3
     angles = spin.SPIN_ONE_VIOLATION_ANGLES
     closed = spin_closed_form(spin.SPIN_ONE).value(angles)
-    matrix = chsh_value(singlet(spin.SPIN_ONE).ket,
+    matrix = chsh_value(singlet(spin.SPIN_ONE),
                         spin_quadruple(spin.SPIN_ONE, angles))
     ok = abs(closed - target) <= 1e-12 and abs(matrix - target) <= 1e-12
     report(1, "spin-1 singlet value 2(2+sqrt2)/3 from closed form and 9x9 matrix",
@@ -54,7 +54,7 @@ def test_criterion_01_spin_one_reproduction():
 
 
 def test_criterion_02_tsirelson_recovery():
-    value = chsh_value(singlet(spin.SPIN_HALF).ket,
+    value = chsh_value(singlet(spin.SPIN_HALF),
                        spin_quadruple(spin.SPIN_HALF, spin.TSIRELSON_ANGLES))
     ok = abs(abs(value) - 2 * ROOT2) <= 1e-12
     report(2, "spin-1/2 singlet reaches |CHSH| = 2 sqrt(2)", ok,

@@ -39,6 +39,7 @@ from bellchsh import (  # noqa: E402
     AngleSet,
     ChshQuadruple,
     DomainError,
+    FactoredOperator,
     FockSpace,
     GaussianPacket,
     Ket,
@@ -151,6 +152,8 @@ TARGETS = {
     "spin_closed_form": (st.tuples(SPIN), spin_closed_form),
     "spin_quadruple": (st.tuples(SPIN), lambda spin: spin_quadruple(spin, ANGLES)),
     "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE)), Ket),
+    "FactoredOperator-coefficient": (
+        st.tuples(SHORT), lambda c: FactoredOperator(((c, np.eye(2), np.eye(2)),))),
     "ChshQuadruple": (st.tuples(MATRIX, MATRIX, MATRIX, MATRIX), ChshQuadruple),
 }
 

@@ -70,7 +70,7 @@ class TestChshOperator:
 
     def test_tsirelson_recovery_on_spin_half_singlet(self):
         q = spin_quadruple(spin.SPIN_HALF, spin.TSIRELSON_ANGLES)
-        value = expectation(singlet(spin.SPIN_HALF).ket, chsh_operator(q))
+        value = expectation(singlet(spin.SPIN_HALF), chsh_operator(q))
         assert abs(abs(value) - 2 * ROOT2) <= 1e-12
 
     def test_operator_norm_bounded_by_tsirelson(self):
@@ -83,7 +83,7 @@ class TestChshOperator:
     def test_mixed_dims_raise(self):
         q = ChshQuadruple(a1=np.eye(2), a2=np.eye(2), b1=np.eye(2), b2=np.eye(3))
         with pytest.raises(ShapeError):
-            chsh_value(Ket(np.eye(4)[0], normalized=True), q)
+            chsh_value(Ket(np.eye(4)[0]), q)
         with pytest.raises(ShapeError):
             validate_quadruple(q)
         with pytest.raises(ShapeError):
@@ -95,7 +95,7 @@ class TestChshValue:
         rng = np.random.default_rng(29)
         e0 = np.zeros(2, dtype=complex)
         e0[0] = 1.0
-        psi = Ket(np.kron(e0, e0), normalized=True)
+        psi = Ket(np.kron(e0, e0))
         for _ in range(20):
             q = spin_quadruple(spin.SPIN_HALF,
                                AngleSet(*rng.uniform(-math.pi, math.pi, 4)))
@@ -112,7 +112,7 @@ class TestChshValue:
 
     def test_spin_one_violation_value(self):
         q = spin_quadruple(spin.SPIN_ONE, spin.SPIN_ONE_VIOLATION_ANGLES)
-        value = chsh_value(singlet(spin.SPIN_ONE).ket, q)
+        value = chsh_value(singlet(spin.SPIN_ONE), q)
         assert abs(abs(value) - 2 * (2 + ROOT2) / 3) <= 1e-12
 
     def test_squeezed_window_endpoint(self):
@@ -170,6 +170,19 @@ class TestValidation:
         assert max(report.involution.values()) > 1e-6
         assert not report.passed
         assert "FAIL" in report.summary()
+
+    @pytest.mark.parametrize("name", ["a1", "a2", "b1", "b2"])
+    def test_nan_entry_fails_and_is_named(self, name):
+        # Python's max skips a NaN unless it comes first
+        ops = spin_quadruple(spin.SPIN_HALF, spin.TSIRELSON_ANGLES).operators()
+        ops[name] = ops[name].copy()
+        ops[name][0, 0] = math.nan
+        report = validate_quadruple(ChshQuadruple(**ops))
+        assert math.isnan(report.max_deviation)
+        assert not report.passed
+        lines = report.summary().splitlines()
+        assert lines[0].endswith("FAIL")
+        assert all(line.endswith(f"max nan ({name})") for line in lines[1:])
 
 
 class TestOptimizer:

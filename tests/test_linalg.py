@@ -20,20 +20,6 @@ def product(a, b, coef=1.0):
 
 
 class TestConstruction:
-    def test_ket_normalized_flag_accepts_unit_vector(self):
-        Ket(np.array([1.0, 0.0]), normalized=True)
-
-    def test_ket_normalized_flag_rejects_other(self):
-        with pytest.raises(DomainError, match="flagged normalized"):
-            Ket(np.array([1.0, 1.0]), normalized=True)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_ket_normalized_flag_rejects_non_finite_norm(self, bad):
-        with pytest.raises(DomainError, match="flagged normalized"):
-            Ket(np.array([bad]), normalized=True)
-        with pytest.raises(DomainError, match="flagged normalized"):
-            Ket(np.array([1.0, bad]), normalized=True)
-
     def test_ket_must_be_vector(self):
         with pytest.raises(ShapeError):
             Ket(np.eye(2))
@@ -177,10 +163,15 @@ class TestTensor:
         with pytest.raises(ShapeError):
             product(np.eye(2), np.eye(3)).apply(Ket(np.ones(5)))
 
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, complex(1, math.inf), 10**400])
+    def test_non_finite_coefficient_refused(self, coef):
+        with pytest.raises(ShapeError, match="coefficient, left, right"):
+            product(np.eye(2), np.eye(2), coef)
+
 
 class TestExpectation:
     def test_basis_state_identity(self):
-        e0 = Ket(np.array([1.0, 0.0, 0.0]), normalized=True)
+        e0 = Ket(np.array([1.0, 0.0, 0.0]))
         assert expectation(e0, np.eye(3)) == 1.0 + 0.0j
 
     def test_spin_one_singlet_energy(self):
@@ -193,7 +184,7 @@ class TestExpectation:
         h = sum(np.kron(s, s) for s in (sx, sy, sz))
         amp = np.zeros(9, dtype=complex)
         amp[2], amp[4], amp[6] = 1.0, -1.0, 1.0
-        psi = Ket(amp / np.sqrt(3.0), normalized=True)
+        psi = Ket(amp / np.sqrt(3.0))
         value = expectation(psi, h)
         assert abs(value - (-2.0)) <= 1e-12
 
@@ -210,7 +201,7 @@ class TestExpectation:
 
     def test_requires_matching_dims(self):
         with pytest.raises(ShapeError):
-            expectation(Ket(np.array([1.0, 0.0]), normalized=True), np.eye(3))
+            expectation(Ket(np.array([1.0, 0.0])), np.eye(3))
 
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):

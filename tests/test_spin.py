@@ -6,6 +6,7 @@ import pytest
 from bellchsh import (
     AngleSet,
     DomainError,
+    Ket,
     chsh_value,
     optimize_angles,
     phase_flip,
@@ -63,7 +64,7 @@ def kron_flip(kind, side, phase):
 
 class TestSinglet:
     def test_spin_one_amplitude_pattern(self):
-        amp = singlet(SPIN_ONE).ket.amplitudes
+        amp = singlet(SPIN_ONE).amplitudes
         expected = np.zeros(9, dtype=complex)
         expected[0 * 3 + 2] = 1 / ROOT3    # |1, -1>
         expected[1 * 3 + 1] = -1 / ROOT3   # |0, 0>
@@ -71,7 +72,7 @@ class TestSinglet:
         assert np.array_equal(amp, expected)
 
     def test_spin_half_amplitude_pattern(self):
-        amp = singlet(SPIN_HALF).ket.amplitudes
+        amp = singlet(SPIN_HALF).amplitudes
         expected = np.zeros(4, dtype=complex)
         expected[0 * 2 + 1] = 1 / ROOT2    # |+, ->
         expected[1 * 2 + 0] = -1 / ROOT2   # |-, +>
@@ -79,12 +80,17 @@ class TestSinglet:
 
     @pytest.mark.parametrize("kind", [SPIN_HALF, SPIN_ONE])
     def test_unit_norm(self, kind):
-        assert abs(singlet(kind).ket.norm - 1.0) <= 1e-15
+        assert abs(singlet(kind).norm - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("kind", [SPIN_HALF, SPIN_ONE])
+    def test_is_a_read_only_ket(self, kind):
+        state = singlet(kind)
+        assert isinstance(state, Ket)
+        assert not state.amplitudes.flags.writeable
 
     @pytest.mark.parametrize("kind", [SPIN_HALF, SPIN_ONE])
     def test_annihilated_by_total_spin(self, kind):
-        state = singlet(kind)
-        residual = total_spin_squared(kind).apply(state.ket)
+        residual = total_spin_squared(kind).apply(singlet(kind))
         assert residual.norm <= 1e-12
 
     def test_unknown_spin_rejected(self):
@@ -107,7 +113,7 @@ class TestSpinMatrices:
 class TestHamiltonian:
     def test_singlet_is_ground_state_at_minus_two(self):
         h = spin_hamiltonian()
-        psi = singlet(SPIN_ONE).ket
+        psi = singlet(SPIN_ONE)
         residual = h.apply(psi).amplitudes + 2.0 * psi.amplitudes
         assert np.abs(residual).max() <= 1e-12
 
@@ -179,7 +185,7 @@ class TestClosedForms:
 
     def test_spin_one_matches_matrix_oracle(self):
         rng = np.random.default_rng(61)
-        psi = singlet(SPIN_ONE).ket
+        psi = singlet(SPIN_ONE)
         for _ in range(100):
             angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
             matrix = chsh_value(psi, spin_quadruple(SPIN_ONE, angles))
@@ -187,7 +193,7 @@ class TestClosedForms:
 
     def test_spin_half_pair_correlator_matches_matrix(self):
         rng = np.random.default_rng(67)
-        psi = singlet(SPIN_HALF).ket
+        psi = singlet(SPIN_HALF)
         for _ in range(50):
             alpha, beta = rng.uniform(-math.pi, math.pi, 2)
             a, b = flips(SPIN_HALF, alpha, beta)
@@ -197,7 +203,7 @@ class TestClosedForms:
 
     def test_spin_half_closed_matches_matrix(self):
         rng = np.random.default_rng(71)
-        psi = singlet(SPIN_HALF).ket
+        psi = singlet(SPIN_HALF)
         for _ in range(50):
             angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
             matrix = chsh_value(psi, spin_quadruple(SPIN_HALF, angles))
