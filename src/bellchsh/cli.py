@@ -15,25 +15,29 @@ configs produce bit-identical output.  A relative ``--out`` path is
 resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
 
 Exit codes: 0 success; 2 configuration error, a ``DomainError`` (a flag
-outside its domain, an angle divided by zero, an ``--out`` path that
-cannot be written or a degenerate test function) or an argparse usage
-error; 3 validation or tolerance failure, a ``PrecisionError`` (a
-numerical certificate, or a failed ``spin``/``squeeze-scan`` check,
-raised by ``main`` after the rows).  Each prints one stderr line, and
-a ``DomainError`` whose ``argument`` is a flag's value names the flag:
+outside its domain, an angle divided by zero, an ``--out`` path or a
+stdout that cannot be written, such as a full disk or a closed pipe,
+or a degenerate test function) or an argparse usage error; 3
+validation or tolerance failure, a ``PrecisionError`` (a numerical
+certificate, or a failed ``spin``/``squeeze-scan`` check, raised by
+``main`` after the rows).  Each prints one stderr line, and a
+``DomainError`` whose ``argument`` is a flag's value names the flag:
 ``configuration error: <flag>: <message>``.  Echoed flag text is
-named by ``errors.named``, two levels deep, and so stays short.
+named by ``errors.named``, two levels deep, and an ``--out`` path is
+quoted whole up to 200 characters, so each stays short.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import re
+import reprlib
 import sys
 
 import numpy as np
@@ -66,6 +70,12 @@ MAX_QUAD_RADIAL = kleingordon.MAX_RADIAL // 2
 ARGUMENT_FLAGS = {"spatial_center": "--center", "mass": "--mass",
                   "center_energy": "--center-energy", "width": "--width", "tol": "--tol",
                   "amplitude": "--amplitude", "eta": "--eta", "cutoff": "--cutoff"}
+
+#: Names an ``--out`` path: whole up to 200 characters, so a usual path
+#: shows which directory is missing, abridged beyond (4 bytes a character
+#: at most, so the line stays under 1,000 bytes)
+_PATH_NAMER = reprlib.Repr()
+_PATH_NAMER.maxstring = 200
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -167,7 +177,7 @@ def _fmt_value(v) -> str:
 
 def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None:
     """Render rows as CSV or JSON (``fmt``) and write them to stdout, or
-    to the file ``out``; a file that cannot be written raises
+    to the file ``out``; a sink that cannot be written raises
     ``DomainError``."""
     if fmt == "csv":
         buf = io.StringIO()
@@ -179,18 +189,20 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None
     else:
         text = json.dumps({"fields": fields, "rows": rows}, indent=2) + "\n"
 
-    if out is None:
-        sys.stdout.write(text)
-        return
     path = out
     out_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir and not os.path.isabs(path):
+    if out is not None and out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with (contextlib.nullcontext(sys.stdout) if out is None
+              else open(path, "w", encoding="utf-8")) as sink:
+            sink.write(text)
+            sink.flush()
     except OSError as err:
-        raise DomainError(f"cannot write --out {named(path)}: {err.strerror or err}") from None
+        if out is None:  # so the interpreter's last flush writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        name = "stdout" if out is None else f"--out {_PATH_NAMER.repr(path)}"
+        raise DomainError(f"cannot write {name}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------

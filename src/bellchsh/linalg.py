@@ -33,34 +33,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def square_matrix(entries) -> np.ndarray:
-    """Coerce to a read-only, non-empty, square complex matrix: the form
-    of every one-factor operator (see ``_complex_array``)."""
+    """Coerce an ndarray to a read-only, non-empty, square complex matrix:
+    the form of every one-factor operator (see ``_complex_array``)."""
     return _readonly(_complex_array(entries, 2, "operator entries"))
 
 
-def _numbers(items, count: int | None = None) -> bool:
-    """Whether ``items`` is a list or tuple of numbers, ``count`` of them
-    when it is given: its own items are typed, none is walked."""
-    return (isinstance(items, (list, tuple)) and count in (None, len(items))
-            and all(isinstance(item, numbers.Number) for item in items))
-
-
 def _complex_array(value, ndim: int, what: str) -> np.ndarray:
-    """``value`` as a non-empty complex array of ``ndim`` dimensions, square
-    when 2.  An ndarray is converted by numpy.  A list or tuple is first
-    counted and typed: a vector's items must be numbers, a matrix's rows
-    lists or tuples of as many numbers as there are rows, so numpy never
-    walks nested, text or self-referential entries.  Anything else, and a
-    list that fails, raises ``ShapeError`` naming ``what`` and the value
-    (an ndarray by its shape, any other by ``errors.named``)."""
+    """The ndarray ``value`` as a non-empty complex array of ``ndim``
+    dimensions, square when 2.  Anything else, a list or tuple included
+    (none is walked), and an array of another shape or not of numbers,
+    raises ``ShapeError`` naming ``what`` and the value (an ndarray by its
+    shape, any other by ``errors.named``)."""
     given = isinstance(value, np.ndarray)
-    if ndim == 1:
-        typed = given or _numbers(value)
-    else:
-        typed = given or isinstance(value, (list, tuple)) and all(
-            _numbers(row, len(value)) for row in value)
     try:
-        arr = np.array(value, dtype=complex) if typed else None
+        arr = value.astype(complex, subok=False) if given else None
     except (TypeError, ValueError, OverflowError):  # not numbers: refused below
         arr = None
     if arr is None or arr.ndim != ndim or arr.size == 0 or arr.shape[0] != arr.shape[-1]:
@@ -76,10 +62,9 @@ class Ket:
 
     Parameters
     ----------
-    amplitudes : ndarray, list or tuple
-        Complex amplitudes, a list or tuple typed item by item before
-        numpy reads it; coerced to a read-only 1-D complex array
-        (anything that is not raises ``ShapeError``).
+    amplitudes : ndarray
+        Complex amplitudes, coerced to a read-only 1-D complex array
+        (anything else, a list or tuple included, raises ``ShapeError``).
     """
 
     amplitudes: np.ndarray
@@ -105,7 +90,7 @@ class FactoredOperator:
     ----------
     terms : non-empty list or tuple of (coefficient, left, right)
         ``coefficient`` is a number, finite when read by
-        ``errors.to_number``, ``left`` a square matrix on H_A and ``right``
+        ``errors.to_number``, ``left`` a square ndarray on H_A and ``right``
         one on H_B (``square_matrix``); every term has the same two factor
         dimensions.  Anything else raises ``ShapeError``.
 

@@ -102,11 +102,17 @@ PAIRS = st.one_of(st.just([(0, 1)]), st.lists(st.tuples(SHORT, SHORT), max_size=
 PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5),
                   st.sampled_from([ASCENDING_THEN_NAN, NESTED_TEXT]))
 SPIN = st.one_of(st.sampled_from(["half", "one", "HALF", ["half"], ("one",)]), HOSTILE)
+#: valid ket amplitudes and one-factor operators: ndarrays of four
+#: complex numbers, any of them non-finite, as a vector or a (2, 2) matrix
+FOUR_COMPLEX = st.lists(st.complex_numbers(), min_size=4, max_size=4).map(np.array)
+VECTOR = st.one_of(st.just(np.array([0.6, 0.8])), FOUR_COMPLEX)
+SQUARE = st.one_of(st.just(np.eye(2)), FOUR_COMPLEX.map(lambda v: v.reshape(2, 2)))
 #: one-factor operator entries: hostile values, rows of them (square,
-#: ragged or nested), text rows, a dict, and valid matrices
+#: ragged or nested), text rows, a dict, lists that only an ndarray
+#: would make valid, and valid matrices
 MATRIX = st.one_of(HOSTILE, SEQUENCE, st.lists(st.lists(SHORT, max_size=3), max_size=3),
                    st.sampled_from([{}, [["a", "b"], ["c", "d"]], [[1, 0], [0]],
-                                    [[[1]]], [[1, 0], [0, 1]], np.eye(2)]))
+                                    [[[1]]], [[1, 0], [0, 1]]]), SQUARE)
 
 ANGLES = AngleSet(0.1, 0.2, 0.3, 0.4)
 SPACE = FockSpace(4)
@@ -151,10 +157,11 @@ TARGETS = {
     "singlet": (st.tuples(SPIN), singlet),
     "spin_closed_form": (st.tuples(SPIN), spin_closed_form),
     "spin_quadruple": (st.tuples(SPIN), lambda spin: spin_quadruple(spin, ANGLES)),
-    "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE)), Ket),
+    "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE, VECTOR)), Ket),
     "FactoredOperator-coefficient": (
         st.tuples(SHORT), lambda c: FactoredOperator(((c, np.eye(2), np.eye(2)),))),
-    "ChshQuadruple": (st.tuples(MATRIX, MATRIX, MATRIX, MATRIX), ChshQuadruple),
+    "ChshQuadruple": (st.one_of(st.tuples(MATRIX, MATRIX, MATRIX, MATRIX),
+                                SQUARE.map(lambda m: (m,) * 4)), ChshQuadruple),
 }
 
 

@@ -3,11 +3,15 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import bellchsh
 from bellchsh import MAX_MOMENTUM, cli, fock, kleingordon, rindler, spin
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
@@ -19,6 +23,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(stdout, *argv):
+    """Run ``python -m bellchsh *argv`` in a child process writing to
+    ``stdout``; return its exit code and stderr bytes."""
+    src = os.path.dirname(os.path.dirname(bellchsh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "bellchsh", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+    return done.returncode, done.stderr
+
+
+def assert_one_stdout_refusal(code, err):
+    """Exit 2 with one short stderr line, not a traceback."""
+    assert code == 2, err[-2000:]
+    assert err.startswith(b"configuration error: cannot write stdout: "), err[-2000:]
+    assert len(err.splitlines()) == 1 and len(err) < 1000
 
 
 def csv_rows(text):
@@ -498,19 +519,40 @@ class TestOutputHandling:
         assert target.exists()
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory", "missing-env-dir",
-                                       "long-path"])
+                                       "usual-path", "long-path"])
     def test_unwritable_out_exits_two(self, capsys, tmp_path, monkeypatch, where):
         out = {"missing-dir": str(tmp_path / "missing" / "x.csv"),
                "directory": str(tmp_path),
                "missing-env-dir": "x.csv",
+               "usual-path": str(tmp_path / "results" / "run-2026-10-19" / "scan.csv"),
                "long-path": str(tmp_path / ("x" * 5000))}[where]
         monkeypatch.setenv("BELLCHSH_OUT_DIR", str(tmp_path / "missing"))
         code, stdout, err = run(capsys, "spin", "--out", out)
         assert code == 2
         assert stdout == ""
         assert err.startswith("configuration error: cannot write --out ")
-        # the path is named by errors.named, so a long one is abridged
+        # a usual path is named whole, so the missing directory shows, and
+        # a 5,000-character one is abridged
+        if where == "usual-path":
+            assert f"--out {out!r}: " in err
         assert len(err.strip().splitlines()) == 1 and len(err.encode()) < 1000
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_exits_two(self):
+        with open("/dev/full", "w") as full:
+            code, err = run_child(full, "spin")
+        assert_one_stdout_refusal(code, err)
+
+    def test_closed_stdout_pipe_exits_two(self):
+        # the read end is closed before the child starts, so its first
+        # write of the 100,000 rows meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = run_child(write_end, "rindler-scan", "--temp-range", "0.01:5:100000")
+        finally:
+            os.close(write_end)
+        assert_one_stdout_refusal(code, err)
 
     def test_unknown_option_exits_two(self):
         with pytest.raises(SystemExit) as info:

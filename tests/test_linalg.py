@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,26 @@ class TestConstruction:
             ChshQuadruple(a1=np.ones((2, 3)), a2=eye, b1=eye, b2=eye)
         with pytest.raises(ShapeError):
             FactoredOperator(((1.0, eye, np.ones((2, 3))),))
+
+    @pytest.mark.parametrize("build,value", [
+        (Ket, [0.6, 0.8]),
+        (Ket, (1.0, 0.0)),
+        (lambda x: ChshQuadruple(a1=x, a2=np.eye(2), b1=np.eye(2), b2=np.eye(2)),
+         [[1, 0], [0, 1]]),
+        (lambda x: FactoredOperator(((1.0, x, x),)), [[1]]),
+    ])
+    def test_list_refused_naming_it(self, build, value):
+        # only an ndarray is read: pass np.array(value)
+        with pytest.raises(ShapeError, match=re.escape(f"complex numbers, got {value!r}")):
+            build(value)
+
+    def test_ndarray_subclass_read_as_plain_array(self):
+        # an np.matrix factor is stored as an ndarray, so apply's ravel is 1-D
+        with pytest.warns(PendingDeprecationWarning):
+            eye = np.matrix(np.eye(2))
+        psi = Ket(np.array([0.6, 0.0, 0.0, 0.8]))
+        image = product(eye, eye).apply(psi)
+        assert np.array_equal(image.amplitudes, psi.amplitudes)
 
     def test_phase_flip_rejects_non_hermitian(self):
         # a level paired with itself ends up with e^{-i phase} on the diagonal
