@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -65,50 +64,37 @@ class AngleSet:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
 
-def phase_flip(dim: int, pairs: Sequence[tuple[int, int]] | np.ndarray,
-               phase: float | Sequence[float] | np.ndarray) -> np.ndarray:
+def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.ndarray:
     """Level-pair phase flip on one factor: the measurement operator of
     every setting in this package.
 
     Each ``(src, dst)`` row of ``pairs`` is swapped with ``<dst|M|src> =
     e^{i phase}`` and ``<src|M|dst> = e^{-i phase}``; every other level is
     fixed.  A scalar ``phase`` gives one read-only complex ``(dim, dim)``
-    matrix, a flat list, tuple or 1-D array of ``n`` phases the read-only
-    ``(n, dim, dim)`` stack of its scalar calls' matrices, byte for byte;
-    each is hermitian and an exact involution.  ``dim`` must be a positive
-    integer with at most ``4 * MAX_FLIP_DIM**2`` entries in the stack (an
-    empty stack counts as one flip), ``pairs`` a non-empty integer ``(n,
-    2)`` array, or a list of two-integer tuples or lists, of disjoint
-    levels in ``[0, dim)``, and every phase finite; else ``DomainError`` is
-    raised before anything of an argument's size is allocated.  A list is
-    counted before any item is read (more than ``dim / 2`` pairs are
-    refused unread), then read item by item: a phase by
-    ``errors.to_number``, but text, a nested list or a multi-dimensional
-    array as NaN, unparsed; a pair as two signed integers, neither
-    unsigned nor bool.  Long arguments are named by shape, not listed.
+    matrix, a 1-D array of ``n`` phases the read-only ``(n, dim, dim)``
+    stack of its scalar calls' matrices, byte for byte; each is hermitian
+    and an exact involution.  ``dim`` must be a positive integer with at
+    most ``4 * MAX_FLIP_DIM**2`` entries in the stack (an empty stack
+    counts as one flip), ``pairs`` a non-empty integer ``(n, 2)`` array of
+    disjoint levels in ``[0, dim)``, and every phase finite; else
+    ``DomainError`` is raised before anything of an argument's size is
+    allocated.  Each phase is read by ``errors.to_number``, but text and
+    an array that is not 0-d as NaN, unparsed; a list or tuple, as
+    ``pairs`` or as ``phase``, is refused unread.  Long arguments are
+    named by shape, not listed.
 
     This is the one checked entry to the one flip build, ``_flip_stack``;
     ``fock.chsh_matrix`` shares that build, calling it directly on its
     constant block pairs and the phases its ``AngleSet`` has checked.
     """
-    stacked = (isinstance(phase, (list, tuple))
-               or isinstance(phase, np.ndarray) and phase.ndim == 1)
+    stacked = isinstance(phase, np.ndarray) and phase.ndim == 1
     count = len(phase) if stacked else 1
     levels = to_index(dim)
-    # an empty stack is sized as one flip, so its dim is bounded as well;
-    # disjoint levels in [0, dim) number at most dim, which bounds the list
-    flips = max(count, 1)
+    flips = max(count, 1)  # an empty stack is sized as one flip, so its dim is bounded too
     fits = 1 <= levels and flips * levels * levels <= 4 * MAX_FLIP_DIM ** 2
     if fits:  # counted above; read one item at a time
         phases = (np.fromiter(map(_phase_number, phase), float, count) if stacked
                   else np.array(_phase_number(phase)))
-        if isinstance(pairs, (list, tuple)) and 2 * len(pairs) <= levels:
-            read = [level for row in pairs if isinstance(row, (list, tuple))
-                    and len(row) == 2 for level in row]
-            if len(read) == 2 * len(pairs) and all(
-                    type(level) is int or isinstance(level, np.signedinteger)
-                    for level in read):
-                pairs = np.array(read).reshape(-1, 2)
     if not (fits and isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i"
             and pairs.ndim == 2 and pairs.shape[1] == 2 and 0 < pairs.size <= levels
             and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
@@ -197,14 +183,15 @@ class ChshQuadruple:
 def flip_quadruple(dims: tuple[int, int], pairs: tuple, angles: AngleSet) -> ChshQuadruple:
     """The phase-flip quadruple of every setting in this package.
 
-    ``dims = (dim_A, dim_B)`` and ``pairs = (pairs_A, pairs_B)``: each
-    side flips its own level pairs (see ``phase_flip``), A1/A2 with the
-    phases ``alpha1``/``alpha2`` and B1/B2 with ``beta1``/``beta2``: one
-    stacked ``phase_flip`` call per side.
+    ``dims = (dim_A, dim_B)`` and ``pairs = (pairs_A, pairs_B)``, each an
+    integer ``(n, 2)`` array: each side flips its own level pairs (see
+    ``phase_flip``), A1/A2 with the phases ``alpha1``/``alpha2`` and B1/B2
+    with ``beta1``/``beta2``: one ``phase_flip`` call per side, on a 1-D
+    array of its two phases.
     """
     (dim_a, dim_b), (pairs_a, pairs_b) = dims, pairs
-    a1, a2 = phase_flip(dim_a, pairs_a, (angles.alpha1, angles.alpha2))
-    b1, b2 = phase_flip(dim_b, pairs_b, (angles.beta1, angles.beta2))
+    a1, a2 = phase_flip(dim_a, pairs_a, np.array((angles.alpha1, angles.alpha2)))
+    b1, b2 = phase_flip(dim_b, pairs_b, np.array((angles.beta1, angles.beta2)))
     return ChshQuadruple(a1=a1, a2=a2, b1=b1, b2=b2)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -193,6 +194,8 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out is not None and out_dir and not os.path.isabs(path):
         path = os.path.join(out_dir, path)
+    if out is None and sys.stdout is None:  # fd 1 is closed: Python opened no stdout
+        raise DomainError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
         with (contextlib.nullcontext(sys.stdout) if out is None
               else open(path, "w", encoding="utf-8")) as sink:

@@ -18,8 +18,9 @@ block on each pair (the pseudospin of Chen, Pan, Hou & Zhang, PRL 88,
 pair Gram ``G_pq = sum_k s_(2k+p) s_(2k+q)`` and the blocks ``a``,
 ``b``: ``chsh_matrix`` takes O(cutoff) time and memory per call, and
 builds its four blocks in one stack with the flip build behind
-``phase_flip``, the one checked entry; its pairs are a module constant
-and its phases come from a checked ``AngleSet``, so it skips the check.
+``phase_flip``, the one checked entry; its pairs are a constant integer
+``(1, 2)`` array and its phases the 1-D array of a checked ``AngleSet``,
+so it skips the check.
 For an even cutoff the renormalized truncated state reproduces the
 closed-form pair correlator
 
@@ -237,8 +238,8 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     eta**n``, renormalized, are viewed as ``(cutoff/2, 2)`` rows of pair
     ``k`` and parity ``p``, so the pair Gram is ``G = s^T s`` (2 x 2),
     and each flip is its 2 x 2 block, all four from one stacked build,
-    byte for byte ``phase_flip(2, [(0, 1)], angles.as_tuple())`` without
-    its check: ``sum G o (A1 o (B1 + B2) + A2 o (B1 - B2))`` entrywise.
+    byte for byte ``phase_flip(2, _BLOCK_PAIRS, np.array(angles.as_tuple()))``
+    without its check: ``sum G o (A1 o (B1 + B2) + A2 o (B1 - B2))`` entrywise.
     O(cutoff) per call; no ``cutoff**2`` array and no quadruple is built.
     An imaginary residue above 1e-10 raises ``PrecisionError``.
     """

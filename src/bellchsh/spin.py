@@ -32,8 +32,8 @@ _LEVELS = {SPIN_HALF: 2, SPIN_ONE: 3}
 #: swaps |-1> <-> |0> with |1> fixed, side B swaps |1> <-> |0> with |-1>
 #: fixed.
 _FLIP_PAIRS = {
-    SPIN_HALF: (((0, 1),), ((0, 1),)),
-    SPIN_ONE: (((2, 1),), ((0, 1),)),
+    SPIN_HALF: (np.array([(0, 1)]), np.array([(0, 1)])),
+    SPIN_ONE: (np.array([(2, 1)]), np.array([(0, 1)])),
 }
 
 #: Closed forms of the singlet CHSH values (see ``spin_closed_form``).

@@ -143,7 +143,7 @@ def four_call_chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> com
     amp /= np.linalg.norm(amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs
-    a1, a2, b1, b2 = (phase_flip(2, [(0, 1)], phase) for phase in angles.as_tuple())
+    a1, a2, b1, b2 = (phase_flip(2, np.array([(0, 1)]), phase) for phase in angles.as_tuple())
     return complex(np.sum(gram * (a1 * (b1 + b2) + a2 * (b1 - b2))))
 
 

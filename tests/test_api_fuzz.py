@@ -93,13 +93,17 @@ LONG = st.sampled_from([ZEROS, ASCENDING_THEN_NAN])
 HOSTILE = st.one_of(SCALAR, LONG)
 SEQUENCE = st.one_of(st.lists(SCALAR, max_size=5), LONG, SCALAR)
 #: phase_flip arguments: dims that are small, or whose stack no machine
-#: can hold, or no integer; a long stack of phases, nested text, and long
-#: pairs as an array or as a Python list, are invalid ones.
+#: can hold, or no integer; a long stack of phases, nested text, long
+#: pairs as an array, and any list or tuple of pairs or phases, are
+#: invalid ones; the level pair (0, 1) and a 1-D array of floats, any of
+#: them non-finite, are valid ones
 DIM = st.one_of(st.integers(-3, 12), st.integers(2**32, 2**62),
                 st.sampled_from([math.nan, math.inf, 2.0, 1e300, None, "2", 2j, [2], ZEROS]))
-PAIRS = st.one_of(st.just([(0, 1)]), st.lists(st.tuples(SHORT, SHORT), max_size=3),
+PAIRS = st.one_of(st.just(np.array([(0, 1)])), st.just([(0, 1)]),
+                  st.lists(st.tuples(SHORT, SHORT), max_size=3),
                   st.sampled_from([np.zeros((10**5, 2), int), LONG_PAIRS, "ab"]))
 PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5),
+                  st.lists(st.floats(), max_size=4).map(np.array),
                   st.sampled_from([ASCENDING_THEN_NAN, NESTED_TEXT]))
 SPIN = st.one_of(st.sampled_from(["half", "one", "HALF", ["half"], ("one",)]), HOSTILE)
 #: valid ket amplitudes and one-factor operators: ndarrays of four
@@ -243,9 +247,9 @@ def test_self_referential_lists_refused_at_once():
 
 
 @pytest.mark.parametrize("entry,args", [
-    (phase_flip, (2, [(0, 1)], "abc")),
-    (phase_flip, (2, [(0, 1)], [1j])),
-    (phase_flip, (2, [(0, 1)], np.array([1 + 1j]))),
+    (phase_flip, (2, np.array([(0, 1)]), "abc")),
+    (phase_flip, (2, np.array([(0, 1)]), np.array([1j], dtype=object))),
+    (phase_flip, (2, np.array([(0, 1)]), np.array([1 + 1j]))),
     (RindlerModeSet, (("a",),)),
     (RindlerModeSet, ((1j,),)),
     (RindlerModeSet, (1.0,)),
@@ -273,14 +277,14 @@ def test_complex_with_zero_imaginary_part_is_its_real_part():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert AngleSet(np.complex128(0.5), 0, 0, 0).alpha1 == 0.5
-        flip = phase_flip(2, [(0, 1)], np.array([0.3 + 0j, -0.2 + 0j]))
-    assert flip.tobytes() == phase_flip(2, [(0, 1)], [0.3, -0.2]).tobytes()
+        flip = phase_flip(2, np.array([(0, 1)]), np.array([0.3 + 0j, -0.2 + 0j]))
+    assert flip.tobytes() == phase_flip(2, np.array([(0, 1)]), np.array([0.3, -0.2])).tobytes()
 
 
 def test_nested_text_phase_refused_unread():
     # numpy would copy the text at four bytes a character; "1.5" is not parsed
     for phase in (NESTED_TEXT, [["1.5"]], [[0.5], ("1.5",)]):
-        err = call_bounded(phase_flip, (2, [(0, 1)], phase))
+        err = call_bounded(phase_flip, (2, np.array([(0, 1)]), phase))
         assert isinstance(err, DomainError) and "every phase finite" in str(err)
 
 

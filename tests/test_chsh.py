@@ -40,6 +40,10 @@ from helpers import (
 
 ROOT2 = math.sqrt(2.0)
 
+#: The one level pair of a 2 x 2 flip, as the integer (1, 2) array
+#: ``phase_flip`` takes.
+PAIR = np.array([(0, 1)])
+
 
 class TestAngleSet:
     def test_wraps_to_half_open_interval(self):
@@ -288,7 +292,7 @@ class TestStackedPhaseFlip:
     its single domain check, and the one-call-per-side quadruple builds
     against the four-call oracle."""
 
-    CASES = [(2, [(0, 1)]), (3, [(2, 1)]), (3, [(0, 1)])]  # spin-1/2, spin-1 A, B
+    CASES = [(2, PAIR), (3, np.array([(2, 1)])), (3, PAIR)]  # spin-1/2, spin-1 A, B
     CASES += [(n, np.arange(n).reshape(-1, 2)) for n in (4, 8, 40)]  # Fock
 
     def test_stack_matches_scalar_calls_byte_for_byte(self):
@@ -300,17 +304,20 @@ class TestStackedPhaseFlip:
             assert stack.shape == (len(phases), dim, dim)
             for phase, flip in zip(phases, stack):
                 assert flip.tobytes() == phase_flip(dim, pairs, float(phase)).tobytes()
-            assert phase_flip(dim, pairs, tuple(phases)).tobytes() == stack.tobytes()
+            # a tuple of the same phases is refused unread
+            with pytest.raises(DomainError, match=re.escape(f"for dim {dim}")):
+                phase_flip(dim, pairs, tuple(phases))
             # a stack is flat: a grid of phases is refused, not read
             with pytest.raises(DomainError, match="not hermitian"):
                 phase_flip(dim, pairs, phases.reshape(4, 4))
 
     def test_scalar_phase_gives_one_matrix(self):
-        assert phase_flip(4, [(0, 1), (2, 3)], 0.3).shape == (4, 4)
-        assert phase_flip(4, [(0, 1), (2, 3)], [0.3]).shape == (1, 4, 4)
+        pairs = np.array([(0, 1), (2, 3)])
+        assert phase_flip(4, pairs, 0.3).shape == (4, 4)
+        assert phase_flip(4, pairs, np.array([0.3])).shape == (1, 4, 4)
 
     def test_stack_is_read_only(self):
-        stack = phase_flip(2, [(0, 1)], (0.1, 0.2))
+        stack = phase_flip(2, PAIR, np.array((0.1, 0.2)))
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 2.0
         _, second = stack
@@ -324,17 +331,19 @@ class TestStackedPhaseFlip:
         phases[where] = bad
         for stack in (phases, tuple(phases), list(phases)):
             with pytest.raises(DomainError, match="not hermitian"):
-                phase_flip(4, [(0, 1), (2, 3)], stack)
+                phase_flip(4, np.array([(0, 1), (2, 3)]), stack)
 
     @pytest.mark.parametrize("pairs,shown", [
-        ([(0, 2)], "[[0, 2]]"), ([(0, 10**13)], "[[0, 10000000000000]]"),
-        ([(0, -1)], "[[0, -1]]"), ([], "[]"), ([(0, 1.5)], "[(0, 1.5)]"),
-    ], ids=["beyond-dim", "far-beyond-dim", "negative", "empty", "non-integer"])
+        (np.array([(0, 2)]), "[[0, 2]]"),
+        (np.array([(0, 10**13)]), "[[0, 10000000000000]]"),
+        (np.array([(0, -1)]), "[[0, -1]]"), (np.empty((0, 2), int), "[]"),
+        (np.array([(0, 1.5)]), "[[0.0, 1.5]]"), ([(0, 1)], "[(0, 1)]"),
+    ], ids=["beyond-dim", "far-beyond-dim", "negative", "empty", "non-integer", "list"])
     def test_malformed_pairs_raise_domain_error(self, pairs, shown):
         # each fails inside the one check, and the message names the pairs:
-        # integer rows as the array they were read into, others as given
+        # a short array by its rows, a list as given
         named = re.escape(f"got pairs {shown}")
-        for phase in (0.1, (0.1, 0.2)):
+        for phase in (0.1, np.array((0.1, 0.2))):
             with pytest.raises(DomainError, match=named):
                 phase_flip(2, pairs, phase)
 
@@ -342,15 +351,15 @@ class TestStackedPhaseFlip:
     def test_bad_dim_raises_domain_error(self, dim):
         # before numpy sees it: a negative minlength or a float dim
         # would raise ValueError or TypeError
-        for phase in (0.3, (0.3, -0.4)):
+        for phase in (0.3, np.array((0.3, -0.4))):
             with pytest.raises(DomainError, match=re.escape(f"for dim {dim!r}")):
-                phase_flip(dim, [(0, 1)], phase)
+                phase_flip(dim, PAIR, phase)
 
     @pytest.mark.parametrize("dim,pairs,phase", [
-        (10**6, [(0, 1)], 0.3),
+        (10**6, PAIR, 0.3),
         # a zero-stride stack of 10**6 phases holds one float
-        (2048, [(0, 1)], np.broadcast_to(0.3, (10**6,))),
-        (4, [(0, 10**13)], 0.1),
+        (2048, PAIR, np.broadcast_to(0.3, (10**6,))),
+        (4, np.array([(0, 10**13)]), 0.1),
     ], ids=["dim-1e6", "1e6-phases-at-2048", "level-1e13-at-4"])
     def test_stack_size_bounded_before_allocation(self, dim, pairs, phase):
         tracemalloc.start()
@@ -385,45 +394,50 @@ class TestStackedPhaseFlip:
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=r"1 \* dim\*\*2 at most") as raised:
-                phase_flip(10**13, [(0, 1)], [])
+                phase_flip(10**13, PAIR, np.array([]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert str(raised.value).endswith(f"for dim {10**13}") and peak < 2**20
         for dim, pairs in self.CASES:
-            empty = phase_flip(dim, pairs, [])
+            empty = phase_flip(dim, pairs, np.array([]))
             assert empty.shape == (0, dim, dim) and not empty.flags.writeable
 
     def test_long_phase_stack_named_by_shape(self):
-        phases = [0.0] * 10**5 + [math.nan, math.inf]
-        for stack in (phases, np.array(phases)):
-            with pytest.raises(DomainError, match="not hermitian") as raised:
-                phase_flip(2, [(0, 1)], stack)
-            message = str(raised.value)
-            assert ("and phase of shape (100002,) with first non-finite entry nan "
-                    "for dim 2") in message
-            assert len(message) < 1000
+        phases = np.array([0.0] * 10**5 + [math.nan, math.inf])
+        with pytest.raises(DomainError, match="not hermitian") as raised:
+            phase_flip(2, PAIR, phases)
+        message = str(raised.value)
+        assert ("and phase of shape (100002,) with first non-finite entry nan "
+                "for dim 2") in message
+        assert len(message) < 1000
+        # the same phases as a list are refused unread, named by their first six
+        with pytest.raises(DomainError, match="not hermitian") as raised:
+            phase_flip(2, PAIR, phases.tolist())
+        message = str(raised.value)
+        assert "and phase [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...] for dim 2" in message
+        assert len(message) < 1000
         # a stack over the size bound is named by its shape alone
         with pytest.raises(DomainError) as raised:
-            phase_flip(2048, [(0, 1)], np.broadcast_to(math.nan, (10**6,)))
+            phase_flip(2048, PAIR, np.broadcast_to(math.nan, (10**6,)))
         assert "and phase of shape (1000000,) for dim 2048" in str(raised.value)
 
     @pytest.mark.parametrize("dim,pairs,phase", [
-        (2, [(0, 1)], "1.5"),
-        (2, [(0, 1)], b"1.5"),
-        (2, [(0, 1)], ["1.5"]),
-        (2, [(0, 1)], [["1.5"]]),
-        (2, [(0, 1)], [[0.5], ("1.5",)]),
-        (2, [(0, 1)], np.array(["1.5"])),
-        (2, [(0, 1)], 1j),
-        (2, [(0, 1)], [0.5, 1j]),
-        (2, [(0, 1)], np.array([1 + 1j])),
-        (2, [(0, 1)], np.array(1 + 1j)),
-        (2, [(0, 1)], math.nan),
-        (2, [(0, 1)], [0.5, math.nan]),
-        (2, [(0, 1)], np.array([math.inf])),
-        (2048, [(0, 1)], np.broadcast_to(0.3, (10**6,))),
-        (2048, [(0, 1)], np.broadcast_to(0.3, (1000, 1000))),
+        (2, PAIR, "1.5"),
+        (2, PAIR, b"1.5"),
+        (2, PAIR, ["1.5"]),
+        (2, PAIR, [["1.5"]]),
+        (2, PAIR, [[0.5], ("1.5",)]),
+        (2, PAIR, np.array(["1.5"])),
+        (2, PAIR, 1j),
+        (2, PAIR, [0.5, 1j]),
+        (2, PAIR, np.array([1 + 1j])),
+        (2, PAIR, np.array(1 + 1j)),
+        (2, PAIR, math.nan),
+        (2, PAIR, [0.5, math.nan]),
+        (2, PAIR, np.array([math.inf])),
+        (2048, PAIR, np.broadcast_to(0.3, (10**6,))),
+        (2048, PAIR, np.broadcast_to(0.3, (1000, 1000))),
         (4, [(0, 1)] * 50_000, 0.3),
         (2, [(0, 1.5)], 0.3),
         (2, np.array([[0.0, 1.0]]), 0.3),
@@ -432,15 +446,20 @@ class TestStackedPhaseFlip:
         (2, np.array([[True, False]]), 0.3),
         (2, np.array([[0, 1]], np.uint8), 0.3),
         (2, [(np.uint8(0), np.uint8(1))], 0.3),
+        (2, [(0, 1)], 0.3),
+        (2, PAIR, (0.1, 0.2)),
+        (2, PAIR, [0.3]),
     ], ids=["text", "bytes", "text-in-list", "nested-text", "nested-text-in-tuple",
             "text-array", "complex", "complex-in-list", "complex-array", "complex-0d",
             "nan", "nan-in-list", "inf-array", "oversized-stack", "oversized-grid",
             "long-pair-list", "float-pair-list", "float-pair-array", "ragged-pairs",
-            "bool-pair-list", "bool-pair-array", "uint8-pair-array", "uint8-pair-list"])
+            "bool-pair-list", "bool-pair-array", "uint8-pair-array", "uint8-pair-list",
+            "pair-list", "phase-tuple", "phase-list"])
     def test_refused_inputs_stay_refused(self, dim, pairs, phase):
         # each is refused by the one check, whatever reads the argument
-        with pytest.raises(DomainError, match=re.escape(f"for dim {dim}")):
+        with pytest.raises(DomainError, match=re.escape(f"for dim {dim}")) as raised:
             phase_flip(dim, pairs, phase)
+        assert len(str(raised.value).encode()) < 1000
 
     @pytest.mark.parametrize("argument", ["phase", "pairs", "both"])
     def test_self_referential_list_refused_at_once(self, argument):
@@ -475,11 +494,11 @@ class TestStackedPhaseFlip:
 
     def test_stack_size_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(chsh, "MAX_FLIP_DIM", 4)  # at most 64 entries
-        assert phase_flip(4, [(0, 1)], np.zeros(4)).shape == (4, 4, 4)
-        assert phase_flip(8, [(0, 1)], 0.3).shape == (8, 8)
-        for dim, phase in ((4, np.zeros(5)), (8, (0.3, 0.3)), (9, 0.3)):
+        assert phase_flip(4, PAIR, np.zeros(4)).shape == (4, 4, 4)
+        assert phase_flip(8, PAIR, 0.3).shape == (8, 8)
+        for dim, phase in ((4, np.zeros(5)), (8, np.zeros(2)), (9, 0.3)):
             with pytest.raises(DomainError, match=r"dim\*\*2 at most 64 entries"):
-                phase_flip(dim, [(0, 1)], phase)
+                phase_flip(dim, PAIR, phase)
 
     def test_quadruple_builds_make_one_call_per_side(self, monkeypatch):
         calls = []
@@ -530,9 +549,9 @@ class TestLoopOracle:
     entry from the definition without calling it: the unpaired levels'
     1, each pair's phase entries and the zeros, byte for byte."""
 
-    CASES = [(2, [(0, 1)]), (3, [(2, 1)]), (3, [(0, 1)])]  # spin-1/2, spin-1 A, B
+    CASES = [(2, PAIR), (3, np.array([(2, 1)])), (3, PAIR)]  # spin-1/2, spin-1 A, B
     CASES += [(n, np.arange(n).reshape(-1, 2)) for n in (4, 40, 512)]  # Fock
-    CASES += [(7, [(0, 3), (5, 2)])]  # levels 1, 4 and 6 fixed
+    CASES += [(7, np.array([(0, 3), (5, 2)]))]  # levels 1, 4 and 6 fixed
 
     @pytest.mark.parametrize("dim,pairs", CASES,
                              ids=["spin-half", "spin-one-a", "spin-one-b",

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -27,11 +28,15 @@ def run(capsys, *argv):
 
 def run_child(stdout, *argv):
     """Run ``python -m bellchsh *argv`` in a child process writing to
-    ``stdout``; return its exit code and stderr bytes."""
+    ``stdout``, or with fd 1 closed by the shell's ``>&-`` when ``stdout``
+    is None; return its exit code and stderr bytes."""
     src = os.path.dirname(os.path.dirname(bellchsh.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "bellchsh", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=60)
+    command = [sys.executable, "-m", "bellchsh", *argv]
+    if stdout is None:
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    done = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=60)
     return done.returncode, done.stderr
 
 
@@ -553,6 +558,16 @@ class TestOutputHandling:
         finally:
             os.close(write_end)
         assert_one_stdout_refusal(code, err)
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell")
+    def test_closed_stdout_exits_two(self, tmp_path):
+        # with fd 1 closed the child has no sys.stdout at all; --out still
+        # writes its file
+        code, err = run_child(None, "spin")
+        assert_one_stdout_refusal(code, err)
+        code, err = run_child(None, "spin", "--out", str(tmp_path / "spin.csv"))
+        assert (code, err) == (0, b"")
+        assert (tmp_path / "spin.csv").read_text().startswith("quantity,value")
 
     def test_unknown_option_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -538,10 +538,11 @@ class TestSchmidtRoute:
 
     def test_block_build_is_phase_flip_byte_for_byte(self, monkeypatch):
         # the build chsh_matrix calls, on the arguments it passes, gives the
-        # bytes of the checked phase_flip(2, [(0, 1)], phases)
+        # bytes of the checked phase_flip(2, np.array([(0, 1)]), phases)
+        pair = np.array([(0, 1)])
         for phases in [(0.0, math.pi, -math.pi, 1e-300), (-1e-300, 0.0, math.pi, -math.pi)]:
             built = chsh._flip_stack(2, fock._BLOCK_PAIRS, np.array(phases))
-            assert built.tobytes() == phase_flip(2, [(0, 1)], phases).tobytes()
+            assert built.tobytes() == phase_flip(2, pair, np.array(phases)).tobytes()
             assert built.shape == (4, 2, 2) and not built.flags.writeable
         seen = []
 
@@ -558,7 +559,7 @@ class TestSchmidtRoute:
             chsh_matrix(0.6, FockSpace(4), angles)
         assert [phases for phases, _ in seen] == [list(a.as_tuple()) for a in angle_sets]
         for phases, built in seen:
-            assert built.tobytes() == phase_flip(2, [(0, 1)], phases).tobytes()
+            assert built.tobytes() == phase_flip(2, pair, np.array(phases)).tobytes()
             assert not built.flags.writeable
 
 

@@ -56,15 +56,15 @@ class TestConstruction:
     def test_phase_flip_rejects_non_hermitian(self):
         # a level paired with itself ends up with e^{-i phase} on the diagonal
         with pytest.raises(DomainError, match="not hermitian"):
-            phase_flip(2, [(0, 0)], 0.5)
+            phase_flip(2, np.array([(0, 0)]), 0.5)
         with pytest.raises(DomainError, match="not hermitian"):
-            phase_flip(2, [(0, 1)], float("nan"))
+            phase_flip(2, np.array([(0, 1)]), float("nan"))
 
     def test_phase_flip_rejects_shared_level_and_infinite_phase(self):
         with pytest.raises(DomainError, match="not hermitian"):
-            phase_flip(3, [(0, 1), (1, 2)], 0.5)  # level 1 in both pairs
+            phase_flip(3, np.array([(0, 1), (1, 2)]), 0.5)  # level 1 in both pairs
         with pytest.raises(DomainError, match="not hermitian"):
-            phase_flip(2, [(0, 1)], float("inf"))
+            phase_flip(2, np.array([(0, 1)]), float("inf"))
 
     def test_phase_flip_matches_reference_construction(self):
         # the builder that checked the built matrix's hermiticity, bit for bit
@@ -80,7 +80,8 @@ class TestConstruction:
 
         rng = np.random.default_rng(61)
         phases = [0.0, math.pi, -math.pi, 1e-300, *rng.uniform(-7.0, 7.0, 6)]
-        cases = [(2, [(0, 1)]), (3, [(2, 1)]), (3, [(0, 1)])]  # spin-1/2, spin-1 A, B
+        cases = [(2, np.array([(0, 1)])), (3, np.array([(2, 1)])),
+                 (3, np.array([(0, 1)]))]  # spin-1/2, spin-1 A, B
         cases += [(n, np.arange(n).reshape(-1, 2)) for n in (4, 8, 40)]  # Fock
         for dim, pairs in cases:
             for phase in phases:
@@ -98,7 +99,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             q.a1[0, 0] = 2.0
         with pytest.raises(ValueError):
-            phase_flip(2, [(0, 1)], 0.5)[0, 0] = 2.0
+            phase_flip(2, np.array([(0, 1)]), 0.5)[0, 0] = 2.0
 
 
 class TestTensor:

@@ -1,11 +1,12 @@
 """Property test of ``chsh.phase_flip`` against ``helpers.loop_phase_flip``.
 
-Valid draws: ``dim`` in [2, 12], disjoint pairs (some levels possibly
-left fixed) and a scalar phase or a flat stack of finite phases; every
-flip must equal its loop oracle byte for byte, and the same phases as a
-two-dimensional stack must be refused.  Malformed draws, ``dim`` in
-[1, 12]: overlapping, negative, ``>= dim``, empty, float and too many
-rows; each must raise ``DomainError`` naming ``dim``.  The search is
+Valid draws: ``dim`` in [2, 12], disjoint pairs as an integer ``(n, 2)``
+array (some levels possibly left fixed) and a scalar phase or a 1-D
+array of finite phases; every flip must equal its loop oracle byte for
+byte, and the same phases as a two-dimensional stack must be refused.
+Malformed draws, ``dim`` in [1, 12]: overlapping, negative, ``>= dim``,
+empty, float and too many rows as arrays, and disjoint rows as a list;
+each must raise ``DomainError`` naming ``dim``.  The search is
 derandomized, so the module runs the same examples every time.
 """
 
@@ -26,10 +27,11 @@ EXAMPLES = settings(max_examples=100, derandomize=True, database=None, deadline=
 
 @st.composite
 def disjoint_pairs(draw, dim):
-    """A permutation's first ``2k`` levels as ``k`` rows, ``1 <= k <= dim/2``."""
+    """A permutation's first ``2k`` levels as the ``k`` rows of an integer
+    array, ``1 <= k <= dim/2``."""
     levels = draw(st.permutations(range(dim)))
     count = draw(st.integers(1, dim // 2))
-    return [tuple(levels[2 * i:2 * i + 2]) for i in range(count)]
+    return np.array(levels[:2 * count]).reshape(count, 2)
 
 
 @st.composite
@@ -47,25 +49,24 @@ def valid_flips(draw):
 def malformed_flips(draw):
     dim = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["overlapping", "negative", "beyond-dim", "empty",
-                                 "float", "too-many-rows"]))
-    rows = [tuple(draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2)))
-            for _ in range(draw(st.integers(1, 3)))]
+                                 "float", "too-many-rows", "list"]))
+    rows = np.array([draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2))
+                     for _ in range(draw(st.integers(1, 3)))])
     at = (draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1)))
     if kind == "overlapping":  # a level repeated, in one row or across two
-        rows.append((rows[at[0]][at[1]], draw(st.integers(0, dim - 1))))
+        rows = np.vstack([rows, (rows[at], draw(st.integers(0, dim - 1)))])
     elif kind in ("negative", "beyond-dim"):
-        bad = (draw(st.integers(-2**62, -1)) if kind == "negative"
-               else draw(st.one_of(st.integers(dim, dim + 3), st.integers(dim, 2**62))))
-        row = list(rows[at[0]])
-        row[at[1]] = bad
-        rows[at[0]] = tuple(row)
+        rows[at] = (draw(st.integers(-2**62, -1)) if kind == "negative"
+                    else draw(st.one_of(st.integers(dim, dim + 3), st.integers(dim, 2**62))))
     elif kind == "empty":
-        rows = draw(st.sampled_from([[], np.empty((0, 2), dtype=int)]))
+        rows = rows[:0]
     elif kind == "float":
-        rows = np.array(rows, dtype=float)
-    else:  # more levels than dim: at least one repeats
-        rows = [(i % dim, (i + 1) % dim) for i in range(dim // 2 + 1)]
-    phase = draw(st.one_of(PHASE, st.lists(PHASE, min_size=1, max_size=4)))
+        rows = rows.astype(float)
+    elif kind == "too-many-rows":  # more levels than dim: at least one repeats
+        rows = np.array([(i % dim, (i + 1) % dim) for i in range(dim // 2 + 1)])
+    else:  # rows an array would make valid, at dim >= 2, as a list
+        rows = draw(disjoint_pairs(max(dim, 2))).tolist()
+    phase = draw(st.one_of(PHASE, st.lists(PHASE, min_size=1, max_size=4).map(np.array)))
     return dim, rows, phase
 
 

@@ -168,7 +168,7 @@ class TestFlipOperators:
                 assert np.array_equal(full[name], kron_flip(kind, side, phase))
 
     def test_builder_fixes_levels_outside_the_pairs(self):
-        flip = phase_flip(4, [(0, 3)], 0.5)
+        flip = phase_flip(4, np.array([(0, 3)]), 0.5)
         assert flip[3, 0] == np.exp(0.5j) and flip[0, 3] == np.exp(-0.5j)
         assert flip[1, 1] == flip[2, 2] == 1.0
         assert flip[0, 0] == flip[3, 3] == 0.0
