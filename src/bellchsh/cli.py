@@ -20,9 +20,11 @@ stdout that cannot be written, such as a full disk or a closed pipe,
 or a degenerate test function) or an argparse usage error; 3
 validation or tolerance failure, a ``PrecisionError`` (a numerical
 certificate, or a failed ``spin``/``squeeze-scan`` check, raised by
-``main`` after the rows).  Each prints one stderr line, and a
-``DomainError`` whose ``argument`` is a flag's value names the flag:
-``configuration error: <flag>: <message>``.  Echoed flag text is
+``main`` after the rows).  A ``DomainError`` or ``PrecisionError``
+prints one stderr line, and a ``DomainError`` whose ``argument`` is a
+flag's value names the flag: ``configuration error: <flag>: <message>``.
+An argparse usage error prints argparse's usage lines and one
+``error:`` line, abridged by ``_Parser.error``.  Echoed flag text is
 named by ``errors.named``, two levels deep, and an ``--out`` path is
 quoted whole up to 200 characters, so each stays short.
 """
@@ -33,13 +35,13 @@ import argparse
 import contextlib
 import csv
 import errno
-import io
 import json
 import math
 import os
 import re
 import reprlib
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -176,20 +178,10 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None:
-    """Render rows as CSV or JSON (``fmt``) and write them to stdout, or
-    to the file ``out``; a sink that cannot be written raises
-    ``DomainError``."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_fmt_value(row.get(f)) for f in fields])
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"fields": fields, "rows": rows}, indent=2) + "\n"
-
+def emit(fmt: str, out: str | None, fields: list[str], rows: Iterable[dict]) -> None:
+    """Write rows as CSV, each as it is drawn, or as one JSON text
+    (``fmt``) to stdout, or to the file ``out``; a sink that cannot be
+    written raises ``DomainError``."""
     path = out
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out is not None and out_dir and not os.path.isabs(path):
@@ -199,7 +191,12 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None
     try:
         with (contextlib.nullcontext(sys.stdout) if out is None
               else open(path, "w", encoding="utf-8")) as sink:
-            sink.write(text)
+            if fmt == "csv":
+                writer = csv.writer(sink, lineterminator="\n")
+                writer.writerow(fields)
+                writer.writerows([_fmt_value(row.get(f)) for f in fields] for row in rows)
+            else:
+                sink.write(json.dumps({"fields": fields, "rows": list(rows)}, indent=2) + "\n")
             sink.flush()
     except OSError as err:
         if out is None:  # so the interpreter's last flush writes nowhere
@@ -212,14 +209,14 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: list[dict]) -> None
 # subcommands
 
 
+def _quantity_table(table: dict, failure: str | None = None) -> tuple[list[str], list, str | None]:
+    """The ``(fields, rows, failure)`` of an ordered ``{quantity: value}`` table."""
+    return ["quantity", "value"], [{"quantity": q, "value": v} for q, v in table.items()], failure
+
+
 def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
     override = parse_angles(args.angles) if args.angles else None
-
-    rows: list[dict] = []
-
-    def add(quantity: str, value) -> None:
-        rows.append({"quantity": quantity, "value": value})
-
+    table = {}
     ok = True
     for name, kind, default_angles in (
         ("spin_one", spin.SPIN_ONE, spin.SPIN_ONE_VIOLATION_ANGLES),
@@ -228,24 +225,22 @@ def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
         angles = override or default_angles
         state = spin.singlet(kind)
         for i, amp in enumerate(state.amplitudes):
-            add(f"{name}_amplitude_{i}", float(amp.real))
+            table[f"{name}_amplitude_{i}"] = float(amp.real)
         quadruple = spin.spin_quadruple(kind, angles)
         report = validate_quadruple(quadruple)
-        add(f"{name}_validation_max_deviation", report.max_deviation)
-        add(f"{name}_validation_passed", int(report.passed))
         ok = ok and report.passed
         matrix_value = chsh_value(state, quadruple)
-        add(f"{name}_chsh_closed", spin.spin_closed_form(kind).value(angles))
-        add(f"{name}_chsh_matrix", matrix_value)
-        add(f"{name}_abs_chsh", abs(matrix_value))
+        table[f"{name}_validation_max_deviation"] = report.max_deviation
+        table[f"{name}_validation_passed"] = int(report.passed)
+        table[f"{name}_chsh_closed"] = spin.spin_closed_form(kind).value(angles)
+        table[f"{name}_chsh_matrix"] = matrix_value
+        table[f"{name}_abs_chsh"] = abs(matrix_value)
 
     best_angles, best = optimize_angles(spin.spin_closed_form(spin.SPIN_ONE))
-    add("spin_one_closed_form_optimum", best)
-    for label, value in vars(best_angles).items():
-        add(f"spin_one_optimal_{label}", value)
-
-    return (["quantity", "value"], rows,
-            None if ok else "quadruple validation failed; see *_validation_* rows")
+    table["spin_one_closed_form_optimum"] = best
+    table.update({f"spin_one_optimal_{k}": v for k, v in vars(best_angles).items()})
+    return _quantity_table(table, None if ok else
+                          "quadruple validation failed; see *_validation_* rows")
 
 
 def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
@@ -290,16 +285,12 @@ def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
 def cmd_optimize(args) -> tuple[list[str], list[dict], None]:
     if args.closed_form == "spin-one":
         form = spin.spin_closed_form(spin.SPIN_ONE)
-        rows = [{"quantity": "closed_form", "value": "spin-one"}]
+        table = {"closed_form": "spin-one"}
     else:
         form = fock.squeezed_closed_form(args.eta)
-        rows = [{"quantity": "closed_form", "value": "squeezed"},
-                {"quantity": "eta", "value": args.eta}]
+        table = {"closed_form": "squeezed", "eta": args.eta}
     angles, best = optimize_angles(form)
-    for label, value in vars(angles).items():
-        rows.append({"quantity": label, "value": value})
-    rows.append({"quantity": "optimum", "value": best})
-    return ["quantity", "value"], rows, None
+    return _quantity_table({**table, **vars(angles), "optimum": best})
 
 
 def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
@@ -313,21 +304,15 @@ def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
     quad = kleingordon.ShellQuadrature.for_packets(packet, radial=radial, tol=args.tol)
 
     estimate = kleingordon.test_norm(packet, quad)
-    rows = [
-        {"quantity": "norm_sq", "value": estimate.value},
-        {"quantity": "error_estimate", "value": estimate.error},
-        {"quantity": "scale_factor", "value": 1.0 / math.sqrt(estimate.value)},
-    ]
+    table = {"norm_sq": estimate.value, "error_estimate": estimate.error,
+             "scale_factor": 1.0 / math.sqrt(estimate.value)}
     if args.normalize:
         unit = kleingordon.normalize(packet, quad)
-        rows.append({
-            "quantity": "normalized_norm_sq",
-            "value": kleingordon.test_norm(unit, quad).value,
-        })
-    return ["quantity", "value"], rows, None
+        table["normalized_norm_sq"] = kleingordon.test_norm(unit, quad).value
+    return _quantity_table(table)
 
 
-def cmd_rindler_scan(args) -> tuple[list[str], list[dict], None]:
+def cmd_rindler_scan(args) -> tuple[list[str], Iterable[dict], None]:
     frequencies = parse_floats(args.modes, "--modes")
     if args.temp_range and args.accel_range:
         raise DomainError("--temp-range and --accel-range are mutually exclusive")
@@ -342,10 +327,8 @@ def cmd_rindler_scan(args) -> tuple[list[str], list[dict], None]:
     if args.accel_range:
         grid = [rindler.unruh_temperature(a) for a in grid]
     scan = rindler.temperature_scan(modes, grid)
-    rows = [
-        {"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
-        for r in scan
-    ]
+    rows = ({"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
+            for r in scan)  # one dict at a time, as emit draws it
     return ["T", "tau", "chsh", "flag"], rows, None
 
 
@@ -360,8 +343,19 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
                         help=f"output file; relative paths resolve against ${OUT_DIR_ENV}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its usage error (its subparsers' too) keeps the first 50 and last 90
+    characters of a message over 143, so an invalid choice still lists the
+    choices and, with the usage lines, the text stays under 1,000 bytes."""
+
+    def error(self, message):
+        if len(message) > 143:
+            message = f"{message[:50]}...{message[-90:]}"
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellchsh",
         description="Bell-CHSH violations of singlets, squeezed states and "
                     "the accelerated vacuum.",

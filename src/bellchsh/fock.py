@@ -116,8 +116,6 @@ def _mode_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 class SqueezedState:
     """Normalized truncated two-mode squeezed state."""
 
-    eta: float
-    space: FockSpace
     ket: Ket
 
 
@@ -133,7 +131,7 @@ def squeezed_state(eta: float, space: FockSpace) -> SqueezedState:
     amp = np.zeros(space.dim, dtype=complex)
     amp[::n + 1] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(n)
     amp /= np.linalg.norm(amp)
-    return SqueezedState(eta=eta, space=space, ket=Ket(amp))
+    return SqueezedState(ket=Ket(amp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +147,6 @@ class BogoliubovPair:
     confined to the top Fock level.
     """
 
-    eta: float
     alpha: FactoredOperator
     beta: FactoredOperator
 
@@ -163,7 +160,6 @@ def bogoliubov_pair(eta: float, space: FockSpace) -> BogoliubovPair:
     low, raz, _, eye = _mode_factors(space.cutoff)
     scale = 1.0 / math.sqrt(1.0 - eta * eta)
     return BogoliubovPair(
-        eta=eta,
         alpha=FactoredOperator(((scale, low, eye), (-scale * eta, eye, raz))),
         beta=FactoredOperator(((scale, eye, low), (-scale * eta, raz, eye))),
     )

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -18,6 +19,7 @@ from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
 
 ROOT2 = math.sqrt(2.0)
+LONG = "x" * 5000
 
 
 def run(capsys, *argv):
@@ -569,10 +571,55 @@ class TestOutputHandling:
         assert (code, err) == (0, b"")
         assert (tmp_path / "spin.csv").read_text().startswith("quantity,value")
 
+    def test_csv_rows_reach_the_sink_as_they_are_drawn(self):
+        sink, seen = io.StringIO(), []
+
+        def rows():
+            for i in range(3):
+                seen.append(sink.getvalue())  # the sink before row i is made
+                yield {"i": i, "note": None}
+
+        with contextlib.redirect_stdout(sink):
+            cli.emit("csv", None, ["i", "note"], rows())
+        assert seen == ["i,note\n", "i,note\n0,\n", "i,note\n0,\n1,\n"]
+        assert sink.getvalue() == "i,note\n0,\n1,\n2,\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_row_generator_and_row_list_give_the_same_bytes(self, fmt):
+        args = cli.build_parser().parse_args(["rindler-scan", "--modes", "0.5,2",
+                                              "--temp-range", "0.01:5:7"])
+        fields, generated, _ = args.handler(args)
+        texts = []
+        for rows in (generated, list(args.handler(args)[1])):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                cli.emit(fmt, None, fields, rows)
+            texts.append(sink.getvalue())
+        assert texts[0] == texts[1] and texts[0].count("\n") > 7
+
     def test_unknown_option_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["spin", "--no-such-flag"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("optimize", "--eta", LONG), ("kg-norm", "--mass", LONG),
+                                      ("squeeze-scan", "--cutoff", LONG),
+                                      ("spin", "--format", LONG), (LONG,), ("spin", LONG)])
+    def test_usage_error_abridges_long_flag_text(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith("usage: bellchsh") and len(err.encode()) < 1000, err[-2000:]
+        assert "x...x" in err.splitlines()[-1]
+        if argv == (LONG,):  # the choices are still listed
+            assert "choose from" in err and "rindler-scan" in err.splitlines()[-1]
+
+    def test_short_usage_error_is_whole(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["optimize", "--eta", "abc"])
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "bellchsh optimize: error: argument --eta: invalid float value: 'abc'")
 
     def test_debug_corrupt_phase_flag_removed(self):
         with pytest.raises(SystemExit) as info:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -152,6 +153,12 @@ class TestLadderMatrices:
 
 
 class TestSqueezedState:
+    def test_results_hold_no_copy_of_their_arguments(self):
+        space = FockSpace(8)
+        assert [f.name for f in dataclasses.fields(squeezed_state(0.5, space))] == ["ket"]
+        assert [f.name for f in dataclasses.fields(bogoliubov_pair(0.5, space))] == [
+            "alpha", "beta"]
+
     def test_small_eta_is_vacuum(self):
         space = FockSpace(8)
         state = squeezed_state(1e-8, space)
