@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,10 +78,9 @@ def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.nda
     counts as one flip), ``pairs`` a non-empty integer ``(n, 2)`` array of
     disjoint levels in ``[0, dim)``, and every phase finite; else
     ``DomainError`` is raised before anything of an argument's size is
-    allocated.  Each phase is read by ``errors.to_number``, but text and
-    an array that is not 0-d as NaN, unparsed; a list or tuple, as
-    ``pairs`` or as ``phase``, is refused unread.  Long arguments are
-    named by shape, not listed.
+    allocated.  Each phase is read by ``errors.to_number``; a list or
+    tuple, as ``pairs`` or as ``phase``, is refused unread.  Arguments are
+    named by ``errors.named``, a long array by its shape, not listed.
 
     This is the one checked entry to the one flip build, ``_flip_stack``;
     ``fock.chsh_matrix`` shares that build, calling it directly on its
@@ -93,37 +92,19 @@ def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.nda
     flips = max(count, 1)  # an empty stack is sized as one flip, so its dim is bounded too
     fits = 1 <= levels and flips * levels * levels <= 4 * MAX_FLIP_DIM ** 2
     if fits:  # counted above; read one item at a time
-        phases = (np.fromiter(map(_phase_number, phase), float, count) if stacked
-                  else np.array(_phase_number(phase)))
+        phases = (np.fromiter(map(to_number, phase), float, count) if stacked
+                  else np.array(to_number(phase)))
     if not (fits and isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i"
             and pairs.ndim == 2 and pairs.shape[1] == 2 and 0 < pairs.size <= levels
             and len(paired := set(flat := pairs.ravel().tolist())) == len(flat)
             and 0 <= min(paired) and max(paired) < levels
             and np.isfinite(phases).all()):
-        pairs = (named(pairs) if not isinstance(pairs, np.ndarray)
-                 else named(pairs.tolist()) if pairs.size <= 16
-                 else f"of shape {pairs.shape} and dtype {pairs.dtype}")
-        if count > 4:  # named by shape; only a stack that fits is searched
-            first = phases[np.isfinite(phases).argmin()] if fits else 0.0
-            phase = f"of shape {(count,)}" + (
-                "" if math.isfinite(first) else f" with first non-finite entry {first}")
-        else:
-            phase = named(phase)
-        raise DomainError(f"phase flip is not hermitian or not an involution: dim "
-                          f"must be a positive integer with {flips} * dim**2 "
-                          f"at most {4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint "
-                          f"integer level pairs in [0, dim) and every phase finite, "
-                          f"got pairs {pairs} and phase {phase} for dim "
-                          f"{named(dim)}")
+        raise DomainError(f"phase flip is not hermitian or not an involution: dim must be "
+                          f"a positive integer with {flips} * dim**2 at most "
+                          f"{4 * MAX_FLIP_DIM ** 2} entries, pairs disjoint integer level pairs "
+                          f"in [0, dim) and every phase finite, got pairs {named(pairs)} and "
+                          f"phase {named(phase)} for dim {named(dim)}")
     return _flip_stack(levels, pairs, phases)
-
-
-def _phase_number(item) -> float:
-    """One phase read by ``to_number``; text, and an array that is not
-    0-d, read as NaN."""
-    if isinstance(item, np.ndarray):
-        item = item[()] if item.ndim == 0 else math.nan
-    return math.nan if isinstance(item, (str, bytes, bytearray)) else to_number(item)
 
 
 def _flip_stack(levels: int, pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -334,16 +315,23 @@ def optimize_angles(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
     include the maximum of ``ClosedFormCorrelator``.  Returns the first
     shift (unshifted first) within ``1e-12 max(1, peak)`` of the peak,
     with |value| there.  An even sign pattern, or an orientation other
-    than +-1, raises ``DomainError``.
+    than +-1, raises ``DomainError``, as does a ``prefactor`` or ``constant``
+    (read by ``errors.to_number``) for which the exact optimum
+    ``|prefactor| (|constant| + 2 sqrt(2))`` or the peak is not finite.
     """
     if (not all(abs(s) == 1.0 for s in cf.signs) or math.prod(cf.signs) != -1.0
             or cf.orientation not in (1.0, -1.0)):
         raise DomainError(f"optimize_angles needs an odd sign pattern and an "
                           f"orientation of +-1, got {cf.signs} and {cf.orientation}")
+    read = replace(cf, prefactor=to_number(cf.prefactor), constant=to_number(cf.constant))
+    exact = abs(read.prefactor) * (abs(read.constant) + TSIRELSON_BOUND)
     base = (-math.pi, -0.5 * math.pi, -0.25 * math.pi, 0.25 * math.pi)
     candidates = [AngleSet(*(b + math.pi * k for b, k in zip(base, shift)))
                   for shift in itertools.product((0, 1), repeat=4)]
-    values = [abs(cf.value(angles)) for angles in candidates]
+    values = [abs(read.value(angles)) for angles in candidates]
     peak = max(values)
+    if not (math.isfinite(exact) and math.isfinite(peak)):
+        raise DomainError(f"optimize_angles needs a finite optimum and peak, got prefactor "
+                          f"{named(cf.prefactor)} and constant {named(cf.constant)}")
     best = next(i for i, v in enumerate(values) if v >= peak - 1e-12 * max(1.0, peak))
     return candidates[best], values[best]

@@ -11,11 +11,25 @@ import reprlib
 
 import numpy as np
 
+
+class _Namer(reprlib.Repr):
+    def repr_ndarray(self, value, level):
+        if 0 < value.size <= 16 or value.shape[:1] == (0,):  # tolist() is short
+            return self.repr1(value.tolist(), level)
+        return f"array of shape {value.shape} and dtype {value.dtype}"
+
+
 #: ``named(value)`` names a refused argument: its repr where short, else a
-#: ``reprlib`` abridgement two levels deep, other limits at their defaults
-_NAMER = reprlib.Repr()
-_NAMER.maxlevel = 2
+#: ``reprlib`` abridgement two levels deep, other limits at their defaults.
+#: An ndarray, at any depth, is its ``tolist()`` when it has at most 16
+#: entries or an empty first axis, else its shape and dtype, not copied.
+_NAMER = _Namer()
+_NAMER.maxlevel = 2  # on the instance, where ``Repr.__init__`` sets it
 named = _NAMER.repr
+
+#: never converted by ``to_number``; with complex, all it checks, in one isinstance
+_TEXT_OR_ARRAY = (str, bytes, bytearray, np.ndarray)
+_SPECIAL = (complex, np.complexfloating, *_TEXT_OR_ARRAY)
 
 
 class ShapeError(ValueError):
@@ -38,12 +52,18 @@ class PrecisionError(ArithmeticError):
 
 def to_number(value, kind=float):
     """``kind(value)``, with ``kind`` ``float`` or ``complex``, or NaN of
-    that kind when ``value`` has none: a string that does not parse, a
-    complex with a non-zero imaginary part for ``float``, a sequence, None
-    or an int beyond the float range.  Every domain check refuses NaN, so
-    a value of the wrong type is refused by its own check, named as nan."""
-    if kind is float and isinstance(value, (complex, np.complexfloating)):
-        value = value.real if value.imag == 0 else math.nan
+    that kind when ``value`` has none: text (never parsed), an ndarray that
+    is not 0-d (a 0-d one is read as its entry), a complex with a non-zero
+    imaginary part for ``float``, a sequence, None or an int beyond the
+    float range.  Every domain check refuses NaN, so a value of the wrong
+    type is refused by its own check, named as nan."""
+    if isinstance(value, _SPECIAL):
+        if isinstance(value, np.ndarray) and value.ndim == 0:
+            value = value[()]
+        if isinstance(value, _TEXT_OR_ARRAY):
+            value = math.nan
+        elif kind is float and isinstance(value, (complex, np.complexfloating)):
+            value = value.real if value.imag == 0 else math.nan
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

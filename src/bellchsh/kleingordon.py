@@ -15,10 +15,10 @@ Their angular integral is closed-form as well,
 
 so <f|g> is a radial Gauss-Legendre rule on [0, k_max] with no
 angular nodes, a certified tail beyond k_max and a self-convergence
-error bar from doubling the radial nodes.  A pair of unit-norm,
-mutually orthogonal packets (f, g) smearing the two field species
-realizes an independent oscillator pair, which reduces the
-squeezed-state CHSH correlator to the closed form of the two-mode
+difference on doubling the radial nodes (an estimate, not a bound).  A
+pair of unit-norm, mutually orthogonal packets (f, g) smearing the two
+field species realizes an independent oscillator pair, which reduces
+the squeezed-state CHSH correlator to the closed form of the two-mode
 oscillator with the same squeezing parameter.
 """
 
@@ -279,13 +279,13 @@ def shell_inner_product(f: GaussianPacket, g: GaussianPacket,
 
 
 def test_norm(f: GaussianPacket, q: ShellQuadrature) -> NormEstimate:
-    """Squared norm ||f||^2 = <f|f> with a self-convergence error bar.
+    """Squared norm ||f||^2 = <f|f> with a self-convergence difference.
 
-    The error estimate is the difference against the same integral with
-    the radial nodes doubled, on ``q.refined``: one shared rule, read
-    before any node is built (an over-limit count fails at once), so
-    repeated norms on ``q`` build each set of nodes once.  A value at
-    most ``MIN_NORM_SQ``, or not finite, raises ``DomainError``.
+    ``error`` is the difference on doubling the radial nodes, not a bound
+    on the error, taken on ``q.refined``: one shared rule, read before any
+    node is built (an over-limit count fails at once), so repeated norms
+    on ``q`` build each set of nodes once.  A value at most
+    ``MIN_NORM_SQ``, or not finite, raises ``DomainError``.
     """
     value, refined = (shell_inner_product(f, f, rule).real for rule in (q, q.refined))
     if not MIN_NORM_SQ < value < math.inf:
@@ -324,19 +324,12 @@ def sigma_chsh(sigma: float, angles: AngleSet, f: GaussianPacket,
     """
     form = fock.squeezed_closed_form(sigma)
     bound = 1e-6
-    norm_f = math.sqrt(shell_inner_product(f, f, q).real)
-    if abs(norm_f - 1.0) > bound:
-        raise DomainError(
-            f"| ||f|| - 1 | = {abs(norm_f - 1.0):.3e} exceeds bound {bound}"
-        )
-    norm_g = math.sqrt(shell_inner_product(g, g, q).real)
-    if abs(norm_g - 1.0) > bound:
-        raise DomainError(
-            f"| ||g|| - 1 | = {abs(norm_g - 1.0):.3e} exceeds bound {bound}"
-        )
-    overlap = abs(shell_inner_product(f, g, q)) / (norm_f * norm_g)
+    norms = []
+    for name, packet in (("f", f), ("g", g)):
+        norms.append(norm := math.sqrt(shell_inner_product(packet, packet, q).real))
+        if abs(norm - 1.0) > bound:
+            raise DomainError(f"| ||{name}|| - 1 | = {abs(norm - 1.0):.3e} exceeds bound {bound}")
+    overlap = abs(shell_inner_product(f, g, q)) / math.prod(norms)
     if overlap > bound:
-        raise DomainError(
-            f"|<f|g>| / (||f|| ||g||) = {overlap:.3e} exceeds bound {bound}"
-        )
+        raise DomainError(f"|<f|g>| / (||f|| ||g||) = {overlap:.3e} exceeds bound {bound}")
     return form.value(angles)

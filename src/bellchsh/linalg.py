@@ -19,7 +19,6 @@ operations are pure functions and safe to evaluate concurrently.
 from __future__ import annotations
 
 import cmath
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +41,16 @@ def _complex_array(value, ndim: int, what: str) -> np.ndarray:
     """The ndarray ``value`` as a non-empty complex array of ``ndim``
     dimensions, square when 2.  Anything else, a list or tuple included
     (none is walked), and an array of another shape or not of numbers,
-    raises ``ShapeError`` naming ``what`` and the value (an ndarray by its
-    shape, any other by ``errors.named``)."""
-    given = isinstance(value, np.ndarray)
+    raises ``ShapeError`` naming ``what`` and the value by ``errors.named``
+    (a long ndarray by its shape and dtype)."""
     try:
-        arr = value.astype(complex, subok=False) if given else None
+        arr = value.astype(complex, subok=False) if isinstance(value, np.ndarray) else None
     except (TypeError, ValueError, OverflowError):  # not numbers: refused below
         arr = None
     if arr is None or arr.ndim != ndim or arr.size == 0 or arr.shape[0] != arr.shape[-1]:
         shape = "1-D vector" if ndim == 1 else "square matrix"
         raise ShapeError(f"{what} must be a non-empty {shape} of complex numbers, "
-                         f"got {value.shape if given else named(value)}")
+                         f"got {named(value)}")
     return arr
 
 
@@ -89,10 +87,11 @@ class FactoredOperator:
     Parameters
     ----------
     terms : non-empty list or tuple of (coefficient, left, right)
-        ``coefficient`` is a number, finite when read by
-        ``errors.to_number``, ``left`` a square ndarray on H_A and ``right``
-        one on H_B (``square_matrix``); every term has the same two factor
-        dimensions.  Anything else raises ``ShapeError``.
+        ``coefficient`` is finite when read by ``errors.to_number`` (so
+        text and an array that is not 0-d are refused), ``left`` a square
+        ndarray on H_A and ``right`` one on H_B (``square_matrix``); every
+        term has the same two factor dimensions.  Anything else raises
+        ``ShapeError``.
 
     The only operation is ``apply``; there is no operator arithmetic,
     so a builder writes each term out.  Memory and ``apply`` cost grow
@@ -105,11 +104,10 @@ class FactoredOperator:
     def __post_init__(self):
         if not (isinstance(self.terms, (list, tuple)) and self.terms and all(
                 isinstance(term, (list, tuple)) and len(term) == 3
-                and isinstance(term[0], numbers.Number)
                 and cmath.isfinite(to_number(term[0], complex)) for term in self.terms)):
             raise ShapeError(f"a factored operator needs a non-empty list of "
                              f"(coefficient, left, right) terms, got {named(self.terms)}")
-        terms = tuple((complex(c), square_matrix(left), square_matrix(right))
+        terms = tuple((to_number(c, complex), square_matrix(left), square_matrix(right))
                       for c, left, right in self.terms)
         dims = {(left.shape[0], right.shape[0]) for _, left, right in terms}
         if len(dims) != 1:

@@ -38,6 +38,7 @@ import bellchsh  # noqa: E402
 from bellchsh import (  # noqa: E402
     AngleSet,
     ChshQuadruple,
+    ClosedFormCorrelator,
     DomainError,
     FactoredOperator,
     FockSpace,
@@ -52,6 +53,7 @@ from bellchsh import (  # noqa: E402
     chsh_closed,
     chsh_matrix,
     normalize,
+    optimize_angles,
     phase_flip,
     rindler_chsh,
     singlet,
@@ -138,6 +140,9 @@ TARGETS = {
     "phase_flip": (st.tuples(DIM, PAIRS, PHASE), phase_flip),
     "FockSpace": (st.tuples(HOSTILE), FockSpace),
     "squeezed_closed_form": (st.tuples(HOSTILE), squeezed_closed_form),
+    "optimize_angles": (st.tuples(HOSTILE, HOSTILE),
+                        lambda prefactor, constant: optimize_angles(ClosedFormCorrelator(
+                            prefactor, (1.0, 1.0, 1.0, -1.0), constant))),
     "chsh_closed": (st.tuples(HOSTILE), lambda eta: chsh_closed(eta, ANGLES)),
     "chsh_matrix": (st.tuples(HOSTILE), lambda eta: chsh_matrix(eta, SPACE, ANGLES)),
     "squeezed_state": (st.tuples(HOSTILE), lambda eta: squeezed_state(eta, SPACE)),
@@ -262,14 +267,23 @@ def test_self_referential_lists_refused_at_once():
     (GaussianPacket.on_shell, (1.0, (0, 0), 1.0)),
     (GaussianPacket.on_shell, (1.0, 5.0, 1.0)),
     (lambda center: GaussianPacket(center=center, width=1.0), (5.0,)),
+    (AngleSet, ("0.5", 0, 0, 0)),
+    (AngleSet, ("0_5", 0, 0, 0)),
+    (lambda t: tau(MODES, t), ("2",)),
+    (unruh_temperature, (b"1.5",)),
+    (RindlerModeSet, (("1.0",),)),
+    (squeezed_closed_form, (" 0.5 ",)),
+    (lambda k_max: ShellQuadrature(k_max=k_max), ("10.0",)),
 ], ids=["phase-str", "phase-complex", "phase-np-complex", "modes-str", "modes-complex",
         "modes-scalar", "angle-str", "angle-np-complex", "tau-str", "scan-scalar",
         "unruh-str", "singlet-list", "on-shell-short-center", "on-shell-scalar-center",
-        "packet-scalar-center"])
+        "packet-scalar-center", "angle-number-text", "angle-underscore-text",
+        "tau-number-text", "unruh-number-bytes", "modes-number-text",
+        "squeezed-padded-text", "k-max-number-text"])
 def test_wrong_types_raise_domain_error(entry, args):
     # each raised ValueError or TypeError before its domain check read
     # the argument as a number, or truncated a numpy complex to its real
-    # part with a ComplexWarning
+    # part with a ComplexWarning; text that spells a number is text too
     assert isinstance(call_bounded(entry, args), DomainError)
 
 

@@ -219,6 +219,21 @@ class TestOptimizer:
         sampled = max(abs(form.value(AngleSet(*row))) for row in samples)
         assert best >= sampled - 1e-9
 
+    @pytest.mark.parametrize("prefactor,constant", [
+        (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 1.0), (1e308, 0.0),
+        (1.0, math.nan), (1.0, math.inf), ("1.0", 0.0), (1.0, "x" * 10**5),
+    ])
+    def test_non_finite_optimum_refused(self, prefactor, constant):
+        # no candidate lies within 1e-12 of a NaN or inf peak, so each is refused first
+        form = ClosedFormCorrelator(prefactor, (1.0, 1.0, 1.0, -1.0), constant)
+        with pytest.raises(DomainError, match="finite optimum") as raised:
+            optimize_angles(form)
+        assert len(str(raised.value)) < 200
+
+    def test_largest_finite_optimum_kept(self):
+        _, best = optimize_angles(ClosedFormCorrelator(6e307, (1.0, 1.0, 1.0, -1.0)))
+        assert abs(best - 6e307 * 2 * ROOT2) <= 1e-14 * best  # 1.7e308, near the float limit
+
     def test_zero_prefactor(self):
         _, best = optimize_angles(ClosedFormCorrelator(0.0, (1.0, 1.0, 1.0, -1.0)))
         assert best == 0.0
@@ -383,7 +398,7 @@ class TestStackedPhaseFlip:
         finally:
             tracemalloc.stop()
         message = str(raised.value)
-        assert "got pairs of shape (1000000, 2) and dtype int64 " in message
+        assert "got pairs array of shape (1000000, 2) and dtype int64 " in message
         assert message.endswith("for dim 4") and len(message) < 400
         # the listed pairs alone would be an 8 MB message
         assert peak < 2**20
@@ -408,8 +423,7 @@ class TestStackedPhaseFlip:
         with pytest.raises(DomainError, match="not hermitian") as raised:
             phase_flip(2, PAIR, phases)
         message = str(raised.value)
-        assert ("and phase of shape (100002,) with first non-finite entry nan "
-                "for dim 2") in message
+        assert "and phase array of shape (100002,) and dtype float64 for dim 2" in message
         assert len(message) < 1000
         # the same phases as a list are refused unread, named by their first six
         with pytest.raises(DomainError, match="not hermitian") as raised:
@@ -420,7 +434,8 @@ class TestStackedPhaseFlip:
         # a stack over the size bound is named by its shape alone
         with pytest.raises(DomainError) as raised:
             phase_flip(2048, PAIR, np.broadcast_to(math.nan, (10**6,)))
-        assert "and phase of shape (1000000,) for dim 2048" in str(raised.value)
+        assert ("and phase array of shape (1000000,) and dtype float64 for dim 2048"
+                in str(raised.value))
 
     @pytest.mark.parametrize("dim,pairs,phase", [
         (2, PAIR, "1.5"),
@@ -429,6 +444,7 @@ class TestStackedPhaseFlip:
         (2, PAIR, [["1.5"]]),
         (2, PAIR, [[0.5], ("1.5",)]),
         (2, PAIR, np.array(["1.5"])),
+        (2, PAIR, np.array("1.5")),
         (2, PAIR, 1j),
         (2, PAIR, [0.5, 1j]),
         (2, PAIR, np.array([1 + 1j])),
@@ -450,7 +466,7 @@ class TestStackedPhaseFlip:
         (2, PAIR, (0.1, 0.2)),
         (2, PAIR, [0.3]),
     ], ids=["text", "bytes", "text-in-list", "nested-text", "nested-text-in-tuple",
-            "text-array", "complex", "complex-in-list", "complex-array", "complex-0d",
+            "text-array", "text-0d", "complex", "complex-in-list", "complex-array", "complex-0d",
             "nan", "nan-in-list", "inf-array", "oversized-stack", "oversized-grid",
             "long-pair-list", "float-pair-list", "float-pair-array", "ragged-pairs",
             "bool-pair-list", "bool-pair-array", "uint8-pair-array", "uint8-pair-list",

@@ -185,10 +185,18 @@ class TestTensor:
         with pytest.raises(ShapeError):
             product(np.eye(2), np.eye(3)).apply(Ket(np.ones(5)))
 
-    @pytest.mark.parametrize("coef", [math.nan, math.inf, complex(1, math.inf), 10**400])
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, complex(1, math.inf), 10**400,
+                                      "2", b"2", np.str_("2"), np.array("2"), np.array([2.0])])
     def test_non_finite_coefficient_refused(self, coef):
+        # text and an array that is not 0-d read as NaN
         with pytest.raises(ShapeError, match="coefficient, left, right"):
             product(np.eye(2), np.eye(2), coef)
+
+    def test_0d_coefficient_read_as_its_entry(self):
+        psi = Ket(np.array([0.6, 0.0, 0.0, 0.8]))
+        for coef in (np.array(2.0), np.array(2.0 + 0j), np.complex64(2.0)):
+            image = product(np.eye(2), np.eye(2), coef).apply(psi)
+            assert image.amplitudes.tobytes() == (2.0 * psi.amplitudes).tobytes()
 
 
 class TestExpectation:
