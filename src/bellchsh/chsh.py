@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ShapeError, named, to_index, to_number
+from .errors import DomainError, PrecisionError, ShapeError, named, to_index, to_number, to_numbers
 from .linalg import Ket, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -314,16 +314,19 @@ def optimize_angles(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
     either way the 16 pi-shifts reach every odd cosine sign pattern and
     include the maximum of ``ClosedFormCorrelator``.  Returns the first
     shift (unshifted first) within ``1e-12 max(1, peak)`` of the peak,
-    with |value| there.  An even sign pattern, or an orientation other
-    than +-1, raises ``DomainError``, as does a ``prefactor`` or ``constant``
-    (read by ``errors.to_number``) for which the exact optimum
-    ``|prefactor| (|constant| + 2 sqrt(2))`` or the peak is not finite.
+    with |value| there.  Other than four signs (counted, then read by
+    ``errors.to_numbers``), an even sign pattern or an orientation other
+    than +-1 raises ``DomainError``, as does a ``prefactor`` or ``constant``
+    for which the exact optimum ``|prefactor| (|constant| + 2 sqrt(2))``
+    or the peak is not finite; each number is read by ``errors.to_number``.
     """
-    if (not all(abs(s) == 1.0 for s in cf.signs) or math.prod(cf.signs) != -1.0
-            or cf.orientation not in (1.0, -1.0)):
+    signs = to_numbers(cf.signs, "signs", 4)
+    if (not all(abs(s) == 1.0 for s in signs) or math.prod(signs) != -1.0
+            or to_number(cf.orientation) not in (1.0, -1.0)):
         raise DomainError(f"optimize_angles needs an odd sign pattern and an "
-                          f"orientation of +-1, got {cf.signs} and {cf.orientation}")
-    read = replace(cf, prefactor=to_number(cf.prefactor), constant=to_number(cf.constant))
+                          f"orientation of +-1, got {named(cf.signs)} and {named(cf.orientation)}")
+    read = replace(cf, prefactor=to_number(cf.prefactor), signs=signs,
+                   constant=to_number(cf.constant))
     exact = abs(read.prefactor) * (abs(read.constant) + TSIRELSON_BOUND)
     base = (-math.pi, -0.5 * math.pi, -0.25 * math.pi, 0.25 * math.pi)
     candidates = [AngleSet(*(b + math.pi * k for b, k in zip(base, shift)))

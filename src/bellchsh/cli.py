@@ -17,11 +17,13 @@ resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
 Exit codes: 0 success; 2 configuration error, a ``DomainError`` (a flag
 outside its domain, an angle divided by zero, an ``--out`` path or a
 stdout that cannot be written, such as a full disk or a closed pipe,
-or a degenerate test function) or an argparse usage error; 3
-validation or tolerance failure, a ``PrecisionError`` (a numerical
-certificate, or a failed ``spin``/``squeeze-scan`` check, raised by
-``main`` after the rows).  A ``DomainError`` or ``PrecisionError``
-prints one stderr line, and a ``DomainError`` whose ``argument`` is a
+or a degenerate test function), a refused allocation, a
+``MemoryError``, or an argparse usage error; 3 validation or tolerance
+failure, a ``PrecisionError`` (a numerical certificate, or a failed
+``spin``/``squeeze-scan`` check, raised by ``main`` after the rows).
+A ``DomainError``, ``MemoryError`` or ``PrecisionError`` prints one
+stderr line (``configuration error: not enough memory: <message>`` for
+a ``MemoryError``), and a ``DomainError`` whose ``argument`` is a
 flag's value names the flag: ``configuration error: <flag>: <message>``.
 An argparse usage error prints argparse's usage lines and one
 ``error:`` line, abridged by ``_Parser.error``.  Echoed flag text is
@@ -426,6 +428,10 @@ def main(argv=None) -> int:
     except DomainError as err:
         flag = ARGUMENT_FLAGS.get(err.argument)
         print(f"configuration error: {flag + ': ' if flag else ''}{err}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except MemoryError as err:
+        print(f"configuration error: not enough memory{': ' if str(err) else ''}{err}",
+              file=sys.stderr)
         return _EXIT_CONFIG
     except PrecisionError as err:
         print(f"precision failure: {err}", file=sys.stderr)

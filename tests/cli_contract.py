@@ -1,0 +1,238 @@
+"""The command line's contract, one row per pinned invocation.
+
+Every argv the CLI is checked with, and its exit code, is written here
+once.  An argv is written as the shell would split it, on whitespace;
+``$TMP`` stands for a temporary directory the runner makes.
+
+- ``PINNED``: exit 0 with an empty stderr.  The CSV stdout is
+  ``tests/reference/<name>.csv``, every ``stride``-th data row plus the
+  last, and the ``--format json`` stdout has the md5 given.  Both pins
+  are exact, so they are checked only on the platform whose key
+  ``tests/reference/platform.json`` stores.
+- ``REFUSED``: exit 2 with one ``configuration error: `` line of under
+  1,000 bytes on stderr, and no traceback.
+- ``USAGE_ERRORS``: exit 2 from argparse, its usage lines and one
+  ``error:`` line, under 1,000 bytes in all.
+
+``tests/test_cli_contract.py`` and ``tests/test_reference.py`` run the
+rows in-process through ``bellchsh.cli.main``, and
+``tests/reference/regenerate.py`` rewrites the CSV pins from them.
+Run as a script, this module runs every row in a fresh
+``python -m bellchsh`` process, under the warning filters of the test
+suite, and exits 1 if any row breaks its contract:
+
+    python tests/cli_contract.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "tests" / "reference"
+KEY_FILE = REFERENCE / "platform.json"
+
+LONG = "x" * 5000
+
+#: name -> (argv, stride, md5 of the ``--format json`` stdout)
+PINNED = {
+    "spin": ("spin", 1, "d57290f0672355c261e4285dab979d5d"),
+    "squeeze-scan": ("squeeze-scan", 1, "dfc9e79c7a67374a3fdf5d96f4a3358c"),
+    "optimize": ("optimize", 1, "2ac652b9e4ac963507e858c78971cfab"),
+    "kg-norm": ("kg-norm", 1, "fe2ee7fe98df427f2be9b6704b2ad0a9"),
+    "rindler-scan": ("rindler-scan", 1, "a08994228d78032275f697c395fe1d91"),
+    "optimize-spin-one": ("optimize --closed-form spin-one", 1,
+                          "fa2123844b38bc0676bb80d5285c92cc"),
+    "kg-norm-normalize": ("kg-norm --normalize", 1, "01e96248a97a15c24638fcea47149580"),
+    "kg-norm-center-energy": ("kg-norm --center-energy 1.5", 1,
+                              "2f192d768a46ea760883505dd1569a92"),
+    "kg-norm-center-width": ("kg-norm --center 0.5,-0.3,0.8 --width 0.8", 1,
+                             "37a160047722bf7e5cf117a78ceeb048"),
+    "kg-norm-amplitude-normalize": ("kg-norm --amplitude 1e18 --normalize", 1,
+                                    "11d71982b9473bace084a5c6593cc633"),
+    "kg-norm-quad-48": ("kg-norm --quad 48 --normalize --width 0.7", 1,
+                        "0fafea759024d9f6b320cfb7c36cb75a"),
+    "kg-norm-quad-2048-normalize": ("kg-norm --quad 2048 --normalize", 1,
+                                    "8702c77d79befec86f8e4e7f6486d577"),
+    "squeeze-scan-cutoff-512": ("squeeze-scan --cutoff 512", 1,
+                                "37e2206a5e13be5547ae451788c950f8"),
+    "squeeze-scan-cutoff-2048": ("squeeze-scan --cutoff 2048 --eta-range 0.5:0.9:3", 1,
+                                 "852079017e5ef2eb612ef267818d6bc1"),
+    "squeeze-scan-angles": ("squeeze-scan --angles 0.3,-1.2,2.1,0.7 --cutoff 200", 1,
+                            "4bdff246d650e286e4cd462f7ecc1e97"),
+    "rindler-scan-accel": ("rindler-scan --accel-range 0.1:30:500", 1,
+                           "afd29a30e22bf0d6c1c0aa03506292c9"),
+    "rindler-scan-long": ("rindler-scan --modes 0.5,1.0,2.0 --temp-range 0.01:5.0:20000", 40,
+                          "7b782e832748d2c7ba6d267e808dd349"),
+    "rindler-scan-underflow": ("rindler-scan --modes 2 --temp-range 0.001:0.01:4", 1,
+                               "c4b5bcb6fce66b4e00012dbc979da9f4"),
+}
+
+#: Pinned rows the in-process tests leave to the fresh-process run: the
+#: two 4096-node Gauss-Legendre rules take ~8 s.
+FRESH_PROCESS_ONLY = {"kg-norm-quad-2048-normalize"}
+
+REFUSED = (
+    "kg-norm --width 1e300",
+    "kg-norm --center-energy 1e200",
+    "kg-norm --amplitude 1e200",
+    "kg-norm --quad 128,32",
+    "kg-norm --amplitude 1e-40",
+    "kg-norm --tol nan",
+    "kg-norm --center 1,2",
+    "kg-norm --center 1,2 --center-energy 3",
+    "spin --out $TMP/missing/x.csv",
+    f"spin --out {LONG}",
+    "squeeze-scan --angles pi/0,0,0,0",
+    "squeeze-scan --eta-range=-1.7e308:1.7e308:3",
+    "squeeze-scan --cutoff 9",
+    "optimize --eta 1.0",
+    "rindler-scan --accel-range 0:1:3",
+    f"rindler-scan --modes {','.join(map(str, range(1, 102)))} --temp-range 0.1:1:100000",
+    "rindler-scan --temp-range=-1.7e308:1.7e308:3",
+    f"rindler-scan --modes {','.join(map(str, range(15000, 0, -1)))}",
+    f"rindler-scan --modes {LONG}",
+)
+
+USAGE_ERRORS = (
+    f"optimize --eta {LONG}",
+)
+
+#: The warning filters of the test suite (``pyproject.toml``), for a fresh process.
+WARNINGS = "error::RuntimeWarning,error::DeprecationWarning"
+
+MAX_STDERR_BYTES = 1000
+
+
+def argv(text: str, tmp: str = "") -> list[str]:
+    """The argv of a row, with ``$TMP`` replaced by the directory ``tmp``."""
+    return text.replace("$TMP", tmp).split()
+
+
+def abridged(text: str) -> str:
+    """A short name for a row, for test ids and failure lines."""
+    return text if len(text) <= 60 else f"{text[:40]}...{text[-16:]}"
+
+
+def md5(text: str) -> str:
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+def platform_key() -> dict:
+    """What decides the last bits of a float: numpy's version, the
+    machine, and the SIMD features numpy dispatches its kernels on (it
+    picks its ``exp`` by CPU)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "simd": sorted(name for name, found in __cpu_features__.items() if found),
+    }
+
+
+STORED = json.loads(KEY_FILE.read_text(encoding="utf-8"))
+#: The pins hold exactly only where the files were made.
+EXACT = STORED["key"] == platform_key()
+
+
+def thin(text: str, stride: int) -> tuple[str, int]:
+    """The header, every ``stride``-th data row and the last one, and the
+    full data-row count."""
+    header, *rows = text.splitlines(keepends=True)
+    kept = rows[::stride]
+    if rows and (len(rows) - 1) % stride:
+        kept.append(rows[-1])
+    return header + "".join(kept), len(rows)
+
+
+def refusal_fault(code: int, err: str) -> str | None:
+    """Why an exit of ``code`` with stderr ``err`` is not a ``REFUSED``
+    row's, or None when it is."""
+    if (code == 2 and err.startswith("configuration error: ") and err.count("\n") == 1
+            and err.endswith("\n") and len(err.encode()) < MAX_STDERR_BYTES):
+        return None
+    return (f"exited {code} with {err.count(chr(10))} stderr lines of {len(err.encode())} "
+            f"bytes, expected 2 with one configuration error line under {MAX_STDERR_BYTES} "
+            f"bytes: {err[-2000:]}")
+
+
+def usage_fault(code: int, err: str) -> str | None:
+    """Why an exit of ``code`` with stderr ``err`` is not a ``USAGE_ERRORS``
+    row's, or None when it is."""
+    lines = err.splitlines()
+    if (code == 2 and err.startswith("usage: bellchsh") and ": error: " in lines[-1]
+            and len(err.encode()) < MAX_STDERR_BYTES):
+        return None
+    return (f"exited {code} with {len(err.encode())} stderr bytes, expected 2 with usage "
+            f"lines and one error line under {MAX_STDERR_BYTES} bytes: {err[-2000:]}")
+
+
+def pin_fault(name: str, stride: int, json_md5: str, csv_text: str,
+              json_text: str) -> str | None:
+    """Why the CSV and JSON stdout of a pinned row miss its pins, or None
+    when they match or this is not the stored platform."""
+    if not EXACT:
+        return None
+    if thin(csv_text, stride)[0] != (REFERENCE / f"{name}.csv").read_text(encoding="utf-8"):
+        return f"CSV stdout differs from tests/reference/{name}.csv"
+    if md5(json_text) != json_md5:
+        return f"JSON stdout has md5 {md5(json_text)}, pinned {json_md5}"
+    return None
+
+
+def run_fresh(args: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m bellchsh *args``."""
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONWARNINGS=WARNINGS,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    done = subprocess.run([sys.executable, "-m", "bellchsh", *args], capture_output=True,
+                          env=env, timeout=600)
+    return (done.returncode, done.stdout.decode("utf-8", "replace"),
+            done.stderr.decode("utf-8", "replace"))
+
+
+def fresh_faults(tmp: str, pinned=PINNED, refused=REFUSED, usage_errors=USAGE_ERRORS):
+    """Run each row in a fresh process; yield ``(argv text, fault)`` for
+    each row that breaks its contract."""
+    for name, (text, stride, json_md5) in pinned.items():
+        code, csv_text, err = run_fresh(argv(text))
+        json_code, json_text, json_err = run_fresh([*argv(text), "--format", "json"])
+        if (code, err, json_code, json_err) != (0, "", 0, ""):
+            yield text, (f"exited {code} and {json_code} (CSV and JSON), expected 0 and 0 "
+                         f"with empty stderr: {(err or json_err)[-2000:]}")
+        elif fault := pin_fault(name, stride, json_md5, csv_text, json_text):
+            yield text, fault
+    for rows, fault_of in ((refused, refusal_fault), (usage_errors, usage_fault)):
+        for text in rows:
+            code, _, err = run_fresh(argv(text, tmp))
+            if fault := fault_of(code, err):
+                yield text, fault
+
+
+def main() -> int:
+    rows = len(PINNED) + len(REFUSED) + len(USAGE_ERRORS)
+    with tempfile.TemporaryDirectory() as tmp:
+        faults = [f"bellchsh {abridged(text)}: {fault}" for text, fault in fresh_faults(tmp)]
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    pins = "checked" if EXACT else "not checked: the platform key differs from the stored one"
+    print(f"{rows - len(faults)} of {rows} contract rows hold in fresh processes "
+          f"(byte pins {pins})")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

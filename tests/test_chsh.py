@@ -276,7 +276,19 @@ class TestOptimizer:
         with pytest.raises(DomainError, match="odd sign pattern"):
             optimize_angles(ClosedFormCorrelator(1.0, (1.0, 1.0, 0.5, -1.0)))
 
-    @pytest.mark.parametrize("orientation", [0.5, 0.0, -2.0, math.nan])
+    @pytest.mark.parametrize("signs,message", [
+        ((1.0, 1.0, 1.0, 1.0, -1.0), "signs must be 4 numbers"),
+        ((1.0, 1.0, -1.0), "signs must be 4 numbers"),
+        (None, "signs must be 4 numbers"),
+        (("1", 1.0, 1.0, -1.0), "odd sign pattern"),
+        ((np.array([1.0]), 1.0, 1.0, -1.0), "odd sign pattern"),
+    ], ids=["five", "three", "none", "text", "array"])
+    def test_signs_counted_and_read(self, signs, message):
+        with pytest.raises(DomainError, match=message):
+            optimize_angles(ClosedFormCorrelator(1.0, signs))
+
+    @pytest.mark.parametrize("orientation", [0.5, 0.0, -2.0, math.nan,
+                                             np.array([1.0, 1.0])])
     def test_orientation_other_than_unit_rejected(self, orientation):
         form = ClosedFormCorrelator(1.0, (-1.0, -1.0, -1.0, 1.0), orientation=orientation)
         with pytest.raises(DomainError, match="orientation of [+]-1"):

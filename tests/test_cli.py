@@ -17,6 +17,7 @@ import bellchsh
 from bellchsh import MAX_MOMENTUM, cli, fock, kleingordon, rindler, spin
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
+from cli_contract import WARNINGS
 
 ROOT2 = math.sqrt(2.0)
 LONG = "x" * 5000
@@ -31,9 +32,10 @@ def run(capsys, *argv):
 def run_child(stdout, *argv):
     """Run ``python -m bellchsh *argv`` in a child process writing to
     ``stdout``, or with fd 1 closed by the shell's ``>&-`` when ``stdout``
-    is None; return its exit code and stderr bytes."""
+    is None, under the suite's warning filters; return its exit code and
+    stderr bytes."""
     src = os.path.dirname(os.path.dirname(bellchsh.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=WARNINGS)
     command = [sys.executable, "-m", "bellchsh", *argv]
     if stdout is None:
         command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
@@ -198,10 +200,6 @@ class TestSqueezeScan:
         assert code == 2
         assert "configuration error" in err
 
-    def test_odd_cutoff_rejected(self, capsys):
-        code, _, _ = run(capsys, "squeeze-scan", "--cutoff", "9")
-        assert code == 2
-
     def test_huge_cutoff_rejected_before_allocation(self, capsys):
         code, out, err = run(capsys, "squeeze-scan", "--cutoff", "1000000000")
         assert code == 2
@@ -247,10 +245,6 @@ class TestOptimize:
         assert code == 0
         assert float(kv(out)["optimum"]) == pytest.approx(
             (2.0 / 3.0) * (1 + 2 * ROOT2), abs=1e-6)
-
-    def test_eta_domain(self, capsys):
-        code, _, _ = run(capsys, "optimize", "--eta", "1.0")
-        assert code == 2
 
 
 class TestKgNorm:
@@ -370,6 +364,36 @@ class TestKgNorm:
         assert code == 2
         assert out == ""
         assert "degenerate" in err and len(err.strip().splitlines()) == 1
+
+    def test_refused_allocation_is_one_line(self, capsys, monkeypatch):
+        def refuse(packet, quad):
+            raise MemoryError
+
+        monkeypatch.setattr(kleingordon, "test_norm", refuse)
+        assert run(capsys, "kg-norm") == (2, "", "configuration error: not enough memory\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the child's address space in /proc")
+    def test_address_space_limit_exits_two(self):
+        # the child may map 16 MiB beyond what importing the CLI maps, less
+        # than leggauss(2048)'s 32 MiB companion matrix
+        import resource
+
+        src = os.path.dirname(os.path.dirname(bellchsh.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = subprocess.run(
+            [sys.executable, "-c", "import re, bellchsh.cli; print(re.search("
+             "r'VmPeak:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        limit = (int(probe.stdout) + 16 * 1024) * 1024
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "bellchsh", "kg-norm", "--quad", "2048"],
+            capture_output=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+        assert (done.returncode, done.stdout) == (2, b""), done.stderr[-2000:]
+        assert done.stderr.startswith(b"configuration error: not enough memory")
+        assert done.stderr.count(b"\n") == 1 and len(done.stderr) < 1000
 
 
 class TestRindlerScan:

@@ -1,5 +1,6 @@
-"""stdout of the reference invocations, field by field against the files
-in ``tests/reference/`` (rewritten by ``tests/reference/regenerate.py``).
+"""stdout of the pinned invocations of ``cli_contract.PINNED``, field by
+field against the files in ``tests/reference/`` (rewritten by
+``tests/reference/regenerate.py``).
 
 Text fields, the header and the row counts must match exactly.  Float
 fields must match exactly too (the same 17-digit text) when this
@@ -16,17 +17,8 @@ import warnings
 import numpy as np
 import pytest
 
-from reference.regenerate import (
-    HERE,
-    INVOCATIONS,
-    KEY_FILE,
-    capture,
-    platform_key,
-    thin,
-)
-
-STORED = json.loads(KEY_FILE.read_text(encoding="utf-8"))
-EXACT = STORED["key"] == platform_key()
+from cli_contract import EXACT, FRESH_PROCESS_ONLY, PINNED, REFERENCE, STORED, argv, thin
+from reference.regenerate import capture
 
 #: Largest float difference, in units of the stored value's spacing, on
 #: a platform other than the one the files were made on.
@@ -68,17 +60,27 @@ def test_loose_comparison_allows_four_ulp_of_a_float_only():
 
 
 def test_every_invocation_has_a_file():
-    assert sorted(STORED["rows"]) == sorted(INVOCATIONS)
-    assert sorted(p.stem for p in HERE.glob("*.csv")) == sorted(INVOCATIONS)
+    # platform.json counts the rows of the files made with it; a file
+    # added since holds every row (stride 1), so its length is its count
+    assert set(STORED["rows"]) <= set(PINNED)
+    assert all(stride == 1 for name, (_, stride, _) in PINNED.items()
+               if name not in STORED["rows"])
+    assert sorted(p.stem for p in REFERENCE.glob("*.csv")) == sorted(PINNED)
 
 
-@pytest.mark.parametrize("name", list(INVOCATIONS))
+def pinned_argv(name):
+    if name in FRESH_PROCESS_ONLY:
+        pytest.skip("checked by python tests/cli_contract.py in fresh processes")
+    return argv(PINNED[name][0])
+
+
+@pytest.mark.parametrize("name", list(PINNED))
 def test_stdout_matches_reference(name):
-    argv, stride = INVOCATIONS[name]
-    text, count = thin(capture(argv), stride)
-    assert count == STORED["rows"][name]
+    stride = PINNED[name][1]
+    text, count = thin(capture(pinned_argv(name)), stride)
     got = list(csv.reader(text.splitlines()))
-    want = list(csv.reader((HERE / f"{name}.csv").read_text(encoding="utf-8").splitlines()))
+    want = list(csv.reader((REFERENCE / f"{name}.csv").read_text(encoding="utf-8").splitlines()))
+    assert count == STORED["rows"].get(name, len(want) - 1)
     assert got[0] == want[0]
     assert len(got) == len(want)
     for i, (got_row, want_row) in enumerate(zip(got[1:], want[1:]), start=1):
@@ -90,13 +92,13 @@ def test_stdout_matches_reference(name):
                       f"fields were compared to {LOOSE_ULP} ulp, not exactly")
 
 
-@pytest.mark.parametrize("name", list(INVOCATIONS))
+@pytest.mark.parametrize("name", list(PINNED))
 def test_json_matches_csv(name):
     """``--format json`` carries the CSV's fields and rows: each float is
     the same double, and null is an empty field."""
-    argv, _ = INVOCATIONS[name]
-    header, *rows = csv.reader(capture(argv).splitlines())
-    payload = json.loads(capture([*argv, "--format", "json"]))
+    args = pinned_argv(name)
+    header, *rows = csv.reader(capture(args).splitlines())
+    payload = json.loads(capture([*args, "--format", "json"]))
     assert payload["fields"] == header
     assert len(payload["rows"]) == len(rows)
     for i, (record, row) in enumerate(zip(payload["rows"], rows), start=1):
