@@ -9,31 +9,40 @@ once.  An argv is written as the shell would split it, on whitespace;
   last, and the ``--format json`` stdout has the md5 given.  Both pins
   are exact, so they are checked only on the platform whose key
   ``tests/reference/platform.json`` stores.
+- ``PEAK_MB``: a bound on the peak RSS of a pinned row's CSV run.  The
+  reading is floored at the runner's own peak at spawn, ~32 MB with numpy;
+  each bound is above that floor, so a pass bounds the CLI's own peak.
 - ``REFUSED``: exit 2 with one ``configuration error: `` line of under
   1,000 bytes on stderr, and no traceback.
 - ``USAGE_ERRORS``: exit 2 from argparse, its usage lines and one
   ``error:`` line, under 1,000 bytes in all.
 
 ``tests/test_cli_contract.py`` and ``tests/test_reference.py`` run the
-rows in-process through ``bellchsh.cli.main``, and
-``tests/reference/regenerate.py`` rewrites the CSV pins from them.
+rows in-process through ``run_in_process``, which runs each argv once,
+and ``tests/reference/regenerate.py`` rewrites the CSV pins from them.
 Run as a script, this module runs every row in a fresh
 ``python -m bellchsh`` process, under the warning filters of the test
-suite, and exits 1 if any row breaks its contract:
+suite, prints the peak RSS of each bounded row next to its bound, and
+exits 1 if any row breaks its contract:
 
     python tests/cli_contract.py
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
@@ -75,11 +84,20 @@ PINNED = {
                           "7b782e832748d2c7ba6d267e808dd349"),
     "rindler-scan-underflow": ("rindler-scan --modes 2 --temp-range 0.001:0.01:4", 1,
                                "c4b5bcb6fce66b4e00012dbc979da9f4"),
+    "rindler-scan-100k": ("rindler-scan --temp-range 0.01:5:100000", 1000,
+                          "27ab4bde003d8594d0b3f85518af61b0"),
 }
 
-#: Pinned rows the in-process tests leave to the fresh-process run: the
-#: two 4096-node Gauss-Legendre rules take ~8 s.
-FRESH_PROCESS_ONLY = {"kg-norm-quad-2048-normalize"}
+#: Pinned rows the in-process tests run.  The rest run in fresh processes
+#: only: the two 4096-node Gauss-Legendre rules take ~8 s, and the
+#: 100,000-row scan is there for its peak RSS.
+IN_PROCESS = [name for name in PINNED
+              if name not in ("kg-norm-quad-2048-normalize", "rindler-scan-100k")]
+
+#: name -> bound in MB on the child's ``ru_maxrss``, read on Linux only (in KiB).
+PEAK_MB = {"squeeze-scan-cutoff-2048": 50.0, "rindler-scan-100k": 65.0,
+           "kg-norm-quad-2048-normalize": 350.0}
+LINUX = sys.platform == "linux"
 
 REFUSED = (
     "kg-norm --width 1e300",
@@ -107,15 +125,18 @@ USAGE_ERRORS = (
     f"optimize --eta {LONG}",
 )
 
-#: The warning filters of the test suite (``pyproject.toml``), for a fresh process.
-WARNINGS = "error::RuntimeWarning,error::DeprecationWarning"
+#: The environment of a fresh ``python -m bellchsh``: ``src`` first on the
+#: path, and the warning filters of the test suite (``pyproject.toml``).
+FRESH_ENV = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
+                 PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                          os.environ.get("PYTHONPATH")))))
 
 MAX_STDERR_BYTES = 1000
 
 
-def argv(text: str, tmp: str = "") -> list[str]:
+def argv(text: str, tmp: str = "") -> tuple[str, ...]:
     """The argv of a row, with ``$TMP`` replaced by the directory ``tmp``."""
-    return text.replace("$TMP", tmp).split()
+    return tuple(text.replace("$TMP", tmp).split())
 
 
 def abridged(text: str) -> str:
@@ -185,39 +206,82 @@ def pin_fault(name: str, stride: int, json_md5: str, csv_text: str,
     when they match or this is not the stored platform."""
     if not EXACT:
         return None
-    if thin(csv_text, stride)[0] != (REFERENCE / f"{name}.csv").read_text(encoding="utf-8"):
-        return f"CSV stdout differs from tests/reference/{name}.csv"
+    if thin(csv_text, stride) != ((REFERENCE / f"{name}.csv").read_text(encoding="utf-8"),
+                                  STORED["rows"][name]):
+        return f"CSV stdout differs from tests/reference/{name}.csv or its row count"
     if md5(json_text) != json_md5:
         return f"JSON stdout has md5 {md5(json_text)}, pinned {json_md5}"
     return None
 
 
-def run_fresh(args: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``python -m bellchsh *args``."""
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONWARNINGS=WARNINGS,
-               PYTHONPATH=src + os.pathsep + path if path else src)
-    done = subprocess.run([sys.executable, "-m", "bellchsh", *args], capture_output=True,
-                          env=env, timeout=600)
-    return (done.returncode, done.stdout.decode("utf-8", "replace"),
-            done.stderr.decode("utf-8", "replace"))
+@functools.cache
+def run_in_process(args: tuple[str, ...]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``bellchsh *args``, run once
+    in-process; an argparse usage error's ``SystemExit`` is its exit code."""
+    from bellchsh import cli  # here, so the fresh-process runner needs only numpy
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
 
 
-def fresh_faults(tmp: str, pinned=PINNED, refused=REFUSED, usage_errors=USAGE_ERRORS):
-    """Run each row in a fresh process; yield ``(argv text, fault)`` for
-    each row that breaks its contract."""
+def pinned_stdout(name: str, *extra: str) -> str:
+    """stdout of the pinned row ``name`` with ``extra`` flags, run in-process;
+    it must exit 0 with an empty stderr."""
+    code, out, err = run_in_process((*argv(PINNED[name][0]), *extra))
+    if (code, err) != (0, ""):
+        raise AssertionError(f"bellchsh {PINNED[name][0]} exited {code}: {err[-2000:]}")
+    return out
+
+
+def run_fresh(args: tuple[str, ...]) -> tuple[int, str, str, float | None]:
+    """Exit code, stdout, stderr and, on Linux, peak RSS in MB of
+    ``python -m bellchsh *args``, killed after 600 s."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen([sys.executable, "-m", "bellchsh", *args], stdout=out,
+                                 stderr=err, env=FRESH_ENV)
+        peak_mb = None
+        if LINUX:  # wait4 reaps the child, so Popen must not wait for it too
+            timer = threading.Timer(600, os.kill, (child.pid, signal.SIGKILL))
+            timer.start()
+            try:
+                _, status, usage = os.wait4(child.pid, 0)
+            finally:
+                timer.cancel()
+            child.returncode, peak_mb = os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
+        else:
+            child.wait(timeout=600)
+        out.seek(0)
+        err.seek(0)
+        return (child.returncode, out.read().decode("utf-8", "replace"),
+                err.read().decode("utf-8", "replace"), peak_mb)
+
+
+def fresh_faults(tmp: str, pinned=PINNED, refused=REFUSED, usage_errors=USAGE_ERRORS,
+                 peak_mb=PEAK_MB):
+    """Run each row in a fresh process, print the peak RSS of each
+    bounded one next to its bound, and yield ``(argv text, fault)`` for
+    each way a row breaks its contract."""
     for name, (text, stride, json_md5) in pinned.items():
-        code, csv_text, err = run_fresh(argv(text))
-        json_code, json_text, json_err = run_fresh([*argv(text), "--format", "json"])
+        code, csv_text, err, peak = run_fresh(argv(text))
+        json_code, json_text, json_err, _ = run_fresh((*argv(text), "--format", "json"))
         if (code, err, json_code, json_err) != (0, "", 0, ""):
             yield text, (f"exited {code} and {json_code} (CSV and JSON), expected 0 and 0 "
                          f"with empty stderr: {(err or json_err)[-2000:]}")
         elif fault := pin_fault(name, stride, json_md5, csv_text, json_text):
             yield text, fault
+        if LINUX and name in peak_mb:
+            reading = f"peak RSS {peak:.1f} MB, bound {peak_mb[name]:.0f} MB"
+            print(f"bellchsh {abridged(text)}: {reading}")
+            if peak > peak_mb[name]:
+                yield text, reading
     for rows, fault_of in ((refused, refusal_fault), (usage_errors, usage_fault)):
         for text in rows:
-            code, _, err = run_fresh(argv(text, tmp))
+            code, _, err, _ = run_fresh(argv(text, tmp))
             if fault := fault_of(code, err):
                 yield text, fault
 
@@ -225,12 +289,13 @@ def fresh_faults(tmp: str, pinned=PINNED, refused=REFUSED, usage_errors=USAGE_ER
 def main() -> int:
     rows = len(PINNED) + len(REFUSED) + len(USAGE_ERRORS)
     with tempfile.TemporaryDirectory() as tmp:
-        faults = [f"bellchsh {abridged(text)}: {fault}" for text, fault in fresh_faults(tmp)]
-    for fault in faults:
-        print(fault, file=sys.stderr)
+        faults = list(fresh_faults(tmp))
+    for text, fault in faults:
+        print(f"bellchsh {abridged(text)}: {fault}", file=sys.stderr)
     pins = "checked" if EXACT else "not checked: the platform key differs from the stored one"
-    print(f"{rows - len(faults)} of {rows} contract rows hold in fresh processes "
-          f"(byte pins {pins})")
+    peaks = "checked" if LINUX else "not checked: ru_maxrss is read in KiB on Linux only"
+    print(f"{rows - len(dict(faults))} of {rows} contract rows hold in fresh processes "
+          f"(byte pins {pins}; peak RSS bounds {peaks})")
     return 1 if faults else 0
 
 

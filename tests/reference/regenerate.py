@@ -1,6 +1,6 @@
 """Rewrite the reference outputs that ``tests/test_reference.py`` checks.
 
-Each row of ``cli_contract.PINNED`` runs through ``bellchsh.cli.main``
+Each row of ``cli_contract.PINNED`` runs through ``pinned_stdout``
 in-process; its stdout goes to ``<name>.csv`` beside this script, and
 ``platform.json`` records the platform key the files were made on and
 each file's full row count.  A long output keeps every ``stride``-th
@@ -15,30 +15,17 @@ moves any file should name the moved rows and their largest change.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 
-from bellchsh import cli
-from cli_contract import KEY_FILE, PINNED, REFERENCE, argv, md5, platform_key, thin
-
-
-def capture(args: list[str]) -> str:
-    """stdout of ``bellchsh *args``, run in-process; it must exit 0."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(args)
-    if code != 0:
-        raise RuntimeError(f"bellchsh {' '.join(args)} exited {code}")
-    return buf.getvalue()
+from cli_contract import KEY_FILE, PINNED, REFERENCE, md5, pinned_stdout, platform_key, thin
 
 
 def main() -> None:
     counts = {}
-    for name, (text, stride, json_md5) in PINNED.items():
-        thinned, counts[name] = thin(capture(argv(text)), stride)
+    for name, (_, stride, json_md5) in PINNED.items():
+        thinned, counts[name] = thin(pinned_stdout(name), stride)
         (REFERENCE / f"{name}.csv").write_text(thinned, encoding="utf-8")
-        got = md5(capture([*argv(text), "--format", "json"]))
+        got = md5(pinned_stdout(name, "--format", "json"))
         if got != json_md5:
             print(f"{name}: --format json stdout has md5 {got}, the table pins {json_md5}")
     record = {"key": platform_key(), "rows": counts}

@@ -13,11 +13,10 @@ import warnings
 
 import pytest
 
-import bellchsh
 from bellchsh import MAX_MOMENTUM, cli, fock, kleingordon, rindler, spin
 from bellchsh.cli import MAX_STEPS, main, parse_angle, parse_angles
 from bellchsh.errors import DomainError
-from cli_contract import WARNINGS
+from cli_contract import FRESH_ENV
 
 ROOT2 = math.sqrt(2.0)
 LONG = "x" * 5000
@@ -34,12 +33,10 @@ def run_child(stdout, *argv):
     ``stdout``, or with fd 1 closed by the shell's ``>&-`` when ``stdout``
     is None, under the suite's warning filters; return its exit code and
     stderr bytes."""
-    src = os.path.dirname(os.path.dirname(bellchsh.__file__))
-    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=WARNINGS)
     command = [sys.executable, "-m", "bellchsh", *argv]
     if stdout is None:
         command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
-    done = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env,
+    done = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=FRESH_ENV,
                           timeout=60)
     return done.returncode, done.stderr
 
@@ -379,17 +376,15 @@ class TestKgNorm:
         # than leggauss(2048)'s 32 MiB companion matrix
         import resource
 
-        src = os.path.dirname(os.path.dirname(bellchsh.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         probe = subprocess.run(
             [sys.executable, "-c", "import re, bellchsh.cli; print(re.search("
              "r'VmPeak:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"],
-            capture_output=True, text=True, env=env, timeout=60, check=True)
+            capture_output=True, text=True, env=FRESH_ENV, timeout=60, check=True)
         limit = (int(probe.stdout) + 16 * 1024) * 1024
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         done = subprocess.run(
             [sys.executable, "-m", "bellchsh", "kg-norm", "--quad", "2048"],
-            capture_output=True, env=env, timeout=60,
+            capture_output=True, env=FRESH_ENV, timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
         assert (done.returncode, done.stdout) == (2, b""), done.stderr[-2000:]
         assert done.stderr.startswith(b"configuration error: not enough memory")

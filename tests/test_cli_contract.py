@@ -1,4 +1,4 @@
-"""Every row of ``cli_contract``, run in-process through ``cli.main``.
+"""Every row of ``cli_contract``, run in-process through ``run_in_process``.
 
 A pinned row's ``--format json`` stdout must have its md5 (its CSV is
 ``tests/test_reference.py``'s), a refused row must exit 2 with one
@@ -6,14 +6,15 @@ short ``configuration error`` line, and a usage row must exit 2 with
 argparse's usage lines and one short ``error:`` line.
 """
 
+import re
 import warnings
 
 import pytest
 
-from bellchsh.cli import main
 from cli_contract import (
     EXACT,
-    FRESH_PROCESS_ONLY,
+    IN_PROCESS,
+    LINUX,
     PINNED,
     REFUSED,
     USAGE_ERRORS,
@@ -21,46 +22,33 @@ from cli_contract import (
     argv,
     fresh_faults,
     md5,
+    pinned_stdout,
     refusal_fault,
+    run_in_process,
     usage_fault,
 )
 
 
-def run(capsys, args):
-    """Exit code, stdout and stderr of ``bellchsh *args``; an argparse
-    usage error's ``SystemExit`` is its exit code."""
-    try:
-        code = main(args)
-    except SystemExit as exit_:
-        code = exit_.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("name", list(PINNED))
-def test_json_stdout_matches_its_md5(capsys, name):
-    text, _, json_md5 = PINNED[name]
-    if name in FRESH_PROCESS_ONLY:
-        pytest.skip("checked by python tests/cli_contract.py in fresh processes")
-    code, out, err = run(capsys, [*argv(text), "--format", "json"])
-    assert (code, err) == (0, "")
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_json_stdout_matches_its_md5(name):
+    out = pinned_stdout(name, "--format", "json")
     if not EXACT:
         warnings.warn(f"{name}: platform key differs from the stored one, so the "
                       "md5 of the JSON stdout was not compared")
         return
-    assert md5(out) == json_md5
+    assert md5(out) == PINNED[name][2]
 
 
 @pytest.mark.parametrize("text", REFUSED, ids=abridged)
-def test_refusal_is_one_short_line(capsys, tmp_path, text):
-    code, out, err = run(capsys, argv(text, str(tmp_path)))
+def test_refusal_is_one_short_line(tmp_path, text):
+    code, out, err = run_in_process(argv(text, str(tmp_path)))
     assert refusal_fault(code, err) is None, err[-2000:]
     assert out == ""
 
 
 @pytest.mark.parametrize("text", USAGE_ERRORS, ids=abridged)
-def test_usage_error_is_short(capsys, text):
-    code, out, err = run(capsys, argv(text))
+def test_usage_error_is_short(text):
+    code, out, err = run_in_process(argv(text))
     assert usage_fault(code, err) is None, err[-2000:]
     assert out == ""
 
@@ -80,10 +68,12 @@ def test_faults_name_a_broken_contract():
 
 
 def test_fresh_process_run_reports_each_broken_row(tmp_path):
-    # the script CI runs: a pin off by its md5 and a "refusal" that exits 0
-    # are reported, a usage row that holds is not
+    # the script CI runs: a pin off by its md5, a peak RSS over its bound
+    # and a "refusal" that exits 0 are reported, a usage row that holds is not
     text, stride, _ = PINNED["rindler-scan-underflow"]
-    faults = dict(fresh_faults(str(tmp_path), {"rindler-scan-underflow": (
-        text, stride, "0" * 32)}, ("spin",), USAGE_ERRORS))
-    assert sorted(faults) == sorted([text, "spin"] if EXACT else ["spin"])
-    assert faults["spin"].startswith("exited 0 ")
+    faults = list(fresh_faults(str(tmp_path), {"rindler-scan-underflow": (
+        text, stride, "0" * 32)}, ("spin",), USAGE_ERRORS, {"rindler-scan-underflow": 1.0}))
+    assert [row for row, _ in faults] == [text] * (EXACT + LINUX) + ["spin"]
+    if LINUX:
+        assert re.fullmatch(r"peak RSS \d+\.\d MB, bound 1 MB", faults[EXACT][1])
+    assert faults[-1][1].startswith("exited 0 ")

@@ -17,8 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cli_contract import EXACT, FRESH_PROCESS_ONLY, PINNED, REFERENCE, STORED, argv, thin
-from reference.regenerate import capture
+from cli_contract import EXACT, IN_PROCESS, PINNED, REFERENCE, STORED, pinned_stdout, thin
 
 #: Largest float difference, in units of the stored value's spacing, on
 #: a platform other than the one the files were made on.
@@ -60,27 +59,17 @@ def test_loose_comparison_allows_four_ulp_of_a_float_only():
 
 
 def test_every_invocation_has_a_file():
-    # platform.json counts the rows of the files made with it; a file
-    # added since holds every row (stride 1), so its length is its count
-    assert set(STORED["rows"]) <= set(PINNED)
-    assert all(stride == 1 for name, (_, stride, _) in PINNED.items()
-               if name not in STORED["rows"])
     assert sorted(p.stem for p in REFERENCE.glob("*.csv")) == sorted(PINNED)
+    assert sorted(STORED["rows"]) == sorted(PINNED)
 
 
-def pinned_argv(name):
-    if name in FRESH_PROCESS_ONLY:
-        pytest.skip("checked by python tests/cli_contract.py in fresh processes")
-    return argv(PINNED[name][0])
-
-
-@pytest.mark.parametrize("name", list(PINNED))
+@pytest.mark.parametrize("name", IN_PROCESS)
 def test_stdout_matches_reference(name):
     stride = PINNED[name][1]
-    text, count = thin(capture(pinned_argv(name)), stride)
+    text, count = thin(pinned_stdout(name), stride)
     got = list(csv.reader(text.splitlines()))
     want = list(csv.reader((REFERENCE / f"{name}.csv").read_text(encoding="utf-8").splitlines()))
-    assert count == STORED["rows"].get(name, len(want) - 1)
+    assert count == STORED["rows"][name]
     assert got[0] == want[0]
     assert len(got) == len(want)
     for i, (got_row, want_row) in enumerate(zip(got[1:], want[1:]), start=1):
@@ -92,13 +81,12 @@ def test_stdout_matches_reference(name):
                       f"fields were compared to {LOOSE_ULP} ulp, not exactly")
 
 
-@pytest.mark.parametrize("name", list(PINNED))
+@pytest.mark.parametrize("name", IN_PROCESS)
 def test_json_matches_csv(name):
     """``--format json`` carries the CSV's fields and rows: each float is
     the same double, and null is an empty field."""
-    args = pinned_argv(name)
-    header, *rows = csv.reader(capture(args).splitlines())
-    payload = json.loads(capture([*args, "--format", "json"]))
+    header, *rows = csv.reader(pinned_stdout(name).splitlines())
+    payload = json.loads(pinned_stdout(name, "--format", "json"))
     assert payload["fields"] == header
     assert len(payload["rows"]) == len(rows)
     for i, (record, row) in enumerate(zip(payload["rows"], rows), start=1):
