@@ -16,9 +16,10 @@ one builder of a quadruple from the flipped level pairs of each side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,10 +33,15 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 #: MAX_FLIP_DIM**2`` complex entries (256 MiB), checked before allocation.
 MAX_FLIP_DIM = 2048
 
+#: The one level pair of a flip's 2 x 2 block: ``AngleSet.pair_flips``.
+_BLOCK_PAIRS = np.array([(0, 1)])
+
 
 def wrap_angle(theta: float) -> float:
-    """Reduce an angle to the interval [-pi, pi)."""
-    return float((theta + math.pi) % (2.0 * math.pi) - math.pi)
+    """Reduce an angle to the interval [-pi, pi); a remainder rounded up
+    to the full period gives -pi, not pi."""
+    wrapped = float((theta + math.pi) % (2.0 * math.pi) - math.pi)
+    return -math.pi if wrapped == math.pi else wrapped
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,9 @@ class AngleSet:
     this package depend on them only through cosines of sums, so the
     reduction never changes a value.  A non-finite phase, or one that is
     no real number, raises ``DomainError``.
+
+    :attr:`pair_flips` is built once per object, at first use, and is no
+    field: equality, hash, repr and copies read the four phases only.
     """
 
     alpha1: float
@@ -62,6 +71,17 @@ class AngleSet:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
+
+    def __getstate__(self) -> dict:
+        """The four phases alone, so a copy builds its own read-only flips."""
+        return asdict(self)
+
+    @functools.cached_property
+    def pair_flips(self) -> np.ndarray:
+        """Read-only ``(4, 2, 2)`` stack of the 2 x 2 flips of A1, A2, B1, B2:
+        byte for byte ``phase_flip(2, np.array([(0, 1)]), np.array(
+        self.as_tuple()))``, without its check of the phases checked here."""
+        return _flip_stack(2, _BLOCK_PAIRS, np.array(self.as_tuple()))
 
 
 def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.ndarray:
@@ -83,8 +103,8 @@ def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.nda
     named by ``errors.named``, a long array by its shape, not listed.
 
     This is the one checked entry to the one flip build, ``_flip_stack``;
-    ``fock.chsh_matrix`` shares that build, calling it directly on its
-    constant block pairs and the phases its ``AngleSet`` has checked.
+    ``AngleSet.pair_flips`` shares that build, calling it directly on the
+    constant block pair and the phases the ``AngleSet`` has checked.
     """
     stacked = isinstance(phase, np.ndarray) and phase.ndim == 1
     count = len(phase) if stacked else 1
@@ -108,9 +128,10 @@ def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.nda
 
 
 def _flip_stack(levels: int, pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The flip build behind ``phase_flip``, on arguments it has checked:
-    an integer ``(n, 2)`` array of disjoint ``pairs`` in ``[0, levels)``
-    and a float array of finite ``phases``.  Unchecked itself."""
+    """The flip build behind ``phase_flip`` and ``AngleSet.pair_flips``, on
+    arguments they have checked: an integer ``(n, 2)`` array of disjoint
+    ``pairs`` in ``[0, levels)`` and a float array of finite ``phases``.
+    Unchecked itself."""
     src, dst = pairs.T
     up = np.exp(1j * phases)[..., None]
     m = np.zeros(phases.shape + (levels, levels), dtype=complex)

@@ -44,6 +44,7 @@ import re
 import reprlib
 import sys
 from collections.abc import Iterable
+from dataclasses import asdict
 
 import numpy as np
 
@@ -240,7 +241,7 @@ def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
 
     best_angles, best = optimize_angles(spin.spin_closed_form(spin.SPIN_ONE))
     table["spin_one_closed_form_optimum"] = best
-    table.update({f"spin_one_optimal_{k}": v for k, v in vars(best_angles).items()})
+    table.update({f"spin_one_optimal_{k}": v for k, v in asdict(best_angles).items()})
     return _quantity_table(table, None if ok else
                           "quadruple validation failed; see *_validation_* rows")
 
@@ -292,7 +293,7 @@ def cmd_optimize(args) -> tuple[list[str], list[dict], None]:
         form = fock.squeezed_closed_form(args.eta)
         table = {"closed_form": "squeezed", "eta": args.eta}
     angles, best = optimize_angles(form)
-    return _quantity_table({**table, **vars(angles), "optimum": best})
+    return _quantity_table({**table, **asdict(angles), "optimum": best})
 
 
 def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:

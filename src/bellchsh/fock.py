@@ -16,11 +16,11 @@ flip is block-diagonal on the pairs ``(2k, 2k+1)``, with the same 2 x 2
 block on each pair (the pseudospin of Chen, Pan, Hou & Zhang, PRL 88,
 040406, 2002), so ``<A (x) B> = sum_pq G_pq a_pq b_pq`` with the 2 x 2
 pair Gram ``G_pq = sum_k s_(2k+p) s_(2k+q)`` and the blocks ``a``,
-``b``: ``chsh_matrix`` takes O(cutoff) time and memory per call, and
-builds its four blocks in one stack with the flip build behind
-``phase_flip``, the one checked entry; its pairs are a constant integer
-``(1, 2)`` array and its phases the 1-D array of a checked ``AngleSet``,
-so it skips the check.
+``b``: ``chsh_matrix`` takes O(cutoff) time and memory per call.  The
+four blocks depend on the angles alone, so it reads them from
+``AngleSet.pair_flips``, built once per angle set by the flip build
+behind ``phase_flip``; a scan over eta with one angle set builds them
+once.
 For an even cutoff the renormalized truncated state reproduces the
 closed-form pair correlator
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import (MAX_FLIP_DIM, AngleSet, ChshQuadruple, ClosedFormCorrelator,
-                   _flip_stack, _real_correlator, flip_quadruple)
+                   _real_correlator, flip_quadruple)
 from .errors import DomainError, named, to_index, to_number
 from .linalg import FactoredOperator, Ket
 
@@ -63,9 +63,6 @@ DEFAULT_CUTOFF = 40
 #: of ``squeezed_state`` then holds 2048**2 complex numbers (64 MB), the
 #: only ``cutoff**2`` array left; ``chsh_matrix`` builds none.
 MAX_CUTOFF = MAX_FLIP_DIM
-
-#: The one parity pair of a flip's 2 x 2 block in ``chsh_matrix``.
-_BLOCK_PAIRS = np.array([(0, 1)])
 
 
 @dataclass(frozen=True)
@@ -233,16 +230,16 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     Schmidt form.  The explicit amplitudes ``s_n = sqrt(1 - eta^2)
     eta**n``, renormalized, are viewed as ``(cutoff/2, 2)`` rows of pair
     ``k`` and parity ``p``, so the pair Gram is ``G = s^T s`` (2 x 2),
-    and each flip is its 2 x 2 block, all four from one stacked build,
-    byte for byte ``phase_flip(2, _BLOCK_PAIRS, np.array(angles.as_tuple()))``
-    without its check: ``sum G o (A1 o (B1 + B2) + A2 o (B1 - B2))`` entrywise.
-    O(cutoff) per call; no ``cutoff**2`` array and no quadruple is built.
-    An imaginary residue above 1e-10 raises ``PrecisionError``.
+    and each flip is its 2 x 2 block in ``angles.pair_flips``, built at the
+    set's first use: ``sum G o (A1 o (B1 + B2) + A2 o (B1 - B2))``
+    entrywise.  O(cutoff) per call; no ``cutoff**2`` array and no
+    quadruple is built.  An imaginary residue above 1e-10 raises
+    ``PrecisionError``.
     """
     eta = _check_eta(eta)
     amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
     amp /= math.sqrt(amp @ amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs
-    a1, a2, b1, b2 = _flip_stack(2, _BLOCK_PAIRS, np.array(angles.as_tuple()))
+    a1, a2, b1, b2 = angles.pair_flips
     return _real_correlator((gram * (a1 * (b1 + b2) + a2 * (b1 - b2))).sum())

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -141,7 +141,7 @@ class ShellQuadrature:
     The nodes and weights (:attr:`rule`) are built once per rule object,
     at first use, and :attr:`refined` is one shared doubled rule, so
     every norm, error estimate and overlap on the same object shares one
-    build of each.  The angular integral of a Gaussian pair is
+    build of each; a copy or an unpickled rule builds its own, read-only.  The angular integral of a Gaussian pair is
     closed-form, so the rule has no angular node count.  ``radial`` is
     an integer of at most ``MAX_RADIAL``, refined rules included, and
     ``k_max`` at most ``12 * MAX_MOMENTUM``, which holds every
@@ -175,6 +175,10 @@ class ShellQuadrature:
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be positive and finite, got {self.tol}",
                               argument="tol")
+
+    def __getstate__(self) -> dict:
+        """The three settings alone, so a copy builds its own read-only rule."""
+        return asdict(self)
 
     @classmethod
     def for_packets(cls, *packets: GaussianPacket, radial: int = 128,

@@ -86,17 +86,19 @@ PINNED = {
                                "c4b5bcb6fce66b4e00012dbc979da9f4"),
     "rindler-scan-100k": ("rindler-scan --temp-range 0.01:5:100000", 1000,
                           "27ab4bde003d8594d0b3f85518af61b0"),
+    "squeeze-scan-100k": ("squeeze-scan --eta-range 0.01:0.99:100000", 1000,
+                          "b6f24eb4d5b9d8fe5fd140d372defd8b"),
 }
 
 #: Pinned rows the in-process tests run.  The rest run in fresh processes
 #: only: the two 4096-node Gauss-Legendre rules take ~8 s, and the
-#: 100,000-row scan is there for its peak RSS.
-IN_PROCESS = [name for name in PINNED
-              if name not in ("kg-norm-quad-2048-normalize", "rindler-scan-100k")]
+#: 100,000-row scans are there for their peak RSS.
+IN_PROCESS = [name for name in PINNED if name not in (
+    "kg-norm-quad-2048-normalize", "rindler-scan-100k", "squeeze-scan-100k")]
 
 #: name -> bound in MB on the child's ``ru_maxrss``, read on Linux only (in KiB).
 PEAK_MB = {"squeeze-scan-cutoff-2048": 50.0, "rindler-scan-100k": 65.0,
-           "kg-norm-quad-2048-normalize": 350.0}
+           "squeeze-scan-100k": 85.0, "kg-norm-quad-2048-normalize": 350.0}
 LINUX = sys.platform == "linux"
 
 REFUSED = (

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import itertools
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -47,9 +50,34 @@ PAIR = np.array([(0, 1)])
 
 class TestAngleSet:
     def test_wraps_to_half_open_interval(self):
+        # one ulp below -pi, the remainder rounds up to the full period
+        below = math.nextafter(-math.pi, -math.inf)
         a = AngleSet(3 * math.pi, -math.pi, math.pi, 7.0)
-        for theta in a.as_tuple():
+        for theta in (*a.as_tuple(), *AngleSet(below, 0.0, 0.0, 0.0).as_tuple()):
             assert -math.pi <= theta < math.pi
+        assert chsh.wrap_angle(below) == -math.pi
+
+    def test_built_flips_leave_equality_hash_repr_and_replace_alone(self):
+        angles = AngleSet(0.4, -1.3, 0.9, 2.2)
+        before = (repr(angles), hash(angles), dataclasses.replace(angles, beta2=0.5))
+        twin = AngleSet(0.4, -1.3, 0.9, 2.2)
+        flips = angles.pair_flips
+        assert angles.pair_flips is flips and not flips.flags.writeable
+        assert (repr(angles), hash(angles), dataclasses.replace(angles, beta2=0.5)) == before
+        assert angles == twin and hash(angles) == hash(twin) and repr(angles) == repr(twin)
+        assert dataclasses.asdict(angles) == dataclasses.asdict(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            angles.alpha1 = 0.0
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild_read_only_flips(self, duplicate):
+        angles = AngleSet(0.4, -1.3, 0.9, 2.2)
+        flips = angles.pair_flips
+        twin = duplicate(angles)
+        assert twin == angles and not twin.pair_flips.flags.writeable
+        assert twin.pair_flips.tobytes() == flips.tobytes()
 
     def test_wrapping_preserves_cosine_sums(self):
         a = AngleSet(3 * math.pi + 0.2, 0.1, -9.0, 2.5)

@@ -243,6 +243,21 @@ class TestOptimize:
         assert float(kv(out)["optimum"]) == pytest.approx(
             (2.0 / 3.0) * (1 + 2 * ROOT2), abs=1e-6)
 
+    @pytest.mark.parametrize("argv", [("optimize",), ("optimize", "--closed-form", "spin-one"),
+                                      ("spin",)], ids=["squeezed", "spin-one", "spin"])
+    def test_built_flips_leave_the_printed_phases_alone(self, capsys, monkeypatch, argv):
+        # the phases are printed from the four fields, not from the object's dict
+        plain = run(capsys, *argv)
+        optimize = cli.optimize_angles
+
+        def with_built_flips(form):
+            angles, best = optimize(form)
+            angles.pair_flips
+            return angles, best
+
+        monkeypatch.setattr(cli, "optimize_angles", with_built_flips)
+        assert run(capsys, *argv) == plain
+
 
 class TestKgNorm:
     QUAD = ("--quad", "48")

@@ -15,7 +15,7 @@ from bellchsh import (
     validate_quadruple,
 )
 import bellchsh
-from bellchsh import chsh, fock, spin
+from bellchsh import chsh, cli, fock, spin
 from bellchsh.fock import (
     FockSpace,
     MAX_CUTOFF,
@@ -51,6 +51,21 @@ from helpers import (
 
 ROOT2 = math.sqrt(2.0)
 ZERO_PHASES = AngleSet(0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.fixture
+def flip_builds(monkeypatch):
+    """Records each call of the flip build, ``chsh._flip_stack``: one
+    ``(phases, built stack)`` entry per call."""
+    builds = []
+    build = chsh._flip_stack
+
+    def recording(levels, pairs, phases):
+        builds.append((phases, build(levels, pairs, phases)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(chsh, "_flip_stack", recording)
+    return builds
 
 
 def kron_flip(cutoff: int, side: str, phase: float) -> np.ndarray:
@@ -527,47 +542,55 @@ class TestSchmidtRoute:
                 oracle = four_call_chsh_matrix(eta, space, angles)
                 assert chsh_matrix(eta, space, angles).hex() == oracle.real.hex()
 
-    def test_one_flip_build_call(self, monkeypatch):
+    def test_one_flip_build_call(self, monkeypatch, flip_builds):
         # one stacked build of the four phases, past the phase_flip check
-        calls = []
-
-        def counting(levels, pairs, phases):
-            calls.append(np.shape(phases))
-            return chsh._flip_stack(levels, pairs, phases)
-
         def refused(dim, pairs, phase):
             raise AssertionError("chsh_matrix called phase_flip")
 
-        monkeypatch.setattr(fock, "_flip_stack", counting)
         monkeypatch.setattr(fock, "phase_flip", refused, raising=False)
+        monkeypatch.setattr(chsh, "phase_flip", refused)
         chsh_matrix(0.6, FockSpace(40), AngleSet(0.4, -1.3, 0.9, 2.2))
-        assert calls == [(4,)]
+        assert [np.shape(phases) for phases, _ in flip_builds] == [(4,)]
+        assert not hasattr(fock, "_flip_stack")
 
-    def test_block_build_is_phase_flip_byte_for_byte(self, monkeypatch):
-        # the build chsh_matrix calls, on the arguments it passes, gives the
-        # bytes of the checked phase_flip(2, np.array([(0, 1)]), phases)
+    def test_block_build_is_phase_flip_byte_for_byte(self, flip_builds):
+        # the build chsh_matrix reads, on the arguments it is made from, gives
+        # the bytes of the checked phase_flip(2, np.array([(0, 1)]), phases)
         pair = np.array([(0, 1)])
         for phases in [(0.0, math.pi, -math.pi, 1e-300), (-1e-300, 0.0, math.pi, -math.pi)]:
-            built = chsh._flip_stack(2, fock._BLOCK_PAIRS, np.array(phases))
+            built = chsh._flip_stack(2, chsh._BLOCK_PAIRS, np.array(phases))
             assert built.tobytes() == phase_flip(2, pair, np.array(phases)).tobytes()
             assert built.shape == (4, 2, 2) and not built.flags.writeable
-        seen = []
-
-        def recording(levels, pairs, phases):
-            built = chsh._flip_stack(levels, pairs, phases)
-            seen.append((phases.tolist(), built))
-            return built
-
-        monkeypatch.setattr(fock, "_flip_stack", recording)
+        flip_builds.clear()
         rng = np.random.default_rng(113)
         angle_sets = [AngleSet(0.0, math.pi, -math.pi, 1e-300)]
         angle_sets += [AngleSet(*rng.uniform(-7.0, 7.0, 4)) for _ in range(200)]
         for angles in angle_sets:
             chsh_matrix(0.6, FockSpace(4), angles)
-        assert [phases for phases, _ in seen] == [list(a.as_tuple()) for a in angle_sets]
-        for phases, built in seen:
-            assert built.tobytes() == phase_flip(2, pair, np.array(phases)).tobytes()
+        assert [phases.tolist() for phases, _ in flip_builds] == [
+            list(a.as_tuple()) for a in angle_sets]
+        for angles, (phases, built) in zip(angle_sets, flip_builds):
+            assert angles.pair_flips is built
+            assert built.tobytes() == phase_flip(2, pair, phases).tobytes()
             assert not built.flags.writeable
+
+    def test_one_build_per_angle_set(self, flip_builds):
+        # the flips depend on the angles only: repeated calls, over any eta
+        # and cutoff, read the stack the first call built
+        angles = AngleSet(0.4, -1.3, 0.9, 2.2)
+        values = [chsh_matrix(eta, FockSpace(cutoff), angles)
+                  for cutoff in (4, 40) for eta in (0.1, 0.6, 0.6, 0.95)]
+        assert len(flip_builds) == 1
+        assert values == [four_call_chsh_matrix(eta, FockSpace(cutoff), angles).real
+                          for cutoff in (4, 40) for eta in (0.1, 0.6, 0.6, 0.95)]
+
+    def test_squeeze_scan_builds_its_flips_once(self, monkeypatch, flip_builds, capsys):
+        # a fresh copy of the default angles, so no earlier test has built them
+        fresh = dataclasses.replace(MAX_VIOLATION_ANGLES)
+        monkeypatch.setattr(fock, "MAX_VIOLATION_ANGLES", fresh)
+        assert cli.main(["squeeze-scan"]) == 0
+        assert capsys.readouterr().out.count("\n") == 12  # header, 10 grid rows, 2 endpoints
+        assert [phases.tolist() for phases, _ in flip_builds] == [list(fresh.as_tuple())]
 
 
 class TestFlipAction:
@@ -637,6 +660,6 @@ class TestFlipAction:
         def corrupted(levels, pairs, phases):
             return np.array([[[0.0, up], [up, 0.0]] for up in np.exp(1j * phases)])
 
-        monkeypatch.setattr(fock, "_flip_stack", corrupted)
+        monkeypatch.setattr(chsh, "_flip_stack", corrupted)
         with pytest.raises(PrecisionError, match="imaginary residue"):
             chsh_matrix(0.6, FockSpace(8), AngleSet(0.4, -1.3, 0.9, 2.2))

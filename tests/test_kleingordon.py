@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import warnings
 
@@ -235,6 +237,17 @@ class TestRuleBuiltOnce:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda q: pickle.loads(pickle.dumps(q))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild_a_read_only_rule(self, duplicate):
+        q = ShellQuadrature(k_max=10.0, radial=48)
+        k, w = q.rule
+        twin = duplicate(q)
+        assert twin == q and twin.refined == q.refined
+        for array, built in zip((*twin.rule, *twin.refined.rule), (k, w, *q.refined.rule)):
+            assert not array.flags.writeable and array.tobytes() == built.tobytes()
 
     def test_cached_rule_leaves_equality_and_hash_alone(self):
         q = ShellQuadrature(k_max=10.0, radial=48)
