@@ -19,7 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+import types
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,8 +54,9 @@ class AngleSet:
     reduction never changes a value.  A non-finite phase, or one that is
     no real number, raises ``DomainError``.
 
-    :attr:`pair_flips` is built once per object, at first use, and is no
-    field: equality, hash, repr and copies read the four phases only.
+    :attr:`pair_flips` and :attr:`pair_cosines` are each built once per
+    object, at first use, and are no fields: equality, hash, repr and
+    copies read the four phases only, and a copy builds its own.
     """
 
     alpha1: float
@@ -82,6 +84,15 @@ class AngleSet:
         byte for byte ``phase_flip(2, np.array([(0, 1)]), np.array(
         self.as_tuple()))``, without its check of the phases checked here."""
         return _flip_stack(2, _BLOCK_PAIRS, np.array(self.as_tuple()))
+
+    @functools.cached_property
+    def pair_cosines(self) -> types.MappingProxyType:
+        """Read-only map from an orientation ``o`` of +-1 to the four cosines
+        ``cos(alpha_i + o * beta_j)`` of ``ClosedFormCorrelator``, in its order."""
+        a1, a2, b1, b2 = self.as_tuple()
+        return types.MappingProxyType({o: (math.cos(a1 + o * b1), math.cos(a2 + o * b1),
+                                           math.cos(a1 + o * b2), math.cos(a2 + o * b2))
+                                       for o in (1.0, -1.0)})
 
 
 def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.ndarray:
@@ -306,6 +317,11 @@ class ClosedFormCorrelator:
     form here) max |value| = |prefactor| (|constant| + 2 sqrt(2))
     (Cirel'son, Lett. Math. Phys. 4, 93, 1980; Landau, Phys. Lett. A
     120, 54, 1987).
+
+    The numbers are read at construction, ``signs`` by ``errors.to_numbers``
+    and the rest by ``errors.to_number``: other than four signs, or an
+    orientation other than +-1 (``AngleSet.pair_cosines``), raises
+    ``DomainError``.
     """
 
     prefactor: float
@@ -313,17 +329,19 @@ class ClosedFormCorrelator:
     constant: float = 0.0
     orientation: float = 1.0
 
+    def __post_init__(self):
+        given = self.orientation
+        object.__setattr__(self, "signs", to_numbers(self.signs, "signs", 4))
+        for name in ("prefactor", "constant", "orientation"):
+            object.__setattr__(self, name, to_number(getattr(self, name)))
+        if self.orientation not in (1.0, -1.0):
+            raise DomainError(f"a closed form needs an orientation of +-1, got "
+                              f"{named(given)}", argument="orientation")
+
     def value(self, angles: AngleSet) -> float:
-        a1, a2, b1, b2 = angles.as_tuple()
-        b1, b2 = self.orientation * b1, self.orientation * b2
-        s = self.signs
-        return self.prefactor * (
-            self.constant
-            + s[0] * math.cos(a1 + b1)
-            + s[1] * math.cos(a2 + b1)
-            + s[2] * math.cos(a1 + b2)
-            + s[3] * math.cos(a2 + b2)
-        )
+        c0, c1, c2, c3 = angles.pair_cosines[self.orientation]
+        s0, s1, s2, s3 = self.signs
+        return self.prefactor * (self.constant + s0 * c0 + s1 * c1 + s2 * c2 + s3 * c3)
 
 
 def optimize_angles(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
@@ -335,24 +353,18 @@ def optimize_angles(cf: ClosedFormCorrelator) -> tuple[AngleSet, float]:
     either way the 16 pi-shifts reach every odd cosine sign pattern and
     include the maximum of ``ClosedFormCorrelator``.  Returns the first
     shift (unshifted first) within ``1e-12 max(1, peak)`` of the peak,
-    with |value| there.  Other than four signs (counted, then read by
-    ``errors.to_numbers``), an even sign pattern or an orientation other
-    than +-1 raises ``DomainError``, as does a ``prefactor`` or ``constant``
-    for which the exact optimum ``|prefactor| (|constant| + 2 sqrt(2))``
-    or the peak is not finite; each number is read by ``errors.to_number``.
+    with |value| there.  The form has read its numbers and orientation at
+    construction; an even sign pattern raises ``DomainError``, as does a
+    ``prefactor`` or ``constant`` for which the exact optimum ``|prefactor|
+    (|constant| + 2 sqrt(2))`` or the peak is not finite.
     """
-    signs = to_numbers(cf.signs, "signs", 4)
-    if (not all(abs(s) == 1.0 for s in signs) or math.prod(signs) != -1.0
-            or to_number(cf.orientation) not in (1.0, -1.0)):
-        raise DomainError(f"optimize_angles needs an odd sign pattern and an "
-                          f"orientation of +-1, got {named(cf.signs)} and {named(cf.orientation)}")
-    read = replace(cf, prefactor=to_number(cf.prefactor), signs=signs,
-                   constant=to_number(cf.constant))
-    exact = abs(read.prefactor) * (abs(read.constant) + TSIRELSON_BOUND)
+    if not all(abs(s) == 1.0 for s in cf.signs) or math.prod(cf.signs) != -1.0:
+        raise DomainError(f"optimize_angles needs an odd sign pattern, got {named(cf.signs)}")
+    exact = abs(cf.prefactor) * (abs(cf.constant) + TSIRELSON_BOUND)
     base = (-math.pi, -0.5 * math.pi, -0.25 * math.pi, 0.25 * math.pi)
     candidates = [AngleSet(*(b + math.pi * k for b, k in zip(base, shift)))
                   for shift in itertools.product((0, 1), repeat=4)]
-    values = [abs(read.value(angles)) for angles in candidates]
+    values = [abs(cf.value(angles)) for angles in candidates]
     peak = max(values)
     if not (math.isfinite(exact) and math.isfinite(peak)):
         raise DomainError(f"optimize_angles needs a finite optimum and peak, got prefactor "

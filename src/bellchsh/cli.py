@@ -51,7 +51,6 @@ import numpy as np
 from . import fock, kleingordon, rindler, spin
 from .chsh import (
     AngleSet,
-    ClosedFormCorrelator,
     chsh_value,
     optimize_angles,
     validate_quadruple,
@@ -274,10 +273,9 @@ def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
             "abs_difference": diff, "note": note,
         })
     # open upper endpoint: the closed form extends continuously to eta = 1
-    limit = ClosedFormCorrelator(prefactor=fock.pair_amplitude(1.0),
-                                 signs=fock.SQUEEZED_SIGNS)
+    limit = fock.pair_amplitude(1.0) * fock.UNIT_SQUEEZED_FORM.value(angles)
     rows.append({
-        "eta": 1.0, "chsh_closed": limit.value(angles), "chsh_matrix": None,
+        "eta": 1.0, "chsh_closed": limit, "chsh_matrix": None,
         "abs_difference": None, "note": "window-upper-endpoint-limit",
     })
 

@@ -20,7 +20,8 @@ pair Gram ``G_pq = sum_k s_(2k+p) s_(2k+q)`` and the blocks ``a``,
 four blocks depend on the angles alone, so it reads them from
 ``AngleSet.pair_flips``, built once per angle set by the flip build
 behind ``phase_flip``; a scan over eta with one angle set builds them
-once.
+once, and ``chsh_closed`` reads its cosines from ``AngleSet.pair_cosines``
+the same way.
 For an even cutoff the renormalized truncated state reproduces the
 closed-form pair correlator
 
@@ -33,7 +34,7 @@ matrix evaluation differ only by float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +50,10 @@ MAX_VIOLATION_ANGLES = AngleSet(0.0, math.pi / 2, -math.pi / 4, math.pi / 4)
 #: Cosine signs of the squeezed closed form, cos(a1 + b1) + cos(a2 + b1)
 #: + cos(a1 + b2) - cos(a2 + b2).
 SQUEEZED_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
+#: The squeezed closed form at unit prefactor: ``chsh_closed`` scales its
+#: value by ``pair_amplitude(eta)``, ``squeezed_closed_form`` its prefactor.
+UNIT_SQUEEZED_FORM = ClosedFormCorrelator(prefactor=1.0, signs=SQUEEZED_SIGNS)
 
 #: Squeezing interval on which the closed form at
 #: ``MAX_VIOLATION_ANGLES``, 2 * (2 sqrt(2) eta / (1 + eta^2)), exceeds
@@ -205,21 +210,21 @@ def _parity_pairs(cutoff: int) -> np.ndarray:
 
 
 def squeezed_closed_form(eta: float) -> ClosedFormCorrelator:
-    """Squeezed-state CHSH closed form as an optimizable descriptor."""
-    return ClosedFormCorrelator(
-        prefactor=pair_amplitude(_check_eta(eta)),
-        signs=SQUEEZED_SIGNS,
-    )
+    """Squeezed-state CHSH closed form as an optimizable descriptor:
+    ``UNIT_SQUEEZED_FORM`` with the prefactor ``pair_amplitude(eta)``."""
+    return replace(UNIT_SQUEEZED_FORM, prefactor=pair_amplitude(_check_eta(eta)))
 
 
 def chsh_closed(eta: float, angles: AngleSet) -> float:
     """Closed-form squeezed-state CHSH value.
 
-    At ``MAX_VIOLATION_ANGLES`` this equals 2 * (2 sqrt(2) eta /
+    ``pair_amplitude(eta) * UNIT_SQUEEZED_FORM.value(angles)``: byte for
+    byte ``squeezed_closed_form(eta).value(angles)``, with no form built
+    per call.  At ``MAX_VIOLATION_ANGLES`` this equals 2 * (2 sqrt(2) eta /
     (1 + eta^2)): exactly 2 at eta = sqrt(2) - 1 and approaching
     2 sqrt(2) as eta -> 1.
     """
-    return squeezed_closed_form(eta).value(angles)
+    return pair_amplitude(_check_eta(eta)) * UNIT_SQUEEZED_FORM.value(angles)
 
 
 def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:

@@ -35,7 +35,10 @@ and write a mode's squeezing with the acceleration, as exp(-pi w / a).
 
 The library maximizes a closed-form CHSH correlator exactly.  The
 oracle here is a numeric search: a coarse grid and trig-exact
-coordinate sweeps.
+coordinate sweeps.  The library's closed forms read their four cosines
+from the ``AngleSet``, computed once per set, and ``chsh_closed``
+scales one unit-prefactor form; the oracles here compute the cosines
+on every call and build the squeezed form with its prefactor.
 
 The library integrates the mass-shell inner product with a radial rule
 and a closed-form angular factor, on nodes each rule builds once.  The
@@ -302,6 +305,28 @@ def bisected_window_lower() -> float:
 def correlator_closed(eta: float, alpha_k: float, beta_i: float) -> float:
     """Closed-form squeezed pair correlator 2 eta/(1+eta^2) * cos(alpha_k + beta_i)."""
     return 2.0 * eta / (1.0 + eta * eta) * math.cos(alpha_k + beta_i)
+
+
+def per_call_closed_value(cf: ClosedFormCorrelator, angles: AngleSet) -> float:
+    """``cf.value(angles)`` with its four cosines computed on this call,
+    in the correlator's order of operations."""
+    a1, a2, b1, b2 = angles.as_tuple()
+    b1, b2 = cf.orientation * b1, cf.orientation * b2
+    s = cf.signs
+    return cf.prefactor * (
+        cf.constant
+        + s[0] * math.cos(a1 + b1)
+        + s[1] * math.cos(a2 + b1)
+        + s[2] * math.cos(a1 + b2)
+        + s[3] * math.cos(a2 + b2)
+    )
+
+
+def per_call_chsh_closed(eta: float, angles: AngleSet) -> float:
+    """``chsh_closed(eta, angles)`` from a squeezed form built with the
+    prefactor 2 eta / (1 + eta^2), its cosines computed on this call."""
+    form = ClosedFormCorrelator(2.0 * eta / (1.0 + eta * eta), fock.SQUEEZED_SIGNS)
+    return per_call_closed_value(form, angles)
 
 
 def spin_half_pair_correlator(alpha: float, beta: float) -> float:

@@ -1,25 +1,45 @@
-"""Property tests of ``chsh.AngleSet``: the wrap to [-pi, pi) and the
-flips each angle set builds once.
+"""Property tests of ``chsh.AngleSet``: the wrap to [-pi, pi), and the
+flips and cosines each angle set builds once.
 
 Every finite float must wrap into the half-open interval, the one ulp
 below -pi included.  ``fock.chsh_matrix`` must give the same bytes on an
 angle set's first call, which builds ``AngleSet.pair_flips``, on a later
-call, which reads them, and on an equal fresh set.  The search is
+call, which reads them, and on an equal fresh set.  So must
+``ClosedFormCorrelator.value`` and ``fock.chsh_closed``, which read
+``AngleSet.pair_cosines``, on a copy, a deep copy and an unpickled set
+too, each equal to the bytes of its per-call oracle.  The search is
 derandomized, so the module runs the same examples every time.
 """
 
+import copy
+import itertools
 import math
+import pickle
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from bellchsh import AngleSet, FockSpace, chsh_matrix  # noqa: E402
+from bellchsh import (  # noqa: E402
+    AngleSet, ClosedFormCorrelator, FockSpace, chsh_closed, chsh_matrix)
 from bellchsh.chsh import wrap_angle  # noqa: E402
+from helpers import per_call_chsh_closed, per_call_closed_value  # noqa: E402
 
 EXAMPLES = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ODD_PATTERNS = [s for s in itertools.product((1.0, -1.0), repeat=4) if math.prod(s) < 0.0]
+
+
+def first_later_fresh_and_copies(evaluate, phases) -> list[str]:
+    """``evaluate`` on an angle set's first call, a later call, an equal
+    fresh set, and a copy, a deep copy and an unpickled copy of the built
+    set, each value as its ``.hex()``."""
+    angles = AngleSet(*phases)
+    values = [evaluate(angles), evaluate(angles), evaluate(AngleSet(*phases))]
+    values += [evaluate(duplicate(angles)) for duplicate in (
+        copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a)))]
+    return [v.hex() for v in values]
 
 
 @EXAMPLES
@@ -40,3 +60,23 @@ def test_first_later_and_fresh_equal_calls_agree_to_the_bit(phases, eta, cutoff)
     later = chsh_matrix(eta, space, angles)
     fresh = chsh_matrix(eta, space, AngleSet(*phases))
     assert first.hex() == later.hex() == fresh.hex()
+
+
+@pytest.mark.parametrize("orientation", [1.0, -1.0])
+@pytest.mark.parametrize("signs", ODD_PATTERNS,
+                         ids=lambda signs: "".join("+-"[s < 0.0] for s in signs))
+@settings(EXAMPLES, max_examples=25)
+@given(st.lists(FINITE, min_size=4, max_size=4), FINITE, FINITE)
+def test_closed_form_value_is_the_per_call_oracle_to_the_bit(signs, orientation, phases,
+                                                             prefactor, constant):
+    form = ClosedFormCorrelator(prefactor, signs, constant, orientation)
+    oracle = per_call_closed_value(form, AngleSet(*phases)).hex()
+    assert first_later_fresh_and_copies(form.value, phases) == [oracle] * 6
+
+
+@EXAMPLES
+@given(st.lists(FINITE, min_size=4, max_size=4),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_chsh_closed_is_the_per_call_oracle_to_the_bit(phases, eta):
+    oracle = per_call_chsh_closed(eta, AngleSet(*phases)).hex()
+    assert first_later_fresh_and_copies(lambda a: chsh_closed(eta, a), phases) == [oracle] * 6

@@ -61,8 +61,11 @@ class TestAngleSet:
         angles = AngleSet(0.4, -1.3, 0.9, 2.2)
         before = (repr(angles), hash(angles), dataclasses.replace(angles, beta2=0.5))
         twin = AngleSet(0.4, -1.3, 0.9, 2.2)
-        flips = angles.pair_flips
+        flips, cosines = angles.pair_flips, angles.pair_cosines
         assert angles.pair_flips is flips and not flips.flags.writeable
+        assert angles.pair_cosines is cosines and sorted(cosines) == [-1.0, 1.0]
+        with pytest.raises(TypeError):
+            cosines[1.0] = (0.0, 0.0, 0.0, 0.0)
         assert (repr(angles), hash(angles), dataclasses.replace(angles, beta2=0.5)) == before
         assert angles == twin and hash(angles) == hash(twin) and repr(angles) == repr(twin)
         assert dataclasses.asdict(angles) == dataclasses.asdict(twin)
@@ -74,10 +77,13 @@ class TestAngleSet:
         ids=["copy", "deepcopy", "pickle"])
     def test_copies_rebuild_read_only_flips(self, duplicate):
         angles = AngleSet(0.4, -1.3, 0.9, 2.2)
-        flips = angles.pair_flips
+        flips, cosines = angles.pair_flips, angles.pair_cosines
         twin = duplicate(angles)
         assert twin == angles and not twin.pair_flips.flags.writeable
         assert twin.pair_flips.tobytes() == flips.tobytes()
+        assert twin.pair_cosines is not cosines and twin.pair_cosines == cosines
+        with pytest.raises(TypeError):
+            twin.pair_cosines[-1.0] = (0.0, 0.0, 0.0, 0.0)
 
     def test_wrapping_preserves_cosine_sums(self):
         a = AngleSet(3 * math.pi + 0.2, 0.1, -9.0, 2.5)
@@ -318,9 +324,10 @@ class TestOptimizer:
     @pytest.mark.parametrize("orientation", [0.5, 0.0, -2.0, math.nan,
                                              np.array([1.0, 1.0])])
     def test_orientation_other_than_unit_rejected(self, orientation):
-        form = ClosedFormCorrelator(1.0, (-1.0, -1.0, -1.0, 1.0), orientation=orientation)
+        # refused at construction: the cosines exist for +1 and -1 only
         with pytest.raises(DomainError, match="orientation of [+]-1"):
-            optimize_angles(form)
+            optimize_angles(ClosedFormCorrelator(1.0, (-1.0, -1.0, -1.0, 1.0),
+                                                 orientation=orientation))
 
     def test_matches_grid_sweep_oracle_on_package_forms(self):
         for form in (spin.spin_closed_form(spin.SPIN_ONE), fock.squeezed_closed_form(0.7)):

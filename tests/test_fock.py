@@ -45,6 +45,7 @@ from helpers import (
     ladder_matrices,
     pair_index_chsh,
     parity_axis_chsh,
+    per_call_chsh_closed,
     random_state,
     series_squeezed_state,
 )
@@ -66,6 +67,28 @@ def flip_builds(monkeypatch):
 
     monkeypatch.setattr(chsh, "_flip_stack", recording)
     return builds
+
+
+@pytest.fixture
+def cosine_calls(monkeypatch):
+    """Records the argument of each ``math.cos`` call."""
+    calls = []
+    cos = math.cos
+
+    def recording(x):
+        calls.append(x)
+        return cos(x)
+
+    monkeypatch.setattr(math, "cos", recording)
+    return calls
+
+
+def phase_sums(angles: AngleSet) -> list[float]:
+    """The eight arguments of ``AngleSet.pair_cosines``, sorted: each
+    ``alpha_i + o * beta_j`` for ``o`` of +-1."""
+    a1, a2, b1, b2 = angles.as_tuple()
+    return sorted(a + o * b for o in (1.0, -1.0) for a, b in ((a1, b1), (a2, b1),
+                                                             (a1, b2), (a2, b2)))
 
 
 def kron_flip(cutoff: int, side: str, phase: float) -> np.ndarray:
@@ -446,6 +469,25 @@ class TestClosedForms:
         assert fock.pair_amplitude(1.0) == 1.0
         assert not hasattr(bellchsh, "pair_amplitude")
 
+    def test_cosines_once_per_angle_set(self, cosine_calls):
+        # the cosines depend on the angles only: repeated calls over any eta
+        # read the eight the first call computed
+        angles = AngleSet(0.4, -1.3, 0.9, 2.2)
+        etas = (0.1, 0.6, 0.6, 0.95)
+        values = [chsh_closed(eta, angles) for eta in etas]
+        assert sorted(cosine_calls) == phase_sums(angles)
+        assert [v.hex() for v in values] == [
+            per_call_chsh_closed(eta, angles).hex() for eta in etas]
+
+    def test_squeeze_scan_reads_its_cosines_once(self, monkeypatch, cosine_calls, capsys):
+        # a fresh copy of the default angles, so no earlier test has built them;
+        # 11 rows, each a closed form on the one set, the upper endpoint's too
+        fresh = dataclasses.replace(MAX_VIOLATION_ANGLES)
+        monkeypatch.setattr(fock, "MAX_VIOLATION_ANGLES", fresh)
+        assert cli.main(["squeeze-scan"]) == 0
+        assert capsys.readouterr().out.count("\n") == 12  # header, 9 grid rows, 2 endpoints
+        assert sorted(cosine_calls) == phase_sums(fresh)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             chsh_closed(0.0, MAX_VIOLATION_ANGLES)
@@ -589,7 +631,7 @@ class TestSchmidtRoute:
         fresh = dataclasses.replace(MAX_VIOLATION_ANGLES)
         monkeypatch.setattr(fock, "MAX_VIOLATION_ANGLES", fresh)
         assert cli.main(["squeeze-scan"]) == 0
-        assert capsys.readouterr().out.count("\n") == 12  # header, 10 grid rows, 2 endpoints
+        assert capsys.readouterr().out.count("\n") == 12  # header, 9 grid rows, 2 endpoints
         assert [phases.tolist() for phases, _ in flip_builds] == [list(fresh.as_tuple())]
 
 
