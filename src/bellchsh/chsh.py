@@ -34,7 +34,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 #: MAX_FLIP_DIM**2`` complex entries (256 MiB), checked before allocation.
 MAX_FLIP_DIM = 2048
 
-#: The one level pair of a flip's 2 x 2 block: ``AngleSet.pair_flips``.
+#: The one level pair of the 2 x 2 flip blocks of ``AngleSet.pair_kernel``.
 _BLOCK_PAIRS = np.array([(0, 1)])
 
 
@@ -54,7 +54,7 @@ class AngleSet:
     reduction never changes a value.  A non-finite phase, or one that is
     no real number, raises ``DomainError``.
 
-    :attr:`pair_flips` and :attr:`pair_cosines` are each built once per
+    :attr:`pair_kernel` and :attr:`pair_cosines` are each built once per
     object, at first use, and are no fields: equality, hash, repr and
     copies read the four phases only, and a copy builds its own.
     """
@@ -75,15 +75,19 @@ class AngleSet:
         return (self.alpha1, self.alpha2, self.beta1, self.beta2)
 
     def __getstate__(self) -> dict:
-        """The four phases alone, so a copy builds its own read-only flips."""
+        """The four phases alone, so a copy builds its own read-only kernel."""
         return asdict(self)
 
     @functools.cached_property
-    def pair_flips(self) -> np.ndarray:
-        """Read-only ``(4, 2, 2)`` stack of the 2 x 2 flips of A1, A2, B1, B2:
-        byte for byte ``phase_flip(2, np.array([(0, 1)]), np.array(
-        self.as_tuple()))``, without its check of the phases checked here."""
-        return _flip_stack(2, _BLOCK_PAIRS, np.array(self.as_tuple()))
+    def pair_kernel(self) -> np.ndarray:
+        """Read-only ``(2, 2)`` kernel ``a1 * (b1 + b2) + a2 * (b1 - b2)`` of
+        the 2 x 2 flips of A1, A2, B1, B2: byte for byte those of ``phase_flip(
+        2, np.array([(0, 1)]), np.array(self.as_tuple()))``, built without
+        its check of the phases checked here."""
+        a1, a2, b1, b2 = _flip_stack(2, _BLOCK_PAIRS, np.array(self.as_tuple()))
+        kernel = a1 * (b1 + b2) + a2 * (b1 - b2)
+        kernel.setflags(write=False)
+        return kernel
 
     @functools.cached_property
     def pair_cosines(self) -> types.MappingProxyType:
@@ -114,7 +118,7 @@ def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.nda
     named by ``errors.named``, a long array by its shape, not listed.
 
     This is the one checked entry to the one flip build, ``_flip_stack``;
-    ``AngleSet.pair_flips`` shares that build, calling it directly on the
+    ``AngleSet.pair_kernel`` shares that build, calling it directly on the
     constant block pair and the phases the ``AngleSet`` has checked.
     """
     stacked = isinstance(phase, np.ndarray) and phase.ndim == 1
@@ -139,7 +143,7 @@ def phase_flip(dim: int, pairs: np.ndarray, phase: float | np.ndarray) -> np.nda
 
 
 def _flip_stack(levels: int, pairs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The flip build behind ``phase_flip`` and ``AngleSet.pair_flips``, on
+    """The flip build behind ``phase_flip`` and ``AngleSet.pair_kernel``, on
     arguments they have checked: an integer ``(n, 2)`` array of disjoint
     ``pairs`` in ``[0, levels)`` and a float array of finite ``phases``.
     Unchecked itself."""

@@ -17,11 +17,11 @@ block on each pair (the pseudospin of Chen, Pan, Hou & Zhang, PRL 88,
 040406, 2002), so ``<A (x) B> = sum_pq G_pq a_pq b_pq`` with the 2 x 2
 pair Gram ``G_pq = sum_k s_(2k+p) s_(2k+q)`` and the blocks ``a``,
 ``b``: ``chsh_matrix`` takes O(cutoff) time and memory per call.  The
-four blocks depend on the angles alone, so it reads them from
-``AngleSet.pair_flips``, built once per angle set by the flip build
-behind ``phase_flip``; a scan over eta with one angle set builds them
-once, and ``chsh_closed`` reads its cosines from ``AngleSet.pair_cosines``
-the same way.
+blocks, and so their kernel ``K = a1 o (b1 + b2) + a2 o (b1 - b2)``,
+depend on the angles alone, so it reads ``K`` from ``AngleSet.pair_kernel``,
+built once per angle set from the flip build behind ``phase_flip``; a
+scan over eta with one angle set builds it once, and ``chsh_closed``
+reads its cosines from ``AngleSet.pair_cosines`` the same way.
 For an even cutoff the renormalized truncated state reproduces the
 closed-form pair correlator
 
@@ -65,8 +65,9 @@ VIOLATION_WINDOW = (math.sqrt(2.0) - 1.0, 1.0)
 DEFAULT_CUTOFF = 40
 
 #: Largest per-mode cutoff, ``chsh.MAX_FLIP_DIM``: the amplitude matrix
-#: of ``squeezed_state`` then holds 2048**2 complex numbers (64 MB), the
-#: only ``cutoff**2`` array left; ``chsh_matrix`` builds none.
+#: of ``squeezed_state`` then holds 2048**2 complex numbers (64 MB), and
+#: ``fock_quadruple`` builds two ``(2, cutoff, cutoff)`` ``phase_flip``
+#: stacks (128 MB each); ``chsh_matrix`` builds no ``cutoff**2`` array.
 MAX_CUTOFF = MAX_FLIP_DIM
 
 
@@ -235,16 +236,15 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     Schmidt form.  The explicit amplitudes ``s_n = sqrt(1 - eta^2)
     eta**n``, renormalized, are viewed as ``(cutoff/2, 2)`` rows of pair
     ``k`` and parity ``p``, so the pair Gram is ``G = s^T s`` (2 x 2),
-    and each flip is its 2 x 2 block in ``angles.pair_flips``, built at the
-    set's first use: ``sum G o (A1 o (B1 + B2) + A2 o (B1 - B2))``
-    entrywise.  O(cutoff) per call; no ``cutoff**2`` array and no
-    quadruple is built.  An imaginary residue above 1e-10 raises
-    ``PrecisionError``.
+    and each flip is its 2 x 2 block: ``sum G o K`` entrywise, with the
+    kernel ``K = A1 o (B1 + B2) + A2 o (B1 - B2)`` of the blocks in
+    ``angles.pair_kernel``, built at the set's first use.  O(cutoff) per
+    call; no ``cutoff**2`` array and no quadruple is built.  An imaginary
+    residue above 1e-10 raises ``PrecisionError``.
     """
     eta = _check_eta(eta)
     amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
     amp /= math.sqrt(amp @ amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs
-    a1, a2, b1, b2 = angles.pair_flips
-    return _real_correlator((gram * (a1 * (b1 + b2) + a2 * (b1 - b2))).sum())
+    return _real_correlator((gram * angles.pair_kernel).sum())

@@ -1,14 +1,14 @@
 """Property tests of ``chsh.AngleSet``: the wrap to [-pi, pi), and the
-flips and cosines each angle set builds once.
+kernel and cosines each angle set builds once.
 
 Every finite float must wrap into the half-open interval, the one ulp
-below -pi included.  ``fock.chsh_matrix`` must give the same bytes on an
-angle set's first call, which builds ``AngleSet.pair_flips``, on a later
-call, which reads them, and on an equal fresh set.  So must
-``ClosedFormCorrelator.value`` and ``fock.chsh_closed``, which read
-``AngleSet.pair_cosines``, on a copy, a deep copy and an unpickled set
-too, each equal to the bytes of its per-call oracle.  The search is
-derandomized, so the module runs the same examples every time.
+below -pi included.  ``fock.chsh_matrix``, which reads
+``AngleSet.pair_kernel``, and ``ClosedFormCorrelator.value`` and
+``fock.chsh_closed``, which read ``AngleSet.pair_cosines``, must each give
+the bytes of their per-call oracle on an angle set's first call, which
+builds what it reads, on a later call, on an equal fresh set, and on a
+copy, a deep copy and an unpickled copy of the built set.  The search
+is derandomized, so the module runs the same examples every time.
 """
 
 import copy
@@ -24,7 +24,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from bellchsh import (  # noqa: E402
     AngleSet, ClosedFormCorrelator, FockSpace, chsh_closed, chsh_matrix)
 from bellchsh.chsh import wrap_angle  # noqa: E402
-from helpers import per_call_chsh_closed, per_call_closed_value  # noqa: E402
+from helpers import (  # noqa: E402
+    four_call_chsh_matrix, per_call_chsh_closed, per_call_closed_value)
 
 EXAMPLES = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -53,13 +54,12 @@ def test_every_finite_angle_wraps_into_the_half_open_interval(theta):
 
 @EXAMPLES
 @given(st.lists(st.floats(-7.0, 7.0), min_size=4, max_size=4),
-       st.floats(1e-8, 0.999), st.sampled_from([4, 40, 512]))
+       st.floats(1e-8, 0.999), st.sampled_from([4, 40, 512, 2048]))
 def test_first_later_and_fresh_equal_calls_agree_to_the_bit(phases, eta, cutoff):
-    angles, space = AngleSet(*phases), FockSpace(cutoff)
-    first = chsh_matrix(eta, space, angles)
-    later = chsh_matrix(eta, space, angles)
-    fresh = chsh_matrix(eta, space, AngleSet(*phases))
-    assert first.hex() == later.hex() == fresh.hex()
+    space = FockSpace(cutoff)
+    oracle = four_call_chsh_matrix(eta, space, AngleSet(*phases)).real.hex()
+    assert first_later_fresh_and_copies(lambda a: chsh_matrix(eta, space, a), phases) == [
+        oracle] * 6
 
 
 @pytest.mark.parametrize("orientation", [1.0, -1.0])

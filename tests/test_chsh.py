@@ -61,8 +61,8 @@ class TestAngleSet:
         angles = AngleSet(0.4, -1.3, 0.9, 2.2)
         before = (repr(angles), hash(angles), dataclasses.replace(angles, beta2=0.5))
         twin = AngleSet(0.4, -1.3, 0.9, 2.2)
-        flips, cosines = angles.pair_flips, angles.pair_cosines
-        assert angles.pair_flips is flips and not flips.flags.writeable
+        kernel, cosines = angles.pair_kernel, angles.pair_cosines
+        assert angles.pair_kernel is kernel and not kernel.flags.writeable
         assert angles.pair_cosines is cosines and sorted(cosines) == [-1.0, 1.0]
         with pytest.raises(TypeError):
             cosines[1.0] = (0.0, 0.0, 0.0, 0.0)
@@ -77,10 +77,10 @@ class TestAngleSet:
         ids=["copy", "deepcopy", "pickle"])
     def test_copies_rebuild_read_only_flips(self, duplicate):
         angles = AngleSet(0.4, -1.3, 0.9, 2.2)
-        flips, cosines = angles.pair_flips, angles.pair_cosines
+        kernel, cosines = angles.pair_kernel, angles.pair_cosines
         twin = duplicate(angles)
-        assert twin == angles and not twin.pair_flips.flags.writeable
-        assert twin.pair_flips.tobytes() == flips.tobytes()
+        assert twin == angles and not twin.pair_kernel.flags.writeable
+        assert twin.pair_kernel is not kernel and twin.pair_kernel.tobytes() == kernel.tobytes()
         assert twin.pair_cosines is not cosines and twin.pair_cosines == cosines
         with pytest.raises(TypeError):
             twin.pair_cosines[-1.0] = (0.0, 0.0, 0.0, 0.0)

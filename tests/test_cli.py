@@ -252,7 +252,7 @@ class TestOptimize:
 
         def with_built_flips(form):
             angles, best = optimize(form)
-            angles.pair_flips, angles.pair_cosines
+            angles.pair_kernel, angles.pair_cosines
             return angles, best
 
         monkeypatch.setattr(cli, "optimize_angles", with_built_flips)

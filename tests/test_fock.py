@@ -612,7 +612,10 @@ class TestSchmidtRoute:
         assert [phases.tolist() for phases, _ in flip_builds] == [
             list(a.as_tuple()) for a in angle_sets]
         for angles, (phases, built) in zip(angle_sets, flip_builds):
-            assert angles.pair_flips is built
+            a1, a2, b1, b2 = built
+            kernel = angles.pair_kernel
+            assert kernel.tobytes() == (a1 * (b1 + b2) + a2 * (b1 - b2)).tobytes()
+            assert kernel.shape == (2, 2) and not kernel.flags.writeable
             assert built.tobytes() == phase_flip(2, pair, phases).tobytes()
             assert not built.flags.writeable
 
