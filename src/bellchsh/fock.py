@@ -4,7 +4,8 @@ The two bosonic modes are truncated to ``cutoff`` levels each (total
 dimension ``cutoff**2``).  A state is stored as its ``cutoff**2``
 amplitudes, which reshape to the ``cutoff x cutoff`` matrix ``Psi``;
 every operator is kept as per-mode ``cutoff x cutoff`` factors (a
-local flip, or a ``FactoredOperator`` of ladder products), so memory
+local flip, or a ``FactoredOperator`` of ladder products whose identity
+factors are ``None``), so memory
 and time grow as ``cutoff**2`` to ``cutoff**3``, never ``cutoff**4``.
 The cutoff must be even so the parity-pair flip operators, which swap
 levels ``2k <-> 2k+1``, close on the truncated space and square
@@ -70,6 +71,11 @@ DEFAULT_CUTOFF = 40
 #: stacks (128 MB each); ``chsh_matrix`` builds no ``cutoff**2`` array.
 MAX_CUTOFF = MAX_FLIP_DIM
 
+#: ``1080 ln 2``: ``chsh_matrix`` writes each power ``eta**n`` with
+#: ``-n ln eta`` above this as a zero, since its true value is below
+#: 2**-1080, under half the smallest subnormal 2**-1074.
+_UNDERFLOW_LOG = 1080 * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class FockSpace:
@@ -106,13 +112,13 @@ def pair_amplitude(eta: float) -> float:
     return 2.0 * eta / (1.0 + eta * eta)
 
 
-def _mode_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode factors (lowering, raising, number, identity) of every
-    two-mode operator."""
+def _mode_factors(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-mode factors (lowering, raising, number) of every two-mode
+    operator; the identity is the factor ``None``."""
     low = np.zeros((cutoff, cutoff), dtype=complex)
     n = np.arange(1, cutoff)
     low[n - 1, n] = np.sqrt(n)
-    return low, low.conj().T, np.diag(np.arange(cutoff)).astype(complex), np.eye(cutoff)
+    return low, low.conj().T, np.diag(np.arange(cutoff)).astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +164,15 @@ def bogoliubov_pair(eta: float, space: FockSpace) -> BogoliubovPair:
     """Build the mixed-mode pair (alpha, beta) for the given squeezing,
     each as its two terms over the per-mode lowering factor ``low`` and
     raising factor ``raz = low^dagger``: ``alpha = s (low (x) 1 - eta 1 (x) raz)``
-    with ``s = 1/sqrt(1 - eta^2)``, and ``beta`` mirrored."""
+    with ``s = 1/sqrt(1 - eta^2)``, and ``beta`` mirrored.  Each identity
+    factor is ``None``, so each operator holds two factors and applies
+    as two factor products."""
     eta = _check_eta(eta)
-    low, raz, _, eye = _mode_factors(space.cutoff)
+    low, raz, _ = _mode_factors(space.cutoff)
     scale = 1.0 / math.sqrt(1.0 - eta * eta)
     return BogoliubovPair(
-        alpha=FactoredOperator(((scale, low, eye), (-scale * eta, eye, raz))),
-        beta=FactoredOperator(((scale, eye, low), (-scale * eta, raz, eye))),
+        alpha=FactoredOperator(((scale, low, None), (-scale * eta, None, raz))),
+        beta=FactoredOperator(((scale, None, low), (-scale * eta, raz, None))),
     )
 
 
@@ -176,20 +184,21 @@ def squeezed_hamiltonian(eta: float, space: FockSpace) -> FactoredOperator:
         + 2 eta^2/(1-eta^2)
 
     The constant term is fixed by H = alpha_dag alpha + beta_dag beta,
-    which makes H |eta> vanish up to the cutoff residue.  Kept as five
-    per-mode factor products.
+    which makes H |eta> vanish up to the cutoff residue.  Kept as four
+    per-mode factor products, with ``None`` for each identity factor,
+    and the constant as a scalar term ``(c, None, None)``.
     """
     eta = _check_eta(eta)
-    low, raz, num, eye = _mode_factors(space.cutoff)
+    low, raz, num = _mode_factors(space.cutoff)
     one_minus = 1.0 - eta * eta
     number = (1.0 + eta * eta) / one_minus
     pair = -2.0 * eta / one_minus
     return FactoredOperator((
-        (number, num, eye),
-        (number, eye, num),
+        (number, num, None),
+        (number, None, num),
         (pair, raz, raz),
         (pair, low, low),
-        (2.0 * eta * eta / one_minus, eye, eye),
+        (2.0 * eta * eta / one_minus, None, None),
     ))
 
 
@@ -241,9 +250,20 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
     ``angles.pair_kernel``, built at the set's first use.  O(cutoff) per
     call; no ``cutoff**2`` array and no quadruple is built.  An imaginary
     residue above 1e-10 raises ``PrecisionError``.
+
+    Only the first ``live = ceil(1080 ln 2 / -ln eta) + 1`` powers of
+    eta are computed, when that is fewer than ``cutoff``.  Each later one
+    has a true value below 2**-1080, which ``pow`` rounds to +0 on its
+    slow subnormal path, so it is written as a zero directly: the bytes
+    are those of the full power vector.
     """
     eta = _check_eta(eta)
-    amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
+    live = math.ceil(_UNDERFLOW_LOG / -math.log(eta)) + 1
+    if live < space.cutoff:
+        amp = np.zeros(space.cutoff)
+        amp[:live] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(live)
+    else:
+        amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
     amp /= math.sqrt(amp @ amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs

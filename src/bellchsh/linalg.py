@@ -4,7 +4,9 @@ Kets are complex vectors.  An operator on one factor is a read-only
 complex square ``ndarray`` (``square_matrix``).  A two-party operator
 on ``H_A (x) H_B`` is a ``FactoredOperator``: the term list of
 ``sum_k c_k L_k (x) R_k``, which acts on kets (``apply``) and has no
-operator arithmetic; its builder writes out every term.  Bipartite
+operator arithmetic; its builder writes out every term, and a factor
+written ``None`` is the identity on its side, so ``A (x) 1`` stores
+and multiplies by ``A`` alone.  Bipartite
 kets use the row-major composite index convention
 
     index = i_left * dim_right + i_right
@@ -19,7 +21,7 @@ operations are pure functions and safe to evaluate concurrently.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,17 +91,21 @@ class FactoredOperator:
     terms : non-empty list or tuple of (coefficient, left, right)
         ``coefficient`` is finite when read by ``errors.to_number`` (so
         text and an array that is not 0-d are refused), ``left`` a square
-        ndarray on H_A and ``right`` one on H_B (``square_matrix``); every
-        term has the same two factor dimensions.  Anything else raises
-        ``ShapeError``.
+        ndarray on H_A and ``right`` one on H_B (``square_matrix``), or
+        ``None`` for the identity on that side.  Each side takes its
+        dimension from its ndarray factors, so at least one term gives
+        each side an ndarray, and they all have the same dimension.
+        Anything else raises ``ShapeError``.
 
     The only operation is ``apply``; there is no operator arithmetic,
     so a builder writes each term out.  Memory and ``apply`` cost grow
     with the factor dimensions, never with the square of the product
-    dimension.
+    dimension, and an identity side costs neither: it is kept as
+    ``None`` and never multiplied by.
     """
 
     terms: tuple
+    dims: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
         if not (isinstance(self.terms, (list, tuple)) and self.terms and all(
@@ -107,23 +113,37 @@ class FactoredOperator:
                 and cmath.isfinite(to_number(term[0], complex)) for term in self.terms)):
             raise ShapeError(f"a factored operator needs a non-empty list of "
                              f"(coefficient, left, right) terms, got {named(self.terms)}")
-        terms = tuple((to_number(c, complex), square_matrix(left), square_matrix(right))
+        terms = tuple((to_number(c, complex), _factor(left), _factor(right))
                       for c, left, right in self.terms)
-        dims = {(left.shape[0], right.shape[0]) for _, left, right in terms}
-        if len(dims) != 1:
-            raise ShapeError(f"terms have mixed factor dims {sorted(dims)}")
+        dims = []
+        for side, name in ((1, "left"), (2, "right")):
+            side_dims = {term[side].shape[0] for term in terms if term[side] is not None}
+            if len(side_dims) != 1:  # None only, or mixed
+                raise ShapeError(f"the {name} side needs ndarray factors of one dim, "
+                                 f"got dims {sorted(side_dims)}")
+            dims += side_dims
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        _, left, right = self.terms[0]
-        return left.shape[0], right.shape[0]
+        object.__setattr__(self, "dims", tuple(dims))
 
     def apply(self, psi: Ket) -> Ket:
-        """Action on a bipartite ket: ``sum_k c_k L_k Psi R_k^T``."""
+        """Action on a bipartite ket: ``sum_k c_k L_k Psi R_k^T``, with no
+        product for a ``None`` (identity) factor."""
         dim_a, dim_b = self.dims
         if psi.dim != dim_a * dim_b:
             raise ShapeError(f"operator dims {dim_a}x{dim_b} vs ket dim {psi.dim}")
         mat = psi.amplitudes.reshape(dim_a, dim_b)
-        out = sum(c * (left @ mat @ right.T) for c, left, right in self.terms)
+        out = sum(c * _sandwich(left, mat, right) for c, left, right in self.terms)
         return Ket(out.ravel())
+
+
+def _factor(entries) -> np.ndarray | None:
+    """A term's factor: ``None`` (the identity) kept, anything else a
+    ``square_matrix``."""
+    return None if entries is None else square_matrix(entries)
+
+
+def _sandwich(left: np.ndarray | None, mat: np.ndarray, right: np.ndarray | None) -> np.ndarray:
+    """``left @ mat @ right.T``, each ``None`` factor left out."""
+    if left is not None:
+        mat = left @ mat
+    return mat if right is None else mat @ right.T

@@ -10,8 +10,8 @@ once.  An argv is written as the shell would split it, on whitespace;
   are exact, so they are checked only on the platform whose key
   ``tests/reference/platform.json`` stores.
 - ``PEAK_MB``: a bound on the peak RSS of a pinned row's CSV run.  The
-  reading is floored at the runner's own peak at spawn, ~32 MB with numpy;
-  each bound is above that floor, so a pass bounds the CLI's own peak.
+  CLI is spawned by a small launcher process (``LAUNCHER``), so the
+  reading is the CLI's own peak, not floored at the runner's.
 - ``REFUSED``: exit 2 with one ``configuration error: `` line of under
   1,000 bytes on stderr, and no traceback.
 - ``USAGE_ERRORS``: exit 2 from argparse, its usage lines and one
@@ -35,6 +35,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import platform
@@ -42,7 +43,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 
 import numpy as np
 
@@ -88,17 +88,22 @@ PINNED = {
                           "27ab4bde003d8594d0b3f85518af61b0"),
     "squeeze-scan-100k": ("squeeze-scan --eta-range 0.01:0.99:100000", 1000,
                           "b6f24eb4d5b9d8fe5fd140d372defd8b"),
+    "squeeze-scan-cutoff-2048-100k": ("squeeze-scan --cutoff 2048 --eta-range 0.01:0.99:100000",
+                                      1000, "67c56dfd3f739f7797cf5d1d24af4888"),
 }
 
 #: Pinned rows the in-process tests run.  The rest run in fresh processes
-#: only: the two 4096-node Gauss-Legendre rules take ~8 s, and the
-#: 100,000-row scans are there for their peak RSS.
+#: only: the two 4096-node Gauss-Legendre rules take ~8 s, the
+#: 100,000-row scans are there for their peak RSS, and the cutoff-2048
+#: one pins ``chsh_matrix`` where most powers of eta underflow.
 IN_PROCESS = [name for name in PINNED if name not in (
-    "kg-norm-quad-2048-normalize", "rindler-scan-100k", "squeeze-scan-100k")]
+    "kg-norm-quad-2048-normalize", "rindler-scan-100k", "squeeze-scan-100k",
+    "squeeze-scan-cutoff-2048-100k")]
 
 #: name -> bound in MB on the child's ``ru_maxrss``, read on Linux only (in KiB).
 PEAK_MB = {"squeeze-scan-cutoff-2048": 50.0, "rindler-scan-100k": 65.0,
-           "squeeze-scan-100k": 85.0, "kg-norm-quad-2048-normalize": 350.0}
+           "squeeze-scan-100k": 85.0, "kg-norm-quad-2048-normalize": 350.0,
+           "squeeze-scan-cutoff-2048-100k": 80.0}
 LINUX = sys.platform == "linux"
 
 REFUSED = (
@@ -240,22 +245,43 @@ def pinned_stdout(name: str, *extra: str) -> str:
     return out
 
 
+#: Run by ``run_fresh`` on Linux in place of the CLI: it spawns ``python -m
+#: bellchsh`` from its own small address space, waits for it, writes the
+#: child's ``ru_maxrss`` (KiB) to the fd given first, and exits with the
+#: child's code.  Linux carries the spawning process's high-water mark
+#: into the child's ``ru_maxrss``, so a child spawned by the runner, after
+#: the runner has read a large stdout, would read the runner's peak.
+LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "bellchsh", *sys.argv[2:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), str(usage.ru_maxrss).encode())
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def run_fresh(args: tuple[str, ...]) -> tuple[int, str, str, float | None]:
-    """Exit code, stdout, stderr and, on Linux, peak RSS in MB of
-    ``python -m bellchsh *args``, killed after 600 s."""
+    """Exit code, stdout, stderr and, on Linux, peak RSS in MB (NaN if it
+    was not read) of ``python -m bellchsh *args``, killed after 600 s."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        child = subprocess.Popen([sys.executable, "-m", "bellchsh", *args], stdout=out,
-                                 stderr=err, env=FRESH_ENV)
-        peak_mb = None
-        if LINUX:  # wait4 reaps the child, so Popen must not wait for it too
-            timer = threading.Timer(600, os.kill, (child.pid, signal.SIGKILL))
-            timer.start()
+        if LINUX:
+            read, write = os.pipe()
+            child = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(write), *args],
+                                     stdout=out, stderr=err, env=FRESH_ENV, pass_fds=(write,),
+                                     start_new_session=True)
+            os.close(write)
             try:
-                _, status, usage = os.wait4(child.pid, 0)
-            finally:
-                timer.cancel()
-            child.returncode, peak_mb = os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024
+                child.wait(timeout=600)
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)  # the launcher and the CLI
+                child.wait()
+            with os.fdopen(read, "rb") as peak:
+                kib = peak.read()
+            peak_mb = int(kib) / 1024 if kib else math.nan
         else:
+            child, peak_mb = subprocess.Popen([sys.executable, "-m", "bellchsh", *args],
+                                              stdout=out, stderr=err, env=FRESH_ENV), None
             child.wait(timeout=600)
         out.seek(0)
         err.seek(0)

@@ -1,8 +1,10 @@
 """Shared test oracles, independent of the library code paths they check.
 
-The library keeps two-party operators as local factors.  The oracle
-here builds the full-space Kronecker matrices instead; it is meant for
-small spaces (spin, and Fock cutoffs up to about 8).  The closed forms
+The library keeps two-party operators as local factors, with ``None``
+for an identity factor that it never multiplies by.  The oracle here
+builds the full-space Kronecker matrices instead, with an explicit
+``np.eye`` for each ``None``; it is meant for small spaces (spin, and
+Fock cutoffs up to about 8).  The closed forms
 only tests use (the total spin, the squeezed and the spin-1/2 pair
 correlators) live here too.
 
@@ -19,7 +21,11 @@ two-mode state: on the parity axes of its amplitude matrix, and by pair
 index, a swap of paired rows or columns times a phase.  The truncated
 ladder operators, which the library builds only as parts of the
 Bogoliubov pair and the Hamiltonian, are built here from the same
-per-mode factors.
+per-mode factors, each with its own stored identity on the other mode.
+
+The library computes only the powers of eta in ``chsh_matrix`` that do
+not underflow to zero, and writes the rest as zeros.  The oracle here
+computes every power, as the full vector ``full_powers``.
 
 The library builds the two flips of each quadruple side with one
 stacked ``phase_flip`` call.  ``phase_flip`` is the one checked entry
@@ -73,8 +79,11 @@ from bellchsh.errors import DomainError, PrecisionError, ShapeError
 
 
 def dense(op: FactoredOperator) -> np.ndarray:
-    """Full-space matrix sum_k c_k kron(L_k, R_k) of a factored operator."""
-    return sum(c * np.kron(left, right) for c, left, right in op.terms)
+    """Full-space matrix sum_k c_k kron(L_k, R_k) of a factored operator,
+    a ``None`` factor read as ``np.eye`` of its side's dimension."""
+    eye_a, eye_b = (np.eye(dim) for dim in op.dims)
+    return sum(c * np.kron(eye_a if left is None else left, eye_b if right is None else right)
+               for c, left, right in op.terms)
 
 
 def hermiticity_deviation(m: np.ndarray) -> float:
@@ -139,10 +148,17 @@ def four_call_quadruple(dims: tuple[int, int], pairs: tuple,
     )
 
 
+def full_powers(eta: float, cutoff: int) -> np.ndarray:
+    """The unnormalized squeezed amplitudes ``sqrt(1 - eta^2) eta**n`` for
+    n below ``cutoff``, every power computed, none written as a zero."""
+    return math.sqrt(1.0 - eta * eta) * eta ** np.arange(cutoff)
+
+
 def four_call_chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> complex:
-    """``fock.chsh_matrix`` before its real part is taken, with each 2 x 2
-    block from its own scalar ``phase_flip`` call."""
-    amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
+    """``fock.chsh_matrix`` before its real part is taken, on the
+    ``full_powers`` amplitudes, with each 2 x 2 block from its own scalar
+    ``phase_flip`` call."""
+    amp = full_powers(eta, space.cutoff)
     amp /= np.linalg.norm(amp)
     pairs = amp.reshape(-1, 2)
     gram = pairs.T @ pairs
@@ -225,14 +241,16 @@ def ladder_matrices(space: FockSpace) -> tuple[FactoredOperator, FactoredOperato
     """Truncated ladder operators (a, a_dag, b, b_dag), one term each:
     ``a = low (x) 1`` and ``a_dag = raz (x) 1`` with the library's
     per-mode lowering factor ``low`` and raising factor
-    ``raz = low^dagger``; ``b`` and ``b_dag`` mirror them.
+    ``raz = low^dagger``, and a stored ``np.eye`` for the identity;
+    ``b`` and ``b_dag`` mirror them.
 
     Within the cutoff they satisfy the canonical algebra; the only
     truncation artifact sits on the top level of each mode, where
     ``[a, a_dag]`` picks up the diagonal entry ``1 - cutoff`` instead
     of 1.  Cross-mode commutators such as ``[a, b_dag]`` vanish exactly.
     """
-    low, raz, _, eye = fock._mode_factors(space.cutoff)
+    low, raz, _ = fock._mode_factors(space.cutoff)
+    eye = np.eye(space.cutoff)
     return (FactoredOperator(((1.0, low, eye),)), FactoredOperator(((1.0, raz, eye),)),
             FactoredOperator(((1.0, eye, low),)), FactoredOperator(((1.0, eye, raz),)))
 

@@ -119,6 +119,8 @@ SQUARE = st.one_of(st.just(np.eye(2)), FOUR_COMPLEX.map(lambda v: v.reshape(2, 2
 MATRIX = st.one_of(HOSTILE, SEQUENCE, st.lists(st.lists(SHORT, max_size=3), max_size=3),
                    st.sampled_from([{}, [["a", "b"], ["c", "d"]], [[1, 0], [0]],
                                     [[[1]]], [[1, 0], [0, 1]]]), SQUARE)
+#: a term's factor: ``None``, the identity on its side, or ``MATRIX``
+IDENTITY_OR_MATRIX = st.one_of(st.none(), MATRIX)
 
 ANGLES = AngleSet(0.1, 0.2, 0.3, 0.4)
 SPACE = FockSpace(4)
@@ -169,6 +171,9 @@ TARGETS = {
     "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE, VECTOR)), Ket),
     "FactoredOperator-coefficient": (
         st.tuples(SHORT), lambda c: FactoredOperator(((c, np.eye(2), np.eye(2)),))),
+    "FactoredOperator-term": (
+        st.tuples(IDENTITY_OR_MATRIX, IDENTITY_OR_MATRIX),
+        lambda left, right: FactoredOperator(((1.0, left, right), (0.5, None, np.eye(2))))),
     "ChshQuadruple": (st.one_of(st.tuples(MATRIX, MATRIX, MATRIX, MATRIX),
                                 SQUARE.map(lambda m: (m,) * 4)), ChshQuadruple),
 }

@@ -192,6 +192,19 @@ class TestSqueezeScan:
         assert out == ""
         assert err.startswith("configuration error: cannot write --out ")
 
+    @pytest.mark.parametrize("shift,code", [(5e-9, 0), (5e-8, 3)])
+    def test_tolerance_floor_is_1e_8(self, capsys, monkeypatch, shift, code):
+        # at the default cutoff 40, every eta of the scan below ~0.76 is held
+        # to the floor alone: 5e-9 passes it, 5e-8 fails it
+        matrix = fock.chsh_matrix
+        monkeypatch.setattr(fock, "chsh_matrix",
+                            lambda eta, space, angles: matrix(eta, space, angles) + shift)
+        got, out, err = run(capsys, "squeeze-scan")
+        assert got == code
+        assert len(csv_rows(out)) == 11
+        assert err == ("" if code == 0 else "precision failure: closed form and matrix "
+                       "value disagree beyond tolerance\n")
+
     def test_zero_eta_rejected(self, capsys):
         code, _, err = run(capsys, "squeeze-scan", "--eta-range", "0:0.9:5")
         assert code == 2

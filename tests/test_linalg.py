@@ -185,6 +185,61 @@ class TestTensor:
         with pytest.raises(ShapeError):
             product(np.eye(2), np.eye(3)).apply(Ket(np.ones(5)))
 
+    @pytest.mark.parametrize("terms", [
+        ((2.0, None, None),),
+        ((1.0, np.eye(2), None),),
+        ((1.0, None, np.eye(3)), (0.5, None, None)),
+        ((1.0, np.eye(2), np.eye(3)), (1.0, None, np.eye(2))),
+        ((1.0, np.eye(2), None), (1.0, np.eye(3), np.eye(2))),
+    ], ids=["scalar-alone", "no-right-ndarray", "no-left-ndarray", "mixed-right",
+            "mixed-left"])
+    def test_identity_side_needs_one_ndarray_dim(self, terms):
+        # a None side takes its dim from the ndarray factors on that side
+        with pytest.raises(ShapeError, match="side needs ndarray factors of one dim"):
+            FactoredOperator(terms)
+
+
+class TestIdentityFactor:
+    """A ``None`` factor is the identity on its side, never multiplied by."""
+
+    @staticmethod
+    def random_terms(rng, dim_a, dim_b):
+        """Four terms over random complex factors: one with a ``None``
+        left, one with a ``None`` right, one with both, and one with
+        neither."""
+        def square(dim):
+            return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+        coefs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        return ((coefs[0], None, square(dim_b)), (coefs[1], square(dim_a), None),
+                (coefs[2], None, None), (coefs[3], square(dim_a), square(dim_b)))
+
+    @pytest.mark.parametrize("dim_a,dim_b", [(1, 1), (2, 3), (4, 4), (7, 2), (40, 40)])
+    def test_matches_explicit_identity(self, dim_a, dim_b):
+        rng = np.random.default_rng(23 + dim_a * dim_b)
+        eyes = (np.eye(dim_a), np.eye(dim_b))
+        for _ in range(10):
+            terms = self.random_terms(rng, dim_a, dim_b)
+            implicit = FactoredOperator(terms)
+            explicit = FactoredOperator(tuple(
+                (c, eyes[0] if left is None else left, eyes[1] if right is None else right)
+                for c, left, right in terms))
+            assert implicit.dims == explicit.dims == (dim_a, dim_b)
+            psi = random_state(rng, dim_a * dim_b)
+            got, want = implicit.apply(psi), explicit.apply(psi)
+            assert np.array_equal(np.abs(got.amplitudes), np.abs(want.amplitudes))
+            assert got.norm.hex() == want.norm.hex()
+
+    def test_kept_as_none(self):
+        a = np.arange(4.0).reshape(2, 2)
+        op = FactoredOperator(((1.0, a, None), (2.0, None, None), (3.0, None, np.eye(3))))
+        assert [(left is None, right is None) for _, left, right in op.terms] == [
+            (False, True), (True, True), (True, False)]
+        assert op.dims == (2, 3)
+        psi = random_state(np.random.default_rng(29), 6)
+        assert np.array_equal(dense(op), np.kron(a, np.eye(3)) + 5.0 * np.eye(6))
+        assert np.abs(op.apply(psi).amplitudes - dense(op) @ psi.amplitudes).max() <= 1e-13
+
     @pytest.mark.parametrize("coef", [math.nan, math.inf, complex(1, math.inf), 10**400,
                                       "2", b"2", np.str_("2"), np.array("2"), np.array([2.0])])
     def test_non_finite_coefficient_refused(self, coef):

@@ -16,7 +16,7 @@ from bellchsh import (
     temperature_scan,
     unruh_temperature,
 )
-from bellchsh import fock
+from bellchsh import fock, rindler
 from bellchsh.rindler import ScanRow
 
 from helpers import acceleration_squeezing, tau_exponential_form, tau_sech_form
@@ -222,6 +222,15 @@ class TestTemperatureScan:
             expected_flag = ScanRow.FLAG_TEXT if row.tau > 1.0 else ""
             assert row.flag == expected_flag
         assert any(r.supra_tsirelson for r in rows)
+
+    def test_flag_is_strictly_above_one(self, monkeypatch):
+        # a summed form of exactly 1.0 is the Tsirelson bound itself, not past it
+        monkeypatch.setattr(rindler, "_mode_sum", lambda modes, t: t)
+        grid = [0.5, 1.0, math.nextafter(1.0, 2.0), 2.0]
+        rows = temperature_scan(RindlerModeSet((1.0,)), grid)
+        assert [r.tau for r in rows] == grid
+        assert [r.supra_tsirelson for r in rows] == [False, False, True, True]
+        assert [r.flag for r in rows] == ["", "", ScanRow.FLAG_TEXT, ScanRow.FLAG_TEXT]
 
     def test_per_mode_contribution_inside_unit_interval(self):
         rng = np.random.default_rng(127)
