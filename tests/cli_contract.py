@@ -280,9 +280,10 @@ def run_fresh(args: tuple[str, ...]) -> tuple[int, str, str, float | None]:
                 kib = peak.read()
             peak_mb = int(kib) / 1024 if kib else math.nan
         else:
-            child, peak_mb = subprocess.Popen([sys.executable, "-m", "bellchsh", *args],
-                                              stdout=out, stderr=err, env=FRESH_ENV), None
+            child = subprocess.Popen([sys.executable, "-m", "bellchsh", *args],
+                                     stdout=out, stderr=err, env=FRESH_ENV)
             child.wait(timeout=600)
+            peak_mb = None
         out.seek(0)
         err.seek(0)
         return (child.returncode, out.read().decode("utf-8", "replace"),
