@@ -28,7 +28,7 @@ def main():
     print("=== spin-1 singlet ===")
     state = singlet(SPIN_ONE)
     print("amplitudes (composite index i_A * 3 + i_B):")
-    for i, amp in enumerate(state.amplitudes):
+    for i, amp in enumerate(state.amplitudes.ravel()):
         if amp != 0:
             print(f"  index {i}: {amp.real:+.6f}")
 

@@ -29,10 +29,10 @@ def main():
     eta = 0.6
     state = squeezed_state(eta, space)
     print(f"two-mode Fock space, cutoff {space.cutoff} per mode "
-          f"(dimension {space.dim})")
+          f"(dimension {space.cutoff ** 2})")
     print(f"squeezed state at eta = {eta}: first diagonal amplitudes")
     for n in range(5):
-        print(f"  |{n},{n}>: {state.ket.amplitudes[n * (space.cutoff + 1)].real:.6f}")
+        print(f"  |{n},{n}>: {state.ket.amplitudes[n, n].real:.6f}")
 
     pair = bogoliubov_pair(eta, space)
     print("\nthe mixed-mode operators annihilate the state (up to cutoff residue):")

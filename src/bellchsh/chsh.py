@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ShapeError, named, to_index, to_number, to_numbers
-from .linalg import Ket, square_matrix
+from .linalg import Ket, side_dim, square_matrix
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -187,14 +187,9 @@ class ChshQuadruple:
 
     @property
     def dims(self) -> tuple[int, int]:
-        """Factor dimensions ``(dim_A, dim_B)``."""
-        dims = []
-        for side in ((self.a1, self.a2), (self.b1, self.b2)):
-            side_dims = {op.shape[0] for op in side}
-            if len(side_dims) != 1:
-                raise ShapeError(f"quadruple side has mixed dims {sorted(side_dims)}")
-            dims.append(side_dims.pop())
-        return dims[0], dims[1]
+        """Factor dimensions ``(dim_A, dim_B)``; a side of mixed
+        dimensions raises ``ShapeError`` (``linalg.side_dim``)."""
+        return side_dim((self.a1, self.a2), "A"), side_dim((self.b1, self.b2), "B")
 
 
 def flip_quadruple(dims: tuple[int, int], pairs: tuple, angles: AngleSet) -> ChshQuadruple:
@@ -283,10 +278,9 @@ def chsh_value(psi: Ket, q: ChshQuadruple) -> float:
     is real; an imaginary residue above 1e-10 raises
     ``PrecisionError``.
     """
-    dim_a, dim_b = q.dims
-    if psi.dim != dim_a * dim_b:
-        raise ShapeError(f"state dim {psi.dim} vs quadruple dims {dim_a}x{dim_b}")
-    mat = psi.amplitudes.reshape(dim_a, dim_b)
+    mat = psi.amplitudes
+    if mat.shape != q.dims:
+        raise ShapeError(f"state shape {mat.shape} vs quadruple dims {q.dims}")
     y1 = mat @ q.b1.T
     y2 = mat @ q.b2.T
     c_psi = (q.a1 @ (y1 + y2)) + (q.a2 @ (y1 - y2))

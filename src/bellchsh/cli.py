@@ -226,7 +226,7 @@ def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
     ):
         angles = override or default_angles
         state = spin.singlet(kind)
-        for i, amp in enumerate(state.amplitudes):
+        for i, amp in enumerate(state.amplitudes.ravel()):  # the row-major ravel numbers the rows
             table[f"{name}_amplitude_{i}"] = float(amp.real)
         quadruple = spin.spin_quadruple(kind, angles)
         report = validate_quadruple(quadruple)

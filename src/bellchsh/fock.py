@@ -1,12 +1,11 @@
 """Truncated two-mode Fock space: squeezed states and their CHSH physics.
 
 The two bosonic modes are truncated to ``cutoff`` levels each (total
-dimension ``cutoff**2``).  A state is stored as its ``cutoff**2``
-amplitudes, which reshape to the ``cutoff x cutoff`` matrix ``Psi``;
-every operator is kept as per-mode ``cutoff x cutoff`` factors (a
-local flip, or a ``FactoredOperator`` of ladder products whose identity
-factors are ``None``), so memory
-and time grow as ``cutoff**2`` to ``cutoff**3``, never ``cutoff**4``.
+dimension ``cutoff**2``).  A state is its ``cutoff x cutoff`` amplitude
+matrix ``Psi``, and every operator is kept as per-mode ``cutoff x
+cutoff`` factors (a local flip, or a ``FactoredOperator`` of ladder
+products whose identity factors are ``None``), so memory and time grow
+as ``cutoff**2`` to ``cutoff**3``, never ``cutoff**4``.
 The cutoff must be even so the parity-pair flip operators, which swap
 levels ``2k <-> 2k+1``, close on the truncated space and square
 exactly to the identity.
@@ -94,10 +93,6 @@ class FockSpace:
                               f"got {named(self.cutoff)}", argument="cutoff")
         object.__setattr__(self, "cutoff", cutoff)
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff * self.cutoff
-
 
 def _check_eta(eta: float) -> float:
     eta = to_number(eta)
@@ -136,9 +131,8 @@ def squeezed_state(eta: float, space: FockSpace) -> SqueezedState:
     returned ket is renormalized to norm 1 exactly.
     """
     eta = _check_eta(eta)
-    n = space.cutoff
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[::n + 1] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(n)
+    diagonal = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
+    amp = np.diag(diagonal.astype(complex))
     amp /= np.linalg.norm(amp)
     return SqueezedState(ket=Ket(amp))
 

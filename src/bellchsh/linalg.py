@@ -1,20 +1,15 @@
 """Complex linear algebra on one factor and on a two-party product space.
 
-Kets are complex vectors.  An operator on one factor is a read-only
-complex square ``ndarray`` (``square_matrix``).  A two-party operator
-on ``H_A (x) H_B`` is a ``FactoredOperator``: the term list of
-``sum_k c_k L_k (x) R_k``, which acts on kets (``apply``) and has no
-operator arithmetic; its builder writes out every term, and a factor
-written ``None`` is the identity on its side, so ``A (x) 1`` stores
-and multiplies by ``A`` alone.  Bipartite
-kets use the row-major composite index convention
-
-    index = i_left * dim_right + i_right
-
-(the left factor is the slow index), so reshaping the amplitudes to
-``(dim_left, dim_right)`` gives the amplitude matrix ``Psi`` and
-``L (x) R`` acts as ``L Psi R^T``.  No matrix on the full product space
-is ever built.  Every object is immutable after construction, so all
+A two-party ket on ``H_A (x) H_B`` is its amplitude matrix ``Psi``, a
+read-only complex ``(dim_A, dim_B)`` ``ndarray`` (``Ket``).  An operator
+on one factor is a read-only complex square ``ndarray``
+(``square_matrix``).  A two-party operator is a ``FactoredOperator``:
+the term list of ``sum_k c_k L_k (x) R_k``, which acts on kets
+(``apply``) as ``sum_k c_k L_k Psi R_k^T`` and has no operator
+arithmetic; its builder writes out every term, and a factor written
+``None`` is the identity on its side, so ``A (x) 1`` stores and
+multiplies by ``A`` alone.  No matrix on the full product space is
+ever built.  Every object is immutable after construction, so all
 operations are pure functions and safe to evaluate concurrently.
 """
 
@@ -28,54 +23,58 @@ import numpy as np
 from .errors import ShapeError, named, to_number
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 def square_matrix(entries) -> np.ndarray:
     """Coerce an ndarray to a read-only, non-empty, square complex matrix:
     the form of every one-factor operator (see ``_complex_array``)."""
-    return _readonly(_complex_array(entries, 2, "operator entries"))
+    arr = _complex_array(entries, "operator entries")
+    if arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"operator entries must be a square matrix, got shape {arr.shape}")
+    return arr
 
 
-def _complex_array(value, ndim: int, what: str) -> np.ndarray:
-    """The ndarray ``value`` as a non-empty complex array of ``ndim``
-    dimensions, square when 2.  Anything else, a list or tuple included
-    (none is walked), and an array of another shape or not of numbers,
-    raises ``ShapeError`` naming ``what`` and the value by ``errors.named``
-    (a long ndarray by its shape and dtype)."""
+def _complex_array(value, what: str) -> np.ndarray:
+    """The ndarray ``value`` as a read-only, non-empty, 2-D complex array.
+    Anything else, a list or tuple included (none is walked), and an array
+    of another shape or not of numbers, raises ``ShapeError`` naming
+    ``what`` and the value by ``errors.named`` (a long ndarray by its
+    shape and dtype)."""
     try:
         arr = value.astype(complex, subok=False) if isinstance(value, np.ndarray) else None
     except (TypeError, ValueError, OverflowError):  # not numbers: refused below
         arr = None
-    if arr is None or arr.ndim != ndim or arr.size == 0 or arr.shape[0] != arr.shape[-1]:
-        shape = "1-D vector" if ndim == 1 else "square matrix"
-        raise ShapeError(f"{what} must be a non-empty {shape} of complex numbers, "
+    if arr is None or arr.ndim != 2 or arr.size == 0:
+        raise ShapeError(f"{what} must be a non-empty matrix of complex numbers, "
                          f"got {named(value)}")
+    arr.setflags(write=False)
     return arr
+
+
+def side_dim(factors, side: str) -> int:
+    """The one dimension of a side's ndarray ``factors``, each ``None``
+    (an identity) skipped; none, or mixed dimensions, raise ``ShapeError``."""
+    dims = {factor.shape[0] for factor in factors if factor is not None}
+    if len(dims) != 1:
+        raise ShapeError(f"the {side} side needs ndarray factors of one dim, "
+                         f"got dims {sorted(dims)}")
+    return dims.pop()
 
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """A state vector on an explicit finite-dimensional space.
+    """A two-party state on ``H_A (x) H_B``, kept as its amplitude matrix.
 
     Parameters
     ----------
     amplitudes : ndarray
-        Complex amplitudes, coerced to a read-only 1-D complex array
-        (anything else, a list or tuple included, raises ``ShapeError``).
+        The ``(dim_A, dim_B)`` amplitude matrix ``Psi``, coerced to a
+        read-only complex matrix (anything else, a 1-D vector, list or
+        tuple included, raises ``ShapeError``).
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _complex_array(self.amplitudes, 1, "ket amplitudes")
-        object.__setattr__(self, "amplitudes", _readonly(arr))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        object.__setattr__(self, "amplitudes", _complex_array(self.amplitudes, "ket amplitudes"))
 
     @property
     def norm(self) -> float:
@@ -115,25 +114,18 @@ class FactoredOperator:
                              f"(coefficient, left, right) terms, got {named(self.terms)}")
         terms = tuple((to_number(c, complex), _factor(left), _factor(right))
                       for c, left, right in self.terms)
-        dims = []
-        for side, name in ((1, "left"), (2, "right")):
-            side_dims = {term[side].shape[0] for term in terms if term[side] is not None}
-            if len(side_dims) != 1:  # None only, or mixed
-                raise ShapeError(f"the {name} side needs ndarray factors of one dim, "
-                                 f"got dims {sorted(side_dims)}")
-            dims += side_dims
+        dims = tuple(side_dim([term[side] for term in terms], name)
+                     for side, name in ((1, "left"), (2, "right")))
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "dims", tuple(dims))
+        object.__setattr__(self, "dims", dims)
 
     def apply(self, psi: Ket) -> Ket:
         """Action on a bipartite ket: ``sum_k c_k L_k Psi R_k^T``, with no
         product for a ``None`` (identity) factor."""
-        dim_a, dim_b = self.dims
-        if psi.dim != dim_a * dim_b:
-            raise ShapeError(f"operator dims {dim_a}x{dim_b} vs ket dim {psi.dim}")
-        mat = psi.amplitudes.reshape(dim_a, dim_b)
-        out = sum(c * _sandwich(left, mat, right) for c, left, right in self.terms)
-        return Ket(out.ravel())
+        mat = psi.amplitudes
+        if mat.shape != self.dims:
+            raise ShapeError(f"operator dims {self.dims} vs ket shape {mat.shape}")
+        return Ket(sum(c * _sandwich(left, mat, right) for c, left, right in self.terms))
 
 
 def _factor(entries) -> np.ndarray | None:

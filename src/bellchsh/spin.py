@@ -69,7 +69,7 @@ def singlet(spin: str) -> Ket:
     amp = np.zeros((levels, levels), dtype=complex)
     i = np.arange(levels)
     amp[i, levels - 1 - i] = (-1.0) ** i / math.sqrt(levels)
-    return Ket(amp.ravel())
+    return Ket(amp)
 
 
 def spin_quadruple(spin: str, angles: AngleSet) -> ChshQuadruple:

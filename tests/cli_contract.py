@@ -16,14 +16,18 @@ once.  An argv is written as the shell would split it, on whitespace;
   1,000 bytes on stderr, and no traceback.
 - ``USAGE_ERRORS``: exit 2 from argparse, its usage lines and one
   ``error:`` line, under 1,000 bytes in all.
+- ``DEMOS``: each script under ``demos/`` exits 0, and its stdout has
+  the md5 given; the md5 is exact, so it is checked only on the stored
+  platform, as the pins are.
 
 ``tests/test_cli_contract.py`` and ``tests/test_reference.py`` run the
 rows in-process through ``run_in_process``, which runs each argv once,
 and ``tests/reference/regenerate.py`` rewrites the CSV pins from them.
 Run as a script, this module runs every row in a fresh
-``python -m bellchsh`` process, under the warning filters of the test
-suite, prints the peak RSS of each bounded row next to its bound, and
-exits 1 if any row breaks its contract:
+``python -m bellchsh`` process and every demo in a fresh ``python``
+process, under the warning filters of the test suite, prints the peak
+RSS of each bounded row next to its bound, and exits 1 if any row or
+demo breaks its contract:
 
     python tests/cli_contract.py
 """
@@ -131,6 +135,14 @@ REFUSED = (
 USAGE_ERRORS = (
     f"optimize --eta {LONG}",
 )
+
+#: demo file under ``demos/`` -> md5 of its stdout
+DEMOS = {
+    "field_smearing.py": "ef1e58df755ec3b18290e6cf57c0addd",
+    "spin_singlets.py": "1792dddc2d3c0f6b0f37923d4b823071",
+    "squeezed_oscillator.py": "55bfff6be6390829dd32497cc7850c15",
+    "unruh_scan.py": "c8e21f17d0a8a252d3f4e2980abc7406",
+}
 
 #: The environment of a fresh ``python -m bellchsh``: ``src`` first on the
 #: path, and the warning filters of the test suite (``pyproject.toml``).
@@ -315,17 +327,33 @@ def fresh_faults(tmp: str, pinned=PINNED, refused=REFUSED, usage_errors=USAGE_ER
                 yield text, fault
 
 
+def demo_faults(demos=DEMOS):
+    """Run each demo in a fresh process and yield ``(demo, fault)`` for
+    one that exits non-zero, or whose stdout misses its md5."""
+    for name, stdout_md5 in demos.items():
+        done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], capture_output=True,
+                              text=True, env=FRESH_ENV, timeout=600)
+        if done.returncode:
+            yield name, f"exited {done.returncode}: {done.stderr[-2000:]}"
+        elif EXACT and md5(done.stdout) != stdout_md5:
+            yield name, f"stdout has md5 {md5(done.stdout)}, pinned {stdout_md5}"
+
+
 def main() -> int:
     rows = len(PINNED) + len(REFUSED) + len(USAGE_ERRORS)
     with tempfile.TemporaryDirectory() as tmp:
         faults = list(fresh_faults(tmp))
+    demos = list(demo_faults())
     for text, fault in faults:
         print(f"bellchsh {abridged(text)}: {fault}", file=sys.stderr)
+    for name, fault in demos:
+        print(f"demos/{name}: {fault}", file=sys.stderr)
     pins = "checked" if EXACT else "not checked: the platform key differs from the stored one"
     peaks = "checked" if LINUX else "not checked: ru_maxrss is read in KiB on Linux only"
-    print(f"{rows - len(dict(faults))} of {rows} contract rows hold in fresh processes "
-          f"(byte pins {pins}; peak RSS bounds {peaks})")
-    return 1 if faults else 0
+    print(f"{rows - len(dict(faults))} of {rows} contract rows and {len(DEMOS) - len(demos)} "
+          f"of {len(DEMOS)} demos hold in fresh processes (byte pins and demo md5s {pins}; "
+          f"peak RSS bounds {peaks})")
+    return 1 if faults or demos else 0
 
 
 if __name__ == "__main__":

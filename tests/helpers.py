@@ -8,11 +8,15 @@ Fock cutoffs up to about 8).  The closed forms
 only tests use (the total spin, the squeezed and the spin-1/2 pair
 correlators) live here too.
 
-So do the builders only tests use: the spin matrices, the spin-1
-coupling S_A . S_B whose -2 ground state is the singlet, and the
-composite index of |n, n>.  The library fixes the violation window at
-the constant (sqrt(2) - 1, 1); the oracle here bisects the closed-form
-CHSH excess for its lower endpoint.
+So do the builders only tests use: the spin matrices and the spin-1
+coupling S_A . S_B whose -2 ground state is the singlet.  The library
+keeps a two-party ket as its ``(dim_A, dim_B)`` amplitude matrix; the
+dense oracles here act on its row-major ravel, the composite index
+``i_A * dim_B + i_B`` that ``np.kron`` orders the full space by.
+
+The library fixes the violation window at the constant
+(sqrt(2) - 1, 1); the oracle here bisects the closed-form CHSH excess
+for its lower endpoint.
 
 The library evaluates the Fock-space parity flips of ``chsh_matrix`` on
 the Schmidt form of the squeezed state, as 2 x 2 blocks against the
@@ -109,13 +113,15 @@ def chsh_operator(q: ChshQuadruple) -> np.ndarray:
 
 
 def expectation(psi: Ket, m: np.ndarray) -> complex:
-    """Expectation value <psi|M|psi> of a dense matrix, normalized state."""
-    if psi.dim != m.shape[0]:
-        raise ShapeError(f"ket dim {psi.dim} vs operator dim {m.shape[0]}")
+    """Expectation value <psi|M|psi> of a dense full-space matrix, on the
+    row-major ravel of the amplitude matrix; normalized state."""
+    vec = psi.amplitudes.ravel()
+    if vec.size != m.shape[0]:
+        raise ShapeError(f"ket size {vec.size} vs operator dim {m.shape[0]}")
     if abs(psi.norm - 1.0) > 1e-9:
         raise ValueError(f"expectation requires a normalized state, "
                          f"||psi|| = {psi.norm!r}")
-    return complex(np.vdot(psi.amplitudes, m @ psi.amplitudes))
+    return complex(np.vdot(vec, m @ vec))
 
 
 def loop_phase_flip(dim: int, pairs, phase: float) -> np.ndarray:
@@ -193,7 +199,7 @@ def pair_index_chsh(psi: Ket, cutoff: int, angles: AngleSet) -> complex:
     pair index, in ``chsh_value``'s order: ``Y1 = Psi B1^T`` and
     ``Y2 = Psi B2^T`` as column flips, then ``A1 (Y1 + Y2) + A2 (Y1 - Y2)``
     as row flips."""
-    mat = psi.amplitudes.reshape(cutoff, cutoff)
+    mat = psi.amplitudes
     pairs = np.arange(cutoff).reshape(-1, 2)
     y1 = flip_rows(mat.T, pairs, angles.beta1).T
     y2 = flip_rows(mat.T, pairs, angles.beta2).T
@@ -253,11 +259,6 @@ def ladder_matrices(space: FockSpace) -> tuple[FactoredOperator, FactoredOperato
     eye = np.eye(space.cutoff)
     return (FactoredOperator(((1.0, low, eye),)), FactoredOperator(((1.0, raz, eye),)),
             FactoredOperator(((1.0, eye, low),)), FactoredOperator(((1.0, eye, raz),)))
-
-
-def diagonal_index(space: FockSpace, n: int) -> int:
-    """Composite index of the pair state |n, n>."""
-    return n * space.cutoff + n
 
 
 def spin_matrices(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -563,9 +564,12 @@ def power_iteration_norm(matrix: np.ndarray, iters: int = 2000,
     return last
 
 
-def random_state(rng: np.random.Generator, dim: int) -> Ket:
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return Ket(vec / np.linalg.norm(vec))
+def random_state(rng: np.random.Generator, dim_a: int, dim_b: int) -> Ket:
+    """A normalized random ket with a ``(dim_a, dim_b)`` amplitude matrix,
+    drawn as its row-major ravel."""
+    size = dim_a * dim_b
+    vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return Ket((vec / np.linalg.norm(vec)).reshape(dim_a, dim_b))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -597,11 +601,12 @@ def random_involution_quadruple(rng: np.random.Generator, dim_a: int,
 
 
 def series_squeezed_state(eta: float, cutoff: int) -> np.ndarray:
-    """Exponential-series construction of the squeezed state.
+    """Exponential-series construction of the squeezed state's amplitude
+    matrix.
 
-    Applies the truncated pair-creation matrix term by term to the
-    two-mode vacuum and renormalizes; independent of the closed-form
-    amplitude construction in the library.
+    Applies the truncated full-space pair-creation matrix term by term
+    to the two-mode vacuum and renormalizes; independent of the
+    closed-form amplitude construction in the library.
     """
     low = np.zeros((cutoff, cutoff))
     n = np.arange(1, cutoff)
@@ -616,4 +621,4 @@ def series_squeezed_state(eta: float, cutoff: int) -> np.ndarray:
         total = total + term
         if np.linalg.norm(term) == 0.0:
             break
-    return total / np.linalg.norm(total)
+    return (total / np.linalg.norm(total)).reshape(cutoff, cutoff)

@@ -1,0 +1,146 @@
+"""Mutation rows: small deliberate faults the test suite must catch.
+
+Each row of ``MUTANTS`` names a file, an ``old`` text that occurs in it
+exactly once, the ``new`` text that replaces it, the test files that
+should fail on the mutant, and why the line matters.  A row whose
+``equivalent`` holds a reason changes no result, for that reason, and
+is expected to survive.
+
+The runner copies ``src``, ``tests`` and ``pyproject.toml`` into a
+temporary directory, applies one row at a time to the copy, never to
+the working tree, and runs ``python -m pytest`` on the row's test
+files there.  A mutant is killed when pytest reports a failing test
+(exit 1).  The script prints one line per row and exits 1 if an ``old``
+text does not occur exactly once, pytest exits otherwise than 0 or 1, a
+mutant survives that is not marked equivalent, or one marked equivalent
+is killed:
+
+    python tests/mutants.py
+
+It uses the standard library only; the tests it runs need numpy, pytest
+and hypothesis.  Each row runs its test files in a fresh pytest
+process, with ``-x``, so it stops at the first failure.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    why: str
+    equivalent: str | None = None
+
+
+MUTANTS = (
+    Mutant("src/bellchsh/chsh.py", "(q.a2 @ (y1 - y2))", "(q.a2 @ (y2 - y1))",
+           ("tests/test_chsh.py",),
+           "chsh_value's A2 term: the sign of B2 in the CHSH combination"),
+    Mutant("src/bellchsh/linalg.py", "else mat @ right.T", "else mat @ right",
+           ("tests/test_linalg.py",),
+           "A (x) B acts on the amplitude matrix as A Psi B^T, not A Psi B"),
+    Mutant("src/bellchsh/spin.py", "amp[i, levels - 1 - i]", "amp[i, i]",
+           ("tests/test_spin.py",), "the singlet pairs m with -m: the anti-diagonal"),
+    Mutant("src/bellchsh/fock.py", "amp /= np.linalg.norm(amp)", "amp /= 1.0",
+           ("tests/test_fock.py",),
+           "squeezed_state renormalizes the truncated amplitudes, short by eta**(2 cutoff)"),
+    Mutant("src/bellchsh/fock.py", "amp /= math.sqrt(amp @ amp)", "amp /= 1.0",
+           ("tests/test_fock.py",), "chsh_matrix renormalizes its truncated Schmidt weights"),
+    Mutant("src/bellchsh/chsh.py", "kernel = a1 * (b1 + b2) + a2 * (b1 - b2)",
+           "kernel = a1 * (b1 + b2) + a2 * (b2 - b1)", ("tests/test_fock.py",),
+           "the pair kernel's A2 term: the sign of B2 in chsh_matrix"),
+    Mutant("src/bellchsh/cli.py", "max(1e-8, 20.0", "max(1e-6, 20.0", ("tests/test_cli.py",),
+           "squeeze-scan holds closed form and matrix value to a 1e-8 floor"),
+    Mutant("src/bellchsh/rindler.py", "supra_tsirelson=form > 1.0",
+           "supra_tsirelson=form >= 1.0", ("tests/test_rindler.py",),
+           "a summed form factor of exactly 1 is the Tsirelson bound, not past it"),
+    Mutant("src/bellchsh/kleingordon.py", "10.0 * p.momentum_width",
+           "8.0 * p.momentum_width", ("tests/test_kleingordon.py",),
+           "for_packets cuts the radial integral at center + 10 momentum widths"),
+    Mutant("src/bellchsh/cli.py", "_EXIT_CHECK = 3", "_EXIT_CHECK = 1", ("tests/test_cli.py",),
+           "a failed check exits 3, apart from usage and configuration errors (2)"),
+    Mutant("src/bellchsh/chsh.py", "abs(value.imag) <= 1e-10", "abs(value.imag) <= 1e-9",
+           ("tests/test_chsh.py",),
+           "a CHSH correlator with an imaginary residue above 1e-10 is refused"),
+    Mutant("src/bellchsh/chsh.py", "tolerance=1e-12 * dim,", "tolerance=1e-12,",
+           ("tests/test_chsh.py",),
+           "validate_quadruple's tolerance grows with the product dimension"),
+)
+
+#: The environment of each pytest run: the test suite's warning filters,
+#: and no bytecode written into the copy.
+ENV = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
+           PYTHONDONTWRITEBYTECODE="1")
+
+
+def occurrence_faults(mutants=MUTANTS, root=ROOT):
+    """Yield ``(row, fault)`` for each row whose ``old`` text does not
+    occur exactly once in its file."""
+    for row in mutants:
+        count = (root / row.file).read_text(encoding="utf-8").count(row.old)
+        if count != 1:
+            yield row, f"old text occurs {count} times in {row.file}, not once"
+
+
+def run_row(copy: pathlib.Path, row: Mutant) -> int:
+    """Apply ``row`` to the copy, run its tests there, restore the file,
+    and return pytest's exit code."""
+    path = copy / row.file
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace(row.old, row.new), encoding="utf-8")
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *row.tests],
+            cwd=copy, env=dict(ENV, PYTHONPATH=str(copy / "src")), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=600).returncode
+    finally:
+        path.write_text(text, encoding="utf-8")
+
+
+def verdict(row: Mutant, code: int) -> tuple[str, bool]:
+    """The printed outcome of a row whose pytest exited ``code``, and
+    whether it breaks the row's contract."""
+    if code not in (0, 1):
+        return f"pytest exited {code}", True
+    killed = code == 1
+    if row.equivalent:
+        return (f"killed, but marked equivalent: {row.equivalent}" if killed
+                else f"survived, equivalent: {row.equivalent}"), killed
+    return ("killed" if killed else "SURVIVED"), not killed
+
+
+def main() -> int:
+    faults = list(occurrence_faults())
+    for row, fault in faults:
+        print(f"{row.file}: {row.old!r}: {fault}", file=sys.stderr)
+    if faults:
+        return 1
+    broken = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        for row in MUTANTS:
+            outcome, fault = verdict(row, run_row(copy, row))
+            broken += fault
+            print(f"{row.file}: {row.old!r} -> {row.new!r}: {outcome} ({row.why})")
+    print(f"{len(MUTANTS) - broken} of {len(MUTANTS)} mutation rows hold")
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

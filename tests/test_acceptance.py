@@ -229,19 +229,19 @@ def test_criterion_10_tsirelson_property_suite():
 
     for _ in range(60):
         angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
-        check(chsh_value(random_state(rng, 4),
+        check(chsh_value(random_state(rng, 2, 2),
                          spin_quadruple(spin.SPIN_HALF, angles)))
     for _ in range(60):
         angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
-        check(chsh_value(random_state(rng, 9),
+        check(chsh_value(random_state(rng, 3, 3),
                          spin_quadruple(spin.SPIN_ONE, angles)))
     for _ in range(40):
         angles = AngleSet(*rng.uniform(-math.pi, math.pi, 4))
-        check(chsh_value(random_state(rng, fock_space.dim),
+        check(chsh_value(random_state(rng, 6, 6),
                          fock.fock_quadruple(fock_space, angles)))
     for _ in range(40):
         dim_a, dim_b = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        check(chsh_value(random_state(rng, dim_a * dim_b),
+        check(chsh_value(random_state(rng, dim_a, dim_b),
                          random_involution_quadruple(rng, dim_a, dim_b)))
     assert trials == 200
 

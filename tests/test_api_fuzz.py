@@ -108,8 +108,9 @@ PHASE = st.one_of(SCALAR, st.lists(SCALAR, max_size=5),
                   st.lists(st.floats(), max_size=4).map(np.array),
                   st.sampled_from([ASCENDING_THEN_NAN, NESTED_TEXT]))
 SPIN = st.one_of(st.sampled_from(["half", "one", "HALF", ["half"], ("one",)]), HOSTILE)
-#: valid ket amplitudes and one-factor operators: ndarrays of four
-#: complex numbers, any of them non-finite, as a vector or a (2, 2) matrix
+#: ndarrays of four complex numbers, any of them non-finite: as a vector,
+#: which a ket refuses, or as a (2, 2) matrix, a valid ket's amplitudes
+#: or one-factor operator
 FOUR_COMPLEX = st.lists(st.complex_numbers(), min_size=4, max_size=4).map(np.array)
 VECTOR = st.one_of(st.just(np.array([0.6, 0.8])), FOUR_COMPLEX)
 SQUARE = st.one_of(st.just(np.eye(2)), FOUR_COMPLEX.map(lambda v: v.reshape(2, 2)))
@@ -168,7 +169,7 @@ TARGETS = {
     "singlet": (st.tuples(SPIN), singlet),
     "spin_closed_form": (st.tuples(SPIN), spin_closed_form),
     "spin_quadruple": (st.tuples(SPIN), lambda spin: spin_quadruple(spin, ANGLES)),
-    "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE, VECTOR)), Ket),
+    "Ket": (st.tuples(st.one_of(HOSTILE, SEQUENCE, VECTOR, SQUARE)), Ket),
     "FactoredOperator-coefficient": (
         st.tuples(SHORT), lambda c: FactoredOperator(((c, np.eye(2), np.eye(2)),))),
     "FactoredOperator-term": (

@@ -133,7 +133,7 @@ class TestChshValue:
         rng = np.random.default_rng(29)
         e0 = np.zeros(2, dtype=complex)
         e0[0] = 1.0
-        psi = Ket(np.kron(e0, e0))
+        psi = Ket(np.outer(e0, e0))
         for _ in range(20):
             q = spin_quadruple(spin.SPIN_HALF,
                                AngleSet(*rng.uniform(-math.pi, math.pi, 4)))
@@ -165,16 +165,30 @@ class TestChshValue:
         for _ in range(10):
             q = spin_quadruple(spin.SPIN_ONE,
                                AngleSet(*rng.uniform(-math.pi, math.pi, 4)))
-            psi = random_state(rng, 9)
+            psi = random_state(rng, 3, 3)
             via_operator = expectation(psi, chsh_operator(q)).real
             assert abs(chsh_value(psi, q) - via_operator) <= 1e-12
+
+    def test_state_shape_must_match_dims(self):
+        # a (3, 2) amplitude matrix has the size of a 2 x 3 quadruple's
+        # product space, but not its shape
+        q = ChshQuadruple(a1=np.eye(2), a2=np.eye(2), b1=np.eye(3), b2=np.eye(3))
+        with pytest.raises(ShapeError, match=re.escape("shape (3, 2) vs quadruple dims (2, 3)")):
+            chsh_value(Ket(np.ones((3, 2)) / math.sqrt(6.0)), q)
+        assert chsh_value(Ket(np.ones((2, 3)) / math.sqrt(6.0)), q) == pytest.approx(2.0)
 
     def test_imaginary_residue_raises(self):
         rng = np.random.default_rng(37)
         entries = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         bad = ChshQuadruple(a1=entries, a2=np.eye(2), b1=np.eye(2), b2=np.eye(2))
         with pytest.raises(PrecisionError, match="imaginary residue"):
-            chsh_value(random_state(rng, 4), bad)
+            chsh_value(random_state(rng, 2, 2), bad)
+
+    def test_residue_bound_is_1e_10(self):
+        # a residue of 1e-10 is accepted, the next float above it refused
+        assert chsh._real_correlator(complex(1.0, -1e-10)) == 1.0
+        with pytest.raises(PrecisionError, match="imaginary residue"):
+            chsh._real_correlator(complex(1.0, math.nextafter(1e-10, 1.0)))
 
     def test_nan_residue_raises(self):
         with pytest.raises(PrecisionError, match="imaginary residue nan"):
@@ -183,10 +197,23 @@ class TestChshValue:
         corrupted = ChshQuadruple(a1=np.diag([math.nan, 1.0]), a2=np.eye(2),
                                   b1=np.eye(2), b2=np.eye(2))
         with pytest.raises(PrecisionError, match="imaginary residue nan"):
-            chsh_value(random_state(rng, 4), corrupted)
+            chsh_value(random_state(rng, 2, 2), corrupted)
 
 
 class TestValidation:
+    def test_tolerance_scales_with_product_dim(self):
+        # 1e-12 per product-space dimension: an a1 = 1 + 5e-12 |0><1| has
+        # an involution deviation of 1e-11, which fails on 2 x 2 (4e-12)
+        # and passes on 4 x 4 (1.6e-11)
+        for dim, passed in ((2, False), (4, True)):
+            a1 = np.eye(dim, dtype=complex)
+            a1[0, 1] = 5e-12
+            eye = np.eye(dim)
+            report = validate_quadruple(ChshQuadruple(a1=a1, a2=eye, b1=eye, b2=eye))
+            assert report.tolerance == 1e-12 * dim * dim
+            assert report.max_deviation == pytest.approx(1e-11, rel=1e-12)
+            assert report.passed is passed
+
     def test_identity_quadruple_all_zero(self):
         eye = np.eye(2)
         report = validate_quadruple(ChshQuadruple(a1=eye, a2=eye, b1=eye, b2=eye))
@@ -345,7 +372,7 @@ class TestTsirelsonProperty:
             dim_a = int(rng.integers(2, 5))
             dim_b = int(rng.integers(2, 5))
             q = random_involution_quadruple(rng, dim_a, dim_b)
-            psi = random_state(rng, dim_a * dim_b)
+            psi = random_state(rng, dim_a, dim_b)
             assert abs(chsh_value(psi, q)) <= TSIRELSON_BOUND + 1e-9
 
 

@@ -3,7 +3,9 @@
 A pinned row's ``--format json`` stdout must have its md5 (its CSV is
 ``tests/test_reference.py``'s), a refused row must exit 2 with one
 short ``configuration error`` line, and a usage row must exit 2 with
-argparse's usage lines and one short ``error:`` line.
+argparse's usage lines and one short ``error:`` line.  The demos run
+in fresh processes only; here their runner is checked to report a
+broken one.
 """
 
 import re
@@ -12,6 +14,7 @@ import warnings
 import pytest
 
 from cli_contract import (
+    DEMOS,
     EXACT,
     IN_PROCESS,
     LINUX,
@@ -20,6 +23,7 @@ from cli_contract import (
     USAGE_ERRORS,
     abridged,
     argv,
+    demo_faults,
     fresh_faults,
     md5,
     pinned_stdout,
@@ -77,3 +81,13 @@ def test_fresh_process_run_reports_each_broken_row(tmp_path):
     if LINUX:
         assert re.fullmatch(r"peak RSS \d+\.\d MB, bound 1 MB", faults[EXACT][1])
     assert faults[-1][1].startswith("exited 0 ")
+
+
+def test_demo_run_reports_each_broken_demo():
+    # a demo off by its md5 and one that exits non-zero are reported
+    faults = list(demo_faults({"spin_singlets.py": "0" * 32,
+                               "missing.py": DEMOS["spin_singlets.py"]}))
+    assert [name for name, _ in faults] == ["spin_singlets.py"] * EXACT + ["missing.py"]
+    if EXACT:
+        assert faults[0][1] == f"stdout has md5 {DEMOS['spin_singlets.py']}, pinned {'0' * 32}"
+    assert faults[-1][1].startswith("exited 2: ")

@@ -123,6 +123,14 @@ class TestPacket:
 
 
 class TestShellQuadrature:
+    def test_for_packets_cutoff_is_ten_momentum_widths(self):
+        # past the farthest centre by 10 momentum widths 1/width, where a
+        # packet's momentum profile has fallen to exp(-50) of its peak
+        f = packet((0.5, 0.0, 0.0), width=0.5)  # 0.5 + 10 * 2
+        g = packet((3.0, 0.0, 4.0), width=2.0)  # 5 + 10 * 0.5
+        assert ShellQuadrature.for_packets(f, g).k_max == 20.5
+        assert ShellQuadrature.for_packets(g).k_max == 10.0
+
     @pytest.mark.parametrize("kwargs", [
         dict(k_max=math.inf), dict(k_max=math.nan),
         dict(k_max=5.0, tol=math.inf), dict(k_max=5.0, tol=math.nan),

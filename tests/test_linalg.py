@@ -21,9 +21,12 @@ def product(a, b, coef=1.0):
 
 
 class TestConstruction:
-    def test_ket_must_be_vector(self):
-        with pytest.raises(ShapeError):
-            Ket(np.eye(2))
+    def test_ket_must_be_matrix(self):
+        # a ket is its (dim_A, dim_B) amplitude matrix: a flat vector is refused
+        for amplitudes in (np.array([0.6, 0.8]), np.ones((2, 2, 1)), np.zeros((0, 2))):
+            with pytest.raises(ShapeError, match="ket amplitudes must be a non-empty matrix"):
+                Ket(amplitudes)
+        assert Ket(np.ones((2, 3))).amplitudes.shape == (2, 3)
 
     def test_operator_must_be_square(self):
         # every one-factor matrix: a quadruple operator or a Kronecker factor
@@ -34,8 +37,8 @@ class TestConstruction:
             FactoredOperator(((1.0, eye, np.ones((2, 3))),))
 
     @pytest.mark.parametrize("build,value", [
-        (Ket, [0.6, 0.8]),
-        (Ket, (1.0, 0.0)),
+        (Ket, [[0.6, 0.8]]),
+        (Ket, ((1.0, 0.0),)),
         (lambda x: ChshQuadruple(a1=x, a2=np.eye(2), b1=np.eye(2), b2=np.eye(2)),
          [[1, 0], [0, 1]]),
         (lambda x: FactoredOperator(((1.0, x, x),)), [[1]]),
@@ -46,11 +49,13 @@ class TestConstruction:
             build(value)
 
     def test_ndarray_subclass_read_as_plain_array(self):
-        # an np.matrix factor is stored as an ndarray, so apply's ravel is 1-D
+        # an np.matrix ket or factor is stored as an ndarray, so apply's
+        # image is a plain ndarray too, never an np.matrix
         with pytest.warns(PendingDeprecationWarning):
             eye = np.matrix(np.eye(2))
-        psi = Ket(np.array([0.6, 0.0, 0.0, 0.8]))
+            psi = Ket(np.matrix([[0.6, 0.0], [0.0, 0.8]]))
         image = product(eye, eye).apply(psi)
+        assert type(psi.amplitudes) is type(image.amplitudes) is np.ndarray
         assert np.array_equal(image.amplitudes, psi.amplitudes)
 
     def test_phase_flip_rejects_non_hermitian(self):
@@ -89,9 +94,9 @@ class TestConstruction:
                 assert flip.tobytes() == reference(dim, pairs, phase).tobytes()
 
     def test_values_are_immutable(self):
-        k = Ket(np.array([1.0, 0.0]))
+        k = Ket(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
-            k.amplitudes[0] = 2.0
+            k.amplitudes[0, 0] = 2.0
         source = np.eye(2)
         q = ChshQuadruple(a1=source, a2=source, b1=source, b2=source)
         source[0, 0] = 2.0  # the quadruple holds its own copy
@@ -108,7 +113,7 @@ class TestTensor:
     def test_identity_times_identity(self):
         eye2 = np.eye(2)
         assert np.array_equal(dense(product(eye2, eye2)), np.eye(4))
-        psi = random_state(np.random.default_rng(5), 4)
+        psi = random_state(np.random.default_rng(5), 2, 2)
         assert np.array_equal(product(eye2, eye2).apply(psi).amplitudes,
                               psi.amplitudes)
 
@@ -118,7 +123,7 @@ class TestTensor:
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         eye = np.eye(3)
-        psi = random_state(rng, 9)
+        psi = random_state(rng, 3, 3)
         left = product(a, eye).apply(product(eye, b).apply(psi)).amplitudes
         assert np.abs(left - product(a, b).apply(psi).amplitudes).max() <= 1e-13
 
@@ -129,30 +134,32 @@ class TestTensor:
         q = spin_quadruple(SPIN_ONE, AngleSet(0.37, 0.0, -1.2, 0.0))
         a1 = product(q.a1, np.eye(3))
         b1 = product(np.eye(3), q.b1)
-        psi = random_state(np.random.default_rng(9), 9)
+        psi = random_state(np.random.default_rng(9), 3, 3)
         ab = a1.apply(b1.apply(psi)).amplitudes
         ba = b1.apply(a1.apply(psi)).amplitudes
         assert np.abs(ab - ba).max() <= 1e-13
 
     def test_associativity_up_to_relabeling(self):
-        # (a (x) b) (x) c and a (x) (b (x) c) split the same composite
-        # index differently; both must act identically
+        # (a (x) b) (x) c and a (x) (b (x) c) split the same row-major
+        # index differently, as (6, 2) and (2, 6) amplitude matrices;
+        # both must act identically
         rng = np.random.default_rng(11)
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3))
         c = rng.normal(size=(2, 2))
-        psi = random_state(rng, 12)
+        psi = random_state(rng, 6, 2)
         left = product(np.kron(a, b), c).apply(psi).amplitudes
-        right = product(a, np.kron(b, c)).apply(psi).amplitudes
-        assert np.abs(left - right).max() <= 1e-13
+        right = product(a, np.kron(b, c)).apply(Ket(psi.amplitudes.reshape(2, 6))).amplitudes
+        assert np.abs(left.reshape(2, 6) - right).max() <= 1e-13
 
     def test_action_factorizes_on_product_states(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        u, v = random_state(rng, 3), random_state(rng, 2)
-        left = product(a, b).apply(Ket(np.kron(u.amplitudes, v.amplitudes))).amplitudes
-        right = np.kron(a @ u.amplitudes, b @ v.amplitudes)
+        # the product state u (x) v is the amplitude matrix u v^T
+        u, v = random_state(rng, 3, 1).amplitudes, random_state(rng, 2, 1).amplitudes
+        left = product(a, b).apply(Ket(u @ v.T)).amplitudes
+        right = (a @ u) @ (b @ v).T
         assert np.abs(left - right).max() <= 1e-13
 
     def test_matches_dense_kronecker_sum(self):
@@ -162,9 +169,9 @@ class TestTensor:
                        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
                       for _ in range(3))
         factored = FactoredOperator(terms)
-        psi = random_state(rng, 12)
-        via_dense = dense(factored) @ psi.amplitudes
-        assert np.abs(factored.apply(psi).amplitudes - via_dense).max() <= 1e-13
+        psi = random_state(rng, 3, 4)
+        via_dense = dense(factored) @ psi.amplitudes.ravel()
+        assert np.abs(factored.apply(psi).amplitudes.ravel() - via_dense).max() <= 1e-13
 
     def test_no_capacity_limit_past_old_dense_budget(self):
         # 150 x 150 factors: the product dimension 22500 is past the old
@@ -172,9 +179,9 @@ class TestTensor:
         rng = np.random.default_rng(17)
         a = rng.normal(size=(150, 150))
         b = rng.normal(size=(150, 150))
-        u, v = random_state(rng, 150), random_state(rng, 150)
-        image = product(a, b).apply(Ket(np.kron(u.amplitudes, v.amplitudes)))
-        expected = np.kron(a @ u.amplitudes, b @ v.amplitudes)
+        u, v = random_state(rng, 150, 1).amplitudes, random_state(rng, 150, 1).amplitudes
+        image = product(a, b).apply(Ket(u @ v.T))
+        expected = (a @ u) @ (b @ v).T
         assert np.abs(image.amplitudes - expected).max() <= 1e-12
 
     def test_shape_errors(self):
@@ -182,8 +189,8 @@ class TestTensor:
             FactoredOperator(())
         with pytest.raises(ShapeError):
             FactoredOperator(((1.0, np.eye(2), np.eye(3)), (1.0, np.eye(3), np.eye(2))))
-        with pytest.raises(ShapeError):
-            product(np.eye(2), np.eye(3)).apply(Ket(np.ones(5)))
+        with pytest.raises(ShapeError, match=re.escape("dims (2, 3) vs ket shape (3, 2)")):
+            product(np.eye(2), np.eye(3)).apply(Ket(np.ones((3, 2))))
 
     @pytest.mark.parametrize("terms", [
         ((2.0, None, None),),
@@ -206,7 +213,7 @@ class TestTensor:
             product(np.eye(2), np.eye(2), coef)
 
     def test_0d_coefficient_read_as_its_entry(self):
-        psi = Ket(np.array([0.6, 0.0, 0.0, 0.8]))
+        psi = Ket(np.array([[0.6, 0.0], [0.0, 0.8]]))
         for coef in (np.array(2.0), np.array(2.0 + 0j), np.complex64(2.0)):
             image = product(np.eye(2), np.eye(2), coef).apply(psi)
             assert image.amplitudes.tobytes() == (2.0 * psi.amplitudes).tobytes()
@@ -238,7 +245,7 @@ class TestIdentityFactor:
                 (c, eyes[0] if left is None else left, eyes[1] if right is None else right)
                 for c, left, right in terms))
             assert implicit.dims == explicit.dims == (dim_a, dim_b)
-            psi = random_state(rng, dim_a * dim_b)
+            psi = random_state(rng, dim_a, dim_b)
             got, want = implicit.apply(psi), explicit.apply(psi)
             assert np.array_equal(np.abs(got.amplitudes), np.abs(want.amplitudes))
             assert got.norm.hex() == want.norm.hex()
@@ -249,14 +256,15 @@ class TestIdentityFactor:
         assert [(left is None, right is None) for _, left, right in op.terms] == [
             (False, True), (True, True), (True, False)]
         assert op.dims == (2, 3)
-        psi = random_state(np.random.default_rng(29), 6)
+        psi = random_state(np.random.default_rng(29), 2, 3)
         assert np.array_equal(dense(op), np.kron(a, np.eye(3)) + 5.0 * np.eye(6))
-        assert np.abs(op.apply(psi).amplitudes - dense(op) @ psi.amplitudes).max() <= 1e-13
+        via_dense = dense(op) @ psi.amplitudes.ravel()
+        assert np.abs(op.apply(psi).amplitudes.ravel() - via_dense).max() <= 1e-13
 
 
 class TestExpectation:
     def test_basis_state_identity(self):
-        e0 = Ket(np.array([1.0, 0.0, 0.0]))
+        e0 = Ket(np.array([[1.0, 0.0, 0.0]]))
         assert expectation(e0, np.eye(3)) == 1.0 + 0.0j
 
     def test_spin_one_singlet_energy(self):
@@ -267,8 +275,8 @@ class TestExpectation:
         sp[0, 1] = sp[1, 2] = np.sqrt(2.0)
         sx, sy = (sp + sp.T) / 2, (sp - sp.T) / 2j
         h = sum(np.kron(s, s) for s in (sx, sy, sz))
-        amp = np.zeros(9, dtype=complex)
-        amp[2], amp[4], amp[6] = 1.0, -1.0, 1.0
+        amp = np.zeros((3, 3), dtype=complex)
+        amp[0, 2], amp[1, 1], amp[2, 0] = 1.0, -1.0, 1.0
         psi = Ket(amp / np.sqrt(3.0))
         value = expectation(psi, h)
         assert abs(value - (-2.0)) <= 1e-12
@@ -286,17 +294,17 @@ class TestExpectation:
 
     def test_requires_matching_dims(self):
         with pytest.raises(ShapeError):
-            expectation(Ket(np.array([1.0, 0.0])), np.eye(3))
+            expectation(Ket(np.array([[1.0, 0.0]])), np.eye(3))
 
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
-            expectation(Ket(np.array([2.0, 0.0])), np.eye(2))
+            expectation(Ket(np.array([[2.0, 0.0]])), np.eye(2))
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             dim = int(rng.integers(2, 8))
-            psi = random_state(rng, dim)
+            psi = random_state(rng, dim, 1)
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             lhs = np.conj(expectation(psi, m))
             rhs = expectation(psi, m.conj().T)
@@ -308,5 +316,5 @@ class TestExpectation:
             dim = int(rng.integers(2, 10))
             u = random_unitary(rng, dim)
             assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-12
-            psi = random_state(rng, dim)
+            psi = random_state(rng, dim, 1)
             assert abs(np.linalg.norm(u @ psi.amplitudes) - psi.norm) <= 1e-12

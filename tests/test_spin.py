@@ -23,6 +23,7 @@ from bellchsh.spin import (
 )
 from helpers import (
     dense,
+    expectation,
     full_quadruple,
     hermiticity_deviation,
     spin_half_pair_correlator,
@@ -65,17 +66,17 @@ def kron_flip(kind, side, phase):
 class TestSinglet:
     def test_spin_one_amplitude_pattern(self):
         amp = singlet(SPIN_ONE).amplitudes
-        expected = np.zeros(9, dtype=complex)
-        expected[0 * 3 + 2] = 1 / ROOT3    # |1, -1>
-        expected[1 * 3 + 1] = -1 / ROOT3   # |0, 0>
-        expected[2 * 3 + 0] = 1 / ROOT3    # |-1, 1>
+        expected = np.zeros((3, 3), dtype=complex)
+        expected[0, 2] = 1 / ROOT3    # |1, -1>
+        expected[1, 1] = -1 / ROOT3   # |0, 0>
+        expected[2, 0] = 1 / ROOT3    # |-1, 1>
         assert np.array_equal(amp, expected)
 
     def test_spin_half_amplitude_pattern(self):
         amp = singlet(SPIN_HALF).amplitudes
-        expected = np.zeros(4, dtype=complex)
-        expected[0 * 2 + 1] = 1 / ROOT2    # |+, ->
-        expected[1 * 2 + 0] = -1 / ROOT2   # |-, +>
+        expected = np.zeros((2, 2), dtype=complex)
+        expected[0, 1] = 1 / ROOT2    # |+, ->
+        expected[1, 0] = -1 / ROOT2   # |-, +>
         assert np.array_equal(amp, expected)
 
     @pytest.mark.parametrize("kind", [SPIN_HALF, SPIN_ONE])
@@ -197,7 +198,7 @@ class TestClosedForms:
         for _ in range(50):
             alpha, beta = rng.uniform(-math.pi, math.pi, 2)
             a, b = flips(SPIN_HALF, alpha, beta)
-            pair = np.vdot(psi.amplitudes, a @ (b @ psi.amplitudes))
+            pair = expectation(psi, a @ b)
             assert abs(pair.imag) <= 1e-13
             assert abs(pair.real - spin_half_pair_correlator(alpha, beta)) <= 1e-12
 
