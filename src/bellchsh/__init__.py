@@ -11,6 +11,8 @@ from .chsh import (
     AngleSet,
     ChshQuadruple,
     ClosedFormCorrelator,
+    FactoredOperator,
+    Ket,
     TSIRELSON_BOUND,
     ValidationReport,
     chsh_value,
@@ -47,7 +49,6 @@ from .kleingordon import (
     sigma_chsh,
     test_norm,
 )
-from .linalg import FactoredOperator, Ket
 from .rindler import (
     RindlerModeSet,
     ScanRow,

@@ -329,7 +329,7 @@ def cmd_rindler_scan(args) -> tuple[list[str], Iterable[dict], None]:
         grid = [rindler.unruh_temperature(a) for a in grid]
     scan = rindler.temperature_scan(modes, grid)
     rows = ({"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
-            for r in scan)  # one dict at a time, as emit draws it
+            for r in scan)  # dicts made as emit draws them; scan holds every row
     return ["T", "tau", "chsh", "flag"], rows, None
 
 

@@ -39,9 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chsh import (MAX_FLIP_DIM, AngleSet, ChshQuadruple, ClosedFormCorrelator,
-                   _real_correlator, flip_quadruple)
+                   FactoredOperator, Ket, _real_correlator, flip_quadruple)
 from .errors import DomainError, named, to_index, to_number
-from .linalg import FactoredOperator, Ket
 
 #: Phase choice turning the squeezed closed form into 2 * (2 sqrt(2) eta
 #: / (1 + eta^2)): the cosine combination saturates at 2 sqrt(2).

@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from .chsh import AngleSet, ChshQuadruple, ClosedFormCorrelator, flip_quadruple
+from .chsh import AngleSet, ChshQuadruple, ClosedFormCorrelator, Ket, flip_quadruple
 from .errors import DomainError, named
-from .linalg import Ket
 
 SPIN_HALF = "half"
 SPIN_ONE = "one"

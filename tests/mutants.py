@@ -10,16 +10,19 @@ The runner copies ``src``, ``tests`` and ``pyproject.toml`` into a
 temporary directory, applies one row at a time to the copy, never to
 the working tree, and runs ``python -m pytest`` on the row's test
 files there.  A mutant is killed when pytest reports a failing test
-(exit 1).  The script prints one line per row and exits 1 if an ``old``
-text does not occur exactly once, pytest exits otherwise than 0 or 1, a
-mutant survives that is not marked equivalent, or one marked equivalent
-is killed:
+(exit 1).  The script prints one line per row and exits 1 if a row's
+file is missing or its ``old`` text does not occur exactly once, pytest
+exits otherwise than 0 or 1, a mutant survives that is not marked
+equivalent, or one marked equivalent is killed:
 
     python tests/mutants.py
 
 It uses the standard library only; the tests it runs need numpy, pytest
 and hypothesis.  Each row runs its test files in a fresh pytest
-process, with ``-x``, so it stops at the first failure.
+process, with ``-x``, so it stops at the first failure.  Tier-1 checks
+the table alone (``tests/test_mutants.py``): each row's files exist and
+its ``old`` text occurs once, so a row left behind by moved code fails
+there too.
 """
 
 from __future__ import annotations
@@ -48,9 +51,19 @@ MUTANTS = (
     Mutant("src/bellchsh/chsh.py", "(q.a2 @ (y1 - y2))", "(q.a2 @ (y2 - y1))",
            ("tests/test_chsh.py",),
            "chsh_value's A2 term: the sign of B2 in the CHSH combination"),
-    Mutant("src/bellchsh/linalg.py", "else mat @ right.T", "else mat @ right",
+    Mutant("src/bellchsh/chsh.py", "else mat @ right.T", "else mat @ right",
            ("tests/test_linalg.py",),
            "A (x) B acts on the amplitude matrix as A Psi B^T, not A Psi B"),
+    Mutant("src/bellchsh/chsh.py", "arr.ndim != 2", "arr.ndim > 2", ("tests/test_linalg.py",),
+           "a ket or factor is a matrix: a flat or 0-d array is refused"),
+    Mutant("src/bellchsh/chsh.py", "arr.shape[0] != arr.shape[1]", "arr.shape[0] < arr.shape[1]",
+           ("tests/test_linalg.py",), "a one-factor operator is square, tall or wide"),
+    Mutant("src/bellchsh/chsh.py", "len(dims) != 1", "len(dims) > 1",
+           ("tests/test_linalg.py",),
+           "a side with no ndarray factor has no dimension: ShapeError, not KeyError"),
+    Mutant("src/bellchsh/chsh.py", "if mat.shape != self.dims:",
+           "if mat.shape[0] != self.dims[0]:", ("tests/test_linalg.py",),
+           "apply checks both sides of the ket's shape, B as well as A"),
     Mutant("src/bellchsh/spin.py", "amp[i, levels - 1 - i]", "amp[i, i]",
            ("tests/test_spin.py",), "the singlet pairs m with -m: the anti-diagonal"),
     Mutant("src/bellchsh/fock.py", "amp /= np.linalg.norm(amp)", "amp /= 1.0",
@@ -86,10 +99,14 @@ ENV = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationW
 
 
 def occurrence_faults(mutants=MUTANTS, root=ROOT):
-    """Yield ``(row, fault)`` for each row whose ``old`` text does not
-    occur exactly once in its file."""
+    """Yield ``(row, fault)`` for each row whose file is missing or whose
+    ``old`` text does not occur exactly once in it."""
     for row in mutants:
-        count = (root / row.file).read_text(encoding="utf-8").count(row.old)
+        path = root / row.file
+        if not path.is_file():
+            yield row, f"{row.file} does not exist"
+            continue
+        count = path.read_text(encoding="utf-8").count(row.old)
         if count != 1:
             yield row, f"old text occurs {count} times in {row.file}, not once"
 

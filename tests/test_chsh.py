@@ -120,8 +120,8 @@ class TestChshOperator:
 
     def test_mixed_dims_raise(self):
         q = ChshQuadruple(a1=np.eye(2), a2=np.eye(2), b1=np.eye(2), b2=np.eye(3))
-        with pytest.raises(ShapeError):
-            chsh_value(Ket(np.eye(4)[0]), q)
+        with pytest.raises(ShapeError, match="the B side needs ndarray factors of one dim"):
+            chsh_value(Ket(np.ones((2, 3))), q)
         with pytest.raises(ShapeError):
             validate_quadruple(q)
         with pytest.raises(ShapeError):

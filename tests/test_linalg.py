@@ -35,6 +35,9 @@ class TestConstruction:
             ChshQuadruple(a1=np.ones((2, 3)), a2=eye, b1=eye, b2=eye)
         with pytest.raises(ShapeError):
             FactoredOperator(((1.0, eye, np.ones((2, 3))),))
+        # a tall factor is as far from square as a wide one
+        with pytest.raises(ShapeError, match=re.escape("square matrix, got shape (3, 2)")):
+            FactoredOperator(((1.0, np.ones((3, 2)), eye),))
 
     @pytest.mark.parametrize("build,value", [
         (Ket, [[0.6, 0.8]]),
@@ -191,6 +194,9 @@ class TestTensor:
             FactoredOperator(((1.0, np.eye(2), np.eye(3)), (1.0, np.eye(3), np.eye(2))))
         with pytest.raises(ShapeError, match=re.escape("dims (2, 3) vs ket shape (3, 2)")):
             product(np.eye(2), np.eye(3)).apply(Ket(np.ones((3, 2))))
+        # the A side matches, so only the B half of the shape check refuses it
+        with pytest.raises(ShapeError, match=re.escape("dims (2, 3) vs ket shape (2, 2)")):
+            product(np.eye(2), np.eye(3)).apply(Ket(np.ones((2, 2))))
 
     @pytest.mark.parametrize("terms", [
         ((2.0, None, None),),
