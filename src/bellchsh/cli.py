@@ -217,7 +217,7 @@ def _quantity_table(table: dict, failure: str | None = None) -> tuple[list[str],
 
 
 def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
-    override = parse_angles(args.angles) if args.angles else None
+    override = None if args.angles is None else parse_angles(args.angles)
     table = {}
     ok = True
     for name, kind, default_angles in (
@@ -248,7 +248,7 @@ def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
 def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
     space = fock.FockSpace(args.cutoff)  # bounds the cutoff before any allocation
     cutoff = space.cutoff
-    angles = parse_angles(args.angles) if args.angles else fock.MAX_VIOLATION_ANGLES
+    angles = fock.MAX_VIOLATION_ANGLES if args.angles is None else parse_angles(args.angles)
     grid = parse_range(args.eta_range, "--eta-range")
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise DomainError(
@@ -315,21 +315,22 @@ def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
 
 def cmd_rindler_scan(args) -> tuple[list[str], Iterable[dict], None]:
     frequencies = parse_floats(args.modes, "--modes")
-    if args.temp_range and args.accel_range:
+    if args.temp_range is not None and args.accel_range is not None:
         raise DomainError("--temp-range and --accel-range are mutually exclusive")
-    flag, text = (("--accel-range", args.accel_range) if args.accel_range
-                  else ("--temp-range", args.temp_range or "0.02:2.0:50"))
+    temp_range = "0.02:2.0:50" if args.temp_range is None else args.temp_range
+    flag, text = (("--accel-range", args.accel_range) if args.accel_range is not None
+                  else ("--temp-range", temp_range))
     grid = parse_range(text, flag).tolist()
     if len(frequencies) * len(grid) > MAX_MODE_EVALUATIONS:
         raise DomainError(f"--modes ({len(frequencies)} frequencies) times {flag} "
                           f"({len(grid)} steps) exceeds {MAX_MODE_EVALUATIONS} "
                           "mode evaluations")
     modes = rindler.RindlerModeSet(frequencies)
-    if args.accel_range:
+    if args.accel_range is not None:
         grid = [rindler.unruh_temperature(a) for a in grid]
-    scan = rindler.temperature_scan(modes, grid)
+    scan = rindler.temperature_scan(modes, grid)  # checks the grid before emit writes
     rows = ({"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
-            for r in scan)  # dicts made as emit draws them; scan holds every row
+            for r in scan)  # each row and its dict made as emit draws them
     return ["T", "tau", "chsh", "flag"], rows, None
 
 

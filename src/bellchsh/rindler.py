@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .chsh import TSIRELSON_BOUND
 from .errors import DomainError, to_number, to_numbers
@@ -95,16 +95,17 @@ class ScanRow:
 
 
 def temperature_scan(modes: RindlerModeSet,
-                     t_grid: Sequence[float] | Iterable[float]) -> list[ScanRow]:
-    """Recompute (tau, CHSH) over an ascending grid of temperatures.
+                     t_grid: Sequence[float] | Iterable[float]) -> Iterator[ScanRow]:
+    """Recompute (tau, CHSH) over an ascending grid of temperatures,
+    returned as an iterator that builds each row as it is drawn.
 
     Each row is ``tau(modes, T)`` at its own grid temperature T.  The grid
     must be strictly ascending, which a NaN breaks, so only its first or
     last T can lie outside (0, inf): ``tau`` checks those two, in that
-    order, before any row is built, and each row takes the unchecked sum.
-    Rows whose summed form factor exceeds 1 (possible only with several
-    modes) are flagged supra-Tsirelson; the literal value is reported
-    unclamped.
+    order, when the scan is called, before any row is built, and each row
+    takes the unchecked sum.  Rows whose summed form factor exceeds 1
+    (possible only with several modes) are flagged supra-Tsirelson; the
+    literal value is reported unclamped.
     """
     grid = to_numbers(t_grid, "t_grid")
     if not grid:
@@ -113,13 +114,7 @@ def temperature_scan(modes: RindlerModeSet,
         raise DomainError("temperature grid must be strictly ascending")
     for t in (grid[0], grid[-1]):  # every other T lies between these two
         tau(modes, t)
-    rows = []
-    for t in grid:
-        form = _mode_sum(modes, t)
-        rows.append(ScanRow(
-            temperature=t,
-            tau=form,
-            chsh=TSIRELSON_BOUND * form,
-            supra_tsirelson=form > 1.0,
-        ))
-    return rows
+    forms = ((t, _mode_sum(modes, t)) for t in grid)
+    return (ScanRow(temperature=t, tau=form, chsh=TSIRELSON_BOUND * form,
+                    supra_tsirelson=form > 1.0)
+            for t, form in forms)

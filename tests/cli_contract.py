@@ -105,7 +105,7 @@ IN_PROCESS = [name for name in PINNED if name not in (
     "squeeze-scan-cutoff-2048-100k")]
 
 #: name -> bound in MB on the child's ``ru_maxrss``, read on Linux only (in KiB).
-PEAK_MB = {"squeeze-scan-cutoff-2048": 50.0, "rindler-scan-100k": 65.0,
+PEAK_MB = {"squeeze-scan-cutoff-2048": 50.0, "rindler-scan-100k": 45.0,
            "squeeze-scan-100k": 85.0, "kg-norm-quad-2048-normalize": 350.0,
            "squeeze-scan-cutoff-2048-100k": 80.0}
 LINUX = sys.platform == "linux"
@@ -120,16 +120,21 @@ REFUSED = (
     "kg-norm --center 1,2",
     "kg-norm --center 1,2 --center-energy 3",
     "spin --out $TMP/missing/x.csv",
+    "spin --angles=",
     f"spin --out {LONG}",
     "squeeze-scan --angles pi/0,0,0,0",
     "squeeze-scan --eta-range=-1.7e308:1.7e308:3",
     "squeeze-scan --cutoff 9",
+    "squeeze-scan --angles=",
     "optimize --eta 1.0",
     "rindler-scan --accel-range 0:1:3",
     f"rindler-scan --modes {','.join(map(str, range(1, 102)))} --temp-range 0.1:1:100000",
     "rindler-scan --temp-range=-1.7e308:1.7e308:3",
     f"rindler-scan --modes {','.join(map(str, range(15000, 0, -1)))}",
     f"rindler-scan --modes {LONG}",
+    "rindler-scan --temp-range=",
+    "rindler-scan --accel-range=",
+    "rindler-scan --temp-range 1:2:3 --accel-range=",
 )
 
 USAGE_ERRORS = (

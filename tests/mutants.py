@@ -79,6 +79,13 @@ MUTANTS = (
     Mutant("src/bellchsh/rindler.py", "supra_tsirelson=form > 1.0",
            "supra_tsirelson=form >= 1.0", ("tests/test_rindler.py",),
            "a summed form factor of exactly 1 is the Tsirelson bound, not past it"),
+    Mutant("src/bellchsh/rindler.py", "return (ScanRow(", "return list(ScanRow(",
+           ("tests/test_rindler.py",),
+           "temperature_scan builds each row as it is drawn and holds no list of them"),
+    Mutant("src/bellchsh/rindler.py", "(grid[0], grid[-1])", "(grid[0],)",
+           ("tests/test_rindler.py",),
+           "the scan checks its last temperature before a row is drawn, so a refused "
+           "grid writes no partial table"),
     Mutant("src/bellchsh/kleingordon.py", "10.0 * p.momentum_width",
            "8.0 * p.momentum_width", ("tests/test_kleingordon.py",),
            "for_packets cuts the radial integral at center + 10 momentum widths"),

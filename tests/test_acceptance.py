@@ -247,7 +247,7 @@ def test_criterion_10_tsirelson_property_suite():
 
     single = temperature_scan(RindlerModeSet((1.0,)), np.linspace(0.05, 80.0, 40))
     ok = ok and not any(r.supra_tsirelson for r in single)
-    multi = temperature_scan(RindlerModeSet((0.8, 1.0, 1.3)), np.linspace(0.2, 40.0, 40))
+    multi = list(temperature_scan(RindlerModeSet((0.8, 1.0, 1.3)), np.linspace(0.2, 40.0, 40)))
     ok = ok and all(r.supra_tsirelson == (r.tau > 1.0) for r in multi)
     ok = ok and any(r.supra_tsirelson for r in multi)
     report(10, "200 randomized trials below 2 sqrt(2) + 1e-9; scan flags "

@@ -165,7 +165,7 @@ TARGETS = {
     "unruh_temperature": (st.tuples(HOSTILE), unruh_temperature),
     "tau": (st.tuples(HOSTILE), lambda t: tau(MODES, t)),
     "rindler_chsh": (st.tuples(HOSTILE), lambda t: rindler_chsh(MODES, t)),
-    "temperature_scan": (st.tuples(SEQUENCE), lambda grid: temperature_scan(MODES, grid)),
+    "temperature_scan": (st.tuples(SEQUENCE), lambda grid: list(temperature_scan(MODES, grid))),
     "singlet": (st.tuples(SPIN), singlet),
     "spin_closed_form": (st.tuples(SPIN), spin_closed_form),
     "spin_quadruple": (st.tuples(SPIN), lambda spin: spin_quadruple(spin, ANGLES)),
@@ -222,7 +222,7 @@ calls = {
     "FockSpace": FockSpace,
     "ShellQuadrature": lambda x: ShellQuadrature(k_max=10.0, radial=x),
     "RindlerModeSet": RindlerModeSet,
-    "temperature_scan": lambda x: temperature_scan(modes, x),
+    "temperature_scan": lambda x: list(temperature_scan(modes, x)),
     "phase_flip": lambda x: phase_flip(2, x, x),
     "Ket": Ket,
     "ChshQuadruple": lambda x: ChshQuadruple(x, x, x, x),
@@ -267,7 +267,7 @@ def test_self_referential_lists_refused_at_once():
     (AngleSet, ("a", 0, 0, 0)),
     (AngleSet, (np.complex128(1 + 1j), 0, 0, 0)),
     (lambda t: tau(MODES, t), ("x",)),
-    (lambda grid: temperature_scan(MODES, grid), (1.0,)),
+    (lambda grid: list(temperature_scan(MODES, grid)), (1.0,)),
     (unruh_temperature, ("x",)),
     (singlet, (["half"],)),
     (GaussianPacket.on_shell, (1.0, (0, 0), 1.0)),

@@ -1,6 +1,8 @@
+import collections.abc
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,12 +203,12 @@ class TestTemperatureScan:
 
     def test_tau_decreasing_in_frequency(self):
         t_grid = [0.5]
-        values = [temperature_scan(RindlerModeSet((w,)), t_grid)[0].tau
+        values = [list(temperature_scan(RindlerModeSet((w,)), t_grid))[0].tau
                   for w in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_limits(self):
-        rows = temperature_scan(RindlerModeSet((1.0,)), [1e-4, 1e4])
+        rows = list(temperature_scan(RindlerModeSet((1.0,)), [1e-4, 1e4]))
         assert rows[0].chsh <= 1e-100
         assert abs(rows[-1].chsh - 2 * ROOT2) <= 1e-6
 
@@ -215,8 +217,8 @@ class TestTemperatureScan:
         assert not any(r.supra_tsirelson for r in rows)
 
     def test_multi_mode_flagged_above_unit_tau(self):
-        rows = temperature_scan(RindlerModeSet((1.0, 1.000001)),
-                                np.linspace(0.1, 50.0, 40))
+        rows = list(temperature_scan(RindlerModeSet((1.0, 1.000001)),
+                                     np.linspace(0.1, 50.0, 40)))
         for row in rows:
             assert row.supra_tsirelson == (row.tau > 1.0)
             expected_flag = ScanRow.FLAG_TEXT if row.tau > 1.0 else ""
@@ -227,7 +229,7 @@ class TestTemperatureScan:
         # a summed form of exactly 1.0 is the Tsirelson bound itself, not past it
         monkeypatch.setattr(rindler, "_mode_sum", lambda modes, t: t)
         grid = [0.5, 1.0, math.nextafter(1.0, 2.0), 2.0]
-        rows = temperature_scan(RindlerModeSet((1.0,)), grid)
+        rows = list(temperature_scan(RindlerModeSet((1.0,)), grid))
         assert [r.tau for r in rows] == grid
         assert [r.supra_tsirelson for r in rows] == [False, False, True, True]
         assert [r.flag for r in rows] == ["", "", ScanRow.FLAG_TEXT, ScanRow.FLAG_TEXT]
@@ -241,6 +243,7 @@ class TestTemperatureScan:
             assert 0.0 < value < 1.0
 
     def test_grid_validation(self):
+        # each refused grid raises when the scan is called, before a row is drawn
         modes = RindlerModeSet((1.0,))
         with pytest.raises(DomainError):
             temperature_scan(modes, [])
@@ -251,6 +254,24 @@ class TestTemperatureScan:
         with pytest.raises(DomainError):
             temperature_scan(modes, [1.0, math.inf])
 
+    def test_rows_drawn_one_at_a_time_hold_no_list(self):
+        # a list of the 20,000 rows held ~3.4 MB here; drawn from an
+        # iterator, only the grid's copy and the current row are held
+        modes = RindlerModeSet((1.0,))
+        grid = np.linspace(0.01, 5.0, 20_000).tolist()
+        tracemalloc.start()
+        try:
+            scan = temperature_scan(modes, grid)
+            drawn = 0
+            for _ in scan:
+                drawn += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert isinstance(scan, collections.abc.Iterator)
+        assert drawn == 20_000
+
     @pytest.mark.parametrize("frequencies,grid", [
         # the rindler-scan default and the three-mode long scan
         ((1.0,), np.linspace(0.02, 2.0, 50)),
@@ -258,7 +279,7 @@ class TestTemperatureScan:
     ])
     def test_each_row_evaluated_at_its_own_temperature(self, frequencies, grid):
         modes = RindlerModeSet(frequencies)
-        rows = temperature_scan(modes, grid)
+        rows = list(temperature_scan(modes, grid))
         assert [r.temperature for r in rows] == grid.tolist()
         for row in rows:
             assert row.tau == tau(modes, row.temperature)
@@ -293,7 +314,7 @@ class TestMatrixRoute:
          [*range(0, 20000, 10), 19999], 300),
     ])
     def test_rows_match_matrix_chsh(self, frequencies, grid, rows, largest_cutoff):
-        scan = temperature_scan(RindlerModeSet(frequencies), grid)
+        scan = list(temperature_scan(RindlerModeSet(frequencies), grid))
         cutoffs = []
         for i in rows:
             value, cutoff = matrix_chsh(frequencies, scan[i].temperature)
