@@ -9,10 +9,12 @@ optimize      exact optimum of a closed-form correlator over the phases
 kg-norm       mass-shell norm machinery for a Gaussian test packet
 rindler-scan  Unruh-temperature scan of the vacuum CHSH value
 
-All defaults reproduce the reference numbers with zero flags.  Output
-is CSV (header row, 17 significant digits) or JSON records; identical
-configs produce bit-identical output.  A relative ``--out`` path is
-resolved against ``$BELLCHSH_OUT_DIR`` when that variable is set.
+All defaults reproduce the reference numbers with zero flags.  A
+subcommand returns ``(fields, rows, verdict)``: ``emit`` writes each row
+as it is drawn, as CSV (header row, 17 significant digits) or JSON
+records, then ``main`` reads ``verdict()``; identical configs give
+bit-identical output.  A relative ``--out`` path is resolved against
+``$BELLCHSH_OUT_DIR`` when that variable is set.
 
 Exit codes: 0 success; 2 configuration error, a ``DomainError`` (a flag
 outside its domain, an angle divided by zero, an ``--out`` path or a
@@ -20,7 +22,7 @@ stdout that cannot be written, such as a full disk or a closed pipe,
 or a degenerate test function), a refused allocation, a
 ``MemoryError``, or an argparse usage error; 3 validation or tolerance
 failure, a ``PrecisionError`` (a numerical certificate, or a failed
-``spin``/``squeeze-scan`` check, raised by ``main`` after the rows).
+``spin``/``squeeze-scan`` check, raised by ``main`` from the verdict).
 A ``DomainError``, ``MemoryError`` or ``PrecisionError`` prints one
 stderr line (``configuration error: not enough memory: <message>`` for
 a ``MemoryError``), and a ``DomainError`` whose ``argument`` is a
@@ -37,13 +39,14 @@ import argparse
 import contextlib
 import csv
 import errno
+import heapq
 import json
 import math
 import os
 import re
 import reprlib
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
 
 import numpy as np
@@ -85,6 +88,9 @@ _PATH_NAMER.maxstring = 200
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_CHECK = 3
+
+#: A subcommand's fields, rows (drawn once) and verdict (a failed check's text or None)
+Table = tuple[list[str], Iterable[dict], Callable[[], str | None]]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +187,9 @@ def _fmt_value(v) -> str:
 
 
 def emit(fmt: str, out: str | None, fields: list[str], rows: Iterable[dict]) -> None:
-    """Write rows as CSV, each as it is drawn, or as one JSON text
-    (``fmt``) to stdout, or to the file ``out``; a sink that cannot be
-    written raises ``DomainError``."""
+    """Write each row as it is drawn, as CSV or as ``json.dumps``'s indent-2
+    text of the table (``fmt``), to stdout or to the file ``out``; a sink
+    that cannot be written raises ``DomainError``."""
     path = out
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out is not None and out_dir and not os.path.isabs(path):
@@ -198,7 +204,14 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: Iterable[dict]) -> 
                 writer.writerow(fields)
                 writer.writerows([_fmt_value(row.get(f)) for f in fields] for row in rows)
             else:
-                sink.write(json.dumps({"fields": fields, "rows": list(rows)}, indent=2) + "\n")
+                head, tail = json.dumps({"fields": fields, "rows": []}, indent=2).rsplit("[]", 1)
+                # a row's items, one to a line as indent=2 writes them in the table
+                row_items, sep = json.JSONEncoder(separators=(",\n      ", ": ")).encode, "\n"
+                sink.write(head + "[")
+                for row in rows:
+                    sink.write(f"{sep}    {{\n      {row_items(row)[1:-1]}\n    }}")
+                    sep = ",\n"
+                sink.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
             sink.flush()
     except OSError as err:
         if out is None:  # so the interpreter's last flush writes nowhere
@@ -211,12 +224,13 @@ def emit(fmt: str, out: str | None, fields: list[str], rows: Iterable[dict]) -> 
 # subcommands
 
 
-def _quantity_table(table: dict, failure: str | None = None) -> tuple[list[str], list, str | None]:
-    """The ``(fields, rows, failure)`` of an ordered ``{quantity: value}`` table."""
-    return ["quantity", "value"], [{"quantity": q, "value": v} for q, v in table.items()], failure
+def _quantity_table(table: dict, failure: str | None = None) -> Table:
+    """The ``Table`` of an ordered ``{quantity: value}`` table and its known verdict."""
+    return (["quantity", "value"], ({"quantity": q, "value": v} for q, v in table.items()),
+            lambda: failure)
 
 
-def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
+def cmd_spin(args) -> Table:
     override = None if args.angles is None else parse_angles(args.angles)
     table = {}
     ok = True
@@ -245,7 +259,7 @@ def cmd_spin(args) -> tuple[list[str], list[dict], str | None]:
                           "quadruple validation failed; see *_validation_* rows")
 
 
-def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
+def cmd_squeeze_scan(args) -> Table:
     space = fock.FockSpace(args.cutoff)  # bounds the cutoff before any allocation
     cutoff = space.cutoff
     angles = fock.MAX_VIOLATION_ANGLES if args.angles is None else parse_angles(args.angles)
@@ -254,36 +268,30 @@ def cmd_squeeze_scan(args) -> tuple[list[str], list[dict], str | None]:
         raise DomainError(
             f"--eta-range must stay inside the open interval (0, 1), got {named(args.eta_range)}"
         )
-    window_lo, _ = fock.VIOLATION_WINDOW
-
-    entries: list[tuple[float, str]] = [(float(e), "") for e in grid]
-    entries.append((window_lo, "window-lower-endpoint"))
-    entries.sort()
-
-    rows = []
+    entries = heapq.merge(((float(e), "") for e in grid),
+                          [(fock.VIOLATION_WINDOW[0], "window-lower-endpoint")],
+                          key=lambda entry: entry[0])  # a tie keeps the grid row first
     ok = True
-    for eta, note in entries:
-        closed = fock.chsh_closed(eta, angles)
-        matrix = fock.chsh_matrix(eta, space, angles)
-        diff = abs(closed - matrix)
-        tolerance = max(1e-8, 20.0 * eta ** (2 * cutoff))
-        ok = ok and diff <= tolerance
-        rows.append({
-            "eta": eta, "chsh_closed": closed, "chsh_matrix": matrix,
-            "abs_difference": diff, "note": note,
-        })
-    # open upper endpoint: the closed form extends continuously to eta = 1
-    limit = fock.pair_amplitude(1.0) * fock.UNIT_SQUEEZED_FORM.value(angles)
-    rows.append({
-        "eta": 1.0, "chsh_closed": limit, "chsh_matrix": None,
-        "abs_difference": None, "note": "window-upper-endpoint-limit",
-    })
 
-    return (["eta", "chsh_closed", "chsh_matrix", "abs_difference", "note"], rows,
-            None if ok else "closed form and matrix value disagree beyond tolerance")
+    def rows():
+        nonlocal ok
+        for eta, note in entries:
+            closed = fock.chsh_closed(eta, angles)
+            matrix = fock.chsh_matrix(eta, space, angles)
+            diff = abs(closed - matrix)
+            ok = ok and diff <= max(1e-8, 20.0 * eta ** (2 * cutoff))
+            yield {"eta": eta, "chsh_closed": closed, "chsh_matrix": matrix,
+                   "abs_difference": diff, "note": note}
+        # open upper endpoint: the closed form extends continuously to eta = 1
+        limit = fock.pair_amplitude(1.0) * fock.UNIT_SQUEEZED_FORM.value(angles)
+        yield {"eta": 1.0, "chsh_closed": limit, "chsh_matrix": None,
+               "abs_difference": None, "note": "window-upper-endpoint-limit"}
+
+    return (["eta", "chsh_closed", "chsh_matrix", "abs_difference", "note"], rows(),
+            lambda: None if ok else "closed form and matrix value disagree beyond tolerance")
 
 
-def cmd_optimize(args) -> tuple[list[str], list[dict], None]:
+def cmd_optimize(args) -> Table:
     if args.closed_form == "spin-one":
         form = spin.spin_closed_form(spin.SPIN_ONE)
         table = {"closed_form": "spin-one"}
@@ -294,7 +302,7 @@ def cmd_optimize(args) -> tuple[list[str], list[dict], None]:
     return _quantity_table({**table, **asdict(angles), "optimum": best})
 
 
-def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
+def cmd_kg_norm(args) -> Table:
     # counted as given, before --center-energy is joined to it
     center = to_numbers(parse_floats(args.center, "--center"), "spatial_center", 3)
     radial = parse_quad(args.quad)
@@ -313,7 +321,7 @@ def cmd_kg_norm(args) -> tuple[list[str], list[dict], None]:
     return _quantity_table(table)
 
 
-def cmd_rindler_scan(args) -> tuple[list[str], Iterable[dict], None]:
+def cmd_rindler_scan(args) -> Table:
     frequencies = parse_floats(args.modes, "--modes")
     if args.temp_range is not None and args.accel_range is not None:
         raise DomainError("--temp-range and --accel-range are mutually exclusive")
@@ -331,7 +339,7 @@ def cmd_rindler_scan(args) -> tuple[list[str], Iterable[dict], None]:
     scan = rindler.temperature_scan(modes, grid)  # checks the grid before emit writes
     rows = ({"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
             for r in scan)  # each row and its dict made as emit draws them
-    return ["T", "tau", "chsh", "flag"], rows, None
+    return ["T", "tau", "chsh", "flag"], rows, lambda: None
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +429,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        fields, rows, failure = args.handler(args)
-        emit(args.format, args.out, fields, rows)  # the rows are written first
-        if failure is not None:
+        fields, rows, verdict = args.handler(args)
+        emit(args.format, args.out, fields, rows)  # the verdict is known after the last row
+        if (failure := verdict()) is not None:
             raise PrecisionError(failure)
     except DomainError as err:
         flag = ARGUMENT_FLAGS.get(err.argument)

@@ -9,9 +9,10 @@ once.  An argv is written as the shell would split it, on whitespace;
   last, and the ``--format json`` stdout has the md5 given.  Both pins
   are exact, so they are checked only on the platform whose key
   ``tests/reference/platform.json`` stores.
-- ``PEAK_MB``: a bound on the peak RSS of a pinned row's CSV run.  The
-  CLI is spawned by a small launcher process (``LAUNCHER``), so the
-  reading is the CLI's own peak, not floored at the runner's.
+- ``PEAK_MB``: a bound on the peak RSS of a pinned row's CSV or JSON
+  run, keyed by the row's name and the format.  The CLI is spawned by
+  a small launcher process (``LAUNCHER``), so the reading is the CLI's
+  own peak, not floored at the runner's.
 - ``REFUSED``: exit 2 with one ``configuration error: `` line of under
   1,000 bytes on stderr, and no traceback.
 - ``USAGE_ERRORS``: exit 2 from argparse, its usage lines and one
@@ -104,10 +105,12 @@ IN_PROCESS = [name for name in PINNED if name not in (
     "kg-norm-quad-2048-normalize", "rindler-scan-100k", "squeeze-scan-100k",
     "squeeze-scan-cutoff-2048-100k")]
 
-#: name -> bound in MB on the child's ``ru_maxrss``, read on Linux only (in KiB).
-PEAK_MB = {"squeeze-scan-cutoff-2048": 50.0, "rindler-scan-100k": 45.0,
-           "squeeze-scan-100k": 85.0, "kg-norm-quad-2048-normalize": 350.0,
-           "squeeze-scan-cutoff-2048-100k": 80.0}
+#: (name, format) -> bound in MB on the child's ``ru_maxrss``, read on Linux
+#: only (in KiB).
+PEAK_MB = {("squeeze-scan-cutoff-2048", "csv"): 50.0, ("rindler-scan-100k", "csv"): 45.0,
+           ("rindler-scan-100k", "json"): 45.0, ("squeeze-scan-100k", "csv"): 40.0,
+           ("squeeze-scan-100k", "json"): 40.0, ("kg-norm-quad-2048-normalize", "csv"): 350.0,
+           ("squeeze-scan-cutoff-2048-100k", "csv"): 40.0}
 LINUX = sys.platform == "linux"
 
 REFUSED = (
@@ -310,21 +313,23 @@ def run_fresh(args: tuple[str, ...]) -> tuple[int, str, str, float | None]:
 def fresh_faults(tmp: str, pinned=PINNED, refused=REFUSED, usage_errors=USAGE_ERRORS,
                  peak_mb=PEAK_MB):
     """Run each row in a fresh process, print the peak RSS of each
-    bounded one next to its bound, and yield ``(argv text, fault)`` for
+    bounded run next to its bound, and yield ``(argv text, fault)`` for
     each way a row breaks its contract."""
     for name, (text, stride, json_md5) in pinned.items():
-        code, csv_text, err, peak = run_fresh(argv(text))
-        json_code, json_text, json_err, _ = run_fresh((*argv(text), "--format", "json"))
+        code, csv_text, err, csv_peak = run_fresh(argv(text))
+        json_code, json_text, json_err, json_peak = run_fresh((*argv(text), "--format", "json"))
         if (code, err, json_code, json_err) != (0, "", 0, ""):
             yield text, (f"exited {code} and {json_code} (CSV and JSON), expected 0 and 0 "
                          f"with empty stderr: {(err or json_err)[-2000:]}")
         elif fault := pin_fault(name, stride, json_md5, csv_text, json_text):
             yield text, fault
-        if LINUX and name in peak_mb:
-            reading = f"peak RSS {peak:.1f} MB, bound {peak_mb[name]:.0f} MB"
-            print(f"bellchsh {abridged(text)}: {reading}")
-            if peak > peak_mb[name]:
-                yield text, reading
+        for fmt, peak, run_text in (("csv", csv_peak, text),
+                                    ("json", json_peak, f"{text} --format json")):
+            if LINUX and (name, fmt) in peak_mb:
+                reading = f"peak RSS {peak:.1f} MB, bound {peak_mb[name, fmt]:.0f} MB"
+                print(f"bellchsh {abridged(run_text)}: {reading}")
+                if peak > peak_mb[name, fmt]:
+                    yield run_text, reading
     for rows, fault_of in ((refused, refusal_fault), (usage_errors, usage_fault)):
         for text in rows:
             code, _, err, _ = run_fresh(argv(text, tmp))

@@ -97,6 +97,34 @@ MUTANTS = (
     Mutant("src/bellchsh/chsh.py", "tolerance=1e-12 * dim,", "tolerance=1e-12,",
            ("tests/test_chsh.py",),
            "validate_quadruple's tolerance grows with the product dimension"),
+    Mutant("src/bellchsh/chsh.py", "return -math.pi if wrapped == math.pi else wrapped",
+           "return wrapped", ("tests/test_chsh.py",),
+           "an angle one ulp below -pi wraps to -pi, not to pi outside [-pi, pi)"),
+    Mutant("src/bellchsh/cli.py",
+           "emit(args.format, args.out, fields, rows)  # the verdict is known after the last row\n"
+           "        if (failure := verdict()) is not None:",
+           "failure = verdict()\n        emit(args.format, args.out, fields, rows)\n"
+           "        if failure is not None:", ("tests/test_cli.py",),
+           "main reads a table's verdict after emit has drawn its last row"),
+    Mutant("src/bellchsh/cli.py", "ok = ok and diff", "ok = ok or diff", ("tests/test_cli.py",),
+           "one squeeze-scan row beyond its tolerance fails the whole scan"),
+    Mutant("src/bellchsh/cli.py", '("]" if sep == "\\n"', '("\\n  ]" if sep == "\\n"',
+           ("tests/test_cli.py",), "an empty JSON table closes as json.dumps closes it: []"),
+    Mutant("src/bellchsh/cli.py",
+           'heapq.merge(((float(e), "") for e in grid),\n'
+           '                          [(fock.VIOLATION_WINDOW[0], "window-lower-endpoint")],',
+           'heapq.merge([(fock.VIOLATION_WINDOW[0], "window-lower-endpoint")],\n'
+           '                          ((float(e), "") for e in grid),', ("tests/test_cli.py",),
+           "a grid point equal to the window endpoint is written before the endpoint row"),
+    Mutant("src/bellchsh/cli.py", "MAX_STEPS = 100_000", "MAX_STEPS = 100_001",
+           ("tests/test_cli.py",), "a LO:HI:STEPS grid has at most 100,000 points (README)"),
+    Mutant("src/bellchsh/cli.py", "if steps > MAX_STEPS:", "if steps >= MAX_STEPS:",
+           ("tests/test_cli.py",), "a grid of exactly MAX_STEPS points is allowed"),
+    Mutant("src/bellchsh/cli.py", "MAX_MODE_EVALUATIONS = 100 * MAX_STEPS",
+           "MAX_MODE_EVALUATIONS = 100 * MAX_STEPS + 1", ("tests/test_cli.py",),
+           "a rindler-scan does at most 10,000,000 mode evaluations (README)"),
+    Mutant("src/bellchsh/cli.py", "> MAX_MODE_EVALUATIONS:", ">= MAX_MODE_EVALUATIONS:",
+           ("tests/test_cli.py",), "exactly MAX_MODE_EVALUATIONS mode evaluations are allowed"),
 )
 
 #: The environment of each pytest run: the test suite's warning filters,

@@ -1,3 +1,4 @@
+import collections.abc
 import contextlib
 import csv
 import dataclasses
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -192,18 +194,51 @@ class TestSqueezeScan:
         assert out == ""
         assert err.startswith("configuration error: cannot write --out ")
 
-    @pytest.mark.parametrize("shift,code", [(5e-9, 0), (5e-8, 3)])
-    def test_tolerance_floor_is_1e_8(self, capsys, monkeypatch, shift, code):
+    @pytest.mark.parametrize("shift,code,fmt", [
+        (5e-9, 0, "csv"), (5e-8, 3, "csv"), (5e-9, 0, "json"), (5e-8, 3, "json"),
+    ], ids=["5e-09-0", "5e-08-3", "5e-09-0-json", "5e-08-3-json"])
+    def test_tolerance_floor_is_1e_8(self, monkeypatch, shift, code, fmt):
         # at the default cutoff 40, every eta of the scan below ~0.76 is held
-        # to the floor alone: 5e-9 passes it, 5e-8 fails it
+        # to the floor alone: 5e-9 passes it, 5e-8 fails it; a failed scan
+        # writes its whole table, then the one stderr line
         matrix = fock.chsh_matrix
         monkeypatch.setattr(fock, "chsh_matrix",
                             lambda eta, space, angles: matrix(eta, space, angles) + shift)
-        got, out, err = run(capsys, "squeeze-scan")
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            got = main(["squeeze-scan", "--format", fmt])
+        line = ("" if code == 0 else "precision failure: closed form and matrix "
+                "value disagree beyond tolerance\n")
+        text = sink.getvalue()
         assert got == code
-        assert len(csv_rows(out)) == 11
-        assert err == ("" if code == 0 else "precision failure: closed form and matrix "
-                       "value disagree beyond tolerance\n")
+        assert text.endswith(line)
+        table = text[:len(text) - len(line)]
+        assert len(csv_rows(table) if fmt == "csv" else json.loads(table)["rows"]) == 11
+
+    def test_grid_point_on_the_window_endpoint_comes_first(self, capsys):
+        # a tie keeps the order sorting the (eta, note) pairs gave
+        eta = repr(fock.VIOLATION_WINDOW[0])
+        code, out, _ = run(capsys, "squeeze-scan", "--eta-range", f"{eta}:{eta}:1")
+        assert code == 0
+        assert [(r["eta"], r["note"]) for r in csv_rows(out)] == [
+            (eta, ""), (eta, "window-lower-endpoint"), ("1", "window-upper-endpoint-limit")]
+
+    def test_rows_drawn_one_at_a_time_hold_no_list(self):
+        # a list of the 10,002 row dicts takes ~3.6 MB under tracemalloc;
+        # drawn from an iterator, only the grid and the current row are held
+        args = cli.build_parser().parse_args(["squeeze-scan", "--eta-range", "0.01:0.99:10000"])
+        tracemalloc.start()
+        try:
+            _, rows, verdict = args.handler(args)
+            drawn = 0
+            for _ in rows:
+                drawn += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert isinstance(rows, collections.abc.Iterator)
+        assert drawn == 10_002 and verdict() is None
 
     def test_zero_eta_rejected(self, capsys):
         code, _, err = run(capsys, "squeeze-scan", "--eta-range", "0:0.9:5")
@@ -483,7 +518,7 @@ class TestRindlerScan:
         assert err.startswith("configuration error: ") and flag in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
+    @pytest.mark.parametrize("steps", [100_001, 10**12])  # README's limit, not the constant
     @pytest.mark.parametrize("argv", [
         ("squeeze-scan", "--eta-range"),
         ("rindler-scan", "--temp-range"),
@@ -493,7 +528,7 @@ class TestRindlerScan:
         code, out, err = run(capsys, *argv, f"0.1:0.9:{steps}")
         assert code == 2
         assert out == ""
-        assert argv[1] in err and f"at most {MAX_STEPS}" in err
+        assert argv[1] in err and "at most 100000 steps" in err
         assert "Traceback" not in err
 
     def test_mode_evaluations_bounded_before_the_scan(self, capsys, monkeypatch):
@@ -510,6 +545,20 @@ class TestRindlerScan:
         assert "--modes" in err and "--temp-range" in err
         assert str(cli.MAX_MODE_EVALUATIONS) in err
         assert cli.MAX_MODE_EVALUATIONS == 100 * MAX_STEPS
+
+    @pytest.mark.parametrize("argv", [
+        ("squeeze-scan", "--eta-range", "0.1:0.9"),
+        ("rindler-scan", "--temp-range", "1:2"),
+        ("rindler-scan", "--accel-range", "1:2"),
+    ])
+    def test_step_bound_is_inclusive(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "MAX_STEPS", 3)
+        *command, span = argv
+        code, out, _ = run(capsys, *command, f"{span}:3")
+        assert code == 0 and out
+        code, out, err = run(capsys, *command, f"{span}:4")
+        assert code == 2 and out == ""
+        assert "at most 3 steps" in err
 
     @pytest.mark.parametrize("flag", ["--temp-range", "--accel-range"])
     def test_mode_evaluation_bound_is_inclusive(self, capsys, monkeypatch, flag):
@@ -643,6 +692,18 @@ class TestOutputHandling:
                 cli.emit(fmt, None, fields, rows)
             texts.append(sink.getvalue())
         assert texts[0] == texts[1] and texts[0].count("\n") > 7
+
+    @pytest.mark.parametrize("rows", [
+        [],  # no argv reaches an empty table
+        [{"a": 1.5, "b": None}],
+        [{"a": math.nan, "b": "\u00e9\"x"}, {"a": -math.inf, "b": 2}],
+    ], ids=["empty", "one-row", "two-rows"])
+    def test_json_is_the_text_json_dumps_writes(self, rows):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            cli.emit("json", None, ["a", "b"], iter(rows))
+        assert sink.getvalue() == json.dumps({"fields": ["a", "b"], "rows": rows},
+                                             indent=2) + "\n"
 
     def test_unknown_option_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -72,14 +72,18 @@ def test_faults_name_a_broken_contract():
 
 
 def test_fresh_process_run_reports_each_broken_row(tmp_path):
-    # the script CI runs: a pin off by its md5, a peak RSS over its bound
-    # and a "refusal" that exits 0 are reported, a usage row that holds is not
+    # the script CI runs: a pin off by its md5, a CSV and a JSON peak RSS
+    # over its bound and a "refusal" that exits 0 are reported, a usage row
+    # that holds is not
     text, stride, _ = PINNED["rindler-scan-underflow"]
     faults = list(fresh_faults(str(tmp_path), {"rindler-scan-underflow": (
-        text, stride, "0" * 32)}, ("spin",), USAGE_ERRORS, {"rindler-scan-underflow": 1.0}))
-    assert [row for row, _ in faults] == [text] * (EXACT + LINUX) + ["spin"]
+        text, stride, "0" * 32)}, ("spin",), USAGE_ERRORS,
+        {("rindler-scan-underflow", "csv"): 1.0, ("rindler-scan-underflow", "json"): 1.0}))
+    assert [row for row, _ in faults] == (
+        [text] * EXACT + [text, f"{text} --format json"] * LINUX + ["spin"])
     if LINUX:
-        assert re.fullmatch(r"peak RSS \d+\.\d MB, bound 1 MB", faults[EXACT][1])
+        for _, fault in faults[EXACT:EXACT + 2]:
+            assert re.fullmatch(r"peak RSS \d+\.\d MB, bound 1 MB", fault)
     assert faults[-1][1].startswith("exited 0 ")
 
 

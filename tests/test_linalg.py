@@ -1,3 +1,8 @@
+"""Tests of the product-space action in ``bellchsh.chsh``: ``Ket``,
+``FactoredOperator`` and ``square_matrix``, the check their matrices
+share.  The file keeps its name, that of the module which held this code
+before ``chsh`` did, so its test ids stay stable."""
+
 import math
 import re
 
