@@ -45,7 +45,8 @@ def main():
     print(f"(high-T limit: 2 sqrt(2) = {2 * math.sqrt(2):.8f})")
 
     print("\nthree modes: the summed form factor can pass 1, flagged not clamped:")
-    rows = temperature_scan(RindlerModeSet((0.8, 1.0, 1.3)), [0.2, 0.5, 1.0, 2.0, 5.0])
+    rows = temperature_scan(RindlerModeSet((0.8, 1.0, 1.3)),
+                            np.array([0.2, 0.5, 1.0, 2.0, 5.0]))
     for row in rows:
         print(f"  T = {row.temperature:4.1f}: tau = {row.tau:8.5f}, "
               f"CHSH = {row.chsh:8.5f}  {row.flag}")

@@ -328,15 +328,15 @@ def cmd_rindler_scan(args) -> Table:
     temp_range = "0.02:2.0:50" if args.temp_range is None else args.temp_range
     flag, text = (("--accel-range", args.accel_range) if args.accel_range is not None
                   else ("--temp-range", temp_range))
-    grid = parse_range(text, flag).tolist()
-    if len(frequencies) * len(grid) > MAX_MODE_EVALUATIONS:
+    grid = parse_range(text, flag)
+    if len(frequencies) * grid.size > MAX_MODE_EVALUATIONS:
         raise DomainError(f"--modes ({len(frequencies)} frequencies) times {flag} "
-                          f"({len(grid)} steps) exceeds {MAX_MODE_EVALUATIONS} "
+                          f"({grid.size} steps) exceeds {MAX_MODE_EVALUATIONS} "
                           "mode evaluations")
     modes = rindler.RindlerModeSet(frequencies)
-    if args.accel_range is not None:
-        grid = [rindler.unruh_temperature(a) for a in grid]
-    scan = rindler.temperature_scan(modes, grid)  # checks the grid before emit writes
+    if args.accel_range is not None:  # one array of T, each acceleration checked in order
+        grid = np.fromiter(map(rindler.unruh_temperature, grid), float, grid.size)
+    scan = rindler.temperature_scan(modes, grid)  # checks the array, read in place, before emit
     rows = ({"T": r.temperature, "tau": r.tau, "chsh": r.chsh, "flag": r.flag}
             for r in scan)  # each row and its dict made as emit draws them
     return ["T", "tau", "chsh", "flag"], rows, lambda: None

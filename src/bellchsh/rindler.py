@@ -19,13 +19,14 @@ reported and the row is flagged supra-Tsirelson rather than clamped.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
+
+import numpy as np
 
 from .chsh import TSIRELSON_BOUND
-from .errors import DomainError, to_number, to_numbers
+from .errors import DomainError, named, to_number, to_numbers
 from .fock import pair_amplitude
 
 
@@ -94,27 +95,25 @@ class ScanRow:
         return self.FLAG_TEXT if self.supra_tsirelson else ""
 
 
-def temperature_scan(modes: RindlerModeSet,
-                     t_grid: Sequence[float] | Iterable[float]) -> Iterator[ScanRow]:
-    """Recompute (tau, CHSH) over an ascending grid of temperatures,
-    returned as an iterator that builds each row as it is drawn.
-
-    Each row is ``tau(modes, T)`` at its own grid temperature T.  The grid
-    must be strictly ascending, which a NaN breaks, so only its first or
-    last T can lie outside (0, inf): ``tau`` checks those two, in that
-    order, when the scan is called, before any row is built, and each row
-    takes the unchecked sum.  Rows whose summed form factor exceeds 1
-    (possible only with several modes) are flagged supra-Tsirelson; the
-    literal value is reported unclamped.
+def temperature_scan(modes: RindlerModeSet, t_grid: np.ndarray) -> Iterator[ScanRow]:
+    """An iterator of (tau, CHSH) rows, each built as it is drawn, at the
+    temperatures of ``t_grid``: a non-empty, strictly ascending 1-D ndarray
+    of integer or float dtype, read in place; anything else is refused unread.
+    A NaN breaks the ascent, so only the first or last T can lie outside
+    (0, inf): ``tau`` checks those two, in that order, when the scan is
+    called, and each row takes the unchecked sum at its own ``float(T)``.
+    Rows whose summed form factor exceeds 1 (several modes only) are flagged
+    supra-Tsirelson; the literal value is reported unclamped.
     """
-    grid = to_numbers(t_grid, "t_grid")
-    if not grid:
-        raise DomainError("temperature grid must be non-empty")
-    if any(not a < b for a, b in itertools.pairwise(grid)):  # no copy of the grid
+    if not (isinstance(t_grid, np.ndarray) and t_grid.ndim == 1 and t_grid.size
+            and t_grid.dtype.kind in "iuf"):
+        raise DomainError(f"t_grid must be a non-empty 1-D ndarray of integers or floats, "
+                          f"got {named(t_grid)}", argument="t_grid")
+    if not (t_grid[1:] > t_grid[:-1]).all():
         raise DomainError("temperature grid must be strictly ascending")
-    for t in (grid[0], grid[-1]):  # every other T lies between these two
+    for t in (t_grid[0], t_grid[-1]):  # every other T lies between these two
         tau(modes, t)
-    forms = ((t, _mode_sum(modes, t)) for t in grid)
+    forms = ((t, _mode_sum(modes, t)) for t in map(float, t_grid))
     return (ScanRow(temperature=t, tau=form, chsh=TSIRELSON_BOUND * form,
                     supra_tsirelson=form > 1.0)
             for t, form in forms)

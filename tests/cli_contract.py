@@ -91,6 +91,8 @@ PINNED = {
                                "c4b5bcb6fce66b4e00012dbc979da9f4"),
     "rindler-scan-100k": ("rindler-scan --temp-range 0.01:5:100000", 1000,
                           "27ab4bde003d8594d0b3f85518af61b0"),
+    "rindler-scan-accel-100k": ("rindler-scan --accel-range 0.1:30:100000", 1000,
+                                "de30a662d88234ff6fa160c6085ac122"),
     "squeeze-scan-100k": ("squeeze-scan --eta-range 0.01:0.99:100000", 1000,
                           "b6f24eb4d5b9d8fe5fd140d372defd8b"),
     "squeeze-scan-cutoff-2048-100k": ("squeeze-scan --cutoff 2048 --eta-range 0.01:0.99:100000",
@@ -102,13 +104,14 @@ PINNED = {
 #: 100,000-row scans are there for their peak RSS, and the cutoff-2048
 #: one pins ``chsh_matrix`` where most powers of eta underflow.
 IN_PROCESS = [name for name in PINNED if name not in (
-    "kg-norm-quad-2048-normalize", "rindler-scan-100k", "squeeze-scan-100k",
-    "squeeze-scan-cutoff-2048-100k")]
+    "kg-norm-quad-2048-normalize", "rindler-scan-100k", "rindler-scan-accel-100k",
+    "squeeze-scan-100k", "squeeze-scan-cutoff-2048-100k")]
 
 #: (name, format) -> bound in MB on the child's ``ru_maxrss``, read on Linux
 #: only (in KiB).
-PEAK_MB = {("squeeze-scan-cutoff-2048", "csv"): 50.0, ("rindler-scan-100k", "csv"): 45.0,
-           ("rindler-scan-100k", "json"): 45.0, ("squeeze-scan-100k", "csv"): 40.0,
+PEAK_MB = {("squeeze-scan-cutoff-2048", "csv"): 50.0, ("rindler-scan-100k", "csv"): 40.0,
+           ("rindler-scan-100k", "json"): 40.0, ("rindler-scan-accel-100k", "csv"): 40.0,
+           ("rindler-scan-accel-100k", "json"): 40.0, ("squeeze-scan-100k", "csv"): 40.0,
            ("squeeze-scan-100k", "json"): 40.0, ("kg-norm-quad-2048-normalize", "csv"): 350.0,
            ("squeeze-scan-cutoff-2048-100k", "csv"): 40.0}
 LINUX = sys.platform == "linux"

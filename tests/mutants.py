@@ -6,14 +6,18 @@ should fail on the mutant, and why the line matters.  A row whose
 ``equivalent`` holds a reason changes no result, for that reason, and
 is expected to survive.
 
-The runner copies ``src``, ``tests`` and ``pyproject.toml`` into a
-temporary directory, applies one row at a time to the copy, never to
-the working tree, and runs ``python -m pytest`` on the row's test
-files there.  A mutant is killed when pytest reports a failing test
-(exit 1).  The script prints one line per row and exits 1 if a row's
-file is missing or its ``old`` text does not occur exactly once, pytest
-exits otherwise than 0 or 1, a mutant survives that is not marked
-equivalent, or one marked equivalent is killed:
+The runner copies ``src``, ``tests``, ``demos`` (the contract tests
+run the demos) and ``pyproject.toml`` into a temporary directory.  It
+first runs each set of test files named by a row on the unmutated copy,
+where they must pass, since a test that fails there would kill every
+mutant.  Then it applies one row at a time to the copy, never to the
+working tree, and runs ``python -m pytest`` on the row's test files
+there.  A mutant is killed when pytest reports a failing test (exit 1).
+The script prints one line per row and exits 1 if a row's file is
+missing or its ``old`` text does not occur exactly once, a row's tests
+fail on the unmutated copy, pytest exits otherwise than 0 or 1, a
+mutant survives that is not marked equivalent, or one marked equivalent
+is killed:
 
     python tests/mutants.py
 
@@ -82,10 +86,14 @@ MUTANTS = (
     Mutant("src/bellchsh/rindler.py", "return (ScanRow(", "return list(ScanRow(",
            ("tests/test_rindler.py",),
            "temperature_scan builds each row as it is drawn and holds no list of them"),
-    Mutant("src/bellchsh/rindler.py", "(grid[0], grid[-1])", "(grid[0],)",
+    Mutant("src/bellchsh/rindler.py", "(t_grid[0], t_grid[-1])", "(t_grid[0],)",
            ("tests/test_rindler.py",),
            "the scan checks its last temperature before a row is drawn, so a refused "
            "grid writes no partial table"),
+    Mutant("src/bellchsh/rindler.py", "t_grid[1:] > t_grid[:-1]", "t_grid[1:] >= t_grid[:-1]",
+           ("tests/test_rindler.py",), "a temperature grid with a repeated T is not ascending"),
+    Mutant("src/bellchsh/rindler.py", "t_grid.ndim == 1", "t_grid.ndim >= 1",
+           ("tests/test_rindler.py",), "a 2-D temperature array is refused unread as t_grid"),
     Mutant("src/bellchsh/kleingordon.py", "10.0 * p.momentum_width",
            "8.0 * p.momentum_width", ("tests/test_kleingordon.py",),
            "for_packets cuts the radial integral at center + 10 momentum widths"),
@@ -125,6 +133,26 @@ MUTANTS = (
            "a rindler-scan does at most 10,000,000 mode evaluations (README)"),
     Mutant("src/bellchsh/cli.py", "> MAX_MODE_EVALUATIONS:", ">= MAX_MODE_EVALUATIONS:",
            ("tests/test_cli.py",), "exactly MAX_MODE_EVALUATIONS mode evaluations are allowed"),
+    Mutant("src/bellchsh/fock.py", "SQUEEZED_SIGNS = (1.0, 1.0, 1.0, -1.0)",
+           "SQUEEZED_SIGNS = (1.0, 1.0, -1.0, 1.0)", ("tests/test_fock.py",),
+           "the squeezed closed form's one minus sign is on cos(a2 + b2)"),
+    Mutant("src/bellchsh/spin.py", "ClosedFormCorrelator(2.0 / 3.0,",
+           "ClosedFormCorrelator(3.0 / 4.0,", ("tests/test_spin.py",),
+           "spin one's closed form carries the prefactor 2/3"),
+    Mutant("src/bellchsh/spin.py", "constant=1.0)", "constant=0.0)", ("tests/test_spin.py",),
+           "spin one's closed form has the constant term 1 inside the prefactor"),
+    Mutant("src/bellchsh/spin.py", "orientation=-1.0)", "orientation=1.0)",
+           ("tests/test_spin.py",), "spin half's B phases subtract from its A phases"),
+    Mutant("tests/cli_contract.py", 'err.count("\\n") == 1', 'err.count("\\n") >= 1',
+           ("tests/test_cli_contract.py",), "a refused row writes one stderr line, not more"),
+    Mutant("tests/cli_contract.py", 'and err.endswith("\\n")', 'and err.endswith("")',
+           ("tests/test_cli_contract.py",), "a refused row's one stderr line ends in a newline"),
+    Mutant("tests/cli_contract.py", 'STORED["rows"][name]):', 'thin(csv_text, stride)[1]):',
+           ("tests/test_cli_contract.py",),
+           "a pinned row's full row count is pinned, not only the rows its stride keeps"),
+    Mutant("tests/cli_contract.py", "if md5(json_text) != json_md5:",
+           "if md5(json_text) != md5(json_text):", ("tests/test_cli_contract.py",),
+           "a pinned row's JSON stdout is held to its md5"),
 )
 
 #: The environment of each pytest run: the test suite's warning filters,
@@ -146,6 +174,14 @@ def occurrence_faults(mutants=MUTANTS, root=ROOT):
             yield row, f"old text occurs {count} times in {row.file}, not once"
 
 
+def run_tests(copy: pathlib.Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code on the test files ``tests`` of the copy."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=dict(ENV, PYTHONPATH=str(copy / "src")), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, timeout=600).returncode
+
+
 def run_row(copy: pathlib.Path, row: Mutant) -> int:
     """Apply ``row`` to the copy, run its tests there, restore the file,
     and return pytest's exit code."""
@@ -153,10 +189,7 @@ def run_row(copy: pathlib.Path, row: Mutant) -> int:
     text = path.read_text(encoding="utf-8")
     path.write_text(text.replace(row.old, row.new), encoding="utf-8")
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *row.tests],
-            cwd=copy, env=dict(ENV, PYTHONPATH=str(copy / "src")), stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=600).returncode
+        return run_tests(copy, row.tests)
     finally:
         path.write_text(text, encoding="utf-8")
 
@@ -182,10 +215,15 @@ def main() -> int:
     broken = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp)
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "demos"):
             shutil.copytree(ROOT / name, copy / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
+        for tests in dict.fromkeys(row.tests for row in MUTANTS):
+            if code := run_tests(copy, tests):
+                print(f"{' '.join(tests)}: pytest exited {code} on the unmutated copy",
+                      file=sys.stderr)
+                return 1
         for row in MUTANTS:
             outcome, fault = verdict(row, run_row(copy, row))
             broken += fault

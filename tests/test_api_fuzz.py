@@ -3,10 +3,12 @@
 Every export that checks a number, string or sequence argument is called
 with hostile values: NaN, +-inf, zeros, negatives, integers up to 2**62
 and beyond the float range, subnormals, 10**5-long lists, strings,
-complex numbers, None and numpy arrays.  Each call must return, or raise
-``DomainError``, ``ShapeError`` or ``PrecisionError`` with a message
-under 1,000 characters, and a rejected call must peak under 1 MiB of
-traced allocation.  A numpy ``RuntimeWarning`` is raised as an error.
+complex numbers, None and numpy arrays; an entry point that takes only
+an ndarray is also given arrays that pass its type check and reach the
+checks behind it.  Each call must return, or raise ``DomainError``,
+``ShapeError`` or ``PrecisionError`` with a message under 1,000
+characters, and a rejected call must peak under 1 MiB of traced
+allocation.  A numpy ``RuntimeWarning`` is raised as an error.
 
 A list that holds itself, which numpy or an unbounded repr would walk
 forever or spell out at length, is passed to every entry point that
@@ -94,6 +96,19 @@ SCALAR = st.one_of(SHORT, st.just("x" * 10**5))
 LONG = st.sampled_from([ZEROS, ASCENDING_THEN_NAN])
 HOSTILE = st.one_of(SCALAR, LONG)
 SEQUENCE = st.one_of(st.lists(SCALAR, max_size=5), LONG, SCALAR)
+#: temperature grids: any ``SEQUENCE``, which the scan refuses unread, or a
+#: 1-D float array, which reaches its size, ascent and end checks: NaN,
+#: +-inf, zero, negative, descending and repeated entries, the two long
+#: lists as arrays, and ascending grids the scan accepts
+T_GRID = st.one_of(
+    SEQUENCE,
+    st.lists(st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])),
+             max_size=5).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5, unique=True).map(
+        lambda v: np.array(sorted(v))),
+    st.sampled_from([np.array([2.0, 1.0]), np.array([1.0, 1.0]), np.array([0.5, 2.0, 2.0]),
+                     np.array(ZEROS), np.array(ASCENDING_THEN_NAN)]),
+)
 #: phase_flip arguments: dims that are small, or whose stack no machine
 #: can hold, or no integer; a long stack of phases, nested text, long
 #: pairs as an array, and any list or tuple of pairs or phases, are
@@ -165,7 +180,7 @@ TARGETS = {
     "unruh_temperature": (st.tuples(HOSTILE), unruh_temperature),
     "tau": (st.tuples(HOSTILE), lambda t: tau(MODES, t)),
     "rindler_chsh": (st.tuples(HOSTILE), lambda t: rindler_chsh(MODES, t)),
-    "temperature_scan": (st.tuples(SEQUENCE), lambda grid: list(temperature_scan(MODES, grid))),
+    "temperature_scan": (st.tuples(T_GRID), lambda grid: list(temperature_scan(MODES, grid))),
     "singlet": (st.tuples(SPIN), singlet),
     "spin_closed_form": (st.tuples(SPIN), spin_closed_form),
     "spin_quadruple": (st.tuples(SPIN), lambda spin: spin_quadruple(spin, ANGLES)),
@@ -268,6 +283,10 @@ def test_self_referential_lists_refused_at_once():
     (AngleSet, (np.complex128(1 + 1j), 0, 0, 0)),
     (lambda t: tau(MODES, t), ("x",)),
     (lambda grid: list(temperature_scan(MODES, grid)), (1.0,)),
+    (lambda grid: list(temperature_scan(MODES, grid)), ([0.5, 1.0],)),
+    (lambda grid: list(temperature_scan(MODES, grid)), (np.array([[0.5, 1.0]]),)),
+    (lambda grid: list(temperature_scan(MODES, grid)), (np.array([0.5, 1.0], dtype=complex),)),
+    (lambda grid: list(temperature_scan(MODES, grid)), (np.array([0.5, 1.0], dtype=object),)),
     (unruh_temperature, ("x",)),
     (singlet, (["half"],)),
     (GaussianPacket.on_shell, (1.0, (0, 0), 1.0)),
@@ -282,6 +301,7 @@ def test_self_referential_lists_refused_at_once():
     (lambda k_max: ShellQuadrature(k_max=k_max), ("10.0",)),
 ], ids=["phase-str", "phase-complex", "phase-np-complex", "modes-str", "modes-complex",
         "modes-scalar", "angle-str", "angle-np-complex", "tau-str", "scan-scalar",
+        "scan-list", "scan-2d", "scan-complex", "scan-object",
         "unruh-str", "singlet-list", "on-shell-short-center", "on-shell-scalar-center",
         "packet-scalar-center", "angle-number-text", "angle-underscore-text",
         "tau-number-text", "unruh-number-bytes", "modes-number-text",

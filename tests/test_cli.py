@@ -488,6 +488,20 @@ class TestRindlerScan:
         _, via_temp, _ = run(capsys, "rindler-scan", "--temp-range", "1:2:3")
         assert via_accel == via_temp
 
+    def test_accel_range_holds_its_grid_as_two_arrays(self):
+        # the accelerations and their temperatures, 160 kB each, read in
+        # place: a peak of ~0.37-0.53 MB; a list of either, or a tuple
+        # copy in the scan, took it to ~1.3-1.5 MB
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(["rindler-scan", "--accel-range", "0.1:30:20000"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 800_000
+
     def test_non_positive_frequency_rejected(self, capsys):
         code, _, err = run(capsys, "rindler-scan", "--modes", "0.0,1.0")
         assert code == 2

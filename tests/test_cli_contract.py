@@ -26,9 +26,11 @@ from cli_contract import (
     demo_faults,
     fresh_faults,
     md5,
+    pin_fault,
     pinned_stdout,
     refusal_fault,
     run_in_process,
+    thin,
     usage_fault,
 )
 
@@ -66,9 +68,34 @@ def test_faults_name_a_broken_contract():
     assert refusal_fault(1, "Traceback (most recent call last):\n  x\n")
     assert refusal_fault(2, "configuration error: " + "x" * 1000 + "\n")
     assert refusal_fault(2, "precision failure: x\n")
+    assert refusal_fault(2, "configuration error: x\nconfiguration error: y\n")
+    assert refusal_fault(2, "configuration error: x\ntrailing")
+    assert refusal_fault(2, "configuration error: x\n") is None
     assert usage_fault(2, "configuration error: x\n")
     assert usage_fault(2, "usage: bellchsh\n" + "x" * 1000 + ": error: x\n")
     assert usage_fault(0, "")
+
+
+def test_pin_fault_names_each_missed_pin():
+    # the kept rows, the full row count and the JSON md5 are each pinned;
+    # deleting a row the stride skips keeps every kept row but not the count
+    name = "rindler-scan-long"
+    _, stride, json_md5 = PINNED[name]
+    csv_text, json_text = pinned_stdout(name), pinned_stdout(name, "--format", "json")
+    lines = csv_text.splitlines(keepends=True)
+    changed = lines[0] + lines[1].replace("0", "1", 1) + "".join(lines[2:])  # data row 0
+    skipped = "".join(lines[:19971] + lines[19972:])  # data row 19970 of 20000
+    assert thin(skipped, stride)[0] == thin(csv_text, stride)[0]
+    faults = [pin_fault(name, stride, json_md5, csv_text, json_text),
+              pin_fault(name, stride, json_md5, changed, json_text),
+              pin_fault(name, stride, json_md5, skipped, json_text),
+              pin_fault(name, stride, "0" * 32, csv_text, json_text)]
+    if not EXACT:
+        assert faults == [None] * 4
+        return
+    csv_fault = f"CSV stdout differs from tests/reference/{name}.csv or its row count"
+    assert faults == [None, csv_fault, csv_fault,
+                      f"JSON stdout has md5 {json_md5}, pinned {'0' * 32}"]
 
 
 def test_fresh_process_run_reports_each_broken_row(tmp_path):

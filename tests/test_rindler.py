@@ -202,13 +202,13 @@ class TestTemperatureScan:
         assert all(b > a for a, b in zip(taus, taus[1:]))
 
     def test_tau_decreasing_in_frequency(self):
-        t_grid = [0.5]
+        t_grid = np.array([0.5])
         values = [list(temperature_scan(RindlerModeSet((w,)), t_grid))[0].tau
                   for w in (0.5, 1.0, 2.0, 4.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_limits(self):
-        rows = list(temperature_scan(RindlerModeSet((1.0,)), [1e-4, 1e4]))
+        rows = list(temperature_scan(RindlerModeSet((1.0,)), np.array([1e-4, 1e4])))
         assert rows[0].chsh <= 1e-100
         assert abs(rows[-1].chsh - 2 * ROOT2) <= 1e-6
 
@@ -229,7 +229,7 @@ class TestTemperatureScan:
         # a summed form of exactly 1.0 is the Tsirelson bound itself, not past it
         monkeypatch.setattr(rindler, "_mode_sum", lambda modes, t: t)
         grid = [0.5, 1.0, math.nextafter(1.0, 2.0), 2.0]
-        rows = list(temperature_scan(RindlerModeSet((1.0,)), grid))
+        rows = list(temperature_scan(RindlerModeSet((1.0,)), np.array(grid)))
         assert [r.tau for r in rows] == grid
         assert [r.supra_tsirelson for r in rows] == [False, False, True, True]
         assert [r.flag for r in rows] == ["", "", ScanRow.FLAG_TEXT, ScanRow.FLAG_TEXT]
@@ -243,22 +243,47 @@ class TestTemperatureScan:
             assert 0.0 < value < 1.0
 
     def test_grid_validation(self):
-        # each refused grid raises when the scan is called, before a row is drawn
+        # each refused grid raises when the scan is called, before a row is
+        # drawn: the size, then the ascent, then the first T and the last
         modes = RindlerModeSet((1.0,))
-        with pytest.raises(DomainError):
-            temperature_scan(modes, [])
-        with pytest.raises(DomainError):
-            temperature_scan(modes, [0.0, 1.0])
-        with pytest.raises(DomainError):
-            temperature_scan(modes, [1.0, 0.5])
-        with pytest.raises(DomainError):
-            temperature_scan(modes, [1.0, math.inf])
+        for grid, message in (
+                (np.array([]), "t_grid must be a non-empty 1-D ndarray"),
+                (np.array([0.0, 1.0]), "temperature must be positive and finite, got 0.0"),
+                (np.array([1.0, 0.5]), "temperature grid must be strictly ascending"),
+                (np.array([0.5, 1.0, 1.0, 2.0]), "temperature grid must be strictly ascending"),
+                (np.array([0.5, math.nan, 2.0]), "temperature grid must be strictly ascending"),
+                (np.array([-1.0, 0.0, 1.0]), "temperature must be positive and finite, got -1.0"),
+                (np.array([math.nan]), "temperature must be positive and finite, got nan"),
+                (np.array([1.0, math.inf]), "temperature must be positive and finite, got inf"),
+                (np.array([-1, 2]), "temperature must be positive and finite, got -1.0")):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                temperature_scan(modes, grid)
+
+    @pytest.mark.parametrize("grid", [
+        [0.5, 1.0], (0.5, 1.0), 1.0, np.array(1.0), np.array([[0.5, 1.0]]),
+        np.array([[0.5], [1.0]]), np.array([0.5, 1.0], dtype=complex),
+        np.array([True, False]), np.array([0.5, 1.0], dtype=object), "0.5",
+    ], ids=["list", "tuple", "float", "0-d", "row", "column", "complex", "bool", "object",
+            "text"])
+    def test_grid_that_is_no_real_vector_refused_unread(self, grid):
+        # named as t_grid, before any entry is compared or converted
+        with pytest.raises(DomainError, match="^t_grid must be a non-empty 1-D ndarray of "
+                                              "integers or floats, got ") as raised:
+            temperature_scan(RindlerModeSet((1.0,)), grid)
+        assert raised.value.argument == "t_grid"
+
+    def test_integer_grid_rows_read_each_t_as_a_float(self):
+        rows = list(temperature_scan(RindlerModeSet((1.0,)), np.arange(1, 4, dtype=np.int32)))
+        assert [r.temperature for r in rows] == [1.0, 2.0, 3.0]
+        assert all(type(r.temperature) is float for r in rows)
+        assert [r.tau for r in rows] == [tau(RindlerModeSet((1.0,)), t) for t in (1, 2, 3)]
 
     def test_rows_drawn_one_at_a_time_hold_no_list(self):
-        # a list of the 20,000 rows held ~3.4 MB here; drawn from an
-        # iterator, only the grid's copy and the current row are held
+        # a list of the 20,000 rows held ~3.4 MB, and a tuple copy of the
+        # grid ~0.67 MB; read in place and drawn from an iterator, the grid
+        # is held once, by the caller, and the scan takes ~21 kB
         modes = RindlerModeSet((1.0,))
-        grid = np.linspace(0.01, 5.0, 20_000).tolist()
+        grid = np.linspace(0.01, 5.0, 20_000)
         tracemalloc.start()
         try:
             scan = temperature_scan(modes, grid)
@@ -268,7 +293,7 @@ class TestTemperatureScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1_000_000
+        assert peak < 100_000
         assert isinstance(scan, collections.abc.Iterator)
         assert drawn == 20_000
 
