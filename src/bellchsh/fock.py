@@ -11,7 +11,8 @@ levels ``2k <-> 2k+1``, close on the truncated space and square
 exactly to the identity.
 
 The two-mode squeezed state with parameter ``eta`` is in Schmidt form,
-``sum_n s_n |n, n>`` with ``s_n`` proportional to ``eta**n``.  Every
+``sum_n s_n |n, n>`` with ``s_n`` proportional to ``eta**n``, built once
+by ``_schmidt`` for both ``squeezed_state`` and ``chsh_matrix``.  Every
 flip is block-diagonal on the pairs ``(2k, 2k+1)``, with the same 2 x 2
 block on each pair (the pseudospin of Chen, Pan, Hou & Zhang, PRL 88,
 040406, 2002), so ``<A (x) B> = sum_pq G_pq a_pq b_pq`` with the 2 x 2
@@ -69,7 +70,7 @@ DEFAULT_CUTOFF = 40
 #: stacks (128 MB each); ``chsh_matrix`` builds no ``cutoff**2`` array.
 MAX_CUTOFF = MAX_FLIP_DIM
 
-#: ``1080 ln 2``: ``chsh_matrix`` writes each power ``eta**n`` with
+#: ``1080 ln 2``: ``_schmidt`` writes each power ``eta**n`` with
 #: ``-n ln eta`` above this as a zero, since its true value is below
 #: 2**-1080, under half the smallest subnormal 2**-1074.
 _UNDERFLOW_LOG = 1080 * math.log(2.0)
@@ -122,18 +123,31 @@ class SqueezedState:
     ket: Ket
 
 
-def squeezed_state(eta: float, space: FockSpace) -> SqueezedState:
-    """Two-mode squeezed state with diagonal amplitudes ~ eta**n.
+def _schmidt(eta: float, cutoff: int) -> np.ndarray:
+    """Schmidt weights ``s_n``, ``n < cutoff``, as a real vector: ``sqrt(1 -
+    eta^2) eta**n``, of squared norm ``1 - eta**(2*cutoff)``, divided by
+    ``math.sqrt(s @ s)``; ``eta`` is checked here.
 
-    Before renormalization the amplitudes are sqrt(1 - eta^2) * eta**n
-    on |n, n>, whose truncated squared norm is 1 - eta**(2*cutoff); the
-    returned ket is renormalized to norm 1 exactly.
+    Only the first ``live = ceil(1080 ln 2 / -ln eta) + 1`` powers of
+    eta are computed, when that is fewer than ``cutoff``.  Each later one
+    has a true value below 2**-1080, which ``pow`` rounds to +0 on its
+    slow subnormal path, so it is written as a zero directly: the bytes
+    are those of the full power vector.
     """
     eta = _check_eta(eta)
-    diagonal = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
-    amp = np.diag(diagonal.astype(complex))
-    amp /= np.linalg.norm(amp)
-    return SqueezedState(ket=Ket(amp))
+    live = math.ceil(_UNDERFLOW_LOG / -math.log(eta)) + 1
+    if live < cutoff:
+        amp = np.zeros(cutoff)
+        amp[:live] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(live)
+    else:
+        amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(cutoff)
+    amp /= math.sqrt(amp @ amp)
+    return amp
+
+
+def squeezed_state(eta: float, space: FockSpace) -> SqueezedState:
+    """Two-mode squeezed state: the ``_schmidt`` weights on ``|n, n>``."""
+    return SqueezedState(ket=Ket(np.diag(_schmidt(eta, space.cutoff))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,29 +249,15 @@ def chsh_matrix(eta: float, space: FockSpace, angles: AngleSet) -> float:
 
     Matrix route, independent of the closed form: the correlator of
     ``chsh_value`` against ``fock_quadruple(space, angles)`` on the
-    Schmidt form.  The explicit amplitudes ``s_n = sqrt(1 - eta^2)
-    eta**n``, renormalized, are viewed as ``(cutoff/2, 2)`` rows of pair
-    ``k`` and parity ``p``, so the pair Gram is ``G = s^T s`` (2 x 2),
+    Schmidt form.  The weights ``s_n`` of ``_schmidt``, the bytes on the
+    diagonal of ``squeezed_state``, are viewed as ``(cutoff/2, 2)`` rows
+    of pair ``k`` and parity ``p``, so the pair Gram is ``G = s^T s`` (2 x 2),
     and each flip is its 2 x 2 block: ``sum G o K`` entrywise, with the
     kernel ``K = A1 o (B1 + B2) + A2 o (B1 - B2)`` of the blocks in
     ``angles.pair_kernel``, built at the set's first use.  O(cutoff) per
     call; no ``cutoff**2`` array and no quadruple is built.  An imaginary
     residue above 1e-10 raises ``PrecisionError``.
-
-    Only the first ``live = ceil(1080 ln 2 / -ln eta) + 1`` powers of
-    eta are computed, when that is fewer than ``cutoff``.  Each later one
-    has a true value below 2**-1080, which ``pow`` rounds to +0 on its
-    slow subnormal path, so it is written as a zero directly: the bytes
-    are those of the full power vector.
     """
-    eta = _check_eta(eta)
-    live = math.ceil(_UNDERFLOW_LOG / -math.log(eta)) + 1
-    if live < space.cutoff:
-        amp = np.zeros(space.cutoff)
-        amp[:live] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(live)
-    else:
-        amp = math.sqrt(1.0 - eta * eta) * eta ** np.arange(space.cutoff)
-    amp /= math.sqrt(amp @ amp)
-    pairs = amp.reshape(-1, 2)
+    pairs = _schmidt(eta, space.cutoff).reshape(-1, 2)
     gram = pairs.T @ pairs
     return _real_correlator((gram * angles.pair_kernel).sum())

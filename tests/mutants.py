@@ -7,17 +7,18 @@ should fail on the mutant, and why the line matters.  A row whose
 is expected to survive.
 
 The runner copies ``src``, ``tests``, ``demos`` (the contract tests
-run the demos) and ``pyproject.toml`` into a temporary directory.  It
-first runs each set of test files named by a row on the unmutated copy,
-where they must pass, since a test that fails there would kill every
-mutant.  Then it applies one row at a time to the copy, never to the
-working tree, and runs ``python -m pytest`` on the row's test files
-there.  A mutant is killed when pytest reports a failing test (exit 1).
-The script prints one line per row and exits 1 if a row's file is
-missing or its ``old`` text does not occur exactly once, a row's tests
-fail on the unmutated copy, pytest exits otherwise than 0 or 1, a
-mutant survives that is not marked equivalent, or one marked equivalent
-is killed:
+run the demos) and ``pyproject.toml`` into ``WORKERS`` temporary
+directories, one per worker, and runs each pytest process on whichever
+copy is free.  It first runs each set of test files named by
+a row on an unmutated copy, where they must pass, since a test that
+fails there would kill every mutant.  Then it applies each row to a
+copy, never to the working tree, runs ``python -m pytest`` on the row's
+test files there, and restores the file.  A mutant is killed when
+pytest reports a failing test (exit 1).  The script prints one line per
+row, in table order, and exits 1 if a row's file is missing or its
+``old`` text does not occur exactly once, a row's tests fail on the
+unmutated copy, pytest exits otherwise than 0 or 1, a mutant survives
+that is not marked equivalent, or one marked equivalent is killed:
 
     python tests/mutants.py
 
@@ -33,10 +34,12 @@ from __future__ import annotations
 
 import os
 import pathlib
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -70,11 +73,14 @@ MUTANTS = (
            "apply checks both sides of the ket's shape, B as well as A"),
     Mutant("src/bellchsh/spin.py", "amp[i, levels - 1 - i]", "amp[i, i]",
            ("tests/test_spin.py",), "the singlet pairs m with -m: the anti-diagonal"),
-    Mutant("src/bellchsh/fock.py", "amp /= np.linalg.norm(amp)", "amp /= 1.0",
-           ("tests/test_fock.py",),
-           "squeezed_state renormalizes the truncated amplitudes, short by eta**(2 cutoff)"),
     Mutant("src/bellchsh/fock.py", "amp /= math.sqrt(amp @ amp)", "amp /= 1.0",
-           ("tests/test_fock.py",), "chsh_matrix renormalizes its truncated Schmidt weights"),
+           ("tests/test_fock.py",),
+           "_schmidt renormalizes the truncated Schmidt weights, short by eta**(2 cutoff), "
+           "for both squeezed_state's ket and chsh_matrix's pair Gram"),
+    Mutant("src/bellchsh/fock.py", "gram = pairs.T @ pairs",
+           "gram = pairs.T @ pairs * (1 + 1e-12)", ("tests/test_rounding_floor.py",),
+           "a 1e-12 drift of chsh_matrix passes squeeze-scan's exit-3 tolerance but not "
+           "the derived rounding bound to chsh_closed"),
     Mutant("src/bellchsh/chsh.py", "kernel = a1 * (b1 + b2) + a2 * (b1 - b2)",
            "kernel = a1 * (b1 + b2) + a2 * (b2 - b1)", ("tests/test_fock.py",),
            "the pair kernel's A2 term: the sign of B2 in chsh_matrix"),
@@ -160,6 +166,10 @@ MUTANTS = (
 ENV = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning",
            PYTHONDONTWRITEBYTECODE="1")
 
+#: Worker copies, each running one pytest process at a time: at most two,
+#: so the step stays small on a shared machine.
+WORKERS = min(2, os.cpu_count() or 1)
+
 
 def occurrence_faults(mutants=MUTANTS, root=ROOT):
     """Yield ``(row, fault)`` for each row whose file is missing or whose
@@ -194,6 +204,25 @@ def run_row(copy: pathlib.Path, row: Mutant) -> int:
         path.write_text(text, encoding="utf-8")
 
 
+def on_copies(copies, run, jobs):
+    """Yield ``run(copy, job)`` for each of ``jobs``, in their order, run on
+    one thread per copy; each job runs on a copy that no other job holds
+    meanwhile."""
+    free = queue.SimpleQueue()
+    for copy in copies:
+        free.put(copy)
+
+    def on_free_copy(job):
+        copy = free.get()
+        try:
+            return run(copy, job)
+        finally:
+            free.put(copy)
+
+    with ThreadPoolExecutor(len(copies)) as pool:
+        yield from pool.map(on_free_copy, jobs)
+
+
 def verdict(row: Mutant, code: int) -> tuple[str, bool]:
     """The printed outcome of a row whose pytest exited ``code``, and
     whether it breaks the row's contract."""
@@ -214,20 +243,24 @@ def main() -> int:
         return 1
     broken = 0
     with tempfile.TemporaryDirectory() as tmp:
-        copy = pathlib.Path(tmp)
-        for name in ("src", "tests", "demos"):
-            shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
-        for tests in dict.fromkeys(row.tests for row in MUTANTS):
-            if code := run_tests(copy, tests):
-                print(f"{' '.join(tests)}: pytest exited {code} on the unmutated copy",
-                      file=sys.stderr)
-                return 1
-        for row in MUTANTS:
-            outcome, fault = verdict(row, run_row(copy, row))
+        copies = [pathlib.Path(tmp) / str(worker) for worker in range(WORKERS)]
+        for copy in copies:
+            for name in ("src", "tests", "demos"):
+                shutil.copytree(ROOT / name, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            shutil.copy(ROOT / "pyproject.toml", copy)
+        sets = list(dict.fromkeys(row.tests for row in MUTANTS))
+        failing = [(tests, code) for tests, code in zip(sets, on_copies(copies, run_tests, sets))
+                   if code]
+        for tests, code in failing:
+            print(f"{' '.join(tests)}: pytest exited {code} on the unmutated copy",
+                  file=sys.stderr)
+        if failing:
+            return 1
+        for row, code in zip(MUTANTS, on_copies(copies, run_row, MUTANTS)):
+            outcome, fault = verdict(row, code)
             broken += fault
-            print(f"{row.file}: {row.old!r} -> {row.new!r}: {outcome} ({row.why})")
+            print(f"{row.file}: {row.old!r} -> {row.new!r}: {outcome} ({row.why})", flush=True)
     print(f"{len(MUTANTS) - broken} of {len(MUTANTS)} mutation rows hold")
     return 1 if broken else 0
 

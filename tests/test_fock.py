@@ -39,6 +39,7 @@ from helpers import (
     flip_parity,
     flip_rows,
     four_call_chsh_matrix,
+    full_powers,
     full_quadruple,
     hermiticity_deviation,
     ladder_matrices,
@@ -50,6 +51,7 @@ from helpers import (
 )
 
 ROOT2 = math.sqrt(2.0)
+PINNED_ETAS = (1e-8, 0.3, 0.5, 0.9, 0.999)
 ZERO_PHASES = AngleSet(0.0, 0.0, 0.0, 0.0)
 
 
@@ -227,15 +229,19 @@ class TestSqueezedState:
             series = series_squeezed_state(eta, space.cutoff)
             assert np.abs(direct - series).max() <= 1e-12
 
-    @pytest.mark.parametrize("cutoff", [4, 40, 200])
-    def test_bytes_match_renormalized_raw_amplitudes(self, cutoff):
-        # the raw diagonal divided by its norm, to the byte
-        n = cutoff
-        for eta in (1e-8, 0.3, 0.5, 0.9, 0.999):
-            raw = np.zeros(n * n, dtype=complex)
-            raw[np.arange(n) * n + np.arange(n)] = math.sqrt(1.0 - eta * eta) * eta ** np.arange(n)
-            ket = squeezed_state(eta, FockSpace(n)).ket
-            assert ket.amplitudes.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+    @pytest.mark.parametrize("cutoff, etas", [
+        (4, PINNED_ETAS), (40, PINNED_ETAS), (200, PINNED_ETAS),
+        (2048, (5e-324,)),  # 3 live powers of 2048: the cut prefix
+    ], ids=["4", "40", "200", "2048"])
+    def test_bytes_match_renormalized_raw_amplitudes(self, cutoff, etas):
+        # the diagonal is every power divided by math.sqrt(v @ v), to the
+        # byte, as chsh_matrix reads it; every other amplitude is zero
+        for eta in etas:
+            v = full_powers(eta, cutoff)
+            amps = squeezed_state(eta, FockSpace(cutoff)).ket.amplitudes
+            diagonal = np.diag(amps)
+            assert diagonal.tobytes() == (v / math.sqrt(v @ v)).astype(complex).tobytes()
+            assert np.count_nonzero(amps) == np.count_nonzero(diagonal)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.7])
     def test_eta_domain(self, bad):
